@@ -1,13 +1,14 @@
-"""Pure numpy implementations of the hot kernels.
+"""The hot kernels, in numpy.
 
-Bit-identical to the compiled versions in _core.pyx: every kernel is a
-deterministic transform of its inputs (randomness is always drawn by the
-caller), so which implementation is active can never change a result.
+Every kernel is a deterministic transform of its inputs (randomness is
+always drawn by the caller). Callers look the kernels up as attributes
+of this module (``_accel.pair_counts``), so a profiler can wrap them in
+place. ACTIVE_IMPL names the implementation for run metadata.
 """
 
 import numpy as np
 
-IMPL = "python"
+ACTIVE_IMPL = "python"
 
 
 def pair_counts(a_sorted, b_sorted):

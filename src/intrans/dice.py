@@ -29,7 +29,7 @@ FacesLike = Union["Die", Sequence[float], np.ndarray]
 class Die:
     """An n-sided die.
 
-    meta carries sampler annotations (e.g. approximate=True for draws
+    meta carries sampler annotations (e.g. exact=False for draws
     produced by the Markov-chain path) and never affects comparisons.
     """
 
@@ -83,7 +83,8 @@ class TripleClass(enum.Enum):
 def pair_stats(a: FacesLike, b: FacesLike) -> PairStats:
     """Exact win/loss/tie counts over all n^2 face pairs.
 
-    O(n log n): both faces are sorted once and counted by a linear merge.
+    O(n log n): both faces are sorted once, then every face of a is
+    located among the faces of b by binary search.
     """
     fa = as_faces(a)
     fb = as_faces(b)
@@ -91,11 +92,7 @@ def pair_stats(a: FacesLike, b: FacesLike) -> PairStats:
         raise InvalidInputError(
             "dice must have equal lengths (got %d and %d)" % (fa.size, fb.size)
         )
-    a_sorted = np.sort(fa)
-    b_sorted = np.sort(fb)
-    wins, ties = _accel.pair_counts(
-        np.ascontiguousarray(a_sorted), np.ascontiguousarray(b_sorted)
-    )
+    wins, ties = _accel.pair_counts(np.sort(fa), np.sort(fb))
     n2 = fa.size * fb.size
     return PairStats(wins=wins, losses=n2 - wins - ties, ties=ties)
 
@@ -133,9 +130,12 @@ def classify_triple(a: FacesLike, b: FacesLike, c: FacesLike) -> TripleClass:
     cycle); any zero margin yields HAS_TIE, neither transitive nor
     intransitive.
     """
-    m_ab = pair_stats(a, b).margin
-    m_bc = pair_stats(b, c).margin
-    m_ca = pair_stats(c, a).margin
+    return classify_margins(pair_stats(a, b).margin, pair_stats(b, c).margin,
+                            pair_stats(c, a).margin)
+
+
+def classify_margins(m_ab: int, m_bc: int, m_ca: int) -> TripleClass:
+    """The class of a triple with signed margins m_ab, m_bc and m_ca."""
     if m_ab == 0 or m_bc == 0 or m_ca == 0:
         return TripleClass.HAS_TIE
     if (m_ab > 0) == (m_bc > 0) == (m_ca > 0):

@@ -266,14 +266,16 @@ def _build_dice_triples(spec: ExperimentSpec):
 
     def kernel(trial: int, rng: np.random.Generator):
         dice = [model.sample(rng) for _ in range(3)]
-        cls = dice_mod.classify_triple(*dice)
         sums = [cdf_sum(die, face_cdf) for die in dice]
+        margins = {}
         agree = 0
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            margin = pair_stats(dice[i], dice[j]).margin
-            v = sums[i] - sums[j]
-            if np.sign(margin) == np.sign(v):
+            margins[i, j] = pair_stats(dice[i], dice[j]).margin
+            if np.sign(margins[i, j]) == np.sign(sums[i] - sums[j]):
                 agree += 1
+        # The margin of die 2 over die 0 is -margins[0, 2].
+        cls = dice_mod.classify_margins(margins[0, 1], margins[1, 2],
+                                        -margins[0, 2])
         return True, float(4 * class_index[cls] + agree)
 
     return kernel, N_DICE_CATEGORIES

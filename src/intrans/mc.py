@@ -33,6 +33,10 @@ from .errors import AcceptanceFloorError, InvalidInputError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Trials per index block. Results do not depend on it; a phase of one
+# block runs inline, without the thread pool.
+BLOCK_SIZE = 4096
+
 # A trial kernel maps (trial_index, rng) to (accepted, value). The value
 # is consumed only when accepted is true: a 0/1 indicator in proportion
 # mode, a real payoff in mean mode, a small category index in counts mode.
@@ -224,9 +228,9 @@ def _run_block(kernel: TrialKernel, seed: int, start: int, stop: int,
     return accepted, counts, total, total_sq
 
 
-def _run_phase(kernel, seed, start, stop, workers, block_size, n_categories):
-    blocks = [(b, min(b + block_size, stop))
-              for b in range(start, stop, block_size)]
+def _run_phase(kernel, seed, start, stop, workers, n_categories):
+    blocks = [(b, min(b + BLOCK_SIZE, stop))
+              for b in range(start, stop, BLOCK_SIZE)]
     if workers <= 1 or len(blocks) <= 1:
         partials = [_run_block(kernel, seed, lo, hi, n_categories)
                     for lo, hi in blocks]
@@ -249,14 +253,14 @@ def _run_phase(kernel, seed, start, stop, workers, block_size, n_categories):
 
 def _run_trials(kernel: TrialKernel, trials: int, seed: int,
                 workers: Optional[int], acceptance_floor: float,
-                block_size: int, n_categories: int):
+                n_categories: int):
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     workers = resolve_workers(workers)
     probe = min(trials, int(math.ceil(3.0 / acceptance_floor)))
     t0 = time.perf_counter()
     acc1, cnt1, tot1, sq1 = _run_phase(
-        kernel, seed, 0, probe, workers, block_size, n_categories)
+        kernel, seed, 0, probe, workers, n_categories)
     if probe * acceptance_floor >= 3.0 and acc1 < probe * acceptance_floor:
         raise AcceptanceFloorError(observed_rate=acc1 / probe,
                                    floor=acceptance_floor,
@@ -264,7 +268,7 @@ def _run_trials(kernel: TrialKernel, trials: int, seed: int,
     acc2, cnt2, tot2, sq2 = (0, None, 0.0, 0.0)
     if probe < trials:
         acc2, cnt2, tot2, sq2 = _run_phase(
-            kernel, seed, probe, trials, workers, block_size, n_categories)
+            kernel, seed, probe, trials, workers, n_categories)
     accepted = acc1 + acc2
     if accepted == 0:
         raise AcceptanceFloorError(observed_rate=0.0,
@@ -279,13 +283,11 @@ def _run_trials(kernel: TrialKernel, trials: int, seed: int,
 
 def estimate_probability(spec: ExperimentSpec, *,
                          acceptance_floor: float = 1e-6,
-                         stderr_method: str = "wald",
-                         block_size: int = 4096) -> MonteCarloEstimate:
+                         stderr_method: str = "wald") -> MonteCarloEstimate:
     """Proportion of accepted trials whose kernel value is 1."""
     kernel, _ = build_kernel(spec)
     accepted, _, total, _, wall_ms = _run_trials(
-        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor,
-        block_size, 0)
+        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor, 0)
     hits = int(round(total))
     return MonteCarloEstimate(
         estimate=hits / accepted,
@@ -298,13 +300,11 @@ def estimate_probability(spec: ExperimentSpec, *,
 
 
 def estimate_mean(spec: ExperimentSpec, *,
-                  acceptance_floor: float = 1e-6,
-                  block_size: int = 4096) -> MonteCarloEstimate:
+                  acceptance_floor: float = 1e-6) -> MonteCarloEstimate:
     """Mean kernel value over accepted trials, stderr from the sample sd."""
     kernel, _ = build_kernel(spec)
     accepted, _, total, total_sq, wall_ms = _run_trials(
-        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor,
-        block_size, 0)
+        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor, 0)
     mean = total / accepted
     var = max(total_sq / accepted - mean * mean, 0.0)
     stderr = math.sqrt(var / accepted)
@@ -314,8 +314,7 @@ def estimate_mean(spec: ExperimentSpec, *,
 
 
 def estimate_categories(spec: ExperimentSpec, *,
-                        acceptance_floor: float = 1e-6,
-                        block_size: int = 4096) -> CategoryCounts:
+                        acceptance_floor: float = 1e-6) -> CategoryCounts:
     """Category counts over accepted trials; the family must declare its
     category count."""
     kernel, n_categories = build_kernel(spec)
@@ -325,7 +324,7 @@ def estimate_categories(spec: ExperimentSpec, *,
         )
     accepted, counts, _, _, wall_ms = _run_trials(
         kernel, spec.trials, spec.seed, spec.workers, acceptance_floor,
-        block_size, n_categories)
+        n_categories)
     return CategoryCounts(counts=counts, trials=spec.trials,
                           accepted=accepted, seed=spec.seed,
                           wall_time_ms=wall_ms)

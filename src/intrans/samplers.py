@@ -108,9 +108,9 @@ def _discrete_mcmc(n: int, rng: np.random.Generator,
     # step whose stationary law is uniform on the constraint set.
     ii = rng.integers(0, n, size=burn_in)
     jj = rng.integers(0, n - 1, size=burn_in)
-    jj = np.where(jj >= ii, jj + 1, jj).astype(np.int64)
+    jj = np.where(jj >= ii, jj + 1, jj)
     uu = rng.random(burn_in)
-    _accel.mcmc_pair_transfer(faces, ii.astype(np.int64), jj, uu)
+    _accel.mcmc_pair_transfer(faces, ii, jj, uu)
     return faces
 
 
@@ -322,17 +322,15 @@ class RankingProfile:
 
     def margin(self, a: int, b: int) -> int:
         """Votes preferring a over b minus the reverse; parity matches n."""
-        out = _accel.profile_margins(
-            self.positions, np.array([a], dtype=np.int64),
-            np.array([b], dtype=np.int64))
-        return int(np.asarray(out)[0])
+        out = _accel.profile_margins(self.positions, [a], [b])
+        return int(out[0])
 
     def margins_lex(self) -> np.ndarray:
         """Margins over all candidate pairs in lexicographic order."""
         pairs = lex_pairs(self.k)
-        aa = np.array([p[0] for p in pairs], dtype=np.int64)
-        bb = np.array([p[1] for p in pairs], dtype=np.int64)
-        return np.asarray(_accel.profile_margins(self.positions, aa, bb))
+        aa = [p[0] for p in pairs]
+        bb = [p[1] for p in pairs]
+        return _accel.profile_margins(self.positions, aa, bb)
 
     def pairwise_votes(self) -> np.ndarray:
         """Per-voter pairwise votes, shape (n_voters, K), lex pair order:
