@@ -28,6 +28,11 @@ def mcmc_pair_transfer(faces, ii, jj, uu):
     faces is modified in place. Step t resamples the pair (ii[t], jj[t])
     uniformly among all integer splits of their current sum that keep both
     coordinates in [1, n]. uu[t] in [0, 1) selects the split.
+
+    The package no longer calls this: the discrete sampler draws exact
+    dice by last-face rejection. It stays only because the benchmark's
+    tracer (perfbench/spans.py) wraps it by name on every traced run, and
+    goes once the benchmark stops doing so.
     """
     n = faces.shape[0]
     for t in range(ii.shape[0]):

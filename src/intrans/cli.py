@@ -477,12 +477,15 @@ def _suite_samplers() -> list:
     checks.append(_check("fbm_methods_agree", diff <= 4 * diff_se,
                          "|circulant - cholesky| = %.4f (se %.4f)"
                          % (diff, diff_se)))
-    big = sample_discrete_conditioned(250, rng)
-    total = int(round(float(big.faces.sum())))
-    ok = (total == 250 * 251 // 2 and big.faces.min() >= 1
-          and big.faces.max() <= 250 and big.meta.get("exact") is False)
-    checks.append(_check("discrete_mcmc_valid", ok,
-                         "n=250 sum/range/meta flags"))
+    big = np.stack([sample_discrete_conditioned(250, rng).faces
+                    for _ in range(20)])
+    sums = big.sum(axis=1)
+    ok = (np.all(sums == 250 * 251 // 2)
+          and big.min() >= 1 and big.max() <= 250)
+    checks.append(_check("discrete_n250_valid", ok,
+                         "20 dice at n=250: sums %d..%d (31375), faces "
+                         "%d..%d" % (sums.min(), sums.max(),
+                                     big.min(), big.max())))
     return checks
 
 

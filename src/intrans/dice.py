@@ -29,8 +29,8 @@ FacesLike = Union["Die", Sequence[float], np.ndarray]
 class Die:
     """An n-sided die.
 
-    meta carries sampler annotations (e.g. exact=False for draws
-    produced by the Markov-chain path) and never affects comparisons.
+    meta carries sampler annotations (e.g. the model, n and the
+    stationary synthesis method) and never affects comparisons.
     """
 
     faces: np.ndarray

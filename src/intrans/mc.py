@@ -112,6 +112,14 @@ class CategoryCounts:
         )
 
 
+def _json_scalar(value):
+    """json.dumps hook: numpy integer and float scalars as Python ones."""
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A fully serializable description of one Monte Carlo run.
@@ -140,7 +148,7 @@ class ExperimentSpec:
             "conditioning": self.conditioning,
             "workers": self.workers,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, default=_json_scalar)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":

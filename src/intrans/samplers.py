@@ -6,7 +6,7 @@ Dice models:
 - continuous faces conditioned on the face-sum being exactly zero
   (rejection on the last face, acceptance rate Theta(1/sqrt(n)));
 - integer faces uniform on {1..n}^n conditioned on the face-sum equal to
-  n(n+1)/2 (exact rejection for small n, pair-transfer MCMC above that);
+  n(n+1)/2 (rejection on the last face, exact for every n);
 - stationary Gaussian faces with variance 1/2 and a prescribed lag
   correlation (circulant embedding, Toeplitz Cholesky fallback/oracle).
 
@@ -36,8 +36,17 @@ from .errors import (
 )
 from .gaussian import CorrelationKernel
 
-DISCRETE_REJECTION_LIMIT = 200
 CHOLESKY_LIMIT = 4096
+# One rejection batch of the last-face samplers holds at most this many
+# faces, so memory stays bounded at large n.
+MAX_BATCH_FACES = 1 << 22
+
+
+def _batch_rows(n: int) -> int:
+    """Candidate dice per batch of a last-face sampler: 2 sqrt(n) (at
+    least 8), a few expected acceptances at the Theta(1/sqrt(n)) rate,
+    cut so that the batch holds at most MAX_BATCH_FACES faces."""
+    return max(1, min(max(8, int(2.0 * math.sqrt(n))), MAX_BATCH_FACES // n))
 
 
 def sample_iid(n: int, dist, rng: np.random.Generator) -> Die:
@@ -62,7 +71,7 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
     if n < 2:
         raise InvalidInputError("conditioned dice need n >= 2")
     dist = get_distribution(dist)
-    batch = max(8, int(2.0 * math.sqrt(n)))
+    batch = _batch_rows(n)
     attempts = 0
     while attempts < max_attempts:
         take = min(batch, max_attempts - attempts)
@@ -82,61 +91,35 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
         attempts=max_attempts, accepted=0)
 
 
-def _discrete_rejection(n: int, rng: np.random.Generator,
-                        max_attempts: int) -> np.ndarray:
-    target = n * (n + 1) // 2
-    batch = max(16, 2 * n)
-    attempts = 0
-    while attempts < max_attempts:
-        take = min(batch, max_attempts - attempts)
-        draws = rng.integers(1, n + 1, size=(take, n))
-        hits = np.nonzero(draws.sum(axis=1) == target)[0]
-        attempts += take
-        if hits.size:
-            return draws[int(hits[0])].astype(np.int64)
-    raise SamplerStallError(
-        "discrete rejection accepted nothing in %d attempts" % max_attempts,
-        attempts=max_attempts, accepted=0)
-
-
-def _discrete_mcmc(n: int, rng: np.random.Generator,
-                   burn_in: Optional[int]) -> np.ndarray:
-    if burn_in is None:
-        burn_in = 10 * n * n
-    faces = np.arange(1, n + 1, dtype=np.int64)
-    # Each move resamples one face pair uniformly given its sum, a Gibbs
-    # step whose stationary law is uniform on the constraint set.
-    ii = rng.integers(0, n, size=burn_in)
-    jj = rng.integers(0, n - 1, size=burn_in)
-    jj = np.where(jj >= ii, jj + 1, jj)
-    uu = rng.random(burn_in)
-    _accel.mcmc_pair_transfer(faces, ii, jj, uu)
-    return faces
-
-
 def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
-                                rejection_limit: int = DISCRETE_REJECTION_LIMIT,
-                                burn_in: Optional[int] = None,
                                 max_attempts: int = 50_000_000) -> Die:
     """Faces uniform on {1..n}^n conditioned on face-sum n(n+1)/2.
 
-    Exact rejection sampling up to rejection_limit (the event has
-    probability ~ sqrt(12 / (2 pi)) / n^2, manageable for n <= 200);
-    beyond that a pair-transfer MCMC run of 10 n^2 Gibbs moves from the
-    sorted start 1..n, which is approximate and flagged in Die.meta.
+    Draws the first n-1 faces uniformly from {1..n}, sets the last face to
+    n(n+1)/2 minus their sum, and accepts iff it lies in [1, n]. Every
+    valid die has exactly one preimage, so the accepted law is exactly
+    uniform on the constraint set for every n. The acceptance rate is
+    about sqrt(6 / (pi n)), the chance that the candidate last face (sd
+    about n^1.5 / sqrt(12)) lands in a window of width n.
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
-    if n <= rejection_limit:
-        faces = _discrete_rejection(n, rng, max_attempts)
-        meta = {"model": "discrete", "n": n, "exact": True,
-                "sampler": "rejection"}
-    else:
-        faces = _discrete_mcmc(n, rng, burn_in)
-        meta = {"model": "discrete", "n": n, "exact": False,
-                "sampler": "mcmc",
-                "burn_in": 10 * n * n if burn_in is None else burn_in}
-    return Die(faces.astype(float), meta=meta)
+    target = n * (n + 1) // 2
+    batch = _batch_rows(n)
+    attempts = 0
+    while attempts < max_attempts:
+        take = min(batch, max_attempts - attempts)
+        body = rng.integers(1, n + 1, size=(take, n - 1))
+        tail = target - body.sum(axis=1)
+        hits = np.nonzero((tail >= 1) & (tail <= n))[0]
+        attempts += take
+        if hits.size:
+            i = int(hits[0])
+            faces = np.append(body[i], tail[i])
+            return Die(faces.astype(float), meta={"model": "discrete", "n": n})
+    raise SamplerStallError(
+        "discrete sampler accepted nothing in %d attempts" % max_attempts,
+        attempts=max_attempts, accepted=0)
 
 
 def _circulant_eigenvalues(n: int, kernel: CorrelationKernel) -> np.ndarray:

@@ -59,6 +59,21 @@ def enumerate_discrete_dice(n):
     return out
 
 
+def discrete_face_marginal(n):
+    """Exact law of one face of a die uniform on {1..n}^n given the sum
+    n(n+1)/2, as probabilities of faces 1..n: P(face = k) is proportional
+    to the chance that the other n-1 i.i.d. uniform faces sum to
+    n(n+1)/2 - k. That sum's law is built by n-1 convolutions with the
+    uniform law on {1..n}, each a windowed difference of cumulative sums."""
+    law = np.array([1.0])  # sum of zero faces; index = sum - #faces
+    for _ in range(n - 1):
+        cs = np.cumsum(np.concatenate([np.zeros(n), law, np.zeros(n - 1)]))
+        law = (cs[n:] - cs[:-n]) / n
+    rest = n * (n + 1) // 2 - np.arange(1, n + 1) - (n - 1)
+    p = law[rest]
+    return p / p.sum()
+
+
 def slab_rejection_faces(n, sampler, rng, tol=0.01, draws=1):
     """Iid face vectors accepted when |sum| <= tol, without recentering:
     the distributional oracle for the exact-hyperplane sampler. sampler

@@ -136,6 +136,12 @@ def test_spec_json_round_trip():
     assert minimal.statistic == ""
     assert minimal.conditioning is None
     assert minimal.workers is None
+    numpy_valued = ExperimentSpec(
+        family="test_coin", params={"p": np.float32(0.25), "n": np.int64(9)},
+        trials=100, seed=7, statistic="heads",
+        conditioning={"d": np.int64(3), "subset": [0, 2]}, workers=2)
+    assert numpy_valued.to_json() == spec.to_json()
+    assert ExperimentSpec.from_json(numpy_valued.to_json()) == spec
 
 
 def test_register_family_rejects_duplicates():

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from intrans.errors import (
 )
 from intrans.gaussian import CorrelationKernel, s_kernel
 from intrans.samplers import (
+    MAX_BATCH_FACES,
     ContinuousConditioned,
     DiscreteConditioned,
     IidContinuous,
@@ -34,6 +36,7 @@ from intrans.samplers import (
 from oracles import (
     brute_margins,
     conditioned_gaussian_cov,
+    discrete_face_marginal,
     enumerate_discrete_dice,
 )
 
@@ -103,6 +106,40 @@ def test_conditioned_stall():
     rng = np.random.default_rng(5)
     with pytest.raises(SamplerStallError):
         sample_continuous_conditioned(10, "uniform", rng, max_attempts=0)
+    with pytest.raises(SamplerStallError):
+        sample_discrete_conditioned(10, rng, max_attempts=0)
+
+
+class _ShapeRecorder:
+    """A Generator stand-in that records the shape of every draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.shapes = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.shapes.append(np.shape(out))
+            return out
+        return call
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n, rng: sample_continuous_conditioned(n, "gaussian", rng),
+    lambda n, rng: sample_discrete_conditioned(n, rng),
+], ids=["continuous", "discrete"])
+def test_last_face_batches_are_bounded(sample):
+    """At n = 10^5 a rejection batch holds at most 2^22 faces."""
+    n = 100_000
+    rng = _ShapeRecorder(np.random.default_rng(15))
+    die = sample(n, rng)
+    assert die.faces.shape == (n,)
+    batches = [shape for shape in rng.shapes if len(shape) == 2]
+    assert batches
+    assert all(rows * (cols + 1) <= MAX_BATCH_FACES for rows, cols in batches)
 
 
 # ----------------------------------------------- discrete conditioned
@@ -117,7 +154,6 @@ def test_discrete_small_n_support_and_uniformity():
     counts = Counter()
     for _ in range(draws):
         die = sample_discrete_conditioned(3, rng)
-        assert die.meta["exact"] is True
         key = tuple(int(x) for x in die.faces)
         counts[key] += 1
     assert set(counts) == support
@@ -125,36 +161,66 @@ def test_discrete_small_n_support_and_uniformity():
         assert counts[key] / draws == pytest.approx(1.0 / 7.0, abs=0.025)
 
 
-def test_discrete_n4_support():
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_discrete_support(n):
+    """n = 1 is always (1,), n = 2 only (1, 2) or (2, 1)."""
     rng = np.random.default_rng(7)
-    support = set(enumerate_discrete_dice(4))
-    target = 4 * 5 // 2
+    support = set(enumerate_discrete_dice(n))
+    target = n * (n + 1) // 2
     for _ in range(300):
-        die = sample_discrete_conditioned(4, rng)
+        die = sample_discrete_conditioned(n, rng)
         key = tuple(int(x) for x in die.faces)
         assert key in support
         assert sum(key) == target
+        assert die.meta == {"model": "discrete", "n": n}
 
 
-def test_discrete_mcmc_path():
+def test_discrete_n5_chi_square_vs_enumeration():
+    """All 381 face sequences at n = 5 are equally likely."""
+    support = enumerate_discrete_dice(5)
+    assert len(support) == 381
+    index = {s: i for i, s in enumerate(support)}
+    rng = np.random.default_rng(13)
+    obs = np.zeros(len(support))
+    for _ in range(40_000):
+        die = sample_discrete_conditioned(5, rng)
+        obs[index[tuple(int(v) for v in die.faces)]] += 1
+    assert scipy.stats.chisquare(obs).pvalue > 0.001
+
+
+def test_discrete_n250_sum_and_range():
+    """Every face of every die lies in [1, n] and the sum is n(n+1)/2;
+    enough dice that dropping either bound of the acceptance test shows."""
     rng = np.random.default_rng(8)
     n = 250
-    die = sample_discrete_conditioned(n, rng, burn_in=20_000)
-    assert die.meta["exact"] is False
-    assert die.meta["sampler"] == "mcmc"
-    assert die.meta["burn_in"] == 20_000
-    faces = die.faces.astype(int)
+    faces = np.stack([sample_discrete_conditioned(n, rng).faces
+                      for _ in range(200)]).astype(int)
     assert faces.min() >= 1 and faces.max() <= n
-    assert faces.sum() == n * (n + 1) // 2
+    np.testing.assert_array_equal(faces.sum(axis=1), n * (n + 1) // 2)
 
 
-def test_discrete_mcmc_default_burn_in_and_determinism():
-    d1 = sample_discrete_conditioned(10, np.random.default_rng(9),
-                                     rejection_limit=5)
-    d2 = sample_discrete_conditioned(10, np.random.default_rng(9),
-                                     rejection_limit=5)
-    assert d1.meta["burn_in"] == 10 * 10 * 10
-    np.testing.assert_array_equal(d1.faces, d2.faces)
+def test_discrete_n250_face_marginals_exact():
+    """The first drawn face and the last, computed face both follow the
+    exact one-face law of the uniform constrained die."""
+    small = np.array(enumerate_discrete_dice(5))
+    np.testing.assert_allclose(
+        discrete_face_marginal(5),
+        np.bincount(small[:, 0] - 1, minlength=5) / len(small), rtol=1e-12)
+    n, draws = 250, 20_000
+    rng = np.random.default_rng(14)
+    faces = np.stack([sample_discrete_conditioned(n, rng).faces
+                      for _ in range(draws)]).astype(int)
+    expected = draws * discrete_face_marginal(n)
+    for col in (0, n - 1):
+        obs = np.bincount(faces[:, col] - 1, minlength=n)
+        assert scipy.stats.chisquare(obs, expected).pvalue > 0.001
+
+
+def test_discrete_determinism():
+    for n in (10, 250):
+        d1 = sample_discrete_conditioned(n, np.random.default_rng(9))
+        d2 = sample_discrete_conditioned(n, np.random.default_rng(9))
+        np.testing.assert_array_equal(d1.faces, d2.faces)
 
 
 def test_discrete_validation():
