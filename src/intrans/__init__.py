@@ -60,6 +60,7 @@ from .mc import (
     estimate_categories,
     estimate_mean,
     estimate_probability,
+    per_trial,
     register_family,
     sweep,
 )

@@ -42,7 +42,14 @@ from .gaussian import (
     variance_W_series,
     variance_diff_series,
 )
-from .mc import ExperimentSpec, estimate_categories, estimate_probability, resolve_workers
+from .mc import (
+    BLOCK_SIZE,
+    STREAM_SCHEME,
+    ExperimentSpec,
+    estimate_categories,
+    estimate_probability,
+    resolve_workers,
+)
 from .triplets import (
     alpha_rho,
     alpha_star,
@@ -94,6 +101,8 @@ def _meta(spec: ExperimentSpec, experiment_id: str, subcommand: str,
         "accepted": accepted,
         "wall_time_ms": wall_time_ms,
         "workers": resolve_workers(spec.workers),
+        "block_size": BLOCK_SIZE,
+        "stream_scheme": STREAM_SCHEME,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "acceleration": ACTIVE_IMPL,

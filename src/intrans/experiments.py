@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from . import dice as dice_mod
+from . import mc  # block kernels look mc.substream up at call time
 from .dice import TripleClass, cdf_sum, pair_stats
 from .distributions import get_distribution
 from .elections import ranking_sign_matrix
@@ -26,6 +27,7 @@ from .mc import (
     CategoryCounts,
     ExperimentSpec,
     MonteCarloEstimate,
+    per_trial,
     register_family,
     substream,
 )
@@ -70,7 +72,8 @@ def _build_election_outcomes(spec: ExperimentSpec):
     d in absolute value.
 
     Category index: lex pair i contributes bit 2^(K-1-i) when the earlier
-    candidate wins that pair, so k=3 has 8 categories.
+    candidate wins that pair, so k=3 has 8 categories. A block draws its
+    ranking counts as one multinomial from substream(seed, start).
     """
     n = int(spec.params["n"])
     k = int(spec.params.get("k", 3))
@@ -91,12 +94,14 @@ def _build_election_outcomes(spec: ExperimentSpec):
             raise InvalidInputError("subset indexes lex pairs 0..K-1")
     bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
 
-    def kernel(trial: int, rng: np.random.Generator):
-        counts = rng.multinomial(n, pvals)
-        margins = counts @ signs
-        if d is not None and np.max(np.abs(margins[check])) > d:
-            return False, 0.0
-        return True, float((margins > 0) @ bit_weights)
+    def kernel(seed: int, start: int, stop: int):
+        rng = mc.substream(seed, start)
+        margins = rng.multinomial(n, pvals, size=stop - start) @ signs
+        if d is None:
+            accepted = np.ones(stop - start, dtype=bool)
+        else:
+            accepted = (np.abs(margins[:, check]) <= d).all(axis=1)
+        return accepted, ((margins > 0) @ bit_weights).astype(np.float64)
 
     return kernel, 1 << n_pairs
 
@@ -148,22 +153,25 @@ def _aggregate_proportion(hits: int, accepted: int, stderr_method: str):
 
 def _triplet_margin_kernel(probs: np.ndarray, weights: np.ndarray,
                            m: int, d: Optional[int]):
-    """Shared core of the triplet families: per trial, draw the m triplet
-    cells, form the three vote margins and the three triplet-majority
-    signs, condition on margin closeness, and report whether the three
-    cyclically oriented comparisons share one sign."""
+    """Shared block kernel of the triplet families: per trial, draw the m
+    triplet cells (one multinomial from substream(seed, start) for the
+    whole block), form the three vote margins and the three
+    triplet-majority signs, condition on margin closeness, and report
+    whether the three cyclically oriented comparisons share one sign."""
     signs = np.sign(weights).astype(np.float64)
     weights_f = weights.astype(np.float64)
 
-    def kernel(trial: int, rng: np.random.Generator):
-        counts = rng.multinomial(m, probs).astype(np.float64)
-        if d is not None:
-            margins = counts @ weights_f
-            if np.max(np.abs(margins)) > d:
-                return False, 0.0
+    def kernel(seed: int, start: int, stop: int):
+        rng = mc.substream(seed, start)
+        counts = rng.multinomial(m, probs, size=stop - start).astype(
+            np.float64)
+        if d is None:
+            accepted = np.ones(stop - start, dtype=bool)
+        else:
+            accepted = (np.abs(counts @ weights_f) <= d).all(axis=1)
         f_signs = counts @ signs
-        hit = (f_signs > 0).all() or (f_signs < 0).all()
-        return True, 1.0 if hit else 0.0
+        hit = (f_signs > 0).all(axis=1) | (f_signs < 0).all(axis=1)
+        return accepted, hit.astype(np.float64)
 
     return kernel
 
@@ -278,7 +286,7 @@ def _build_dice_triples(spec: ExperimentSpec):
                                         -margins[0, 2])
         return True, float(4 * class_index[cls] + agree)
 
-    return kernel, N_DICE_CATEGORIES
+    return per_trial(kernel), N_DICE_CATEGORIES
 
 
 def summarize_dice_categories(counts: CategoryCounts) -> dict:

@@ -1,15 +1,22 @@
 """Reproducible, parallelizable Monte Carlo engine.
 
-Every trial t of a run with seed s draws from its own Philox substream:
-the key is two splitmix64 words derived from s and the 256-bit counter
-starts at [0, t, 0, 0], so each trial owns a disjoint 2^64 block of the
-counter space. Results therefore depend only on (spec, seed), never on
-the worker count or scheduling order.
+Trials are grouped into fixed index blocks of BLOCK_SIZE trials, and the
+block is the engine's unit of work: a kernel maps (seed, start, stop) to
+the outcomes of trials start..stop-1 as arrays. Randomness is
+counter-based Philox: the key is two splitmix64 words derived from the
+seed, and substream(seed, i) starts the 256-bit counter at [0, i, 0, 0],
+so index i owns a disjoint 2^64 stretch of the counter space. A
+vectorised kernel draws its whole block from substream(seed, start);
+per_trial adapts a (trial, rng) kernel by giving every trial t its own
+substream(seed, t).
 
-Trials are grouped into fixed index blocks; each block's partial result
-is computed in trial order, blocks are folded in index order after all
-workers finish, and acceptance counts are integers, so single- and
-multi-threaded runs agree bit for bit.
+Block starts are multiples of BLOCK_SIZE (the probe phase below is whole
+blocks too), so results depend only on (spec, seed) and the fixed block
+size, never on the worker count, the scheduling order or the acceptance
+floor. Each block's partial result is reduced in trial order, blocks
+are folded in index order after all workers finish, and acceptance
+counts are integers, so single- and multi-threaded runs agree bit for
+bit.
 
 Conditional estimates count raw draws in `trials` and event hits among
 accepted draws only; an acceptance-rate floor aborts hopeless runs during
@@ -33,14 +40,26 @@ from .errors import AcceptanceFloorError, InvalidInputError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials per index block. Results do not depend on it; a phase of one
-# block runs inline, without the thread pool.
+# Trials per index block. Vectorised kernels draw a block from one
+# substream keyed by its first trial, so seeded results of those families
+# depend on it by design; it also bounds a block's arrays (at most
+# 4096 x 120 int64 ranking counts for k=5 elections, 4096 x 64 float64
+# cell counts for triplets). A phase of one block runs inline, without
+# the thread pool.
 BLOCK_SIZE = 4096
 
-# A trial kernel maps (trial_index, rng) to (accepted, value). The value
-# is consumed only when accepted is true: a 0/1 indicator in proportion
-# mode, a real payoff in mean mode, a small category index in counts mode.
-TrialKernel = Callable[[int, np.random.Generator], tuple]
+# A trial kernel maps (seed, start, stop) to two arrays over the trials
+# start..stop-1, in trial order: accepted (bool) and values (float64). A
+# value is consumed only where accepted is true: a 0/1 indicator in
+# proportion mode, a real payoff in mean mode, a small category index in
+# counts mode.
+TrialKernel = Callable[[int, int, int], tuple]
+
+# How the runs draw their randomness, as recorded in run metadata.
+STREAM_SCHEME = (
+    "philox4x64; key = (splitmix64(seed), splitmix64(splitmix64(seed))); "
+    "counter [0, first trial of block, 0, 0] for block kernels, "
+    "[0, trial, 0, 0] for per-trial kernels")
 
 
 def splitmix64(x: int) -> int:
@@ -168,7 +187,15 @@ _FAMILIES: dict = {}
 
 
 def register_family(name: str):
-    """Decorator registering builder(spec) -> (kernel, n_categories)."""
+    """Decorator registering builder(spec) -> (kernel, n_categories).
+
+    The kernel follows the block contract of TrialKernel: kernel(seed,
+    start, stop) -> (accepted, values), arrays over trials start..stop-1.
+    A vectorised kernel draws the whole block from substream(seed, start);
+    a kernel written one trial at a time, fn(trial, rng) -> (accepted,
+    value), is registered as per_trial(fn). n_categories is 0 unless the
+    family reports category indices.
+    """
 
     def wrap(builder):
         if name in _FAMILIES:
@@ -177,6 +204,24 @@ def register_family(name: str):
         return builder
 
     return wrap
+
+
+def per_trial(fn: Callable[[int, np.random.Generator], tuple]
+              ) -> TrialKernel:
+    """The block kernel that runs fn(trial, rng) -> (accepted, value) on
+    substream(seed, trial) for each trial of the block, in order."""
+
+    def kernel(seed: int, start: int, stop: int):
+        accepted = np.zeros(stop - start, dtype=bool)
+        values = np.zeros(stop - start)
+        for i, t in enumerate(range(start, stop)):
+            ok, value = fn(t, substream(seed, t))
+            if ok:
+                accepted[i] = True
+                values[i] = value
+        return accepted, values
+
+    return kernel
 
 
 def build_kernel(spec: ExperimentSpec):
@@ -217,23 +262,18 @@ def _proportion_stderr(hits: int, accepted: int, method: str) -> float:
 
 def _run_block(kernel: TrialKernel, seed: int, start: int, stop: int,
                n_categories: int):
-    """One block's partials, accumulated in trial order."""
-    accepted = 0
-    counts = np.zeros(n_categories, dtype=np.int64) if n_categories else None
-    total = 0.0
-    total_sq = 0.0
-    for t in range(start, stop):
-        ok, value = kernel(t, substream(seed, t))
-        if not ok:
-            continue
-        accepted += 1
-        if counts is not None:
-            counts[int(value)] += 1
-        else:
-            v = float(value)
-            total += v
-            total_sq += v * v
-    return accepted, counts, total, total_sq
+    """One block's partials. Sums run in trial order (a cumulative sum is
+    sequential), as a per-trial loop would add them."""
+    ok, values = kernel(seed, start, stop)
+    kept = values[ok]
+    counts = None
+    total = total_sq = 0.0
+    if n_categories:
+        counts = np.bincount(kept.astype(np.intp), minlength=n_categories)
+    elif kept.size:
+        total = float(np.cumsum(kept)[-1])
+        total_sq = float(np.cumsum(kept * kept)[-1])
+    return int(kept.size), counts, total, total_sq
 
 
 def _run_phase(kernel, seed, start, stop, workers, n_categories):
@@ -265,7 +305,10 @@ def _run_trials(kernel: TrialKernel, trials: int, seed: int,
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     workers = resolve_workers(workers)
-    probe = min(trials, int(math.ceil(3.0 / acceptance_floor)))
+    # The probe is whole blocks, so every block starts at a multiple of
+    # BLOCK_SIZE whatever the floor.
+    probe_blocks = math.ceil(math.ceil(3.0 / acceptance_floor) / BLOCK_SIZE)
+    probe = min(trials, probe_blocks * BLOCK_SIZE)
     t0 = time.perf_counter()
     acc1, cnt1, tot1, sq1 = _run_phase(
         kernel, seed, 0, probe, workers, n_categories)

@@ -15,6 +15,7 @@ import pytest
 import intrans
 from intrans._accel import ACTIVE_IMPL
 from intrans.cli import CSV_COLUMNS, main
+from intrans.mc import BLOCK_SIZE
 
 
 def _run(capsys, argv):
@@ -77,6 +78,10 @@ def test_dice_out_file_with_meta_sidecar(tmp_path):
     assert meta["workers"] >= 1
     assert meta["acceleration"] == ACTIVE_IMPL
     assert meta["package_version"] == intrans.__version__
+    assert meta["block_size"] == BLOCK_SIZE == 4096
+    assert "splitmix64(seed)" in meta["stream_scheme"]
+    assert "[0, first trial of block, 0, 0]" in meta["stream_scheme"]
+    assert "[0, trial, 0, 0]" in meta["stream_scheme"]
 
 
 def test_dice_stationary_path(tmp_path):

@@ -9,15 +9,18 @@ Seeds are fixed, so the checks are deterministic.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from intrans.distributions import get_distribution
+from intrans.elections import ranking_sign_matrix
 from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
     N_DICE_CATEGORIES,
+    _triplet_margin_kernel,
     condorcet_probability,
     dice_model_from_params,
     lag_covariance_mc,
@@ -29,10 +32,13 @@ from intrans.experiments import (
 )
 from intrans.gaussian import CorrelationKernel
 from intrans.mc import (
+    BLOCK_SIZE,
     CategoryCounts,
     ExperimentSpec,
+    build_kernel,
     estimate_categories,
     estimate_probability,
+    substream,
 )
 from intrans.samplers import (
     ContinuousConditioned,
@@ -40,7 +46,7 @@ from intrans.samplers import (
     IidContinuous,
     StationaryGaussian,
 )
-from intrans.triplets import orthant3
+from intrans.triplets import orthant3, triplet_cell_tables
 from oracles import (
     election_outcome_distribution,
     iid_triple_class_distribution,
@@ -193,6 +199,85 @@ def test_election_family_subset_conditioning():
     emp = (cc.counts[2] + cc.counts[5]) / cc.accepted
     tol = 5.0 * math.sqrt(cyc_exact * (1.0 - cyc_exact) / cc.accepted)
     assert abs(emp - cyc_exact) < tol
+
+
+# The block kernels against the per-trial rule they replace, applied row
+# by row to the same multinomial rows. Values are compared where accepted
+# only: the engine ignores the value of a rejected trial.
+
+ELECTION_CONDITIONINGS = {
+    2: (None, {"d": 1}, {"d": 1, "subset": [0]}),
+    3: (None, {"d": 1}, {"d": 1, "subset": [0, 2]}),
+    4: (None, {"d": 1}, {"d": 1, "subset": [1, 5]}),
+    5: (None, {"d": 1}, {"d": 1, "subset": [0, 4, 9]}),
+}
+
+
+@pytest.mark.parametrize("k", sorted(ELECTION_CONDITIONINGS))
+def test_election_block_kernel_matches_per_trial_rule(k):
+    n, seed, start, size = 7, 5, 2 * BLOCK_SIZE, 600
+    signs = ranking_sign_matrix(k)
+    n_pairs = signs.shape[1]
+    pvals = np.full(signs.shape[0], 1.0 / signs.shape[0])
+    bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
+    for cond in ELECTION_CONDITIONINGS[k]:
+        kernel, n_cat = build_kernel(_spec("election_outcomes",
+                                           {"n": n, "k": k}, size, seed,
+                                           conditioning=cond))
+        assert n_cat == 1 << n_pairs
+        accepted, values = kernel(seed, start, start + size)
+        assert accepted.shape == values.shape == (size,)
+        rows = substream(seed, start).multinomial(n, pvals, size=size)
+        check = (np.arange(n_pairs) if cond is None or "subset" not in cond
+                 else np.array(cond["subset"]))
+        for i, row in enumerate(rows):
+            margins = row @ signs
+            ok = cond is None or np.max(np.abs(margins[check])) <= cond["d"]
+            assert accepted[i] == ok
+            if ok:
+                assert values[i] == float((margins > 0) @ bit_weights)
+        if cond is not None:
+            assert 0 < np.count_nonzero(accepted) < size
+
+
+@pytest.mark.parametrize("rho", [None, 0.4])
+def test_triplet_block_kernel_matches_per_trial_rule(rho):
+    m, seed, start, size = 3, 6, BLOCK_SIZE, 600
+    probs, weights = triplet_cell_tables(rho)
+    signs = np.sign(weights)
+    for d in (None, 1):
+        kernel = _triplet_margin_kernel(probs, weights, m, d)
+        accepted, values = kernel(seed, start, start + size)
+        assert accepted.shape == values.shape == (size,)
+        rows = substream(seed, start).multinomial(m, probs, size=size)
+        for i, row in enumerate(rows):
+            ok = d is None or np.max(np.abs(row @ weights)) <= d
+            assert accepted[i] == ok
+            if ok:
+                f_signs = row @ signs
+                hit = (f_signs > 0).all() or (f_signs < 0).all()
+                assert values[i] == (1.0 if hit else 0.0)
+        assert 0 < np.count_nonzero(values[accepted]) < np.count_nonzero(
+            accepted)
+        if d is not None:
+            assert 0 < np.count_nonzero(accepted) < size
+
+
+def test_block_families_do_not_depend_on_worker_count():
+    trials = 3 * BLOCK_SIZE + 17
+    election = ExperimentSpec(family="election_outcomes",
+                              params={"n": 301}, trials=trials, seed=3,
+                              conditioning={"d": 9})
+    one, eight = (estimate_categories(replace(election, workers=w))
+                  for w in (1, 8))
+    assert one.accepted == eight.accepted > 0
+    np.testing.assert_array_equal(one.counts, eight.counts)
+    triplet = ExperimentSpec(family="triplet_paradox", params={"n": 303},
+                             trials=trials, seed=4, conditioning={"d": 9})
+    one, eight = (estimate_probability(replace(triplet, workers=w))
+                  for w in (1, 8))
+    assert one.accepted == eight.accepted > 0
+    assert one.estimate == eight.estimate
 
 
 # ------------------------------------------------- triplet majorities

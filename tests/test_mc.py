@@ -7,6 +7,7 @@ import pytest
 
 from intrans.errors import AcceptanceFloorError, InvalidInputError
 from intrans.mc import (
+    BLOCK_SIZE,
     CategoryCounts,
     ExperimentSpec,
     MonteCarloEstimate,
@@ -15,6 +16,7 @@ from intrans.mc import (
     estimate_categories,
     estimate_mean,
     estimate_probability,
+    per_trial,
     register_family,
     resolve_workers,
     splitmix64,
@@ -27,8 +29,9 @@ from intrans.mc import (
 def _build_coin(spec):
     p = float(spec.params.get("p", 0.5))
 
-    def kernel(t, rng):
-        return True, int(rng.random() < p)
+    def kernel(seed, start, stop):
+        heads = substream(seed, start).random(stop - start) < p
+        return np.ones(stop - start, dtype=bool), heads.astype(np.float64)
 
     return kernel, 0
 
@@ -38,7 +41,7 @@ def _build_never(spec):
     def kernel(t, rng):
         return False, 0
 
-    return kernel, 0
+    return per_trial(kernel), 0
 
 
 @register_family("test_mod_mean")
@@ -46,7 +49,7 @@ def _build_mod_mean(spec):
     def kernel(t, rng):
         return True, float(t % 5)
 
-    return kernel, 0
+    return per_trial(kernel), 0
 
 
 @register_family("test_mod_cond")
@@ -56,7 +59,7 @@ def _build_mod_cond(spec):
             return False, 0
         return True, int(t % 6 == 0)
 
-    return kernel, 0
+    return per_trial(kernel), 0
 
 
 @register_family("test_mod_cat")
@@ -64,7 +67,7 @@ def _build_mod_cat(spec):
     def kernel(t, rng):
         return True, t % 4
 
-    return kernel, 4
+    return per_trial(kernel), 4
 
 
 def _spec(family, trials, seed=0, params=None, workers=None):
@@ -147,12 +150,12 @@ def test_spec_json_round_trip():
 def test_register_family_rejects_duplicates():
     @register_family("test_dup")
     def _one(spec):
-        return (lambda t, rng: (True, 0)), 0
+        return per_trial(lambda t, rng: (True, 0)), 0
 
     with pytest.raises(InvalidInputError):
         @register_family("test_dup")
         def _two(spec):
-            return (lambda t, rng: (True, 0)), 0
+            return per_trial(lambda t, rng: (True, 0)), 0
 
 
 def test_build_kernel_unknown_family():
@@ -211,7 +214,30 @@ def test_acceptance_floor_aborts_early():
         estimate_probability(_spec("test_never", 1_000_000),
                              acceptance_floor=0.01)
     assert exc.value.observed_rate == 0.0
-    assert exc.value.probe_trials == 300
+    # The probe is ceil(3 / floor) = 300 trials rounded up to whole
+    # blocks.
+    assert exc.value.probe_trials == BLOCK_SIZE
+
+
+def test_results_do_not_depend_on_the_acceptance_floor():
+    """Blocks start at multiples of BLOCK_SIZE whatever the probe length,
+    so a block family run longer than both probes (1 and 4 blocks) draws
+    the same streams at either floor."""
+    trials = 5 * BLOCK_SIZE + 123
+    loose, strict = (
+        estimate_probability(_spec("test_coin", trials, seed=17),
+                             acceptance_floor=floor)
+        for floor in (0.5, 2e-4))
+    assert loose.estimate == strict.estimate
+    assert loose.accepted == strict.accepted == trials
+
+
+def test_per_trial_draws_each_trial_from_its_own_substream():
+    kernel = per_trial(lambda t, rng: (t % 2 == 0, rng.random()))
+    accepted, values = kernel(5, 10, 14)
+    assert accepted.tolist() == [True, False, True, False]
+    assert values[0] == substream(5, 10).random()
+    assert values[2] == substream(5, 12).random()
 
 
 def test_zero_acceptance_raises_even_below_probe():
