@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from ._accel import ACTIVE_IMPL
 from .dice import (
     Die,
     PairStats,
@@ -60,7 +59,6 @@ from .mc import (
     estimate_categories,
     estimate_mean,
     estimate_probability,
-    per_trial,
     register_family,
     sweep,
 )

@@ -28,7 +28,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import __version__
-from ._accel import ACTIVE_IMPL
 from .distributions import DISTRIBUTIONS, get_distribution
 from .errors import IntransError
 from .gaussian import (
@@ -105,7 +104,6 @@ def _meta(spec: ExperimentSpec, experiment_id: str, subcommand: str,
         "stream_scheme": STREAM_SCHEME,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "acceleration": ACTIVE_IMPL,
     }
 
 
@@ -153,15 +151,13 @@ def _validate_choice(parser, name, value, choices) -> None:
 
 def _cmd_dice(args, parser) -> int:
     _apply_config(args, parser, ("model", "dist", "n", "hurst", "triples",
-                                 "seed", "out", "method"))
+                                 "seed", "out"))
     _fill_defaults(args, {"model": "conditioned", "dist": "uniform",
-                          "method": "auto", "seed": 0})
+                          "seed": 0})
     _require(args, parser, "n", "triples")
     _validate_choice(parser, "model", args.model,
                      ("discrete", "conditioned", "stationary", "iid"))
     _validate_choice(parser, "dist", args.dist, tuple(DISTRIBUTIONS))
-    _validate_choice(parser, "method", args.method,
-                     ("auto", "circulant", "cholesky"))
     n = int(args.n)
     model = args.model
     if model == "conditioned" and n < 2:
@@ -173,7 +169,6 @@ def _cmd_dice(args, parser) -> int:
         params["dist"] = args.dist
     if model == "stationary":
         params["hurst"] = float(args.hurst)
-        params["method"] = args.method
     spec = ExperimentSpec(family="dice_triples", params=params,
                           trials=int(args.triples), seed=int(args.seed))
     from .experiments import summarize_dice_categories
@@ -535,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dice.add_argument("--n", type=int, help="faces per die")
     p_dice.add_argument("--hurst", type=float,
                         help="Hurst index for the stationary model")
-    p_dice.add_argument("--method",
-                        choices=("auto", "circulant", "cholesky"),
-                        help="stationary sampling path (default auto)")
     p_dice.add_argument("--triples", type=int,
                         help="number of independent triples")
     p_dice.add_argument("--seed", type=int)

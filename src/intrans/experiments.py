@@ -10,7 +10,7 @@ dicts so an ExperimentSpec round-trips through its serialized form.
 from __future__ import annotations
 
 import math
-import time
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from .mc import (
     CategoryCounts,
     ExperimentSpec,
     MonteCarloEstimate,
-    per_trial,
+    estimate_probability,
     register_family,
     substream,
 )
@@ -106,10 +106,12 @@ def _build_election_outcomes(spec: ExperimentSpec):
     return kernel, 1 << n_pairs
 
 
-def outcome_categories(k: int):
+@lru_cache(maxsize=None)
+def outcome_categories(k: int) -> tuple:
     """Metadata matching the election_outcomes category order: for each
     index, (orientation tuple over lex pairs, condorcet winner or None,
-    transitive flag)."""
+    transitive flag). Built once per k; a tuple, so it cannot be
+    changed by a caller."""
     from .elections import condorcet_winner, is_transitive_outcome
     from .tournaments import Tournament
 
@@ -121,7 +123,7 @@ def outcome_categories(k: int):
         t = Tournament(y=y, k=k)
         rows.append((tuple(int(v) for v in y), condorcet_winner(t),
                      is_transitive_outcome(t)))
-    return rows
+    return tuple(rows)
 
 
 def condorcet_probability(counts: CategoryCounts, k: int,
@@ -257,8 +259,7 @@ def dice_model_from_params(params: dict):
         if hurst is None:
             raise InvalidInputError("stationary model needs hurst")
         return StationaryGaussian(n=n,
-                                  kernel=CorrelationKernel.fbm(float(hurst)),
-                                  method=params.get("method", "auto"))
+                                  kernel=CorrelationKernel.fbm(float(hurst)))
     raise InvalidInputError("unknown dice model %r" % (name,))
 
 
@@ -267,26 +268,32 @@ def _build_dice_triples(spec: ExperimentSpec):
     """Class and prediction-agreement profile of an independent dice
     triple. Category = 4 * class + a, where class indexes
     (transitive, intransitive, has_tie) and a in 0..3 counts the pairs
-    whose win direction matches the CDF-sum direction."""
+    whose win direction matches the CDF-sum direction. A block draws its
+    triples one after another, three dice each, from
+    substream(seed, start)."""
     model = dice_model_from_params(spec.params)
     face_cdf = _face_cdf(model)
     class_index = {cls: i for i, cls in enumerate(TRIPLE_CLASS_ORDER)}
 
-    def kernel(trial: int, rng: np.random.Generator):
-        dice = [model.sample(rng) for _ in range(3)]
-        sums = [cdf_sum(die, face_cdf) for die in dice]
-        margins = {}
-        agree = 0
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            margins[i, j] = pair_stats(dice[i], dice[j]).margin
-            if np.sign(margins[i, j]) == np.sign(sums[i] - sums[j]):
-                agree += 1
-        # The margin of die 2 over die 0 is -margins[0, 2].
-        cls = dice_mod.classify_margins(margins[0, 1], margins[1, 2],
-                                        -margins[0, 2])
-        return True, float(4 * class_index[cls] + agree)
+    def kernel(seed: int, start: int, stop: int):
+        rng = mc.substream(seed, start)
+        values = np.empty(stop - start)
+        for t in range(stop - start):
+            dice = [model.sample(rng) for _ in range(3)]
+            sums = [cdf_sum(die, face_cdf) for die in dice]
+            margins = {}
+            agree = 0
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                margins[i, j] = pair_stats(dice[i], dice[j]).margin
+                if np.sign(margins[i, j]) == np.sign(sums[i] - sums[j]):
+                    agree += 1
+            # The margin of die 2 over die 0 is -margins[0, 2].
+            cls = dice_mod.classify_margins(margins[0, 1], margins[1, 2],
+                                            -margins[0, 2])
+            values[t] = 4 * class_index[cls] + agree
+        return np.ones(stop - start, dtype=bool), values
 
-    return per_trial(kernel), N_DICE_CATEGORIES
+    return kernel, N_DICE_CATEGORIES
 
 
 def summarize_dice_categories(counts: CategoryCounts) -> dict:
@@ -314,33 +321,33 @@ def summarize_dice_categories(counts: CategoryCounts) -> dict:
     return out
 
 
-def orthant3_mc(r: float, draws: int, seed: int,
-                chunk: int = 250_000) -> MonteCarloEstimate:
-    """All-positive probability of an equicorrelated trivariate standard
-    Gaussian, by direct sampling; the independent check of orthant3."""
+@register_family("orthant3")
+def _build_orthant3(spec: ExperimentSpec):
+    """Whether an equicorrelated trivariate standard Gaussian (params
+    {"r": correlation}) lands in the positive orthant. A block draws its
+    (size, 3) standard normals from substream(seed, start)."""
+    r = float(spec.params["r"])
     if not -0.5 < r <= 1.0:
         raise DomainError("equicorrelation must lie in (-1/2, 1]")
-    if draws < 1:
-        raise InvalidInputError("need at least one draw")
     cov = np.full((3, 3), r) + (1.0 - r) * np.eye(3)
     # eigendecomposition square root: cov is singular at r = 1, which is
     # inside the documented domain, so Cholesky would reject it
     evals, evecs = np.linalg.eigh(cov)
-    chol = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    rng = substream(seed, 0)
-    hits = 0
-    done = 0
-    t0 = time.perf_counter()
-    while done < draws:
-        rows = min(chunk, draws - done)
-        z = rng.standard_normal((rows, 3)) @ chol.T
-        hits += int(np.count_nonzero((z > 0.0).all(axis=1)))
-        done += rows
-    p = hits / draws
-    return MonteCarloEstimate(
-        estimate=p, stderr=math.sqrt(p * (1.0 - p) / draws),
-        trials=draws, accepted=draws, seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+    root_t = (evecs * np.sqrt(np.clip(evals, 0.0, None))).T
+
+    def kernel(seed: int, start: int, stop: int):
+        z = mc.substream(seed, start).standard_normal((stop - start, 3))
+        hit = ((z @ root_t) > 0.0).all(axis=1)
+        return np.ones(stop - start, dtype=bool), hit.astype(np.float64)
+
+    return kernel, 0
+
+
+def orthant3_mc(r: float, draws: int, seed: int) -> MonteCarloEstimate:
+    """All-positive probability of an equicorrelated trivariate standard
+    Gaussian, by direct sampling; the independent check of orthant3."""
+    return estimate_probability(ExperimentSpec(
+        family="orthant3", params={"r": r}, trials=draws, seed=seed))
 
 
 def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,

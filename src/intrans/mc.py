@@ -5,10 +5,9 @@ block is the engine's unit of work: a kernel maps (seed, start, stop) to
 the outcomes of trials start..stop-1 as arrays. Randomness is
 counter-based Philox: the key is two splitmix64 words derived from the
 seed, and substream(seed, i) starts the 256-bit counter at [0, i, 0, 0],
-so index i owns a disjoint 2^64 stretch of the counter space. A
-vectorised kernel draws its whole block from substream(seed, start);
-per_trial adapts a (trial, rng) kernel by giving every trial t its own
-substream(seed, t).
+so index i owns a disjoint 2^64 stretch of the counter space. Every
+kernel draws its whole block, trial by trial in order, from
+substream(seed, start).
 
 Block starts are multiples of BLOCK_SIZE (the probe phase below is whole
 blocks too), so results depend only on (spec, seed) and the fixed block
@@ -40,12 +39,11 @@ from .errors import AcceptanceFloorError, InvalidInputError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials per index block. Vectorised kernels draw a block from one
-# substream keyed by its first trial, so seeded results of those families
-# depend on it by design; it also bounds a block's arrays (at most
-# 4096 x 120 int64 ranking counts for k=5 elections, 4096 x 64 float64
-# cell counts for triplets). A phase of one block runs inline, without
-# the thread pool.
+# Trials per index block. A kernel draws a block from one substream keyed
+# by its first trial, so seeded results depend on it by design; it also
+# bounds a block's arrays (at most 4096 x 120 int64 ranking counts for
+# k=5 elections, 4096 x 64 float64 cell counts for triplets). A phase of
+# one block runs inline, without the thread pool.
 BLOCK_SIZE = 4096
 
 # A trial kernel maps (seed, start, stop) to two arrays over the trials
@@ -58,8 +56,7 @@ TrialKernel = Callable[[int, int, int], tuple]
 # How the runs draw their randomness, as recorded in run metadata.
 STREAM_SCHEME = (
     "philox4x64; key = (splitmix64(seed), splitmix64(splitmix64(seed))); "
-    "counter [0, first trial of block, 0, 0] for block kernels, "
-    "[0, trial, 0, 0] for per-trial kernels")
+    "counter [0, first trial of block, 0, 0]")
 
 
 def splitmix64(x: int) -> int:
@@ -145,15 +142,13 @@ class ExperimentSpec:
 
     family names a registered experiment kind, params configure the model,
     conditioning (optional) holds the closeness event {"d": int, "subset":
-    [pair indices] or None}, statistic names what the kernel reports.
-    Equal specs produce bit-identical estimates.
+    [pair indices] or None}. Equal specs produce bit-identical estimates.
     """
 
     family: str
     params: dict
     trials: int
     seed: int
-    statistic: str = ""
     conditioning: Optional[dict] = None
     workers: Optional[int] = None
 
@@ -163,7 +158,6 @@ class ExperimentSpec:
             "params": self.params,
             "trials": self.trials,
             "seed": self.seed,
-            "statistic": self.statistic,
             "conditioning": self.conditioning,
             "workers": self.workers,
         }
@@ -177,7 +171,6 @@ class ExperimentSpec:
             params=dict(data["params"]),
             trials=int(data["trials"]),
             seed=int(data["seed"]),
-            statistic=data.get("statistic", ""),
             conditioning=data.get("conditioning"),
             workers=data.get("workers"),
         )
@@ -190,11 +183,9 @@ def register_family(name: str):
     """Decorator registering builder(spec) -> (kernel, n_categories).
 
     The kernel follows the block contract of TrialKernel: kernel(seed,
-    start, stop) -> (accepted, values), arrays over trials start..stop-1.
-    A vectorised kernel draws the whole block from substream(seed, start);
-    a kernel written one trial at a time, fn(trial, rng) -> (accepted,
-    value), is registered as per_trial(fn). n_categories is 0 unless the
-    family reports category indices.
+    start, stop) -> (accepted, values), arrays over trials start..stop-1,
+    drawn in trial order from substream(seed, start). n_categories is 0
+    unless the family reports category indices.
     """
 
     def wrap(builder):
@@ -204,24 +195,6 @@ def register_family(name: str):
         return builder
 
     return wrap
-
-
-def per_trial(fn: Callable[[int, np.random.Generator], tuple]
-              ) -> TrialKernel:
-    """The block kernel that runs fn(trial, rng) -> (accepted, value) on
-    substream(seed, trial) for each trial of the block, in order."""
-
-    def kernel(seed: int, start: int, stop: int):
-        accepted = np.zeros(stop - start, dtype=bool)
-        values = np.zeros(stop - start)
-        for i, t in enumerate(range(start, stop)):
-            ok, value = fn(t, substream(seed, t))
-            if ok:
-                accepted[i] = True
-                values[i] = value
-        return accepted, values
-
-    return kernel
 
 
 def build_kernel(spec: ExperimentSpec):

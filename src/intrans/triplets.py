@@ -21,7 +21,6 @@ from itertools import permutations, product
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import (
     DomainError,
@@ -328,6 +327,8 @@ def t_rho_exact(tallies: TripletTallies, rho: float) -> float:
     (1-rho)/2. Computed exactly: the number of noisy triplets with a
     positive majority is a sum of four independent binomials (one per
     tally class), convolved in O(m^2)."""
+    from scipy.stats import binom
+
     params = noise_params(rho)
     m = tallies.m
     if m % 2 == 0:

@@ -13,7 +13,6 @@ import json
 import pytest
 
 import intrans
-from intrans._accel import ACTIVE_IMPL
 from intrans.cli import CSV_COLUMNS, main
 from intrans.mc import BLOCK_SIZE
 
@@ -76,25 +75,24 @@ def test_dice_out_file_with_meta_sidecar(tmp_path):
     assert meta["spec"]["trials"] == 300
     assert meta["accepted"] == 300
     assert meta["workers"] >= 1
-    assert meta["acceleration"] == ACTIVE_IMPL
     assert meta["package_version"] == intrans.__version__
     assert meta["block_size"] == BLOCK_SIZE == 4096
     assert "splitmix64(seed)" in meta["stream_scheme"]
     assert "[0, first trial of block, 0, 0]" in meta["stream_scheme"]
-    assert "[0, trial, 0, 0]" in meta["stream_scheme"]
 
 
 def test_dice_stationary_path(tmp_path):
     out_path = tmp_path / "st.csv"
-    code = main(["dice", "--model", "stationary", "--n", "8", "--hurst",
-                 "0.75", "--method", "cholesky", "--triples", "50",
-                 "--seed", "1", "--out", str(out_path)])
-    assert code == 0
+    argv = ["dice", "--model", "stationary", "--n", "8", "--hurst", "0.75",
+            "--triples", "50", "--seed", "1", "--out", str(out_path)]
+    assert main(argv) == 0
     meta = json.loads((tmp_path / "st.csv.meta.json").read_text())
     assert meta["spec"]["params"] == {"model": "stationary", "n": 8,
-                                      "hurst": 0.75, "method": "cholesky"}
+                                      "hurst": 0.75}
     rows = _parse_csv(out_path.read_text())
     assert rows[0]["hurst"] == "0.75"
+    # The sampler picks circulant or Cholesky itself; there is no flag.
+    _usage_error(argv + ["--method", "cholesky"])
 
 
 # ------------------------------------------------------------ elections

@@ -15,11 +15,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from intrans.dice import TripleClass, cdf_sum, classify_triple, pair_stats
 from intrans.distributions import get_distribution
 from intrans.elections import ranking_sign_matrix
 from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
     N_DICE_CATEGORIES,
+    TRIPLE_CLASS_ORDER,
+    _face_cdf,
     _triplet_margin_kernel,
     condorcet_probability,
     dice_model_from_params,
@@ -263,6 +266,44 @@ def test_triplet_block_kernel_matches_per_trial_rule(rho):
             assert 0 < np.count_nonzero(accepted) < size
 
 
+# The dice kernel against the rule it replaces: each triple drawn in order
+# from the block's substream, classified by classify_triple and scored by
+# pair_stats and cdf_sum one pair at a time.
+
+DICE_BLOCK_PARAMS = (
+    {"model": "discrete", "n": 6},
+    {"model": "conditioned", "n": 8, "dist": "gaussian"},
+    {"model": "stationary", "n": 16, "hurst": 0.75},
+)
+
+
+@pytest.mark.parametrize("params", DICE_BLOCK_PARAMS,
+                         ids=lambda p: p["model"])
+def test_dice_block_kernel_matches_per_trial_rule(params):
+    seed, start, size = 8, BLOCK_SIZE, 300
+    kernel, n_cat = build_kernel(_spec("dice_triples", params, size, seed))
+    assert n_cat == N_DICE_CATEGORIES
+    accepted, values = kernel(seed, start, start + size)
+    assert accepted.shape == values.shape == (size,)
+    assert accepted.all()
+    model = dice_model_from_params(params)
+    face_cdf = _face_cdf(model)
+    rng = substream(seed, start)
+    classes = set()
+    for value in values:
+        a, b, c = (model.sample(rng) for _ in range(3))
+        cls = classify_triple(a, b, c)
+        agree = sum(
+            np.sign(pair_stats(x, y).margin)
+            == np.sign(cdf_sum(x, face_cdf) - cdf_sum(y, face_cdf))
+            for x, y in ((a, b), (a, c), (b, c)))
+        assert value == 4 * TRIPLE_CLASS_ORDER.index(cls) + agree
+        classes.add(cls)
+    assert TripleClass.TRANSITIVE in classes
+    if params["model"] == "discrete":
+        assert TripleClass.HAS_TIE in classes
+
+
 def test_block_families_do_not_depend_on_worker_count():
     trials = 3 * BLOCK_SIZE + 17
     election = ExperimentSpec(family="election_outcomes",
@@ -277,6 +318,17 @@ def test_block_families_do_not_depend_on_worker_count():
     one, eight = (estimate_probability(replace(triplet, workers=w))
                   for w in (1, 8))
     assert one.accepted == eight.accepted > 0
+    assert one.estimate == eight.estimate
+    trials = 2 * BLOCK_SIZE + 17
+    dice = _spec("dice_triples", {"model": "discrete", "n": 5}, trials, 5)
+    one, eight = (estimate_categories(replace(dice, workers=w))
+                  for w in (1, 8))
+    assert one.accepted == eight.accepted == trials
+    np.testing.assert_array_equal(one.counts, eight.counts)
+    orthant = _spec("orthant3", {"r": 0.3}, trials, 6)
+    one, eight = (estimate_probability(replace(orthant, workers=w))
+                  for w in (1, 8))
+    assert one.accepted == eight.accepted == trials
     assert one.estimate == eight.estimate
 
 
@@ -464,13 +516,12 @@ def test_orthant3_mc_matches_closed_form():
     assert abs(est1.estimate - 0.5) < 5.0 * math.sqrt(0.25 / 20_000)
 
 
-def test_orthant3_mc_chunking_and_determinism():
-    a = orthant3_mc(0.0, 2_000, seed=4, chunk=700)
-    b = orthant3_mc(0.0, 2_000, seed=4, chunk=2_000)
-    assert a.estimate == b.estimate
+def test_orthant3_mc_determinism():
+    a = orthant3_mc(0.0, 2_000, seed=4)
+    assert a.accepted == a.trials == 2_000
     assert abs(a.estimate - orthant3(0.0)) < 5.0 * math.sqrt(
         0.125 * 0.875 / 2_000)
-    again = orthant3_mc(0.0, 2_000, seed=4, chunk=700)
+    again = orthant3_mc(0.0, 2_000, seed=4)
     assert again.estimate == a.estimate
 
 

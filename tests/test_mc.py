@@ -16,7 +16,6 @@ from intrans.mc import (
     estimate_categories,
     estimate_mean,
     estimate_probability,
-    per_trial,
     register_family,
     resolve_workers,
     splitmix64,
@@ -38,36 +37,41 @@ def _build_coin(spec):
 
 @register_family("test_never")
 def _build_never(spec):
-    def kernel(t, rng):
-        return False, 0
+    def kernel(seed, start, stop):
+        return np.zeros(stop - start, dtype=bool), np.zeros(stop - start)
 
-    return per_trial(kernel), 0
+    return kernel, 0
 
 
 @register_family("test_mod_mean")
 def _build_mod_mean(spec):
-    def kernel(t, rng):
-        return True, float(t % 5)
+    def kernel(seed, start, stop):
+        t = np.arange(start, stop)
+        return np.ones(t.size, dtype=bool), (t % 5).astype(np.float64)
 
-    return per_trial(kernel), 0
+    return kernel, 0
 
 
 @register_family("test_mod_cond")
 def _build_mod_cond(spec):
-    def kernel(t, rng):
-        if t % 3 != 0:
-            return False, 0
-        return True, int(t % 6 == 0)
+    def kernel(seed, start, stop):
+        t = np.arange(start, stop)
+        return t % 3 == 0, (t % 6 == 0).astype(np.float64)
 
-    return per_trial(kernel), 0
+    return kernel, 0
 
 
 @register_family("test_mod_cat")
 def _build_mod_cat(spec):
-    def kernel(t, rng):
-        return True, t % 4
+    def kernel(seed, start, stop):
+        t = np.arange(start, stop)
+        return np.ones(t.size, dtype=bool), (t % 4).astype(np.float64)
 
-    return per_trial(kernel), 4
+    return kernel, 4
+
+
+def _always(seed, start, stop):
+    return np.ones(stop - start, dtype=bool), np.zeros(stop - start)
 
 
 def _spec(family, trials, seed=0, params=None, workers=None):
@@ -130,18 +134,16 @@ def test_wilson_nonzero_at_extremes():
 def test_spec_json_round_trip():
     spec = ExperimentSpec(
         family="test_coin", params={"p": 0.25, "n": 9}, trials=100, seed=7,
-        statistic="heads", conditioning={"d": 3, "subset": [0, 2]},
-        workers=2)
+        conditioning={"d": 3, "subset": [0, 2]}, workers=2)
     back = ExperimentSpec.from_json(spec.to_json())
     assert back == spec
     minimal = ExperimentSpec.from_json(
         '{"family": "test_coin", "params": {}, "trials": 1, "seed": 0}')
-    assert minimal.statistic == ""
     assert minimal.conditioning is None
     assert minimal.workers is None
     numpy_valued = ExperimentSpec(
         family="test_coin", params={"p": np.float32(0.25), "n": np.int64(9)},
-        trials=100, seed=7, statistic="heads",
+        trials=100, seed=7,
         conditioning={"d": np.int64(3), "subset": [0, 2]}, workers=2)
     assert numpy_valued.to_json() == spec.to_json()
     assert ExperimentSpec.from_json(numpy_valued.to_json()) == spec
@@ -150,12 +152,12 @@ def test_spec_json_round_trip():
 def test_register_family_rejects_duplicates():
     @register_family("test_dup")
     def _one(spec):
-        return per_trial(lambda t, rng: (True, 0)), 0
+        return _always, 0
 
     with pytest.raises(InvalidInputError):
         @register_family("test_dup")
         def _two(spec):
-            return per_trial(lambda t, rng: (True, 0)), 0
+            return _always, 0
 
 
 def test_build_kernel_unknown_family():
@@ -230,14 +232,6 @@ def test_results_do_not_depend_on_the_acceptance_floor():
         for floor in (0.5, 2e-4))
     assert loose.estimate == strict.estimate
     assert loose.accepted == strict.accepted == trials
-
-
-def test_per_trial_draws_each_trial_from_its_own_substream():
-    kernel = per_trial(lambda t, rng: (t % 2 == 0, rng.random()))
-    accepted, values = kernel(5, 10, 14)
-    assert accepted.tolist() == [True, False, True, False]
-    assert values[0] == substream(5, 10).random()
-    assert values[2] == substream(5, 12).random()
 
 
 def test_zero_acceptance_raises_even_below_probe():
