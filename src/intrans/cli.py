@@ -8,9 +8,12 @@ majority-of-triplets paradox experiments; `verify` executes the built-in
 exact-value and sampler self-checks.
 
 Results go to a fixed-column CSV (stdout when --out is omitted) with a
-JSON metadata sidecar next to the file. A JSON config file can supply any
-flag; explicit flags win. Exit codes: 0 success, 1 numeric failure
-(machine-readable JSON on stderr), 2 usage error.
+JSON metadata sidecar next to the file. A `--config FILE` JSON object is
+read once and its keys become `--key=value` flags placed right after the
+subcommand, so argparse checks them exactly like flags, an explicit flag
+(which comes later) wins, and a null value leaves its flag unset. Flags
+and keys must be spelled out in full. Exit codes: 0 success, 1 numeric
+failure (machine-readable JSON on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -107,59 +110,11 @@ def _meta(spec: ExperimentSpec, experiment_id: str, subcommand: str,
     }
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  fields: tuple) -> None:
-    """Fill unset flags from the JSON config document, if given."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        parser.error("cannot read config file: %s" % e)
-    if not isinstance(doc, dict):
-        parser.error("config file must hold a JSON object")
-    for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if dest not in fields:
-            parser.error("unknown config key %r" % key)
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
-def _require(args, parser, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            parser.error("missing required value --%s"
-                         % name.replace("_", "-"))
-
-
-def _fill_defaults(args, defaults: dict) -> None:
-    for name, value in defaults.items():
-        if getattr(args, name, None) is None:
-            setattr(args, name, value)
-
-
-def _validate_choice(parser, name, value, choices) -> None:
-    if value not in choices:
-        parser.error("--%s must be one of %s, got %r"
-                     % (name, "/".join(sorted(choices)), value))
-
-
 # ---------------------------------------------------------------- dice
 
 
 def _cmd_dice(args, parser) -> int:
-    _apply_config(args, parser, ("model", "dist", "n", "hurst", "triples",
-                                 "seed", "out"))
-    _fill_defaults(args, {"model": "conditioned", "dist": "uniform",
-                          "seed": 0})
-    _require(args, parser, "n", "triples")
-    _validate_choice(parser, "model", args.model,
-                     ("discrete", "conditioned", "stationary", "iid"))
-    _validate_choice(parser, "dist", args.dist, tuple(DISTRIBUTIONS))
-    n = int(args.n)
-    model = args.model
+    n, model = args.n, args.model
     if model == "conditioned" and n < 2:
         parser.error("--n must be at least 2 for the conditioned model")
     if model == "stationary" and args.hurst is None:
@@ -168,9 +123,9 @@ def _cmd_dice(args, parser) -> int:
     if model in ("conditioned", "iid"):
         params["dist"] = args.dist
     if model == "stationary":
-        params["hurst"] = float(args.hurst)
+        params["hurst"] = args.hurst
     spec = ExperimentSpec(family="dice_triples", params=params,
-                          trials=int(args.triples), seed=int(args.seed))
+                          trials=args.triples, seed=args.seed)
     from .experiments import summarize_dice_categories
 
     counts = estimate_categories(spec)
@@ -199,15 +154,14 @@ def _cmd_dice(args, parser) -> int:
 def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
     if raw is None:
         return None
-    text = str(raw)
     try:
-        if "," in text:
-            i, j = sorted(int(part) for part in text.split(","))
+        if "," in raw:
+            i, j = sorted(int(part) for part in raw.split(","))
             if not 0 <= i < j < k:
                 raise ValueError
             index = i * (2 * k - i - 1) // 2 + (j - i - 1)
         else:
-            index = int(text)
+            index = int(raw)
     except ValueError:
         parser.error("--subset-excl expects a lex pair index or 'i,j'")
     if not 0 <= index < k * (k - 1) // 2:
@@ -216,29 +170,24 @@ def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
 
 
 def _cmd_elections(args, parser) -> int:
-    _apply_config(args, parser, ("k", "n", "d", "subset_excl", "trials",
-                                 "seed", "out"))
-    _fill_defaults(args, {"k": 3, "seed": 0})
-    _require(args, parser, "n", "trials")
-    n, k = int(args.n), int(args.k)
+    n, k = args.n, args.k
     if n % 2 == 0:
         parser.error("--n must be odd so pairwise ties cannot happen")
     excl = _parse_subset_excl(args.subset_excl, k, parser)
+    n_pairs = k * (k - 1) // 2
     conditioning = None
     if args.d is not None:
-        d = int(args.d)
-        if d < 1:
+        if args.d < 1:
             parser.error("--d must be a positive margin bound")
-        conditioning = {"event": "close", "d": d}
+        conditioning = {"event": "close", "d": args.d}
         if excl is not None:
-            n_pairs = k * (k - 1) // 2
             conditioning["subset"] = [i for i in range(n_pairs)
                                       if i != excl]
     elif excl is not None:
         parser.error("--subset-excl only makes sense with --d")
     spec = ExperimentSpec(family="election_outcomes",
-                          params={"n": n, "k": k}, trials=int(args.trials),
-                          seed=int(args.seed), conditioning=conditioning)
+                          params={"n": n, "k": k}, trials=args.trials,
+                          seed=args.seed, conditioning=conditioning)
     from .experiments import (
         condorcet_probability,
         outcome_categories,
@@ -247,9 +196,8 @@ def _cmd_elections(args, parser) -> int:
 
     counts = estimate_categories(spec)
     exp_id = _experiment_id(spec)
-    n_pairs = k * (k - 1) // 2
     common = dict(model="impartial", n=n, k=k,
-                  d=("" if args.d is None else int(args.d)),
+                  d=("" if args.d is None else args.d),
                   trials=spec.trials, accepted=counts.accepted,
                   seed=spec.seed, wall_time_ms=round(counts.wall_time_ms, 3))
     rows = []
@@ -273,12 +221,7 @@ def _cmd_elections(args, parser) -> int:
 
 
 def _cmd_triplet(args, parser) -> int:
-    _apply_config(args, parser, ("mode", "n", "rho", "d", "trials",
-                                 "seed", "out"))
-    _fill_defaults(args, {"mode": "sum", "seed": 0})
-    _require(args, parser, "n", "trials")
-    _validate_choice(parser, "mode", args.mode, ("sum", "noise"))
-    n = int(args.n)
+    n = args.n
     if n < 3 or n % 3 != 0 or (n // 3) % 2 == 0:
         parser.error("--n must be a multiple of 3 with an odd number of "
                      "triplets")
@@ -286,23 +229,19 @@ def _cmd_triplet(args, parser) -> int:
         parser.error("--rho is required for --mode noise")
     conditioning = None
     if args.d is not None:
-        if int(args.d) < 1:
+        if args.d < 1:
             parser.error("--d must be a positive margin bound")
-        conditioning = {"event": "close", "d": int(args.d)}
-    params = {"n": n}
-    family = "triplet_paradox"
-    rho = None
-    if args.mode == "noise":
-        rho = float(args.rho)
-        params["rho"] = rho
-        family = "triplet_noise"
+        conditioning = {"event": "close", "d": args.d}
+    rho = args.rho if args.mode == "noise" else None
+    params = {"n": n} if rho is None else {"n": n, "rho": rho}
+    family = "triplet_paradox" if rho is None else "triplet_noise"
     spec = ExperimentSpec(family=family, params=params,
-                          trials=int(args.trials), seed=int(args.seed),
+                          trials=args.trials, seed=args.seed,
                           conditioning=conditioning)
     est = estimate_probability(spec)
     exp_id = _experiment_id(spec)
     common = dict(model=args.mode, n=n,
-                  d=("" if args.d is None else int(args.d)),
+                  d=("" if args.d is None else args.d),
                   rho=("" if rho is None else rho), seed=spec.seed)
     rows = [
         _row(exp_id, "triplet", "paradox_rate", est.estimate, est.stderr,
@@ -514,74 +453,113 @@ def _cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------- main
 
 
+# The --config option of the run subcommands. main also parses it alone,
+# to find the file before the full parse.
+_CONFIG = argparse.ArgumentParser(prog="intrans", add_help=False,
+                                  allow_abbrev=False)
+_CONFIG.add_argument("--config", metavar="FILE",
+                     help="JSON object of flag values; explicit flags win")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intrans",
         description="Intransitive dice and close-election experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dice = sub.add_parser("dice", help="sample dice triples")
-    p_dice.add_argument("--model",
+    def command(name, func, summary, parents=(_CONFIG,)):
+        p = sub.add_parser(name, help=summary, parents=list(parents),
+                           allow_abbrev=False)
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p_dice = command("dice", _cmd_dice, "sample dice triples")
+    p_dice.add_argument("--model", default="conditioned",
                         choices=("discrete", "conditioned", "stationary",
                                  "iid"),
                         help="sampling model (default conditioned)")
-    p_dice.add_argument("--dist", choices=tuple(sorted(DISTRIBUTIONS)),
+    p_dice.add_argument("--dist", default="uniform",
+                        choices=tuple(sorted(DISTRIBUTIONS)),
                         help="face distribution (default uniform)")
-    p_dice.add_argument("--n", type=int, help="faces per die")
+    p_dice.add_argument("--n", type=int, required=True,
+                        help="faces per die")
     p_dice.add_argument("--hurst", type=float,
                         help="Hurst index for the stationary model")
-    p_dice.add_argument("--triples", type=int,
+    p_dice.add_argument("--triples", type=int, required=True,
                         help="number of independent triples")
-    p_dice.add_argument("--seed", type=int)
+    p_dice.add_argument("--seed", type=int, default=0)
     p_dice.add_argument("--out", help="CSV path (stdout when omitted)")
-    p_dice.add_argument("--config", help="JSON config mirroring flags")
-    p_dice.set_defaults(func=_cmd_dice)
 
-    p_el = sub.add_parser("elections",
-                          help="impartial-culture tournament distribution")
-    p_el.add_argument("--k", type=int,
+    p_el = command("elections", _cmd_elections,
+                   "impartial-culture tournament distribution")
+    p_el.add_argument("--k", type=int, default=3,
                       help="number of candidates, 2..5 (default 3)")
-    p_el.add_argument("--n", type=int, help="number of voters (odd)")
+    p_el.add_argument("--n", type=int, required=True,
+                      help="number of voters (odd)")
     p_el.add_argument("--d", type=int,
                       help="closeness bound; omit for unconditioned")
-    p_el.add_argument("--subset-excl", dest="subset_excl",
+    p_el.add_argument("--subset-excl",
                       help="lex pair index or 'i,j' left out of the "
                            "closeness requirement")
-    p_el.add_argument("--trials", type=int)
-    p_el.add_argument("--seed", type=int)
+    p_el.add_argument("--trials", type=int, required=True)
+    p_el.add_argument("--seed", type=int, default=0)
     p_el.add_argument("--out", help="CSV path (stdout when omitted)")
-    p_el.add_argument("--config", help="JSON config mirroring flags")
-    p_el.set_defaults(func=_cmd_elections)
 
-    p_tr = sub.add_parser("triplet",
-                          help="majority-of-triplets paradox experiments")
-    p_tr.add_argument("--mode", choices=("sum", "noise"),
+    p_tr = command("triplet", _cmd_triplet,
+                   "majority-of-triplets paradox experiments")
+    p_tr.add_argument("--mode", default="sum", choices=("sum", "noise"),
                       help="voter model (default sum)")
-    p_tr.add_argument("--n", type=int,
+    p_tr.add_argument("--n", type=int, required=True,
                       help="votes per pair (multiple of 3, odd triplets)")
     p_tr.add_argument("--rho", type=float,
                       help="vote correlation for --mode noise")
     p_tr.add_argument("--d", type=int,
                       help="closeness bound; omit for unconditioned")
-    p_tr.add_argument("--trials", type=int)
-    p_tr.add_argument("--seed", type=int)
+    p_tr.add_argument("--trials", type=int, required=True)
+    p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--out", help="CSV path (stdout when omitted)")
-    p_tr.add_argument("--config", help="JSON config mirroring flags")
-    p_tr.set_defaults(func=_cmd_triplet)
 
-    p_ver = sub.add_parser("verify", help="run built-in self checks")
+    p_ver = command("verify", _cmd_verify, "run built-in self checks",
+                    parents=())
     p_ver.add_argument("--suite", required=True,
                        choices=tuple(sorted(_SUITES)))
-    p_ver.set_defaults(func=_cmd_verify)
     return parser
+
+
+def _with_config(parser, argv: list) -> list:
+    """argv with the --config file's keys inserted as --key=value flags
+    right after the subcommand, so argparse converts and checks them like
+    any flag and an explicit flag, coming later, wins."""
+    path = _CONFIG.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        parser.error("cannot read config file: %s" % e)
+    if not isinstance(doc, dict):
+        parser.error("config file must hold a JSON object")
+    flags = []
+    for key, value in doc.items():
+        if key == "config":
+            parser.error("a config file cannot name another config file")
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, float, str)):
+            parser.error("config key %r must hold a number or a string"
+                         % key)
+        flags.append("--%s=%s" % (key.replace("_", "-"), value))
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    subparser = parser
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_with_config(parser, argv))
     try:
-        return args.func(args, subparser)
+        return args.func(args, args.parser)
     except (IntransError, FloatingPointError, np.linalg.LinAlgError) as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         for attr in ("attempts", "accepted", "minor_order", "rho",

@@ -150,7 +150,3 @@ def sample_margins(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     m = ranking_sign_matrix(k)
     counts = rng.multinomial(n, np.full(m.shape[0], 1.0 / m.shape[0]))
     return counts @ m
-
-
-def margins_to_scores(margins: np.ndarray, n: int, k: int) -> PairwiseScores:
-    return PairwiseScores(margins, n=n, k=k)

@@ -16,9 +16,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import erf as _erf
 
-from . import dice as dice_mod
 from . import mc  # block kernels look mc.substream up at call time
-from .dice import TripleClass, cdf_sum, pair_stats
+from .dice import (
+    TripleClass,
+    cdf_sum,
+    classify_margins,
+    pair_stats,
+    w_statistic,
+)
 from .distributions import get_distribution
 from .elections import ranking_sign_matrix
 from .errors import DomainError, InvalidInputError, ParityError
@@ -288,8 +293,8 @@ def _build_dice_triples(spec: ExperimentSpec):
                 if np.sign(margins[i, j]) == np.sign(sums[i] - sums[j]):
                     agree += 1
             # The margin of die 2 over die 0 is -margins[0, 2].
-            cls = dice_mod.classify_margins(margins[0, 1], margins[1, 2],
-                                            -margins[0, 2])
+            cls = classify_margins(margins[0, 1], margins[1, 2],
+                                   -margins[0, 2])
             values[t] = 4 * class_index[cls] + agree
         return np.ones(stop - start, dtype=bool), values
 
@@ -384,7 +389,7 @@ def w_minus_nv_variance(dist, n: int, pairs: int, seed: int) -> float:
     for it in range(pairs):
         a = sample_continuous_conditioned(n, dist, rng)
         b = sample_continuous_conditioned(n, dist, rng)
-        w = dice_mod.w_statistic(a, b)
+        w = w_statistic(a, b)
         v = cdf_sum(a, dist.cdf) - cdf_sum(b, dist.cdf)
         vals[it] = w - n * v
     return float(vals.var(ddof=1)) / float(n) ** 3

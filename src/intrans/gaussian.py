@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .distributions import FaceDistribution, get_distribution
@@ -367,6 +366,8 @@ class DistConstants:
 
 
 def _expectation(dist: FaceDistribution, integrand) -> float:
+    from scipy.integrate import quad
+
     lo, hi = dist.support
     value, _ = quad(lambda x: integrand(x) * float(dist.pdf(x)), lo, hi,
                     epsabs=1e-12, epsrel=1e-12, limit=200)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import _accel
 from .dice import Die
@@ -162,7 +161,8 @@ def _sample_cholesky(n: int, kernel: CorrelationKernel,
         raise SizeLimitError(
             "Cholesky path limited to n <= %d" % CHOLESKY_LIMIT
         )
-    cov = toeplitz(kernel.values(np.arange(n)))
+    lags = np.arange(n)
+    cov = kernel.values(lags)[np.abs(lags[:, None] - lags)]
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -32,6 +32,9 @@ from .mc import MonteCarloEstimate
 
 TRIPLET_VALUES = (-3, -1, 1, 3)
 
+# Rows of voters kalai_paradox draws at a time.
+KALAI_CHUNK = 4096
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -456,8 +459,7 @@ def alpha_rho(rho: float) -> float:
 
 
 def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
-                  trials: int, rng: np.random.Generator,
-                  chunk: int = 4096) -> MonteCarloEstimate:
+                  trials: int, rng: np.random.Generator) -> MonteCarloEstimate:
     """Paradox probability of an odd pairwise aggregator g by the
     correlated-pair identity: 1/4 (1 - 3 E[g(x) g(y)]) with y a
     1/3-correlated copy of x (each coordinate flipped with probability
@@ -472,7 +474,7 @@ def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
     total_sq = 0.0
     done = 0
     while done < trials:
-        rows = min(chunk, trials - done)
+        rows = min(KALAI_CHUNK, trials - done)
         x = (rng.integers(0, 2, size=(rows, n), dtype=np.int8) * 2 - 1)
         flips = rng.random((rows, n)) < (1.0 / 3.0)
         y = np.where(flips, -x, x)

@@ -9,6 +9,9 @@ payload on stderr.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +228,48 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
                   "--trials", "10"])
     _usage_error(["triplet", "--config", str(tmp_path / "missing.json"),
                   "--n", "9", "--trials", "10"])
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "abc"},          # not an int
+    {"trials": 10.7},      # not an int either, as --trials 10.7 is not
+    {"n": 9.0},
+    {"mode": "bogus"},     # not one of the choices
+    {"n": True},           # bools, lists and objects are not flag values
+    {"trials": [10]},
+    {"tri": 5},            # only abbreviates --triples
+    {"config": "x"},
+])
+def test_config_values_are_checked_like_flags(tmp_path, doc):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 9, "trials": 10, **doc}))
+    _usage_error(["triplet", "--config", str(config)])
+
+
+def test_config_null_leaves_flag_unset(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 9, "trials": 50, "d": None}))
+    out_path = tmp_path / "t.csv"
+    assert main(["triplet", "--config", str(config), "--out",
+                 str(out_path)]) == 0
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["spec"]["conditioning"] is None
+    assert meta["spec"]["trials"] == 50
+
+
+def test_abbreviated_flags_are_usage_errors():
+    _usage_error(["triplet", "--n", "9", "--tri", "10"])
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    src = os.path.dirname(os.path.dirname(intrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, intrans.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.linalg', 'scipy.stats') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ----------------------------------------------------------- exit codes

@@ -14,7 +14,6 @@ from intrans.elections import (
     condorcet_winner,
     is_close,
     is_transitive_outcome,
-    margins_to_scores,
     outcome,
     ranking_sign_matrix,
     sample_margins,
@@ -225,7 +224,7 @@ def test_sample_margins_invariants():
     for n, k in [(1, 2), (5, 3), (10, 4)]:
         for _ in range(50):
             s = sample_margins(n, k, rng)
-            scores = margins_to_scores(s, n, k)  # validates parity + range
+            scores = PairwiseScores(s, n=n, k=k)  # validates parity + range
             assert scores.s.shape == (k * (k - 1) // 2,)
     with pytest.raises(InvalidInputError):
         sample_margins(0, 3, rng)
