@@ -57,7 +57,6 @@ from .mc import (
     ExperimentSpec,
     MonteCarloEstimate,
     estimate_categories,
-    estimate_mean,
     estimate_probability,
     register_family,
     sweep,

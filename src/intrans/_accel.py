@@ -1,4 +1,5 @@
-"""The hot kernels, in numpy.
+"""The pairwise win-count kernel, in numpy, and the names the benchmark's
+tracer wraps.
 
 Every kernel is a deterministic transform of its inputs (randomness is
 always drawn by the caller). Callers look the kernels up as attributes
@@ -46,15 +47,3 @@ def mcmc_pair_transfer(faces, ii, jj, uu):
             x = hi
         faces[i] = x
         faces[j] = s - x
-
-
-def profile_margins(positions, pair_a, pair_b):
-    """Pairwise vote margins of a ranking profile.
-
-    positions[v, alt] is alternative alt's rank position for voter v
-    (0 = most preferred). For pair index p, the margin counts voters
-    placing pair_a[p] above pair_b[p] minus the rest.
-    """
-    n = positions.shape[0]
-    above = positions[:, pair_a] < positions[:, pair_b]
-    return 2 * above.sum(axis=0, dtype=np.int64) - n

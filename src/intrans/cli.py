@@ -7,13 +7,14 @@ election, optionally conditioned on close margins; `triplet` runs the
 majority-of-triplets paradox experiments; `verify` executes the built-in
 exact-value and sampler self-checks.
 
-Results go to a fixed-column CSV (stdout when --out is omitted) with a
-JSON metadata sidecar next to the file. A `--config FILE` JSON object is
-read once and its keys become `--key=value` flags placed right after the
-subcommand, so argparse checks them exactly like flags, an explicit flag
-(which comes later) wins, and a null value leaves its flag unset. Flags
-and keys must be spelled out in full. Exit codes: 0 success, 1 numeric
-failure (machine-readable JSON on stderr), 2 usage error.
+Results go to a fixed-column CSV (stdout when --out is omitted or `-`)
+with a JSON metadata sidecar next to the file. A `--config FILE` JSON
+object is read once and its keys become `--key=value` flags placed right
+after the subcommand, so argparse checks them exactly like flags, an
+explicit flag (which comes later) wins, and a null value leaves its flag
+unset. Flags and keys must be spelled out in full. Exit codes: 0
+success, 1 numeric failure (machine-readable JSON on stderr), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .mc import (
     estimate_probability,
     resolve_workers,
 )
+from .samplers import lex_pair_index
 from .triplets import (
     alpha_rho,
     alpha_star,
@@ -72,7 +74,9 @@ def _experiment_id(spec: ExperimentSpec) -> str:
 
 
 def _write_rows(out: Optional[str], rows: list, meta: dict) -> None:
-    if out is None:
+    """The CSV to the file out, with its metadata sidecar, or to stdout
+    (no sidecar) when out is None or "-"."""
+    if out is None or out == "-":
         writer = csv.writer(sys.stdout)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
@@ -159,7 +163,7 @@ def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
             i, j = sorted(int(part) for part in raw.split(","))
             if not 0 <= i < j < k:
                 raise ValueError
-            index = i * (2 * k - i - 1) // 2 + (j - i - 1)
+            index = lex_pair_index(i, j, k)
         else:
             index = int(raw)
     except ValueError:
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dice.add_argument("--triples", type=int, required=True,
                         help="number of independent triples")
     p_dice.add_argument("--seed", type=int, default=0)
-    p_dice.add_argument("--out", help="CSV path (stdout when omitted)")
+    p_dice.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
     p_el = command("elections", _cmd_elections,
                    "impartial-culture tournament distribution")
@@ -503,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "closeness requirement")
     p_el.add_argument("--trials", type=int, required=True)
     p_el.add_argument("--seed", type=int, default=0)
-    p_el.add_argument("--out", help="CSV path (stdout when omitted)")
+    p_el.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
     p_tr = command("triplet", _cmd_triplet,
                    "majority-of-triplets paradox experiments")
@@ -517,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="closeness bound; omit for unconditioned")
     p_tr.add_argument("--trials", type=int, required=True)
     p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument("--out", help="CSV path (stdout when omitted)")
+    p_tr.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
     p_ver = command("verify", _cmd_verify, "run built-in self checks",
                     parents=())

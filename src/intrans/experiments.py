@@ -52,6 +52,16 @@ TRIPLE_CLASS_ORDER = (TripleClass.TRANSITIVE, TripleClass.INTRANSITIVE,
 N_DICE_CATEGORIES = 12
 
 
+def _param(params: dict, key: str, family: str):
+    """A required family param; a typed error names the family and the
+    key when it is missing."""
+    try:
+        return params[key]
+    except KeyError:
+        raise InvalidInputError(
+            "family %r needs the param %r" % (family, key)) from None
+
+
 def _conditioning_fields(spec: ExperimentSpec):
     """Closeness threshold and margin subset from the spec's conditioning
     descriptor; (None, None) when unconditioned."""
@@ -80,7 +90,7 @@ def _build_election_outcomes(spec: ExperimentSpec):
     candidate wins that pair, so k=3 has 8 categories. A block draws its
     ranking counts as one multinomial from substream(seed, start).
     """
-    n = int(spec.params["n"])
+    n = int(_param(spec.params, "n", spec.family))
     k = int(spec.params.get("k", 3))
     if n < 1 or n % 2 == 0:
         raise ParityError("voter count must be odd to exclude ties")
@@ -106,7 +116,7 @@ def _build_election_outcomes(spec: ExperimentSpec):
             accepted = np.ones(stop - start, dtype=bool)
         else:
             accepted = (np.abs(margins[:, check]) <= d).all(axis=1)
-        return accepted, ((margins > 0) @ bit_weights).astype(np.float64)
+        return accepted, (margins > 0) @ bit_weights
 
     return kernel, 1 << n_pairs
 
@@ -133,29 +143,22 @@ def outcome_categories(k: int) -> tuple:
 
 def condorcet_probability(counts: CategoryCounts, k: int,
                           stderr_method: str = "wald"):
-    """P[some candidate beats all others] from outcome counts, with the
-    stderr of the aggregated proportion."""
-    meta = outcome_categories(k)
-    hit = sum(int(c) for c, (_, winner, _) in zip(counts.counts, meta)
-              if winner is not None)
-    return _aggregate_proportion(hit, counts.accepted, stderr_method)
+    """P[some candidate beats all others] from outcome counts, as
+    (estimate, stderr)."""
+    est = counts.proportion([i for i, (_, winner, _)
+                             in enumerate(outcome_categories(k))
+                             if winner is not None], stderr_method)
+    return est.estimate, est.stderr
 
 
 def transitive_probability(counts: CategoryCounts, k: int,
                            stderr_method: str = "wald"):
-    meta = outcome_categories(k)
-    hit = sum(int(c) for c, (_, _, trans) in zip(counts.counts, meta)
-              if trans)
-    return _aggregate_proportion(hit, counts.accepted, stderr_method)
-
-
-def _aggregate_proportion(hits: int, accepted: int, stderr_method: str):
-    from .mc import _proportion_stderr
-
-    if accepted < 1:
-        raise InvalidInputError("no accepted trials")
-    return hits / accepted, _proportion_stderr(hits, accepted,
-                                               stderr_method)
+    """P[the tournament is transitive] from outcome counts, as
+    (estimate, stderr)."""
+    est = counts.proportion([i for i, (_, _, trans)
+                             in enumerate(outcome_categories(k)) if trans],
+                            stderr_method)
+    return est.estimate, est.stderr
 
 
 def _triplet_margin_kernel(probs: np.ndarray, weights: np.ndarray,
@@ -164,7 +167,8 @@ def _triplet_margin_kernel(probs: np.ndarray, weights: np.ndarray,
     triplet cells (one multinomial from substream(seed, start) for the
     whole block), form the three vote margins and the three
     triplet-majority signs, condition on margin closeness, and report
-    whether the three cyclically oriented comparisons share one sign."""
+    whether the three cyclically oriented comparisons share one sign
+    (category 1) or not (category 0)."""
     signs = np.sign(weights).astype(np.float64)
     weights_f = weights.astype(np.float64)
 
@@ -178,47 +182,34 @@ def _triplet_margin_kernel(probs: np.ndarray, weights: np.ndarray,
             accepted = (np.abs(counts @ weights_f) <= d).all(axis=1)
         f_signs = counts @ signs
         hit = (f_signs > 0).all(axis=1) | (f_signs < 0).all(axis=1)
-        return accepted, hit.astype(np.float64)
+        return accepted, hit.astype(np.intp)
 
     return kernel
 
 
-def _triplet_m(spec: ExperimentSpec) -> int:
-    n = int(spec.params["n"])
+@register_family("triplet_paradox")
+@register_family("triplet_noise")
+def _build_triplet(spec: ExperimentSpec):
+    """P[the three triplet-majority outcomes form a cycle] for n voters
+    on three candidates, optionally conditioned on all three pairwise
+    vote margins being at most d. triplet_paradox votes by impartial
+    culture; under triplet_noise each voter's three votes agree with a
+    hidden uniform sign with probability (1+rho)/2."""
+    n = int(_param(spec.params, "n", spec.family))
     if n < 3 or n % 3 != 0:
         raise InvalidInputError("vote count must be a positive multiple of 3")
     m = n // 3
     if m % 2 == 0:
         raise ParityError("the number of triplets must be odd")
-    return m
-
-
-@register_family("triplet_paradox")
-def _build_triplet_paradox(spec: ExperimentSpec):
-    """P[the three triplet-majority outcomes form a cycle] for n
-    impartial-culture voters on three candidates, optionally conditioned
-    on all three pairwise vote margins being at most d."""
-    m = _triplet_m(spec)
-    d, subset = _conditioning_fields(spec)
-    if subset is not None:
-        raise InvalidInputError(
-            "triplet conditioning uses all three margins")
-    probs, weights = triplet_cell_tables(None)
-    return _triplet_margin_kernel(probs, weights, m, d), 0
-
-
-@register_family("triplet_noise")
-def _build_triplet_noise(spec: ExperimentSpec):
-    """Same statistic under the correlated-vote model: each voter's three
-    votes agree with a hidden uniform sign with probability (1+rho)/2."""
-    m = _triplet_m(spec)
-    rho = float(spec.params["rho"])
+    rho = None
+    if spec.family == "triplet_noise":
+        rho = float(_param(spec.params, "rho", spec.family))
     d, subset = _conditioning_fields(spec)
     if subset is not None:
         raise InvalidInputError(
             "triplet conditioning uses all three margins")
     probs, weights = triplet_cell_tables(rho)
-    return _triplet_margin_kernel(probs, weights, m, d), 0
+    return _triplet_margin_kernel(probs, weights, m, d), 2
 
 
 def _face_cdf(model) -> Callable[[np.ndarray], np.ndarray]:
@@ -250,7 +241,7 @@ def dice_model_from_params(params: dict):
     """Instantiate a triple-sampling model from a params dict with keys
     model, n, and dist or hurst as the model requires."""
     name = params.get("model", "conditioned")
-    n = int(params["n"])
+    n = int(_param(params, "n", "dice_triples"))
     if name == "discrete":
         return DiscreteConditioned(n=n)
     if name == "conditioned":
@@ -282,7 +273,7 @@ def _build_dice_triples(spec: ExperimentSpec):
 
     def kernel(seed: int, start: int, stop: int):
         rng = mc.substream(seed, start)
-        values = np.empty(stop - start)
+        category = np.empty(stop - start, dtype=np.intp)
         for t in range(stop - start):
             dice = [model.sample(rng) for _ in range(3)]
             sums = [cdf_sum(die, face_cdf) for die in dice]
@@ -295,8 +286,8 @@ def _build_dice_triples(spec: ExperimentSpec):
             # The margin of die 2 over die 0 is -margins[0, 2].
             cls = classify_margins(margins[0, 1], margins[1, 2],
                                    -margins[0, 2])
-            values[t] = 4 * class_index[cls] + agree
-        return np.ones(stop - start, dtype=bool), values
+            category[t] = 4 * class_index[cls] + agree
+        return np.ones(stop - start, dtype=bool), category
 
     return kernel, N_DICE_CATEGORIES
 
@@ -329,9 +320,10 @@ def summarize_dice_categories(counts: CategoryCounts) -> dict:
 @register_family("orthant3")
 def _build_orthant3(spec: ExperimentSpec):
     """Whether an equicorrelated trivariate standard Gaussian (params
-    {"r": correlation}) lands in the positive orthant. A block draws its
-    (size, 3) standard normals from substream(seed, start)."""
-    r = float(spec.params["r"])
+    {"r": correlation}) lands in the positive orthant (category 1) or not
+    (category 0). A block draws its (size, 3) standard normals from
+    substream(seed, start)."""
+    r = float(_param(spec.params, "r", spec.family))
     if not -0.5 < r <= 1.0:
         raise DomainError("equicorrelation must lie in (-1/2, 1]")
     cov = np.full((3, 3), r) + (1.0 - r) * np.eye(3)
@@ -343,9 +335,9 @@ def _build_orthant3(spec: ExperimentSpec):
     def kernel(seed: int, start: int, stop: int):
         z = mc.substream(seed, start).standard_normal((stop - start, 3))
         hit = ((z @ root_t) > 0.0).all(axis=1)
-        return np.ones(stop - start, dtype=bool), hit.astype(np.float64)
+        return np.ones(stop - start, dtype=bool), hit.astype(np.intp)
 
-    return kernel, 0
+    return kernel, 2
 
 
 def orthant3_mc(r: float, draws: int, seed: int) -> MonteCarloEstimate:

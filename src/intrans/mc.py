@@ -9,15 +9,15 @@ so index i owns a disjoint 2^64 stretch of the counter space. Every
 kernel draws its whole block, trial by trial in order, from
 substream(seed, start).
 
-Block starts are multiples of BLOCK_SIZE (the probe phase below is whole
-blocks too), so results depend only on (spec, seed) and the fixed block
-size, never on the worker count, the scheduling order or the acceptance
-floor. Each block's partial result is reduced in trial order, blocks
-are folded in index order after all workers finish, and acceptance
-counts are integers, so single- and multi-threaded runs agree bit for
-bit.
+Every trial reports one category index, and the engine reduces a run to
+integer counts per category: a block's counts are a bincount of its
+accepted trials, and a run's are the sum of its blocks'. Block starts are
+multiples of BLOCK_SIZE (the probe phase below is whole blocks too), so
+the blocks depend only on (spec, seed) and the fixed block size. Integer
+addition is exact and order-free, so a run's counts never depend on the
+worker count, the scheduling order or the acceptance floor.
 
-Conditional estimates count raw draws in `trials` and event hits among
+Conditional estimates count raw draws in `trials` and categories among
 accepted draws only; an acceptance-rate floor aborts hopeless runs during
 a probe phase (the aborted run reports nothing, so no bias enters).
 """
@@ -30,7 +30,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,10 +47,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 BLOCK_SIZE = 4096
 
 # A trial kernel maps (seed, start, stop) to two arrays over the trials
-# start..stop-1, in trial order: accepted (bool) and values (float64). A
-# value is consumed only where accepted is true: a 0/1 indicator in
-# proportion mode, a real payoff in mean mode, a small category index in
-# counts mode.
+# start..stop-1, in trial order: accepted (bool) and category (int), the
+# trial's category index in 0..n_categories-1, read only where accepted
+# is true. A two-category family reports 0 for a miss and 1 for a hit.
 TrialKernel = Callable[[int, int, int], tuple]
 
 # How the runs draw their randomness, as recorded in run metadata.
@@ -84,12 +83,11 @@ def derived_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """A simulated probability or mean with its standard error.
+    """A simulated probability with its standard error.
 
     For conditional estimates, trials counts raw draws and accepted the
     draws passing the conditioning event; the estimate is over accepted
-    draws only. stderr is Wald sqrt(p(1-p)/accepted) for proportions
-    (Wilson optional), sample-sd based for means.
+    draws only. stderr is Wald sqrt(p(1-p)/accepted) (Wilson optional).
     """
 
     estimate: float
@@ -114,13 +112,16 @@ class CategoryCounts:
     seed: Optional[int] = None
     wall_time_ms: float = 0.0
 
-    def proportion(self, category: int,
+    def proportion(self, categories: Union[int, Sequence[int]],
                    stderr_method: str = "wald") -> MonteCarloEstimate:
-        p = float(self.counts[category]) / self.accepted
+        """Share of accepted draws in one category, or in any of a
+        sequence of distinct categories."""
+        if self.accepted < 1:
+            raise InvalidInputError("no accepted trials")
+        hits = int(np.asarray(self.counts)[categories].sum())
         return MonteCarloEstimate(
-            estimate=p,
-            stderr=_proportion_stderr(int(self.counts[category]),
-                                      self.accepted, stderr_method),
+            estimate=hits / self.accepted,
+            stderr=_proportion_stderr(hits, self.accepted, stderr_method),
             trials=self.trials,
             accepted=self.accepted,
             seed=self.seed,
@@ -183,9 +184,11 @@ def register_family(name: str):
     """Decorator registering builder(spec) -> (kernel, n_categories).
 
     The kernel follows the block contract of TrialKernel: kernel(seed,
-    start, stop) -> (accepted, values), arrays over trials start..stop-1,
-    drawn in trial order from substream(seed, start). n_categories is 0
-    unless the family reports category indices.
+    start, stop) -> (accepted, category), arrays over trials
+    start..stop-1, drawn in trial order from substream(seed, start).
+    n_categories >= 2 is the number of category indices the kernel
+    reports; a family estimate_probability can run has exactly 2 (miss,
+    hit).
     """
 
     def wrap(builder):
@@ -234,19 +237,10 @@ def _proportion_stderr(hits: int, accepted: int, method: str) -> float:
 
 
 def _run_block(kernel: TrialKernel, seed: int, start: int, stop: int,
-               n_categories: int):
-    """One block's partials. Sums run in trial order (a cumulative sum is
-    sequential), as a per-trial loop would add them."""
-    ok, values = kernel(seed, start, stop)
-    kept = values[ok]
-    counts = None
-    total = total_sq = 0.0
-    if n_categories:
-        counts = np.bincount(kept.astype(np.intp), minlength=n_categories)
-    elif kept.size:
-        total = float(np.cumsum(kept)[-1])
-        total_sq = float(np.cumsum(kept * kept)[-1])
-    return int(kept.size), counts, total, total_sq
+               n_categories: int) -> np.ndarray:
+    """One block's category counts over its accepted trials."""
+    ok, category = kernel(seed, start, stop)
+    return np.bincount(category[ok], minlength=n_categories)
 
 
 def _run_phase(kernel, seed, start, stop, workers, n_categories):
@@ -261,97 +255,57 @@ def _run_phase(kernel, seed, start, stop, workers, n_categories):
                                    n_categories)
                        for lo, hi in blocks]
             partials = [f.result() for f in futures]
-    accepted = sum(p[0] for p in partials)
-    counts = None
-    if n_categories:
-        counts = np.zeros(n_categories, dtype=np.int64)
-        for p in partials:
-            counts += p[1]
-    total = math.fsum(p[2] for p in partials)
-    total_sq = math.fsum(p[3] for p in partials)
-    return accepted, counts, total, total_sq
+    return sum(partials, np.zeros(n_categories, dtype=np.int64))
 
 
-def _run_trials(kernel: TrialKernel, trials: int, seed: int,
-                workers: Optional[int], acceptance_floor: float,
-                n_categories: int):
+def _run_trials(spec: ExperimentSpec, kernel: TrialKernel,
+                n_categories: int, acceptance_floor: float) -> CategoryCounts:
+    trials, seed = spec.trials, spec.seed
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    workers = resolve_workers(workers)
+    workers = resolve_workers(spec.workers)
     # The probe is whole blocks, so every block starts at a multiple of
     # BLOCK_SIZE whatever the floor.
     probe_blocks = math.ceil(math.ceil(3.0 / acceptance_floor) / BLOCK_SIZE)
     probe = min(trials, probe_blocks * BLOCK_SIZE)
     t0 = time.perf_counter()
-    acc1, cnt1, tot1, sq1 = _run_phase(
-        kernel, seed, 0, probe, workers, n_categories)
-    if probe * acceptance_floor >= 3.0 and acc1 < probe * acceptance_floor:
-        raise AcceptanceFloorError(observed_rate=acc1 / probe,
+    counts = _run_phase(kernel, seed, 0, probe, workers, n_categories)
+    accepted = int(counts.sum())
+    if probe * acceptance_floor >= 3.0 and accepted < probe * acceptance_floor:
+        raise AcceptanceFloorError(observed_rate=accepted / probe,
                                    floor=acceptance_floor,
                                    probe_trials=probe)
-    acc2, cnt2, tot2, sq2 = (0, None, 0.0, 0.0)
     if probe < trials:
-        acc2, cnt2, tot2, sq2 = _run_phase(
-            kernel, seed, probe, trials, workers, n_categories)
-    accepted = acc1 + acc2
-    if accepted == 0:
+        counts += _run_phase(kernel, seed, probe, trials, workers,
+                             n_categories)
+    if not counts.any():
         raise AcceptanceFloorError(observed_rate=0.0,
                                    floor=acceptance_floor,
                                    probe_trials=trials)
-    counts = None
-    if n_categories:
-        counts = cnt1 + (cnt2 if cnt2 is not None else 0)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return accepted, counts, tot1 + tot2, sq1 + sq2, wall_ms
+    return CategoryCounts(counts=counts, trials=trials,
+                          accepted=int(counts.sum()), seed=seed,
+                          wall_time_ms=(time.perf_counter() - t0) * 1000.0)
+
+
+def estimate_categories(spec: ExperimentSpec, *,
+                        acceptance_floor: float = 1e-6) -> CategoryCounts:
+    """Category counts over accepted trials."""
+    kernel, n_categories = build_kernel(spec)
+    return _run_trials(spec, kernel, n_categories, acceptance_floor)
 
 
 def estimate_probability(spec: ExperimentSpec, *,
                          acceptance_floor: float = 1e-6,
                          stderr_method: str = "wald") -> MonteCarloEstimate:
-    """Proportion of accepted trials whose kernel value is 1."""
-    kernel, _ = build_kernel(spec)
-    accepted, _, total, _, wall_ms = _run_trials(
-        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor, 0)
-    hits = int(round(total))
-    return MonteCarloEstimate(
-        estimate=hits / accepted,
-        stderr=_proportion_stderr(hits, accepted, stderr_method),
-        trials=spec.trials,
-        accepted=accepted,
-        seed=spec.seed,
-        wall_time_ms=wall_ms,
-    )
-
-
-def estimate_mean(spec: ExperimentSpec, *,
-                  acceptance_floor: float = 1e-6) -> MonteCarloEstimate:
-    """Mean kernel value over accepted trials, stderr from the sample sd."""
-    kernel, _ = build_kernel(spec)
-    accepted, _, total, total_sq, wall_ms = _run_trials(
-        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor, 0)
-    mean = total / accepted
-    var = max(total_sq / accepted - mean * mean, 0.0)
-    stderr = math.sqrt(var / accepted)
-    return MonteCarloEstimate(
-        estimate=mean, stderr=stderr, trials=spec.trials,
-        accepted=accepted, seed=spec.seed, wall_time_ms=wall_ms)
-
-
-def estimate_categories(spec: ExperimentSpec, *,
-                        acceptance_floor: float = 1e-6) -> CategoryCounts:
-    """Category counts over accepted trials; the family must declare its
-    category count."""
+    """Share of accepted trials in category 1 (a hit) of a two-category
+    family; any other family is rejected before a trial is drawn."""
     kernel, n_categories = build_kernel(spec)
-    if not n_categories:
+    if n_categories != 2:
         raise InvalidInputError(
-            "family %r does not produce categories" % spec.family
-        )
-    accepted, counts, _, _, wall_ms = _run_trials(
-        kernel, spec.trials, spec.seed, spec.workers, acceptance_floor,
-        n_categories)
-    return CategoryCounts(counts=counts, trials=spec.trials,
-                          accepted=accepted, seed=spec.seed,
-                          wall_time_ms=wall_ms)
+            "family %r reports %d categories, not a hit/miss pair"
+            % (spec.family, n_categories))
+    counts = _run_trials(spec, kernel, 2, acceptance_floor)
+    return counts.proportion(1, stderr_method)
 
 
 def sweep(spec: ExperimentSpec, grid: Sequence[dict], *,

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _accel
 from .dice import Die
 from .distributions import FaceDistribution, get_distribution
 from .errors import (
@@ -270,6 +269,11 @@ def lex_pairs(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
+def lex_pair_index(i: int, j: int, k: int) -> int:
+    """Position of the pair (i, j), i < j, in lex_pairs(k)."""
+    return i * (2 * k - i - 1) // 2 + (j - i - 1)
+
+
 @dataclass(frozen=True)
 class RankingProfile:
     """Strict ranking positions for n voters over k candidates.
@@ -303,17 +307,20 @@ class RankingProfile:
     def k(self) -> int:
         return self.positions.shape[1]
 
+    def _margins(self, pair_a, pair_b) -> np.ndarray:
+        """For pair index p, the voters placing pair_a[p] above pair_b[p]
+        minus the rest."""
+        above = self.positions[:, pair_a] < self.positions[:, pair_b]
+        return 2 * above.sum(axis=0, dtype=np.int64) - self.n_voters
+
     def margin(self, a: int, b: int) -> int:
         """Votes preferring a over b minus the reverse; parity matches n."""
-        out = _accel.profile_margins(self.positions, [a], [b])
-        return int(out[0])
+        return int(self._margins([a], [b])[0])
 
     def margins_lex(self) -> np.ndarray:
         """Margins over all candidate pairs in lexicographic order."""
-        pairs = lex_pairs(self.k)
-        aa = [p[0] for p in pairs]
-        bb = [p[1] for p in pairs]
-        return _accel.profile_margins(self.positions, aa, bb)
+        aa, bb = zip(*lex_pairs(self.k))
+        return self._margins(list(aa), list(bb))
 
     def pairwise_votes(self) -> np.ndarray:
         """Per-voter pairwise votes, shape (n_voters, K), lex pair order:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dice import FacesLike, pair_stats
 from .errors import InvalidInputError, SizeLimitError
-from .samplers import lex_pairs
+from .samplers import lex_pair_index, lex_pairs
 
 MAX_EXACT_REVERSALS = 10
 
@@ -68,18 +68,14 @@ class Tournament:
                 adj[j, i] = True
         return adj
 
-    def _pair_index(self, i: int, j: int) -> int:
-        """Lex position of pair (i, j), i < j."""
-        return i * (2 * self.k - i - 1) // 2 + (j - i - 1)
-
     def beats(self, i: int, j: int) -> bool:
         if i == j:
             raise InvalidInputError("a vertex does not play itself")
         if not (0 <= i < self.k and 0 <= j < self.k):
             raise InvalidInputError("vertex out of range")
         if i < j:
-            return bool(self.y[self._pair_index(i, j)] == 1)
-        return bool(self.y[self._pair_index(j, i)] == -1)
+            return bool(self.y[lex_pair_index(i, j, self.k)] == 1)
+        return bool(self.y[lex_pair_index(j, i, self.k)] == -1)
 
     def out_degrees(self) -> np.ndarray:
         return self.adjacency().sum(axis=1)

@@ -61,6 +61,17 @@ def test_dice_stdout_csv(capsys):
     assert len({r["experiment_id"] for r in rows}) == 1
 
 
+def test_out_dash_writes_stdout_and_no_files(capsys, tmp_path,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, ["triplet", "--n", "9", "--trials", "10",
+                                 "--out", "-"])
+    assert code == 0
+    assert [r["statistic"] for r in _parse_csv(out)] == ["paradox_rate",
+                                                        "alpha_star"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_dice_out_file_with_meta_sidecar(tmp_path):
     out_path = tmp_path / "dice.csv"
     code = main(["dice", "--model", "conditioned", "--dist", "gaussian",

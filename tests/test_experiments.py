@@ -33,6 +33,7 @@ from intrans.experiments import (
     transitive_probability,
     w_minus_nv_variance,
 )
+from intrans import mc
 from intrans.gaussian import CorrelationKernel
 from intrans.mc import (
     BLOCK_SIZE,
@@ -330,6 +331,66 @@ def test_block_families_do_not_depend_on_worker_count():
                   for w in (1, 8))
     assert one.accepted == eight.accepted == trials
     assert one.estimate == eight.estimate
+
+
+# ------------------------------------------------- the family contract
+
+
+_FAMILY_SPECS = (
+    ("election_outcomes", {"n": 5}),
+    ("election_outcomes", {"n": 5, "k": 4}),
+    ("triplet_paradox", {"n": 9}),
+    ("triplet_noise", {"n": 9, "rho": 0.5}),
+    ("dice_triples", {"n": 4}),
+    ("orthant3", {"r": 0.2}),
+)
+
+
+@pytest.mark.parametrize("family,params", _FAMILY_SPECS)
+def test_families_report_two_or_more_categories(family, params):
+    kernel, n_categories = build_kernel(_spec(family, params, 10, 1))
+    assert n_categories >= 2
+    ok, category = kernel(1, 0, 10)
+    assert ok.dtype == bool and category.dtype.kind == "i"
+    assert category.min() >= 0 and category.max() < n_categories
+
+
+@pytest.mark.parametrize("family,params", [
+    ("election_outcomes", {"n": 5}),
+    ("dice_triples", {"n": 4}),
+])
+def test_probability_of_a_many_category_family_fails_before_drawing(
+        monkeypatch, family, params):
+    calls = []
+    build = mc.build_kernel
+
+    def counting_build(spec):
+        kernel, n_categories = build(spec)
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        return counted, n_categories
+
+    monkeypatch.setattr(mc, "build_kernel", counting_build)
+    with pytest.raises(InvalidInputError, match=family):
+        estimate_probability(_spec(family, params, 10, 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("family,params,key", [
+    ("election_outcomes", {"k": 3}, "n"),
+    ("triplet_paradox", {}, "n"),
+    ("triplet_noise", {"rho": 0.5}, "n"),
+    ("triplet_noise", {"n": 9}, "rho"),
+    ("dice_triples", {"model": "discrete"}, "n"),
+    ("orthant3", {}, "r"),
+])
+def test_missing_family_param_is_a_typed_error(family, params, key):
+    with pytest.raises(InvalidInputError,
+                       match="%r.*%r" % (family, key)):
+        build_kernel(_spec(family, params, 10, 1))
 
 
 # ------------------------------------------------- triplet majorities

@@ -14,7 +14,6 @@ from intrans.mc import (
     build_kernel,
     derived_seed,
     estimate_categories,
-    estimate_mean,
     estimate_probability,
     register_family,
     resolve_workers,
@@ -30,48 +29,41 @@ def _build_coin(spec):
 
     def kernel(seed, start, stop):
         heads = substream(seed, start).random(stop - start) < p
-        return np.ones(stop - start, dtype=bool), heads.astype(np.float64)
+        return np.ones(stop - start, dtype=bool), heads.astype(np.intp)
 
-    return kernel, 0
+    return kernel, 2
 
 
 @register_family("test_never")
 def _build_never(spec):
     def kernel(seed, start, stop):
-        return np.zeros(stop - start, dtype=bool), np.zeros(stop - start)
+        return (np.zeros(stop - start, dtype=bool),
+                np.zeros(stop - start, dtype=np.intp))
 
-    return kernel, 0
-
-
-@register_family("test_mod_mean")
-def _build_mod_mean(spec):
-    def kernel(seed, start, stop):
-        t = np.arange(start, stop)
-        return np.ones(t.size, dtype=bool), (t % 5).astype(np.float64)
-
-    return kernel, 0
+    return kernel, 2
 
 
 @register_family("test_mod_cond")
 def _build_mod_cond(spec):
     def kernel(seed, start, stop):
         t = np.arange(start, stop)
-        return t % 3 == 0, (t % 6 == 0).astype(np.float64)
+        return t % 3 == 0, (t % 6 == 0).astype(np.intp)
 
-    return kernel, 0
+    return kernel, 2
 
 
 @register_family("test_mod_cat")
 def _build_mod_cat(spec):
     def kernel(seed, start, stop):
         t = np.arange(start, stop)
-        return np.ones(t.size, dtype=bool), (t % 4).astype(np.float64)
+        return np.ones(t.size, dtype=bool), t % 4
 
     return kernel, 4
 
 
 def _always(seed, start, stop):
-    return np.ones(stop - start, dtype=bool), np.zeros(stop - start)
+    return (np.ones(stop - start, dtype=bool),
+            np.zeros(stop - start, dtype=np.intp))
 
 
 def _spec(family, trials, seed=0, params=None, workers=None):
@@ -120,6 +112,25 @@ def test_category_counts_proportion():
     assert wilson.stderr > 0
     with pytest.raises(InvalidInputError):
         counts.proportion(0, stderr_method="jackknife")
+
+
+def test_category_counts_proportion_over_categories():
+    counts = CategoryCounts(counts=np.array([3, 7, 5, 5]), trials=25,
+                            accepted=20)
+    est = counts.proportion([1, 3])
+    assert est.estimate == 12 / 20
+    assert est.stderr == pytest.approx((0.6 * 0.4 / 20) ** 0.5)
+    assert (est.trials, est.accepted) == (25, 20)
+    assert counts.proportion([]).estimate == 0.0
+    assert counts.proportion([0, 1, 2, 3]).estimate == 1.0
+    assert counts.proportion([2]).estimate == counts.proportion(2).estimate
+
+
+def test_proportion_needs_accepted_trials():
+    empty = CategoryCounts(counts=np.zeros(2, dtype=np.int64), trials=5,
+                           accepted=0)
+    with pytest.raises(InvalidInputError):
+        empty.proportion(1)
 
 
 def test_wilson_nonzero_at_extremes():
@@ -190,12 +201,6 @@ def test_worker_count_does_not_change_results():
     np.testing.assert_array_equal(cat1.counts, cat8.counts)
 
 
-def test_deterministic_mean():
-    est = estimate_mean(_spec("test_mod_mean", 10, seed=0))
-    assert est.estimate == pytest.approx(2.0, abs=1e-12)
-    assert est.stderr == pytest.approx((2.0 / 10) ** 0.5, abs=1e-12)
-
-
 def test_conditional_counting():
     """Raw draws in trials, event hits among accepted draws only."""
     est = estimate_probability(_spec("test_mod_cond", 18, seed=0))
@@ -207,8 +212,9 @@ def test_conditional_counting():
 def test_deterministic_categories():
     counts = estimate_categories(_spec("test_mod_cat", 40, seed=0))
     assert counts.counts.tolist() == [10, 10, 10, 10]
+    assert counts.accepted == 40
     with pytest.raises(InvalidInputError):
-        estimate_categories(_spec("test_coin", 10))
+        estimate_probability(_spec("test_mod_cat", 10))
 
 
 def test_acceptance_floor_aborts_early():
