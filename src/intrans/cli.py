@@ -13,8 +13,9 @@ object is read once and its keys become `--key=value` flags placed right
 after the subcommand, so argparse checks them exactly like flags, an
 explicit flag (which comes later) wins, and a null value leaves its flag
 unset. Flags and keys must be spelled out in full. Exit codes: 0
-success, 1 numeric failure (machine-readable JSON on stderr), 2 usage
-error.
+success, 1 failure during a run (machine-readable JSON on stderr), 2
+usage error, which includes every parameter value the experiment family
+rejects.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy.special import ndtr
 
 from . import __version__
 from .distributions import DISTRIBUTIONS, get_distribution
-from .errors import IntransError
+from .errors import IntransError, InvalidInputError
 from .gaussian import (
     CorrelationKernel,
     beta_constant,
@@ -117,19 +118,24 @@ def _meta(spec: ExperimentSpec, experiment_id: str, subcommand: str,
 # ---------------------------------------------------------------- dice
 
 
+def _make_spec(parser, family, params, trials, seed, conditioning=None):
+    """The run's spec; a value its family rejects is a usage error."""
+    try:
+        return ExperimentSpec(family=family, params=params, trials=trials,
+                              seed=seed, conditioning=conditioning)
+    except InvalidInputError as e:
+        parser.error(str(e))
+
+
 def _cmd_dice(args, parser) -> int:
     n, model = args.n, args.model
-    if model == "conditioned" and n < 2:
-        parser.error("--n must be at least 2 for the conditioned model")
-    if model == "stationary" and args.hurst is None:
-        parser.error("--hurst is required for the stationary model")
     params = {"model": model, "n": n}
     if model in ("conditioned", "iid"):
         params["dist"] = args.dist
     if model == "stationary":
         params["hurst"] = args.hurst
-    spec = ExperimentSpec(family="dice_triples", params=params,
-                          trials=args.triples, seed=args.seed)
+    spec = _make_spec(parser, "dice_triples", params, args.triples,
+                      args.seed)
     from .experiments import summarize_dice_categories
 
     counts = estimate_categories(spec)
@@ -175,23 +181,18 @@ def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
 
 def _cmd_elections(args, parser) -> int:
     n, k = args.n, args.k
-    if n % 2 == 0:
-        parser.error("--n must be odd so pairwise ties cannot happen")
     excl = _parse_subset_excl(args.subset_excl, k, parser)
     n_pairs = k * (k - 1) // 2
     conditioning = None
     if args.d is not None:
-        if args.d < 1:
-            parser.error("--d must be a positive margin bound")
         conditioning = {"event": "close", "d": args.d}
         if excl is not None:
             conditioning["subset"] = [i for i in range(n_pairs)
                                       if i != excl]
     elif excl is not None:
         parser.error("--subset-excl only makes sense with --d")
-    spec = ExperimentSpec(family="election_outcomes",
-                          params={"n": n, "k": k}, trials=args.trials,
-                          seed=args.seed, conditioning=conditioning)
+    spec = _make_spec(parser, "election_outcomes", {"n": n, "k": k},
+                      args.trials, args.seed, conditioning)
     from .experiments import (
         condorcet_probability,
         outcome_categories,
@@ -226,22 +227,15 @@ def _cmd_elections(args, parser) -> int:
 
 def _cmd_triplet(args, parser) -> int:
     n = args.n
-    if n < 3 or n % 3 != 0 or (n // 3) % 2 == 0:
-        parser.error("--n must be a multiple of 3 with an odd number of "
-                     "triplets")
-    if args.mode == "noise" and args.rho is None:
-        parser.error("--rho is required for --mode noise")
     conditioning = None
     if args.d is not None:
-        if args.d < 1:
-            parser.error("--d must be a positive margin bound")
         conditioning = {"event": "close", "d": args.d}
-    rho = args.rho if args.mode == "noise" else None
-    params = {"n": n} if rho is None else {"n": n, "rho": rho}
-    family = "triplet_paradox" if rho is None else "triplet_noise"
-    spec = ExperimentSpec(family=family, params=params,
-                          trials=args.trials, seed=args.seed,
-                          conditioning=conditioning)
+    noise = args.mode == "noise"
+    rho = args.rho if noise else None
+    family = "triplet_noise" if noise else "triplet_paradox"
+    params = {"n": n, "rho": rho} if noise else {"n": n}
+    spec = _make_spec(parser, family, params, args.trials, args.seed,
+                      conditioning)
     est = estimate_probability(spec)
     exp_id = _experiment_id(spec)
     common = dict(model=args.mode, n=n,

@@ -51,13 +51,9 @@ class Die:
 
 
 def as_faces(a: FacesLike) -> np.ndarray:
-    """Coerce a Die or array-like to a float64 face array."""
-    if isinstance(a, Die):
-        return a.faces
-    faces = np.asarray(a, dtype=np.float64)
-    if faces.ndim != 1 or faces.size < 1:
-        raise InvalidInputError("expected a 1-D, non-empty face sequence")
-    return faces
+    """The float64 face array of a Die, or of an array-like checked as
+    a Die checks its faces."""
+    return a.faces if isinstance(a, Die) else Die(a).faces
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import mc  # block kernels look mc.substream up at call time
 from .dice import (
@@ -52,14 +51,25 @@ TRIPLE_CLASS_ORDER = (TripleClass.TRANSITIVE, TripleClass.INTRANSITIVE,
 N_DICE_CATEGORIES = 12
 
 
-def _param(params: dict, key: str, family: str):
-    """A required family param; a typed error names the family and the
-    key when it is missing."""
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, family: str, convert=int,
+           default=_REQUIRED):
+    """A family param passed through convert, or default when it is
+    absent or null; a typed error names the family and the key when a
+    required param is missing or a value cannot be converted."""
+    value = params.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidInputError(
+                "family %r needs the param %r" % (family, key))
+        return default
     try:
-        return params[key]
-    except KeyError:
-        raise InvalidInputError(
-            "family %r needs the param %r" % (family, key)) from None
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError("family %r cannot read the param %r = %r"
+                                % (family, key, value)) from None
 
 
 def _conditioning_fields(spec: ExperimentSpec):
@@ -71,13 +81,12 @@ def _conditioning_fields(spec: ExperimentSpec):
     if cond.get("event", "close") != "close":
         raise InvalidInputError(
             "unknown conditioning event %r" % (cond.get("event"),))
-    d = cond.get("d")
-    if d is None or int(d) < 1:
+    d = _param(cond, "d", spec.family)
+    if d < 1:
         raise InvalidInputError("conditioning needs a threshold d >= 1")
-    subset = cond.get("subset")
-    if subset is not None:
-        subset = tuple(int(i) for i in subset)
-    return int(d), subset
+    subset = _param(cond, "subset", spec.family,
+                    lambda s: tuple(int(i) for i in s), None)
+    return d, subset
 
 
 @register_family("election_outcomes")
@@ -90,8 +99,8 @@ def _build_election_outcomes(spec: ExperimentSpec):
     candidate wins that pair, so k=3 has 8 categories. A block draws its
     ranking counts as one multinomial from substream(seed, start).
     """
-    n = int(_param(spec.params, "n", spec.family))
-    k = int(spec.params.get("k", 3))
+    n = _param(spec.params, "n", spec.family)
+    k = _param(spec.params, "k", spec.family, default=3)
     if n < 1 or n % 2 == 0:
         raise ParityError("voter count must be odd to exclude ties")
     if not 2 <= k <= 5:
@@ -195,7 +204,7 @@ def _build_triplet(spec: ExperimentSpec):
     vote margins being at most d. triplet_paradox votes by impartial
     culture; under triplet_noise each voter's three votes agree with a
     hidden uniform sign with probability (1+rho)/2."""
-    n = int(_param(spec.params, "n", spec.family))
+    n = _param(spec.params, "n", spec.family)
     if n < 3 or n % 3 != 0:
         raise InvalidInputError("vote count must be a positive multiple of 3")
     m = n // 3
@@ -203,7 +212,7 @@ def _build_triplet(spec: ExperimentSpec):
         raise ParityError("the number of triplets must be odd")
     rho = None
     if spec.family == "triplet_noise":
-        rho = float(_param(spec.params, "rho", spec.family))
+        rho = _param(spec.params, "rho", spec.family, float)
     d, subset = _conditioning_fields(spec)
     if subset is not None:
         raise InvalidInputError(
@@ -212,36 +221,15 @@ def _build_triplet(spec: ExperimentSpec):
     return _triplet_margin_kernel(probs, weights, m, d), 2
 
 
-def _face_cdf(model) -> Callable[[np.ndarray], np.ndarray]:
-    """Marginal CDF of one face under the model, for the CDF-sum
-    comparison statistic."""
-    if isinstance(model, (ContinuousConditioned, IidContinuous)):
-        return model.dist.cdf
-    if isinstance(model, StationaryGaussian):
-        var = model.kernel.rho(0)
-        scale = 1.0 / math.sqrt(2.0 * var)
-
-        def gauss_cdf(x):
-            return 0.5 * (1.0 + _erf(np.asarray(x, dtype=np.float64)
-                                     * scale))
-
-        return gauss_cdf
-    if isinstance(model, DiscreteConditioned):
-        n = model.n
-
-        def lattice_cdf(x):
-            return np.clip(np.floor(np.asarray(x, dtype=np.float64)),
-                           0.0, n) / n
-
-        return lattice_cdf
-    raise InvalidInputError("unsupported dice model %r" % (model,))
-
-
 def dice_model_from_params(params: dict):
     """Instantiate a triple-sampling model from a params dict with keys
     model, n, and dist or hurst as the model requires."""
+    family = "dice_triples"
     name = params.get("model", "conditioned")
-    n = int(_param(params, "n", "dice_triples"))
+    n = _param(params, "n", family)
+    least = 2 if name == "conditioned" else 1
+    if n < least:
+        raise DomainError("the %s model needs n >= %d" % (name, least))
     if name == "discrete":
         return DiscreteConditioned(n=n)
     if name == "conditioned":
@@ -251,11 +239,8 @@ def dice_model_from_params(params: dict):
         return IidContinuous(
             n=n, dist=get_distribution(params.get("dist", "uniform")))
     if name == "stationary":
-        hurst = params.get("hurst")
-        if hurst is None:
-            raise InvalidInputError("stationary model needs hurst")
-        return StationaryGaussian(n=n,
-                                  kernel=CorrelationKernel.fbm(float(hurst)))
+        hurst = _param(params, "hurst", family, float)
+        return StationaryGaussian(n=n, kernel=CorrelationKernel.fbm(hurst))
     raise InvalidInputError("unknown dice model %r" % (name,))
 
 
@@ -268,7 +253,6 @@ def _build_dice_triples(spec: ExperimentSpec):
     triples one after another, three dice each, from
     substream(seed, start)."""
     model = dice_model_from_params(spec.params)
-    face_cdf = _face_cdf(model)
     class_index = {cls: i for i, cls in enumerate(TRIPLE_CLASS_ORDER)}
 
     def kernel(seed: int, start: int, stop: int):
@@ -276,7 +260,7 @@ def _build_dice_triples(spec: ExperimentSpec):
         category = np.empty(stop - start, dtype=np.intp)
         for t in range(stop - start):
             dice = [model.sample(rng) for _ in range(3)]
-            sums = [cdf_sum(die, face_cdf) for die in dice]
+            sums = [cdf_sum(die, model.cdf) for die in dice]
             margins = {}
             agree = 0
             for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -323,7 +307,7 @@ def _build_orthant3(spec: ExperimentSpec):
     {"r": correlation}) lands in the positive orthant (category 1) or not
     (category 0). A block draws its (size, 3) standard normals from
     substream(seed, start)."""
-    r = float(_param(spec.params, "r", spec.family))
+    r = _param(spec.params, "r", spec.family, float)
     if not -0.5 < r <= 1.0:
         raise DomainError("equicorrelation must lie in (-1/2, 1]")
     cov = np.full((3, 3), r) + (1.0 - r) * np.eye(3)

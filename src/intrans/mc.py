@@ -144,6 +144,10 @@ class ExperimentSpec:
     family names a registered experiment kind, params configure the model,
     conditioning (optional) holds the closeness event {"d": int, "subset":
     [pair indices] or None}. Equal specs produce bit-identical estimates.
+
+    A spec is checked when it is made: trials must be at least 1, and the
+    family's builder runs once, so a param or conditioning value the
+    family rejects raises InvalidInputError here.
     """
 
     family: str
@@ -152,6 +156,11 @@ class ExperimentSpec:
     seed: int
     conditioning: Optional[dict] = None
     workers: Optional[int] = None
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidInputError("need at least one trial")
+        build_kernel(self)
 
     def to_json(self) -> str:
         payload = {
@@ -189,6 +198,11 @@ def register_family(name: str):
     n_categories >= 2 is the number of category indices the kernel
     reports; a family estimate_probability can run has exactly 2 (miss,
     hit).
+
+    The builder owns its family's rules: it raises InvalidInputError for
+    a missing, unreadable or out-of-range param or conditioning value.
+    It runs whenever an ExperimentSpec is made, so it must be cheap and
+    draw nothing.
     """
 
     def wrap(builder):
@@ -261,8 +275,6 @@ def _run_phase(kernel, seed, start, stop, workers, n_categories):
 def _run_trials(spec: ExperimentSpec, kernel: TrialKernel,
                 n_categories: int, acceptance_floor: float) -> CategoryCounts:
     trials, seed = spec.trials, spec.seed
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
     workers = resolve_workers(spec.workers)
     # The probe is whole blocks, so every block starts at a multiple of
     # BLOCK_SIZE whatever the floor.

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import erf
 
 from .dice import Die
 from .distributions import FaceDistribution, get_distribution
@@ -226,6 +227,11 @@ class DiscreteConditioned:
     def sample(self, rng: np.random.Generator) -> Die:
         return sample_discrete_conditioned(self.n, rng)
 
+    def cdf(self, x) -> np.ndarray:
+        """Marginal CDF of one face: uniform on {1..n}."""
+        return np.clip(np.floor(np.asarray(x, dtype=np.float64)),
+                       0.0, self.n) / self.n
+
 
 @dataclass(frozen=True)
 class ContinuousConditioned:
@@ -236,6 +242,10 @@ class ContinuousConditioned:
 
     def sample(self, rng: np.random.Generator) -> Die:
         return sample_continuous_conditioned(self.n, self.dist, rng)
+
+    def cdf(self, x) -> np.ndarray:
+        """The face law's CDF, the F of the CDF-sum statistic."""
+        return self.dist.cdf(x)
 
 
 @dataclass(frozen=True)
@@ -250,6 +260,11 @@ class StationaryGaussian:
         return sample_stationary_gaussian(self.n, self.kernel, rng,
                                           self.method)
 
+    def cdf(self, x) -> np.ndarray:
+        """Marginal CDF of one face, N(0, 1/2): the kernel enforces
+        rho(0) = 1/2, so 1/sqrt(2 rho(0)) = 1."""
+        return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64)))
+
 
 @dataclass(frozen=True)
 class IidContinuous:
@@ -260,6 +275,10 @@ class IidContinuous:
 
     def sample(self, rng: np.random.Generator) -> Die:
         return sample_iid(self.n, self.dist, rng)
+
+    def cdf(self, x) -> np.ndarray:
+        """The face law's CDF, the F of the CDF-sum statistic."""
+        return self.dist.cdf(x)
 
 
 def lex_pairs(k: int) -> list[tuple[int, int]]:

@@ -141,17 +141,25 @@ def _cell_index(w_ab: int, w_bc: int, w_ca: int) -> int:
     return 16 * ia + 4 * ib + ic
 
 
+def _three_voter_joint(patterns, probs) -> list:
+    """Joint law of one triplet's weights (w_ab, w_bc, w_ca) over the 64
+    cells when each of its three voters casts the cyclic vote pattern
+    patterns[i] with probability probs[i], independently."""
+    joint = [0] * 64
+    for (pat1, pr1), (pat2, pr2), (pat3, pr3) in product(
+            zip(patterns, probs), repeat=3):
+        w = (pat1[0] + pat2[0] + pat3[0], pat1[1] + pat2[1] + pat3[1],
+             pat1[2] + pat2[2] + pat3[2])
+        joint[_cell_index(*w)] += pr1 * pr2 * pr3
+    return joint
+
+
 @lru_cache(maxsize=None)
 def _ranking_triplet_joint() -> tuple:
     """Exact joint of (w_ab, w_bc, w_ca) for one triplet of independent
     uniform-ranking voters: 64 cell probabilities over denominator 216."""
-    votes = _cycle_sign_tuples()
-    counts = [0] * 64
-    for v1, v2, v3 in product(votes, repeat=3):
-        w = (v1[0] + v2[0] + v3[0], v1[1] + v2[1] + v3[1],
-             v1[2] + v2[2] + v3[2])
-        counts[_cell_index(*w)] += 1
-    return tuple(Fraction(c, 216) for c in counts)
+    return tuple(Fraction(p) for p in _three_voter_joint(
+        _cycle_sign_tuples(), [Fraction(1, 6)] * 6))
 
 
 def triplet_cell_tables(rho: Optional[float] = None):
@@ -182,12 +190,7 @@ def triplet_cell_tables(rho: Optional[float] = None):
         up = math.prod(agree if v == 1 else 1.0 - agree for v in pat)
         down = math.prod(1.0 - agree if v == 1 else agree for v in pat)
         pattern_probs.append(0.5 * (up + down))
-    probs = np.zeros(64)
-    for (pat1, pr1), (pat2, pr2), (pat3, pr3) in product(
-            zip(patterns, pattern_probs), repeat=3):
-        w = (pat1[0] + pat2[0] + pat3[0], pat1[1] + pat2[1] + pat3[1],
-             pat1[2] + pat2[2] + pat3[2])
-        probs[_cell_index(*w)] += pr1 * pr2 * pr3
+    probs = np.array(_three_voter_joint(patterns, pattern_probs))
     return probs, weights
 
 
@@ -233,32 +236,23 @@ class TripletCovariances:
 def triplet_covariances() -> TripletCovariances:
     """All second moments of (A, B) per triplet in exact arithmetic,
     computed from the enumerated joint law."""
-    joint = _ranking_triplet_joint()
-    values = TRIPLET_VALUES
-
+    table = table1_joint()
     e_ww = Fraction(0)      # E[w_ab * w_bc]
     e_ss = Fraction(0)      # E[sgn(w_ab) sgn(w_bc)]
     e_ws_cross = Fraction(0)  # E[w_ab * sgn(w_bc)]
     e_w2 = Fraction(0)
     e_w_abs = Fraction(0)
-    for ia in range(4):
-        for ib in range(4):
-            p = Fraction(0)
-            for ic in range(4):
-                p += joint[16 * ia + 4 * ib + ic]
-            wa, wb = values[ia], values[ib]
-            sa = 1 if wa > 0 else -1
+    for ia, wa in enumerate(TRIPLET_VALUES):
+        sa = 1 if wa > 0 else -1
+        for ib, wb in enumerate(TRIPLET_VALUES):
+            p = table[ia][ib]
             sb = 1 if wb > 0 else -1
             e_ww += p * wa * wb
             e_ss += p * sa * sb
             e_ws_cross += p * wa * sb
-    for ia in range(4):
-        p = Fraction(0)
-        for ib in range(4):
-            for ic in range(4):
-                p += joint[16 * ia + 4 * ib + ic]
-        e_w2 += p * values[ia] ** 2
-        e_w_abs += p * abs(values[ia])
+        p = sum(table[ia])
+        e_w2 += p * wa ** 2
+        e_w_abs += p * abs(wa)
 
     # A = w / sqrt(3): Var A = E[w^2]/3; Cov(A, A') = E[w w']/3;
     # Cov(A, B same) = E[|w|]/sqrt(3) = (E[|w|]/3) sqrt(3); similarly the

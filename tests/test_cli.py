@@ -302,22 +302,29 @@ def test_usage_errors_exit_two():
     _usage_error(["triplet", "--n", "12", "--trials", "10"])
     _usage_error(["triplet", "--mode", "noise", "--n", "9",
                   "--trials", "10"])
+    # Values a family rejects when the spec is made: the CLI turns the
+    # family's typed error into a usage error.
+    _usage_error(["elections", "--n", "3", "--k", "6", "--trials", "10"])
+    _usage_error(["triplet", "--mode", "noise", "--n", "9", "--rho", "1.5",
+                  "--trials", "10"])
+    _usage_error(["dice", "--model", "stationary", "--n", "8", "--hurst",
+                  "1.5", "--triples", "10"])
+    _usage_error(["dice", "--model", "discrete", "--n", "0", "--triples",
+                  "10"])
+    _usage_error(["elections", "--n", "5", "--trials", "0"])
     _usage_error(["verify", "--suite", "bogus"])
     _usage_error(["nonsense"])
 
 
 def test_numeric_failures_exit_one_with_json(capsys):
-    code, _, err = _run(capsys, ["triplet", "--mode", "noise", "--n", "9",
-                                 "--rho", "1.5", "--trials", "10"])
-    assert code == 1
-    payload = json.loads(err.strip())
-    assert payload["error"] == "DomainError"
-    assert "rho" in payload["message"]
-    code, _, err = _run(capsys, ["elections", "--n", "3", "--k", "6",
+    # A failure during the run, not a rejected value: at n=100001 no
+    # trial is within d=1, so the acceptance floor aborts it.
+    code, _, err = _run(capsys, ["elections", "--n", "100001", "--d", "1",
                                  "--trials", "10"])
     assert code == 1
     payload = json.loads(err.strip())
-    assert payload["error"] == "InvalidInputError"
+    assert payload["error"] == "AcceptanceFloorError"
+    assert payload["observed_rate"] == 0.0
 
 
 # ------------------------------------------------------- reproducibility

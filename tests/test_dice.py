@@ -52,6 +52,18 @@ def test_die_validation():
     assert len(die) == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_faces_must_be_finite_like_a_die(bad):
+    # Raw arrays pass the same check as Die, so a non-finite face is an
+    # error and not a count.
+    with pytest.raises(InvalidInputError):
+        pair_stats([bad, 1.0], [0.0, 2.0])
+    with pytest.raises(InvalidInputError):
+        cdf_sum([bad, 1.0], lambda x: x)
+    with pytest.raises(InvalidInputError):
+        classify_triple([1.0, 2.0], [0.0, 3.0], [bad, 1.5])
+
+
 def test_pair_stats_small_example():
     stats = pair_stats([2, 4, 9], [1, 6, 8])
     assert stats == PairStats(wins=5, losses=4, ties=0)

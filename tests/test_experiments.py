@@ -22,7 +22,6 @@ from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
     N_DICE_CATEGORIES,
     TRIPLE_CLASS_ORDER,
-    _face_cdf,
     _triplet_margin_kernel,
     condorcet_probability,
     dice_model_from_params,
@@ -288,7 +287,6 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
     assert accepted.shape == values.shape == (size,)
     assert accepted.all()
     model = dice_model_from_params(params)
-    face_cdf = _face_cdf(model)
     rng = substream(seed, start)
     classes = set()
     for value in values:
@@ -296,7 +294,7 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
         cls = classify_triple(a, b, c)
         agree = sum(
             np.sign(pair_stats(x, y).margin)
-            == np.sign(cdf_sum(x, face_cdf) - cdf_sum(y, face_cdf))
+            == np.sign(cdf_sum(x, model.cdf) - cdf_sum(y, model.cdf))
             for x, y in ((a, b), (a, c), (b, c)))
         assert value == 4 * TRIPLE_CLASS_ORDER.index(cls) + agree
         classes.add(cls)
@@ -391,6 +389,35 @@ def test_missing_family_param_is_a_typed_error(family, params, key):
     with pytest.raises(InvalidInputError,
                        match="%r.*%r" % (family, key)):
         build_kernel(_spec(family, params, 10, 1))
+
+
+@pytest.mark.parametrize("family,params,trials,conditioning", [
+    ("election_outcomes", {"n": "abc"}, 10, None),
+    ("election_outcomes", {"n": 5, "k": "x"}, 10, None),
+    ("election_outcomes", {"n": 5}, 10, {"d": "x"}),
+    ("election_outcomes", {"n": 5}, 10, {}),
+    ("triplet_noise", {"n": 9, "rho": "x"}, 10, None),
+    ("orthant3", {"r": "x"}, 10, None),
+    ("dice_triples", {"model": "stationary", "n": 8, "hurst": "x"}, 10,
+     None),
+    ("triplet_paradox", {}, 10, None),
+    ("election_outcomes", {"n": 5}, 0, None),
+    ("no_such_family", {}, 10, None),
+    ("dice_triples", {"model": "conditioned", "n": 1}, 10, None),
+], ids=["n", "k", "d", "missing_d", "rho", "r", "hurst", "missing_n",
+        "trials_0", "unknown_family", "conditioned_n1"])
+def test_spec_is_checked_when_it_is_made(family, params, trials,
+                                         conditioning):
+    with pytest.raises(InvalidInputError):
+        ExperimentSpec(family=family, params=params, trials=trials, seed=1,
+                       conditioning=conditioning)
+
+
+def test_params_changed_after_construction_are_checked_again():
+    spec = _spec("election_outcomes", {"n": 5}, 10, 1)
+    spec.params["n"] = 4
+    with pytest.raises(ParityError):
+        estimate_categories(spec)
 
 
 # ------------------------------------------------- triplet majorities
