@@ -559,11 +559,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, args.parser)
     except (IntransError, FloatingPointError, np.linalg.LinAlgError) as e:
-        payload = {"error": type(e).__name__, "message": str(e)}
-        for attr in ("attempts", "accepted", "minor_order", "rho",
-                     "observed_rate", "floor", "probe_trials"):
-            if hasattr(e, attr):
-                payload[attr] = getattr(e, attr)
+        payload = {"error": type(e).__name__, "message": str(e), **vars(e)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
 

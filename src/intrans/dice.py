@@ -107,15 +107,12 @@ def cdf_sum(a: FacesLike, F: Callable) -> float:
 
     The difference cdf_sum(a, F) - cdf_sum(b, F) is the predictor of the
     beats outcome for non-uniform conditioned dice. F must be a monotone
-    nondecreasing map into [0, 1], applied pointwise.
+    nondecreasing map into [0, 1] that maps the face array elementwise.
     """
     faces = as_faces(a)
-    try:
-        values = np.asarray(F(faces), dtype=float)
-        if values.shape != faces.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(F(x)) for x in faces])
+    values = np.asarray(F(faces), dtype=float)
+    if values.shape != faces.shape:
+        raise InvalidInputError("F must map the face array elementwise")
     return float(values.sum())
 
 

@@ -63,8 +63,6 @@ def outcome(scores: PairwiseScores) -> Tournament:
     """Tournament of margin signs; requires odd n so no margin is zero."""
     if scores.n % 2 == 0:
         raise ParityError("outcome needs an odd number of voters")
-    if np.any(scores.s == 0):
-        raise ParityError("zero margin despite odd n; corrupt scores")
     return Tournament(np.sign(scores.s).astype(np.int8), scores.k)
 
 

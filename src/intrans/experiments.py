@@ -89,6 +89,29 @@ def _conditioning_fields(spec: ExperimentSpec):
     return d, subset
 
 
+def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
+                        check: np.ndarray, d: Optional[int], category):
+    """The block kernel of the election and triplet families. A block
+    draws its type counts as one multinomial of draws over probs from
+    substream(seed, start) and tallies them into the exact integer
+    margins counts @ weights. A trial is accepted when its margins in the
+    columns check are all at most d in absolute value (every trial when d
+    is None), and category(counts, margins) gives each trial's
+    category."""
+
+    def kernel(seed: int, start: int, stop: int):
+        counts = mc.substream(seed, start).multinomial(
+            draws, probs, size=stop - start)
+        margins = counts @ weights
+        if d is None:
+            accepted = np.ones(stop - start, dtype=bool)
+        else:
+            accepted = (np.abs(margins[:, check]) <= d).all(axis=1)
+        return accepted, category(counts, margins)
+
+    return kernel
+
+
 @register_family("election_outcomes")
 def _build_election_outcomes(spec: ExperimentSpec):
     """Tournament outcome of a k-candidate impartial-culture election,
@@ -108,8 +131,6 @@ def _build_election_outcomes(spec: ExperimentSpec):
     d, subset = _conditioning_fields(spec)
     n_pairs = k * (k - 1) // 2
     signs = ranking_sign_matrix(k)
-    n_rankings = signs.shape[0]
-    pvals = np.full(n_rankings, 1.0 / n_rankings)
     if subset is None:
         check = np.arange(n_pairs)
     else:
@@ -117,16 +138,9 @@ def _build_election_outcomes(spec: ExperimentSpec):
         if check.size == 0 or check[0] < 0 or check[-1] >= n_pairs:
             raise InvalidInputError("subset indexes lex pairs 0..K-1")
     bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
-
-    def kernel(seed: int, start: int, stop: int):
-        rng = mc.substream(seed, start)
-        margins = rng.multinomial(n, pvals, size=stop - start) @ signs
-        if d is None:
-            accepted = np.ones(stop - start, dtype=bool)
-        else:
-            accepted = (np.abs(margins[:, check]) <= d).all(axis=1)
-        return accepted, (margins > 0) @ bit_weights
-
+    kernel = _multinomial_kernel(
+        n, np.full(len(signs), 1.0 / len(signs)), signs, check, d,
+        lambda counts, margins: (margins > 0) @ bit_weights)
     return kernel, 1 << n_pairs
 
 
@@ -170,32 +184,6 @@ def transitive_probability(counts: CategoryCounts, k: int,
     return est.estimate, est.stderr
 
 
-def _triplet_margin_kernel(probs: np.ndarray, weights: np.ndarray,
-                           m: int, d: Optional[int]):
-    """Shared block kernel of the triplet families: per trial, draw the m
-    triplet cells (one multinomial from substream(seed, start) for the
-    whole block), form the three vote margins and the three
-    triplet-majority signs, condition on margin closeness, and report
-    whether the three cyclically oriented comparisons share one sign
-    (category 1) or not (category 0)."""
-    signs = np.sign(weights).astype(np.float64)
-    weights_f = weights.astype(np.float64)
-
-    def kernel(seed: int, start: int, stop: int):
-        rng = mc.substream(seed, start)
-        counts = rng.multinomial(m, probs, size=stop - start).astype(
-            np.float64)
-        if d is None:
-            accepted = np.ones(stop - start, dtype=bool)
-        else:
-            accepted = (np.abs(counts @ weights_f) <= d).all(axis=1)
-        f_signs = counts @ signs
-        hit = (f_signs > 0).all(axis=1) | (f_signs < 0).all(axis=1)
-        return accepted, hit.astype(np.intp)
-
-    return kernel
-
-
 @register_family("triplet_paradox")
 @register_family("triplet_noise")
 def _build_triplet(spec: ExperimentSpec):
@@ -203,7 +191,8 @@ def _build_triplet(spec: ExperimentSpec):
     on three candidates, optionally conditioned on all three pairwise
     vote margins being at most d. triplet_paradox votes by impartial
     culture; under triplet_noise each voter's three votes agree with a
-    hidden uniform sign with probability (1+rho)/2."""
+    hidden uniform sign with probability (1+rho)/2. A trial is a hit when
+    its triplet-majority sums counts @ sign(weights) share one sign."""
     n = _param(spec.params, "n", spec.family)
     if n < 3 or n % 3 != 0:
         raise InvalidInputError("vote count must be a positive multiple of 3")
@@ -218,7 +207,14 @@ def _build_triplet(spec: ExperimentSpec):
         raise InvalidInputError(
             "triplet conditioning uses all three margins")
     probs, weights = triplet_cell_tables(rho)
-    return _triplet_margin_kernel(probs, weights, m, d), 2
+    signs = np.sign(weights)
+
+    def cycle(counts, margins):
+        f_signs = counts @ signs
+        hit = (f_signs > 0).all(axis=1) | (f_signs < 0).all(axis=1)
+        return hit.astype(np.intp)
+
+    return _multinomial_kernel(m, probs, weights, np.arange(3), d, cycle), 2
 
 
 def dice_model_from_params(params: dict):

@@ -96,42 +96,34 @@ def identity_partial_sum(kind: str, Q: int) -> float:
         newton_pi    -> pi    = sum 3 C(2q,q) / ((2q+1) 2^{4q})
         sixth        -> 1/6   = sum (2q+1)! 2^{-2q} d_{2q+1}^2
 
+    Each term is d_{2q+1}^2 (2q+1)! times 1, 4 pi, 6 pi 4^{-q} or 4^{-q}.
     quarter and ramanujan_pi converge like q^{-3/2} (test with a
     tail-aware tolerance ~ Q^{-1/2}); newton_pi and sixth are geometric.
     """
     if Q < 0:
         raise DomainError("Q must be nonnegative")
-    q = np.arange(Q + 1, dtype=float)
-    logc = _log_central_binomial(q)
-    log2 = math.log(2.0)
-    if kind == "quarter":
-        terms = np.exp(logc - np.log(2 * q + 1) - 2 * q * log2 - math.log(TWO_PI))
-    elif kind == "ramanujan_pi":
-        terms = np.exp(logc - (2 * q - 1) * log2 - np.log(2 * q + 1))
-    elif kind == "newton_pi":
-        terms = 3.0 * np.exp(logc - 4 * q * log2 - np.log(2 * q + 1))
-    elif kind == "sixth":
-        terms = np.exp(logc - np.log(2 * q + 1) - 4 * q * log2 - math.log(TWO_PI))
-    else:
+    if kind not in IDENTITY_KINDS:
         raise InvalidInputError(
             "unknown identity kind %r (choose from %s)" % (kind, IDENTITY_KINDS)
         )
-    return math.fsum(terms.tolist())
+    q = np.arange(Q + 1, dtype=float)
+    factor = {"quarter": 1.0, "ramanujan_pi": 4.0 * math.pi,
+              "newton_pi": 6.0 * math.pi * 0.25 ** q, "sixth": 0.25 ** q}
+    return math.fsum((_coef_d2_factorial(q) * factor[kind]).tolist())
 
 
 def phi_product_expectation(rho: float, Q: int = 40) -> float:
     """E[Phi(X) Phi(Y)] for standard Gaussians with correlation rho.
 
     Computed as 1/4 + sum_{q<=Q} l_{2q+1}^2 (2q+1)! rho^{2q+1}; the series
-    coefficient equals C(2q,q) / ((2q+1) 2^{4q} 4*pi). For |rho| <= 1/2 the
+    coefficient is d_{2q+1}^2 (2q+1)! 4^{-q} / 2. For |rho| <= 1/2 the
     tail beyond Q=40 is below 1e-15; at |rho| = 1 the series still sums
     (to 1/3) but needs the slow q^{-3/2} tail, so large Q is required there.
     """
     if abs(rho) > 1.0:
         raise DomainError("correlation must satisfy |rho| <= 1")
     q = np.arange(Q + 1, dtype=float)
-    coeff = np.exp(_log_central_binomial(q) - np.log(2 * q + 1)
-                   - 4 * q * math.log(2.0) - math.log(2.0 * TWO_PI))
+    coeff = _coef_d2_factorial(q) * 0.25 ** q / 2.0
     powers = np.power(rho, 2 * q + 1)
     return 0.25 + math.fsum((coeff * powers).tolist())
 
@@ -197,8 +189,6 @@ class CorrelationKernel:
 
     @classmethod
     def fbm(cls, H: float) -> "CorrelationKernel":
-        if not 0.0 < H < 1.0:
-            raise DomainError("Hurst index must lie in (0, 1)")
         return cls(
             name="fbm(H=%g)" % H,
             rho=lambda k: s_kernel(k, H),

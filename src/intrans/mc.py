@@ -28,6 +28,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
@@ -42,7 +43,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Trials per index block. A kernel draws a block from one substream keyed
 # by its first trial, so seeded results depend on it by design; it also
 # bounds a block's arrays (at most 4096 x 120 int64 ranking counts for
-# k=5 elections, 4096 x 64 float64 cell counts for triplets). A phase of
+# k=5 elections, 4096 x 64 int64 cell counts for triplets). A phase of
 # one block runs inline, without the thread pool.
 BLOCK_SIZE = 4096
 
@@ -145,9 +146,11 @@ class ExperimentSpec:
     conditioning (optional) holds the closeness event {"d": int, "subset":
     [pair indices] or None}. Equal specs produce bit-identical estimates.
 
-    A spec is checked when it is made: trials must be at least 1, and the
-    family's builder runs once, so a param or conditioning value the
-    family rejects raises InvalidInputError here.
+    A spec is checked when it is made: params and conditioning (or None)
+    must be mappings, trials, seed and workers (or None) integers, kept as
+    Python ints, trials at least 1, and the spec JSON; then the family's
+    builder runs once, so a param or conditioning value the family
+    rejects raises InvalidInputError here.
     """
 
     family: str
@@ -158,29 +161,37 @@ class ExperimentSpec:
     workers: Optional[int] = None
 
     def __post_init__(self):
+        if not (isinstance(self.params, Mapping) and isinstance(
+                self.conditioning, (Mapping, type(None)))):
+            raise InvalidInputError(
+                "params must be a mapping, conditioning a mapping or None")
+        for name in ("trials", "seed", "workers"):
+            value = getattr(self, name)
+            if not (name == "workers" and value is None):
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, np.integer)):
+                    raise InvalidInputError(
+                        "%s must be an integer, got %r" % (name, value))
+                object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
+        try:
+            self.to_json()
+        except (TypeError, ValueError) as e:
+            raise InvalidInputError("spec is not JSON: %s" % e) from None
         build_kernel(self)
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "params": self.params,
-            "trials": self.trials,
-            "seed": self.seed,
-            "conditioning": self.conditioning,
-            "workers": self.workers,
-        }
-        return json.dumps(payload, sort_keys=True, default=_json_scalar)
+        return json.dumps(vars(self), sort_keys=True, default=_json_scalar)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         data = json.loads(text)
         return cls(
             family=data["family"],
-            params=dict(data["params"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
+            params=data["params"],
+            trials=data["trials"],
+            seed=data["seed"],
             conditioning=data.get("conditioning"),
             workers=data.get("workers"),
         )

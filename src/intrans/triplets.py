@@ -6,8 +6,10 @@ close-election paradox probability.
 
 Pair conventions here are cyclic: for candidates a, b, c the three
 comparisons are (ab), (bc), (ca), each voter contributing +1 to (ca) when
-they rank c above a. Voters are grouped into consecutive disjoint
-triplets; w_i in {-3, -1, +1, +3} is triplet i's vote sum on one pair.
+they rank c above a (patterns read off elections.ranking_sign_matrix(3);
+the Monte Carlo families run on experiments._multinomial_kernel). Voters
+are grouped into consecutive disjoint triplets; w_i in {-3, -1, +1, +3}
+is triplet i's vote sum on one pair.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +30,7 @@ from .errors import (
     ParityError,
     SingularCovarianceError,
 )
+from .elections import ranking_sign_matrix
 from .mc import MonteCarloEstimate
 
 TRIPLET_VALUES = (-3, -1, 1, 3)
@@ -121,17 +124,11 @@ def f_triplets_vector(x_rows: np.ndarray) -> np.ndarray:
 
 def _cycle_sign_tuples() -> list:
     """The 6 per-voter cyclic vote patterns (x_ab, x_bc, x_ca), one per
-    ranking of three candidates; the two constant-sign patterns never
+    ranking of three candidates, read off the lex-pair ranking table
+    (ab, ac, bc) in its row order; the two constant-sign patterns never
     occur because a strict order cannot cycle."""
-    tuples = []
-    for perm in permutations("abc"):
-        rank = {c: i for i, c in enumerate(perm)}
-        tuples.append((
-            1 if rank["a"] < rank["b"] else -1,
-            1 if rank["b"] < rank["c"] else -1,
-            1 if rank["c"] < rank["a"] else -1,
-        ))
-    return tuples
+    return [(int(ab), int(bc), -int(ac))
+            for ab, ac, bc in ranking_sign_matrix(3)]
 
 
 def _cell_index(w_ab: int, w_bc: int, w_ca: int) -> int:

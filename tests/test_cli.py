@@ -298,6 +298,10 @@ def test_usage_errors_exit_two():
                   "--trials", "10"])
     _usage_error(["elections", "--n", "5", "--d", "1", "--subset-excl",
                   "x", "--trials", "10"])
+    _usage_error(["elections", "--n", "5", "--d", "1", "--subset-excl",
+                  "0,0", "--trials", "10"])
+    _usage_error(["elections", "--n", "5", "--d", "1", "--subset-excl",
+                  "7", "--trials", "10"])
     _usage_error(["triplet", "--n", "8", "--trials", "10"])
     _usage_error(["triplet", "--n", "12", "--trials", "10"])
     _usage_error(["triplet", "--mode", "noise", "--n", "9",
@@ -324,6 +328,8 @@ def test_numeric_failures_exit_one_with_json(capsys):
     assert code == 1
     payload = json.loads(err.strip())
     assert payload["error"] == "AcceptanceFloorError"
+    assert set(payload) == {"error", "message", "observed_rate", "floor",
+                            "probe_trials"}
     assert payload["observed_rate"] == 0.0
 
 

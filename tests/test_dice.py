@@ -144,6 +144,14 @@ def test_cdf_sum_basics():
     assert total == pytest.approx(0.5 + 1.0 + 0.0)
     with pytest.raises(InvalidInputError):
         cdf_sum([], lambda x: x)
+    # F must map the face array elementwise, not return one scalar.
+    with pytest.raises(InvalidInputError):
+        cdf_sum(die, lambda x: 0.5)
+
+
+def test_pair_stats_needs_equal_lengths():
+    with pytest.raises(InvalidInputError):
+        pair_stats([1.0, 2.0], [1.0])
 
 
 @settings(max_examples=30, deadline=None)

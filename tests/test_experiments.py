@@ -22,7 +22,6 @@ from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
     N_DICE_CATEGORIES,
     TRIPLE_CLASS_ORDER,
-    _triplet_margin_kernel,
     condorcet_probability,
     dice_model_from_params,
     lag_covariance_mc,
@@ -248,8 +247,11 @@ def test_triplet_block_kernel_matches_per_trial_rule(rho):
     m, seed, start, size = 3, 6, BLOCK_SIZE, 600
     probs, weights = triplet_cell_tables(rho)
     signs = np.sign(weights)
+    family, params = (("triplet_paradox", {"n": 3 * m}) if rho is None
+                      else ("triplet_noise", {"n": 3 * m, "rho": rho}))
     for d in (None, 1):
-        kernel = _triplet_margin_kernel(probs, weights, m, d)
+        kernel, _ = build_kernel(_spec(family, params, size, seed,
+                                       None if d is None else {"d": d}))
         accepted, values = kernel(seed, start, start + size)
         assert accepted.shape == values.shape == (size,)
         rows = substream(seed, start).multinomial(m, probs, size=size)
@@ -411,6 +413,32 @@ def test_spec_is_checked_when_it_is_made(family, params, trials,
     with pytest.raises(InvalidInputError):
         ExperimentSpec(family=family, params=params, trials=trials, seed=1,
                        conditioning=conditioning)
+
+
+@pytest.mark.parametrize("fields", [
+    {"params": None},
+    {"conditioning": [3]},
+    {"trials": "10"},
+    {"trials": 2.5},
+    {"trials": True},
+    {"seed": 2.5},
+    {"seed": "1"},
+    {"workers": 1.5},
+    {"params": {"n": 5, "x": object()}},
+], ids=["params_none", "conditioning_list", "trials_str", "trials_float",
+        "trials_bool", "seed_float", "seed_str", "workers_float",
+        "params_not_json"])
+def test_spec_field_types_are_checked_when_it_is_made(fields):
+    with pytest.raises(InvalidInputError):
+        ExperimentSpec(**{"family": "election_outcomes", "params": {"n": 5},
+                          "trials": 10, "seed": 1, **fields})
+
+
+def test_spec_from_json_checks_field_types():
+    with pytest.raises(InvalidInputError):
+        ExperimentSpec.from_json('{"family": "election_outcomes", '
+                                 '"params": {"n": 5}, "trials": 2.5, '
+                                 '"seed": 1}')
 
 
 def test_params_changed_after_construction_are_checked_again():

@@ -160,6 +160,18 @@ def test_spec_json_round_trip():
     assert ExperimentSpec.from_json(numpy_valued.to_json()) == spec
 
 
+def test_numpy_integer_fields_are_stored_as_python_ints():
+    spec = ExperimentSpec(family="test_coin", params={},
+                          trials=np.int64(100), seed=np.int64(7),
+                          workers=np.int32(2))
+    assert spec == _spec("test_coin", 100, seed=7, workers=2)
+    assert all(type(v) is int for v in (spec.trials, spec.seed,
+                                        spec.workers))
+    a = estimate_probability(spec)
+    b = estimate_probability(_spec("test_coin", 100, seed=7, workers=2))
+    assert (a.estimate, a.accepted) == (b.estimate, b.accepted)
+
+
 def test_register_family_rejects_duplicates():
     @register_family("test_dup")
     def _one(spec):
