@@ -130,6 +130,15 @@ class CategoryCounts:
         )
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; InvalidInputError for a bool or a value
+    that is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError("%s must be an integer, got %r"
+                                % (name, value))
+    return int(value)
+
+
 def _json_scalar(value):
     """json.dumps hook: numpy integer and float scalars as Python ones."""
     if isinstance(value, (np.integer, np.floating)):
@@ -168,11 +177,7 @@ class ExperimentSpec:
         for name in ("trials", "seed", "workers"):
             value = getattr(self, name)
             if not (name == "workers" and value is None):
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, np.integer)):
-                    raise InvalidInputError(
-                        "%s must be an integer, got %r" % (name, value))
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, _integer(name, value))
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
         try:
@@ -283,10 +288,10 @@ def _run_phase(kernel, seed, start, stop, workers, n_categories):
     return sum(partials, np.zeros(n_categories, dtype=np.int64))
 
 
-def _run_trials(spec: ExperimentSpec, kernel: TrialKernel,
-                n_categories: int, acceptance_floor: float) -> CategoryCounts:
-    trials, seed = spec.trials, spec.seed
-    workers = resolve_workers(spec.workers)
+def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
+                seed: int, workers: Optional[int],
+                acceptance_floor: float) -> CategoryCounts:
+    workers = resolve_workers(workers)
     # The probe is whole blocks, so every block starts at a multiple of
     # BLOCK_SIZE whatever the floor.
     probe_blocks = math.ceil(math.ceil(3.0 / acceptance_floor) / BLOCK_SIZE)
@@ -314,7 +319,8 @@ def estimate_categories(spec: ExperimentSpec, *,
                         acceptance_floor: float = 1e-6) -> CategoryCounts:
     """Category counts over accepted trials."""
     kernel, n_categories = build_kernel(spec)
-    return _run_trials(spec, kernel, n_categories, acceptance_floor)
+    return _run_trials(kernel, n_categories, spec.trials, spec.seed,
+                       spec.workers, acceptance_floor)
 
 
 def estimate_probability(spec: ExperimentSpec, *,
@@ -327,8 +333,8 @@ def estimate_probability(spec: ExperimentSpec, *,
         raise InvalidInputError(
             "family %r reports %d categories, not a hit/miss pair"
             % (spec.family, n_categories))
-    counts = _run_trials(spec, kernel, 2, acceptance_floor)
-    return counts.proportion(1, stderr_method)
+    return _run_trials(kernel, 2, spec.trials, spec.seed, spec.workers,
+                       acceptance_floor).proportion(1, stderr_method)
 
 
 def sweep(spec: ExperimentSpec, grid: Sequence[dict], *,

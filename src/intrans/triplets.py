@@ -1,22 +1,22 @@
 """Majority-of-triplets voting: the two-level comparison function
 f = sgn(sum_i sgn(w_i)), its exact noise operator, the exact joint law of
 adjacent pairwise triplet weights, the induced 6-dimensional Gaussian
-covariance structure, and the orthant constants governing the
-close-election paradox probability.
+covariance, the orthant constants of the close-election paradox
+probability, and Kalai's correlated-pair paradox estimator for any
+aggregator, a block kernel run by mc's engine like every family.
 
 Pair conventions here are cyclic: for candidates a, b, c the three
 comparisons are (ab), (bc), (ca), each voter contributing +1 to (ca) when
 they rank c above a (patterns read off elections.ranking_sign_matrix(3);
-the Monte Carlo families run on experiments._multinomial_kernel). Voters
-are grouped into consecutive disjoint triplets; w_i in {-3, -1, +1, +3}
-is triplet i's vote sum on one pair.
+the close-election families run on experiments._multinomial_kernel).
+Voters are grouped into consecutive disjoint triplets; w_i in
+{-3, -1, +1, +3} is triplet i's vote sum on one pair.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -30,13 +30,10 @@ from .errors import (
     ParityError,
     SingularCovarianceError,
 )
+from . import mc
 from .elections import ranking_sign_matrix
-from .mc import MonteCarloEstimate
 
 TRIPLET_VALUES = (-3, -1, 1, 3)
-
-# Rows of voters kalai_paradox draws at a time.
-KALAI_CHUNK = 4096
 
 SQRT3 = math.sqrt(3.0)
 
@@ -450,34 +447,31 @@ def alpha_rho(rho: float) -> float:
 
 
 def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
-                  trials: int, rng: np.random.Generator) -> MonteCarloEstimate:
+                  trials: int, seed: int) -> mc.MonteCarloEstimate:
     """Paradox probability of an odd pairwise aggregator g by the
-    correlated-pair identity: 1/4 (1 - 3 E[g(x) g(y)]) with y a
-    1/3-correlated copy of x (each coordinate flipped with probability
-    1/3). g maps a (rows, n) +-1 matrix to a +-1 vector.
+    correlated-pair identity 1/4 (1 - 3 E[g(x) g(y)]), y a copy of x with
+    each coordinate flipped with probability 1/3. g maps a (rows, n) +-1
+    matrix to a +-1 vector of length rows, else InvalidInputError, and
+    runs on the worker threads. A block draws its votes, then its flips,
+    from substream(seed, start); a hit is g(x) == g(y), the estimate
+    1 - 1.5 p over the hit share p, bit-identical at any worker count."""
+    n, trials = mc._integer("n", n), mc._integer("trials", trials)
+    seed = mc._integer("seed", seed)
+    if n < 1 or trials < 1:
+        raise InvalidInputError("need at least one voter and one trial")
 
-    Draw order per chunk: the vote matrix first, then the flip matrix.
-    """
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    t0 = time.perf_counter()
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        rows = min(KALAI_CHUNK, trials - done)
-        x = (rng.integers(0, 2, size=(rows, n), dtype=np.int8) * 2 - 1)
-        flips = rng.random((rows, n)) < (1.0 / 3.0)
-        y = np.where(flips, -x, x)
-        prod = g(x).astype(np.float64) * g(y).astype(np.float64)
-        total += float(prod.sum())
-        total_sq += float((prod * prod).sum())
-        done += rows
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    estimate = 0.25 * (1.0 - 3.0 * mean)
-    stderr = 0.75 * math.sqrt(var / trials)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return MonteCarloEstimate(estimate=estimate, stderr=stderr,
-                              trials=trials, accepted=trials,
-                              wall_time_ms=wall_ms)
+    def signs(votes):
+        out = np.asarray(g(votes))
+        if out.shape != (len(votes),) or not np.all(np.abs(out) == 1):
+            raise InvalidInputError("g must map each row of votes to +-1")
+        return out
+
+    def kernel(seed: int, start: int, stop: int):
+        rng = mc.substream(seed, start)
+        x = rng.integers(0, 2, size=(stop - start, n), dtype=np.int8) * 2 - 1
+        y = np.where(rng.random((stop - start, n)) < 1.0 / 3.0, -x, x)
+        return np.ones(stop - start, dtype=bool), signs(x) == signs(y)
+
+    hit = mc._run_trials(kernel, 2, trials, seed, None, 1e-6).proportion(1)
+    return replace(hit, estimate=1.0 - 1.5 * hit.estimate,
+                   stderr=1.5 * hit.stderr)

@@ -5,8 +5,8 @@ the package: brute-force loops instead of sorted counting, exhaustive
 enumeration instead of sampling, subset dynamic programming instead of
 branch and bound, quadrature instead of series, and arbitrary-precision
 arithmetic instead of float tricks. Agreement between the two routes is
-the point; nothing in this module may import from intrans internals
-beyond plain data types.
+the point; nothing in this module imports from intrans (a test parses
+this file to hold it to that).
 """
 
 import itertools
@@ -183,6 +183,48 @@ def election_outcome_distribution(n_voters, d=None, subset=None):
     return {k: v / total for k, v in dist.items()}, total
 
 
+def close_election_law(n_voters, d):
+    """The same conditional outcome law as election_outcome_distribution,
+    in floats and fast enough for n in the hundreds: for each box point
+    s of margins (ab, ac, bc) in [-d, d]^3 with the voters' parity, take
+    every value of the first two ranking counts and solve the 4x4 system
+    (three margins plus the total, determinant 8) for the other four;
+    keep the non-negative integer solutions and sum their multinomial
+    weights in log space.
+
+    Returns ({category_index: float}, acceptance float), indexed like
+    election_outcome_distribution.
+    """
+    from scipy.special import gammaln, logsumexp
+
+    pair_list = [(0, 1), (0, 2), (1, 2)]
+    signs = np.array([[1 if perm.index(i) < perm.index(j) else -1
+                       for i, j in pair_list]
+                      for perm in itertools.permutations(range(3))])
+    system = np.vstack([signs.T, np.ones(6, dtype=np.int64)])
+    free, solved = system[:, :2], system[:, 2:]
+    det = int(round(np.linalg.det(solved)))
+    adjugate = np.rint(np.linalg.inv(solved) * det).astype(np.int64)
+    u, v = np.triu_indices(n_voters + 1)
+    v = v - u  # now every (u, v) with u + v <= n_voters, once
+    base = free @ np.vstack([u, v])
+    log_norm = math.lgamma(n_voters + 1) - n_voters * math.log(6)
+    box = [m for m in range(-d, d + 1) if (m - n_voters) % 2 == 0]
+    logs = {}
+    for s in itertools.product(box, repeat=3):
+        scaled = adjugate @ (np.array([*s, n_voters])[:, None] - base)
+        ok = ((scaled % det == 0) & (scaled >= 0)).all(axis=0)
+        counts = np.vstack([u[ok], v[ok], scaled[:, ok] // det])
+        idx = sum((1 << (2 - p)) for p in range(3) if s[p] > 0)
+        logs.setdefault(idx, []).append(
+            log_norm - gammaln(counts + 1).sum(axis=0))
+    by_idx = {k: logsumexp(np.concatenate(parts))
+              for k, parts in logs.items()}
+    log_total = logsumexp(list(by_idx.values()))
+    return ({k: math.exp(lw - log_total) for k, lw in by_idx.items()},
+            math.exp(log_total))
+
+
 def iid_triple_class_distribution(n):
     """Exact (transitive, intransitive, tied) probabilities for a triple
     of independent n-face dice with a continuous face law, by enumerating
@@ -320,6 +362,25 @@ def triplet_paradox_by_profiles(n_votes, d, trials, rng):
         if fs[0] == fs[1] == fs[2]:
             hits += 1
     return hits, accepted
+
+
+def kalai_majority_exact(n, flip):
+    """Exact Kalai paradox probability 1/4 (1 - 3 E[maj(x) maj(y)]) of
+    majority over n (odd) fair +-1 votes x, y flipping each vote of x
+    independently with probability flip. a = #(+1 in x) ~ Bin(n, 1/2);
+    given a, the +1 count of y is Bin(a, 1 - flip) convolved with
+    Bin(n - a, flip). With m triplets and flip 10/27 it is the law of the
+    triplet composition, since maj3 of a 1/3-flipped triple agrees with
+    maj3 of the original with probability (1 + 7/27)/2."""
+    from scipy.stats import binom
+
+    agree = 0.0
+    for a in range(n + 1):
+        y_law = np.convolve(binom.pmf(np.arange(a + 1), a, 1.0 - flip),
+                            binom.pmf(np.arange(n - a + 1), n - a, flip))
+        same = y_law[n // 2 + 1:] if 2 * a > n else y_law[:n // 2 + 1]
+        agree += binom.pmf(a, n, 0.5) * same.sum()
+    return 0.25 * (1.0 - 3.0 * (2.0 * agree - 1.0))
 
 
 def orthant_probability_mc(corr, draws, rng):

@@ -330,9 +330,8 @@ def test_criterion_12_boolean_paradox_rates():
     n=999: majority near 0.088, the triplet-majority composition near
     its limiting 0.125."""
     maj = kalai_paradox(lambda rows: np.sign(rows.sum(axis=1)), 999,
-                        300_000, np.random.default_rng(1212))
-    ft = kalai_paradox(f_triplets_vector, 999, 300_000,
-                       np.random.default_rng(1213))
+                        300_000, 1212)
+    ft = kalai_paradox(f_triplets_vector, 999, 300_000, 1213)
     ok = abs(maj.estimate - 0.088) <= 0.005 and abs(ft.estimate - 0.125) <= 0.01
     _finish(12, ok,
             "majority %.5f (0.088 +- 0.005), triplet composition %.5f "

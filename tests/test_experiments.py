@@ -50,6 +50,7 @@ from intrans.samplers import (
 )
 from intrans.triplets import orthant3, triplet_cell_tables
 from oracles import (
+    close_election_law,
     election_outcome_distribution,
     iid_triple_class_distribution,
     triplet_paradox_by_profiles,
@@ -201,6 +202,20 @@ def test_election_family_subset_conditioning():
     emp = (cc.counts[2] + cc.counts[5]) / cc.accepted
     tol = 5.0 * math.sqrt(cyc_exact * (1.0 - cyc_exact) / cc.accepted)
     assert abs(emp - cyc_exact) < tol
+
+
+def test_close_election_family_matches_exact_law_at_n301():
+    """Criterion 05's model, n=301 and d=3, against the exact law: the
+    eight outcome counts by chi-square (24.32 is the 0.999 quantile with
+    7 degrees of freedom) and the Condorcet-winner rate within 4 stderr."""
+    law, _ = close_election_law(301, 3)
+    cc = estimate_categories(_spec("election_outcomes", {"n": 301, "k": 3},
+                                   3_000_000, 3011, conditioning={"d": 3}))
+    assert cc.accepted >= 20_000
+    expected = cc.accepted * np.array([law[idx] for idx in range(8)])
+    assert float(((cc.counts - expected) ** 2 / expected).sum()) < 24.32
+    p_cw, se_cw = condorcet_probability(cc, 3)
+    assert abs(p_cw - (1.0 - law[2] - law[5])) <= 4.0 * se_cw
 
 
 # The block kernels against the per-trial rule they replace, applied row

@@ -16,6 +16,7 @@ from intrans.errors import (
     ParityError,
     SingularCovarianceError,
 )
+from intrans.mc import BLOCK_SIZE
 from intrans.triplets import (
     TRIPLET_VALUES,
     NoiseParams,
@@ -40,6 +41,7 @@ from intrans.triplets import (
 )
 
 from oracles import (
+    kalai_majority_exact,
     orthant_probability_mc,
     t_rho_noisy_copy_mc,
     table1_by_direct_count,
@@ -381,14 +383,13 @@ def test_alpha_rho_grid_monotone_and_bounded():
 
 
 def test_kalai_dictator_has_no_paradox():
-    est = kalai_paradox(lambda rows: rows[:, 0], 7, 30_000,
-                        np.random.default_rng(75))
+    est = kalai_paradox(lambda rows: rows[:, 0], 7, 30_000, 75)
     assert abs(est.estimate) <= 5.0 * est.stderr + 1e-9
 
 
 def test_kalai_majority_of_three_exact_rational():
     """Majority over three voters gives paradox probability exactly 1/18."""
-    est = kalai_paradox(maj_vector, 3, 300_000, np.random.default_rng(76))
+    est = kalai_paradox(maj_vector, 3, 300_000, 76)
     assert est.estimate == pytest.approx(1.0 / 18.0, abs=5.0 * est.stderr)
 
 
@@ -397,14 +398,56 @@ def test_kalai_parity_function_approaches_quarter():
         return np.prod(rows, axis=1)
 
     target = 0.25 * (1.0 - 3.0 ** (1 - 5))
-    est = kalai_paradox(parity, 5, 100_000, np.random.default_rng(77))
+    est = kalai_paradox(parity, 5, 100_000, 77)
     assert est.estimate == pytest.approx(target, abs=5.0 * est.stderr)
 
 
 def test_kalai_determinism_and_validation():
-    a = kalai_paradox(maj_vector, 5, 5000, np.random.default_rng(78))
-    b = kalai_paradox(maj_vector, 5, 5000, np.random.default_rng(78))
+    a = kalai_paradox(maj_vector, 5, 5000, 78)
+    b = kalai_paradox(maj_vector, 5, 5000, 78)
     assert a.estimate == b.estimate
     assert a.trials == a.accepted == 5000
     with pytest.raises(InvalidInputError):
-        kalai_paradox(maj_vector, 5, 0, np.random.default_rng(79))
+        kalai_paradox(maj_vector, 5, 0, 79)
+
+
+@pytest.mark.parametrize("g, n, trials, seed", [
+    (lambda rows: np.sign(rows.sum(axis=1)), 4, 5000, 1),  # ties give 0
+    (lambda rows: rows[:, :2], 5, 100, 1),
+    (lambda rows: 0.5 * rows[:, 0], 5, 100, 1),
+    (maj_vector, 2.5, 100, 1),
+    (maj_vector, 5, 2.5, 1),
+    (maj_vector, 5, True, 1),
+    (maj_vector, 5, "10", 1),
+    (maj_vector, 5, 100, np.random.default_rng(1)),
+    (maj_vector, 5, 100, 1.5),
+    (maj_vector, 5, 100, True),
+])
+def test_kalai_rejects_bad_input(g, n, trials, seed):
+    """The identity needs g(x) in {-1, +1} row by row, and the run needs
+    integer sizes and seed."""
+    with pytest.raises(InvalidInputError):
+        kalai_paradox(g, n, trials, seed)
+
+
+def test_kalai_worker_count_invariant(monkeypatch):
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("INTRANS_THREADS", threads)
+        runs.append(kalai_paradox(maj_vector, 15, 3 * BLOCK_SIZE + 17, 80))
+    assert runs[0].estimate == runs[1].estimate
+    assert runs[0].stderr == runs[1].stderr
+
+
+@pytest.mark.parametrize("g, m, flip, exact, seed", [
+    (maj_vector, 999, 1.0 / 3.0, 0.0876553, 81),
+    (f_triplets_vector, 333, 10.0 / 27.0, 0.1245898, 82),
+])
+def test_kalai_matches_exact_law_at_n999(g, m, flip, exact, seed):
+    """Criterion 12's size against the exact law: majority of 999 votes
+    at flip 1/3, and the triplet composition as majority of 333 triplet
+    majorities, each flipped with probability 10/27."""
+    law = kalai_majority_exact(m, flip)
+    assert law == pytest.approx(exact, abs=5e-8)
+    est = kalai_paradox(g, 999, 50_000, seed)
+    assert abs(est.estimate - law) <= 4.0 * est.stderr
