@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -459,6 +460,7 @@ _CONFIG.add_argument("--config", metavar="FILE",
                      help="JSON object of flag values; explicit flags win")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intrans",

@@ -334,8 +334,8 @@ def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
     first face with the lagged face, one sample per draw, so the stderr
     is an honest iid one."""
     lags = [int(v) for v in lags]
-    if min(lags) < 0 or max(lags) >= n:
-        raise InvalidInputError("lags must lie in [0, n)")
+    if not lags or min(lags) < 0 or max(lags) >= n:
+        raise InvalidInputError("lags must be nonempty and lie in [0, n)")
     if draws < 2:
         raise InvalidInputError("need at least two draws")
     model = StationaryGaussian(n=n, kernel=kernel, method=method)

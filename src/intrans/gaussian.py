@@ -9,15 +9,17 @@ Central objects:
       l_{2q+1} = d_{2q+1} * 2^{-q-1/2};
 - partial sums of four classical identities tied to those coefficients;
 - the fractional-Brownian-increment correlation kernel s_H;
-- truncated series for Var(W) and Var(W - n*(F-sum difference)) of
-  stationary Gaussian dice;
+- Var(W) and the cyclic-sum variance of stationary Gaussian dice, beta
+  and E[Phi(X) Phi(Y)], each the exact sum of its Hermite series;
 - per-distribution constants (A, B, cumulants) feeding the 1/n expansions
   of pairwise comparison probabilities for sum-conditioned dice.
 
-Numerical conventions: binomials and factorials in log space, series terms
-accumulated with math.fsum, and the exactly-summable lag-zero parts of the
-variance series split off in closed form so the remaining tails converge
-geometrically (see the respective docstrings).
+Numerical conventions: binomials and factorials in log space and partial
+sums accumulated with math.fsum. Every full Hermite series here is a sum
+of terms d_{2q+1}^2 (2q+1)! x^{2q+1}, which is Sheppard's orthant
+covariance arcsin(x) / (2 pi) for |x| <= 1 (at x = 1 it is the quarter
+identity), so those series are evaluated in closed form, with no
+truncation (see _orthant_cov).
 """
 
 from __future__ import annotations
@@ -72,15 +74,11 @@ def hermite_value(m: int, y) -> np.ndarray:
     return cur
 
 
-def _log_central_binomial(q: np.ndarray) -> np.ndarray:
-    """log C(2q, q) via log-gamma."""
-    return gammaln(2 * q + 1) - 2 * gammaln(q + 1)
-
-
 def _coef_d2_factorial(q: np.ndarray) -> np.ndarray:
-    """d_{2q+1}^2 * (2q+1)!  ==  C(2q,q) / ((2q+1) * 2^{2q} * 2*pi)."""
+    """d_{2q+1}^2 * (2q+1)!  ==  C(2q,q) / ((2q+1) * 2^{2q} * 2*pi), with
+    C(2q,q) by log-gamma."""
     q = np.asarray(q, dtype=float)
-    return np.exp(_log_central_binomial(q) - np.log(2 * q + 1)
+    return np.exp(gammaln(2 * q + 1) - 2 * gammaln(q + 1) - np.log(2 * q + 1)
                   - 2 * q * math.log(2.0) - math.log(TWO_PI))
 
 
@@ -112,20 +110,23 @@ def identity_partial_sum(kind: str, Q: int) -> float:
     return math.fsum((_coef_d2_factorial(q) * factor[kind]).tolist())
 
 
-def phi_product_expectation(rho: float, Q: int = 40) -> float:
+def _orthant_cov(x):
+    """Sheppard's orthant covariance arcsin(x) / (2 pi), the exact sum of
+    sum_{q>=0} d_{2q+1}^2 (2q+1)! x^{2q+1} for |x| <= 1: the covariance
+    of 1{X > 0} and 1{Y > 0} for standard Gaussians with correlation x."""
+    return np.arcsin(x) / TWO_PI
+
+
+def phi_product_expectation(rho: float) -> float:
     """E[Phi(X) Phi(Y)] for standard Gaussians with correlation rho.
 
-    Computed as 1/4 + sum_{q<=Q} l_{2q+1}^2 (2q+1)! rho^{2q+1}; the series
-    coefficient is d_{2q+1}^2 (2q+1)! 4^{-q} / 2. For |rho| <= 1/2 the
-    tail beyond Q=40 is below 1e-15; at |rho| = 1 the series still sums
-    (to 1/3) but needs the slow q^{-3/2} tail, so large Q is required there.
+    The exact sum of 1/4 + sum_{q>=0} l_{2q+1}^2 (2q+1)! rho^{2q+1}; the
+    series coefficient is d_{2q+1}^2 (2q+1)! 4^{-q} / 2, so the series is
+    1/4 + arcsin(rho/2) / (2 pi). At rho = 1 it is 1/3.
     """
-    if abs(rho) > 1.0:
+    if not abs(rho) <= 1.0:
         raise DomainError("correlation must satisfy |rho| <= 1")
-    q = np.arange(Q + 1, dtype=float)
-    coeff = _coef_d2_factorial(q) * 0.25 ** q / 2.0
-    powers = np.power(rho, 2 * q + 1)
-    return 0.25 + math.fsum((coeff * powers).tolist())
+    return float(0.25 + _orthant_cov(rho / 2.0))
 
 
 def s_kernel(k, H: float):
@@ -197,138 +198,92 @@ class CorrelationKernel:
         )
 
 
-def _lag_weights(n: int, kernel: CorrelationKernel):
-    """Signed lags |u| < n with multiplicities (n - |u|) and rho values."""
+def _kernel_values(kernel: CorrelationKernel, lags: np.ndarray) -> np.ndarray:
+    """rho at the lags, rho(0) taken as exactly 1/2. |rho(u)| > 1/2 (or NaN)
+    at some u != 0 makes 2 rho no correlation: arcsin would give NaN."""
+    rho = np.where(lags == 0, 0.5, kernel.values(lags))
+    if not np.all(np.abs(rho) <= 0.5):
+        raise DomainError(
+            "kernel %s is not a covariance: |rho(u)| > 1/2 at some lag"
+            % kernel.name)
+    return rho
+
+
+def _lag_terms(kernel: CorrelationKernel, n: int):
+    """Lag weights n - |u| and kernel values rho(u) over |u| < n; the size
+    limit bounds the (2n-1) x (2n-1) lag-pair matrices built from them."""
+    if n < 1:
+        raise InvalidInputError("n must be positive")
+    if n > _MAX_SERIES_N:
+        raise SizeLimitError(
+            "variance series limited to n <= %d ((2n-1)^2 lag-pair matrix)"
+            % _MAX_SERIES_N)
     lags = np.arange(-(n - 1), n)
-    weights = (n - np.abs(lags)).astype(float)
-    rho = kernel.values(lags)
-    return lags, weights, rho
+    return (n - np.abs(lags)).astype(float), _kernel_values(kernel, lags)
 
 
-def variance_W_series(kernel: CorrelationKernel, n: int, Q: int = 40) -> float:
-    """Truncated series for the variance of the pairwise win count
-    #{(i,j): a_i > b_j} between two independent stationary Gaussian dice
-    (the signed margin has four times this variance when ties are null).
+def variance_W_series(kernel: CorrelationKernel, n: int) -> float:
+    """Variance of the pairwise win count #{(i,j): a_i > b_j} between two
+    independent stationary Gaussian dice (the signed margin has four
+    times this variance when ties are null).
 
-    The full object is
+    The exact sum of the series
         sum_{q>=0} d_{2q+1}^2 (2q+1)! sum_{u,v} (n-|u|)(n-|v|)
                                                (rho(u)+rho(v))^{2q+1}
-    over lags |u|, |v| < n. The single cell u = v = 0 has rho+rho = 1 and
-    its q-series sums to exactly 1/4 (the quarter identity), so it is added
-    in closed form as n^2/4; every remaining cell has |rho(u)+rho(v)| <=
-    1/2 + max_{u>0}|rho(u)| < 1, making the truncated remainder converge
-    geometrically in Q.
+    over lags |u|, |v| < n: each cell sums to arcsin(rho(u)+rho(v))/(2 pi).
     """
-    if n < 1:
-        raise InvalidInputError("n must be positive")
-    if n > _MAX_SERIES_N:
-        raise SizeLimitError(
-            "variance series limited to n <= %d (O(n^2 Q) cost)" % _MAX_SERIES_N
-        )
-    _, weights, rho = _lag_weights(n, kernel)
-    pair_sum = rho[:, None] + rho[None, :]
-    weight2 = weights[:, None] * weights[None, :]
-    center = n - 1  # index of lag 0
-    weight2[center, center] = 0.0  # handled in closed form
-
-    q = np.arange(Q + 1, dtype=float)
-    coef = _coef_d2_factorial(q)
-    power = pair_sum.copy()
-    square = pair_sum * pair_sum
-    parts = []
-    for qi in range(Q + 1):
-        parts.append(coef[qi] * float((weight2 * power).sum()))
-        if qi < Q:
-            power *= square
-    return float(n) ** 2 / 4.0 + math.fsum(parts)
+    w, rho = _lag_terms(kernel, n)
+    return float(w @ _orthant_cov(rho[:, None] + rho[None, :]) @ w)
 
 
-def variance_diff_series(kernel: CorrelationKernel, n: int, Q: int = 40) -> float:
-    """Truncated series equal to one third of the variance of the cyclic
-    sum of the three pairwise win counts among three independent
-    stationary Gaussian dice (a measure of how far the three comparisons
-    are from determining each other).
+def variance_diff_series(kernel: CorrelationKernel, n: int) -> float:
+    """One third of the variance of the cyclic sum of the three pairwise
+    win counts among three independent stationary Gaussian dice (a
+    measure of how far the three comparisons are from determining each
+    other).
 
-    The full object is
+    The exact sum of the series
         sum_{q>=1} d_{2q+1}^2 (2q+1)! sum_{v=1}^{2q} C(2q+1, v) S_v S_{2q+1-v},
-    with power sums S_p = sum_{|i|<n} (n-|i|) rho(i)^p. Splitting
-    S_p = n 2^{-p} + R_p (R_p excludes lag 0) makes the pure n^2 part sum
-    exactly to n^2/12 via the quarter and sixth identities; the cross and
-    residual parts converge geometrically in Q because |rho(i)| < 1/2 off
-    lag zero.
+    with power sums S_p = sum_{|i|<n} (n-|i|) rho(i)^p. It is the Var(W)
+    series less its v = 0 and v = 2q+1 terms, 2 S_0 S_{2q+1} with
+    S_0 = n^2 (the q = 0 difference is zero), so each lag pair sums to
+    A(rho(u)+rho(v)) - A(rho(u)) - A(rho(v)), A(x) = arcsin(x)/(2 pi).
     """
-    if n < 1:
-        raise InvalidInputError("n must be positive")
-    if n > _MAX_SERIES_N:
-        raise SizeLimitError(
-            "variance series limited to n <= %d" % _MAX_SERIES_N
-        )
-    lags, weights, rho = _lag_weights(n, kernel)
-    off = lags != 0
-    w_off = weights[off]
-    rho_off = rho[off]
-
-    max_p = 2 * Q + 1
-    # R[p] = sum over nonzero lags of (n-|i|) rho(i)^p, p = 1..max_p.
-    R = np.empty(max_p + 1)
-    R[0] = float(w_off.sum())
-    acc = w_off * rho_off
-    for p in range(1, max_p + 1):
-        R[p] = float(acc.sum())
-        acc = acc * rho_off
-
-    half_pow = 0.5 ** np.arange(max_p + 1)
-    coef = _coef_d2_factorial(np.arange(Q + 1, dtype=float))
-    parts = [float(n) ** 2 / 12.0]
-    for q in range(1, Q + 1):
-        m = 2 * q + 1
-        v = np.arange(1, m)
-        logbin = gammaln(m + 1) - gammaln(v + 1) - gammaln(m - v + 1)
-        binom = np.exp(logbin)
-        cross = float(n) * (half_pow[v] * R[m - v] + half_pow[m - v] * R[v])
-        resid = R[v] * R[m - v]
-        parts.append(coef[q] * float(np.dot(binom, cross + resid)))
-    return math.fsum(parts)
+    w, rho = _lag_terms(kernel, n)
+    single = _orthant_cov(rho)
+    cells = (_orthant_cov(rho[:, None] + rho[None, :])
+             - single[:, None] - single[None, :])
+    return float(w @ cells @ w)
 
 
-def beta_constant(kernel: CorrelationKernel, Q: int = 60,
+def beta_constant(kernel: CorrelationKernel,
                   lag_cutoff: int = 200_000) -> float:
     """Leading coefficient beta in Var(W) = beta n^3 + o(n^3):
 
-        beta = 2 sum_{q>=0} d_{2q+1}^2 (2q+1)! sum_{i in Z} rho(i)^{2q+1},
+        beta = 2 sum_{q>=0} d_{2q+1}^2 (2q+1)! sum_{i in Z} rho(i)^{2q+1}
+             = 2 sum_{i in Z} arcsin(rho(i)) / (2 pi),
 
-    truncated at |i| <= lag_cutoff. Requires an absolutely summable kernel
-    (fBm with H <= 1/2). For fBm with H < 1/2 the zero-sum property of the
-    lags, sum_{|v|<=L} rho(v) = (1/2)((L+1)^{2H} - L^{2H}), is verified
-    against the direct partial sum as a sanity check.
+    the lag sum truncated at |i| <= lag_cutoff. Requires an absolutely
+    summable kernel (fBm with H <= 1/2). For fBm with H < 1/2 the
+    zero-sum property of the lags, sum_{|v|<=L} rho(v) =
+    (1/2)((L+1)^{2H} - L^{2H}), is verified against the direct partial
+    sum as a sanity check.
     """
     if not kernel.absolutely_summable:
         raise DomainError(
             "beta requires an absolutely summable kernel "
             "(fBm: H <= 1/2); got %s" % kernel.name
         )
-    lags = np.arange(1, lag_cutoff + 1)
-    rho_pos = kernel.values(lags)
-
+    rho = _kernel_values(kernel, np.arange(-lag_cutoff, lag_cutoff + 1))
     if kernel.hurst is not None and kernel.hurst < 0.5:
-        direct = 0.5 + 2.0 * float(rho_pos.sum())
+        direct = float(rho.sum())
         closed = s_lag_partial_sum(lag_cutoff, kernel.hurst)
         if abs(direct - closed) > 1e-8:
             raise FloatingPointError(
                 "lag-sum sanity check failed: direct %.3e vs closed %.3e"
                 % (direct, closed)
             )
-
-    coef = _coef_d2_factorial(np.arange(Q + 1, dtype=float))
-    acc = rho_pos.copy()
-    square = rho_pos * rho_pos
-    parts = []
-    for q in range(Q + 1):
-        lag_sum = 0.5 ** (2 * q + 1) + 2.0 * float(acc.sum())
-        parts.append(2.0 * coef[q] * lag_sum)
-        if q < Q:
-            acc = acc * square
-    return math.fsum(parts)
+    return 2.0 * float(_orthant_cov(rho).sum())
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,11 @@ def resolve_workers(requested: Optional[int]) -> int:
     """Requested worker count, capped by INTRANS_THREADS when set;
     hardware default otherwise."""
     cap = os.environ.get("INTRANS_THREADS")
-    cap_n = max(1, int(cap)) if cap else None
+    try:
+        cap_n = max(1, int(cap)) if cap else None
+    except ValueError:
+        raise InvalidInputError(
+            "INTRANS_THREADS must be an integer, got %r" % cap) from None
     if requested is None:
         workers = cap_n if cap_n is not None else (os.cpu_count() or 1)
     else:

@@ -305,9 +305,9 @@ def noise_params(rho: float) -> NoiseParams:
     keep = 1.0 - eps
     # +3 triplet: majority stays positive iff at most one of three flips.
     p3 = keep ** 3 + 3.0 * eps * keep ** 2
-    # +1 triplet (votes +,+,-): positive survivors enumerated by which
-    # votes flip: none; the minority vote; exactly one majority vote plus
-    # the minority... reduced to the three monomials below.
+    # +1 triplet (votes +,+,-): stays positive iff nothing flips, only the
+    # minority flips, or it and one majority vote flip; as keep + eps = 1,
+    # that is keep^2 + 2 eps^2 keep.
     p1 = keep ** 3 + eps * keep ** 2 + 2.0 * eps ** 2 * keep
     return NoiseParams(rho=rho, epsilon=eps, p3=p3, p1=p1)
 

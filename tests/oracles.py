@@ -287,6 +287,63 @@ def identity_partial_sum_mp(kind, Q, dps=60):
         return float(total)
 
 
+def hermite_variance_series_mp(n, hurst, Q, dps=40):
+    """(Var W, one third of the cyclic-sum variance) for two, resp.
+    three, independent stationary Gaussian dice with fBm-increment
+    correlations: the paper's Hermite series summed term by term through
+    q = Q in arbitrary precision.
+
+    Var W = sum_q c_q sum_{u,v} (n-|u|)(n-|v|) (rho(u)+rho(v))^{2q+1} with
+    c_q = d_{2q+1}^2 (2q+1)! = C(2q,q) / ((2q+1) 4^q 2 pi). The cyclic
+    series sums c_q sum_{v=1}^{2q} C(2q+1,v) S_v S_{2q+1-v} over q >= 1,
+    S_p = n 2^{-p} + R_p with R_p the power sum over nonzero lags.
+    The parts that hold only lag zero converge like q^{-3/2}, so they
+    enter in closed form: the u = v = 0 cell of Var W is n^2/4 (the
+    quarter identity), and the pure n^2 part of the cyclic series is
+    n^2/12 (the quarter identity less the sixth). What is left converges
+    geometrically, as |rho(u)| < 1/2 off lag zero."""
+    with mpmath.workdps(dps):
+        h2 = 2 * mpmath.mpf(hurst)
+
+        def rho(k):
+            k = abs(k)
+            return (abs(k + 1) ** h2 + abs(k - 1) ** h2 - 2 * k ** h2) / 4
+
+        # Lags |u| < n folded onto u >= 0: weight (n-u), multiplicity 2
+        # off lag zero.
+        folded = [((1 if u == 0 else 2) * (n - u), rho(u)) for u in range(n)]
+        coef = [mpmath.binomial(2 * q, q)
+                / ((2 * q + 1) * mpmath.power(4, q) * 2 * mpmath.pi)
+                for q in range(Q + 1)]
+        var_w = mpmath.mpf(n) ** 2 / 4
+        for i, (wu, ru) in enumerate(folded):
+            for j, (wv, rv) in enumerate(folded):
+                if i == j == 0:
+                    continue
+                x = ru + rv
+                x2, power, cell = x * x, x, mpmath.mpf(0)
+                for c in coef:
+                    cell += c * power
+                    power *= x2
+                var_w += wu * wv * cell
+
+        R = [mpmath.fsum(w * r ** p for w, r in folded[1:])
+             for p in range(2 * Q + 2)]
+        half = [mpmath.power(2, -p) for p in range(2 * Q + 2)]
+        var_diff = mpmath.mpf(n) ** 2 / 12
+        for q in range(1, Q + 1):
+            m = 2 * q + 1
+            binom = mpmath.mpf(1)
+            inner = mpmath.mpf(0)
+            for v in range(1, m):
+                binom = binom * (m - v + 1) / v
+                inner += binom * (n * (half[v] * R[m - v]
+                                       + half[m - v] * R[v])
+                                  + R[v] * R[m - v])
+            var_diff += coef[q] * inner
+        return float(var_w), float(var_diff)
+
+
 def hermite_inner_products(max_degree, nodes=160):
     """Gram matrix of the probabilists' Hermite polynomials under the
     standard Gaussian, via quadrature; the oracle for orthogonality and

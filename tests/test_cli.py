@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import intrans
-from intrans.cli import CSV_COLUMNS, main
+from intrans.cli import CSV_COLUMNS, build_parser, main
 from intrans.mc import BLOCK_SIZE
 
 
@@ -331,6 +331,19 @@ def test_numeric_failures_exit_one_with_json(capsys):
     assert set(payload) == {"error", "message", "observed_rate", "floor",
                             "probe_trials"}
     assert payload["observed_rate"] == 0.0
+
+
+def test_bad_thread_cap_exits_one_with_json(capsys, monkeypatch):
+    monkeypatch.setenv("INTRANS_THREADS", "abc")
+    code, _, err = _run(capsys, ["elections", "--n", "11", "--trials", "10"])
+    assert code == 1
+    payload = json.loads(err.strip())
+    assert payload["error"] == "InvalidInputError"
+    assert "INTRANS_THREADS" in payload["message"]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 # ------------------------------------------------------- reproducibility

@@ -682,6 +682,8 @@ def test_lag_covariance_validation():
     with pytest.raises(InvalidInputError):
         lag_covariance_mc(kernel, n=8, lags=[8], draws=10, seed=0)
     with pytest.raises(InvalidInputError):
+        lag_covariance_mc(kernel, n=8, lags=[], draws=10, seed=0)
+    with pytest.raises(InvalidInputError):
         lag_covariance_mc(kernel, n=8, lags=[0], draws=1, seed=0)
 
 

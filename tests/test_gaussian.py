@@ -31,6 +31,7 @@ from intrans.samplers import sample_stationary_gaussian
 from oracles import (
     gauss_hermite_phi_product,
     hermite_inner_products,
+    hermite_variance_series_mp,
     identity_partial_sum_mp,
 )
 
@@ -147,12 +148,12 @@ def test_phi_product_matches_quadrature(rho):
 
 def test_phi_product_special_points():
     assert phi_product_expectation(0.0) == 0.25
-    # At full correlation Phi(X)^2 integrates to 1/3; the series needs the
-    # slow tail there.
-    assert phi_product_expectation(1.0, Q=20_000) == pytest.approx(
-        1.0 / 3.0, abs=1e-6)
+    # At full correlation Phi(X)^2 integrates to 1/3.
+    assert phi_product_expectation(1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
     with pytest.raises(DomainError):
         phi_product_expectation(1.5)
+    with pytest.raises(DomainError):
+        phi_product_expectation(float("nan"))
 
 
 def test_phi_product_reflection():
@@ -237,11 +238,16 @@ def test_variance_W_independent_case_closed_form(n):
     assert variance_W_series(k, n) == pytest.approx(expected, rel=1e-12)
 
 
-def test_variance_W_truncation_stability():
-    k = CorrelationKernel.fbm(0.25)
-    v40 = variance_W_series(k, 64, Q=40)
-    v80 = variance_W_series(k, 64, Q=80)
-    assert abs(v40 - v80) < 1e-6
+@pytest.mark.parametrize("hurst", [0.25, 0.75, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_variance_series_match_mpmath_hermite_sums(hurst, n):
+    """Both closed forms against the paper's Hermite series summed in
+    arbitrary precision; at Q = 150 the oracle's geometric remainder is
+    below 1e-18 even at H = 0.9."""
+    var_w, var_diff = hermite_variance_series_mp(n, hurst, Q=150)
+    k = CorrelationKernel.fbm(hurst)
+    assert variance_W_series(k, n) == pytest.approx(var_w, rel=1e-12)
+    assert variance_diff_series(k, n) == pytest.approx(var_diff, rel=1e-12)
 
 
 def test_variance_W_limits():
@@ -250,6 +256,19 @@ def test_variance_W_limits():
         variance_W_series(k, 0)
     with pytest.raises(SizeLimitError):
         variance_W_series(k, 513)
+
+
+def test_variance_series_reject_non_covariance_kernel():
+    """rho(1) = 0.6 > 1/2 would make 2 rho a correlation above one."""
+    k = CorrelationKernel(
+        name="rho1=0.6",
+        rho=lambda k: np.select([np.asarray(k) == 0, np.abs(k) == 1],
+                                [0.5, 0.6], 0.0))
+    for series in (variance_W_series, variance_diff_series):
+        with pytest.raises(DomainError):
+            series(k, 2)
+    with pytest.raises(DomainError):
+        beta_constant(k, lag_cutoff=10)
 
 
 def test_variance_W_against_monte_carlo():

@@ -295,6 +295,9 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert resolve_workers(None) == 2
     assert resolve_workers(8) == 2
     assert resolve_workers(1) == 1
+    monkeypatch.setenv("INTRANS_THREADS", "abc")
+    with pytest.raises(InvalidInputError):
+        resolve_workers(None)
     monkeypatch.delenv("INTRANS_THREADS")
     assert resolve_workers(3) == 3
     assert resolve_workers(None) >= 1
