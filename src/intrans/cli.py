@@ -15,7 +15,8 @@ explicit flag (which comes later) wins, and a null value leaves its flag
 unset. Flags and keys must be spelled out in full. Exit codes: 0
 success, 1 failure during a run (machine-readable JSON on stderr), 2
 usage error, which includes every parameter value the experiment family
-rejects.
+rejects and a flag the chosen model ignores (--rho without --mode noise,
+--hurst without --model stationary).
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _make_spec(parser, family, params, trials, seed, conditioning=None):
 
 def _cmd_dice(args, parser) -> int:
     n, model = args.n, args.model
+    if args.hurst is not None and model != "stationary":
+        parser.error("--hurst only applies to --model stationary")
     params = {"model": model, "n": n}
     if model in ("conditioned", "iid"):
         params["dist"] = args.dist
@@ -232,7 +235,9 @@ def _cmd_triplet(args, parser) -> int:
     if args.d is not None:
         conditioning = {"event": "close", "d": args.d}
     noise = args.mode == "noise"
-    rho = args.rho if noise else None
+    if args.rho is not None and not noise:
+        parser.error("--rho only applies to --mode noise")
+    rho = args.rho
     family = "triplet_noise" if noise else "triplet_paradox"
     params = {"n": n, "rho": rho} if noise else {"n": n}
     spec = _make_spec(parser, family, params, args.trials, args.seed,
@@ -367,10 +372,10 @@ def _suite_predictors() -> list:
 
 
 def _suite_samplers() -> list:
+    from .experiments import lag_products
     from .samplers import (
         sample_continuous_conditioned,
         sample_discrete_conditioned,
-        sample_stationary_gaussian,
     )
 
     checks = []
@@ -402,11 +407,7 @@ def _suite_samplers() -> list:
     lag_target = float(s_kernel(1, 0.75))
     prods = {"circulant": None, "cholesky": None}
     for method in prods:
-        vals = np.empty(20000)
-        for i in range(vals.size):
-            faces = sample_stationary_gaussian(6, kernel, rng,
-                                               method=method).faces
-            vals[i] = faces[0] * faces[1]
+        vals = lag_products(kernel, 6, [1], 20000, rng, method)[:, 0]
         prods[method] = (float(vals.mean()),
                          float(vals.std(ddof=1) / math.sqrt(vals.size)))
     for method, (mean, se) in prods.items():

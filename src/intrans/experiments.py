@@ -42,6 +42,7 @@ from .samplers import (
     StationaryGaussian,
     lex_pairs,
     sample_continuous_conditioned,
+    sample_stationary_faces,
 )
 from .triplets import triplet_cell_tables
 
@@ -91,23 +92,60 @@ def _conditioning_fields(spec: ExperimentSpec):
 
 def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
                         check: np.ndarray, d: Optional[int], category):
-    """The block kernel of the election and triplet families. A block
-    draws its type counts as one multinomial of draws over probs from
-    substream(seed, start) and tallies them into the exact integer
-    margins counts @ weights. A trial is accepted when its margins in the
-    columns check are all at most d in absolute value (every trial when d
-    is None), and category(counts, margins) gives each trial's
-    category."""
+    """The block kernel of the election and triplet families. A trial
+    draws the counts of draws independent types of law probs; its tallies
+    are the exact integers counts @ weights. It is accepted when its
+    tallies in the columns check are all at most d in absolute value
+    (every trial when d is None), and category(tallies) gives the
+    category of each accepted trial.
+
+    Unconditioned (d None), a block draws its counts as one multinomial
+    of draws over probs, size stop - start, from substream(seed, start).
+
+    Conditioned, the block draws in two stages from that substream. A
+    multinomial splits exactly by groups of types, so the law is the same.
+    Types of probability 0 are dropped, and the live types are grouped by
+    their weight in the first checked column, levels ascending: two
+    groups of k!/2 rankings for elections, the four values of w_ab for
+    triplets (over the 44 live cells of impartial culture). Stage 1 draws
+    the group counts of every trial as one multinomial of draws over the
+    group probabilities. They fix the first checked tally, and only the
+    trials where it is at most d go on. Stage 2 draws, group by group in
+    level order, the counts within the group of each surviving trial, as
+    one multinomial of its group count over the group's normalized
+    probabilities. A trial rejected at stage 1 draws nothing more, is not
+    accepted and reports category 0.
+    """
+    if d is None:
+        def kernel(seed: int, start: int, stop: int):
+            counts = mc.substream(seed, start).multinomial(
+                draws, probs, size=stop - start)
+            return (np.ones(stop - start, dtype=bool),
+                    category(counts @ weights))
+
+        return kernel
+
+    live = probs > 0
+    probs, weights = probs[live], weights[live]
+    levels, group = np.unique(weights[:, check[0]], return_inverse=True)
+    members = [np.flatnonzero(group == j) for j in range(levels.size)]
+    group_probs = np.array([probs[cells].sum() for cells in members])
+    within = [probs[cells] / p for cells, p in zip(members, group_probs)]
 
     def kernel(seed: int, start: int, stop: int):
-        counts = mc.substream(seed, start).multinomial(
-            draws, probs, size=stop - start)
-        margins = counts @ weights
-        if d is None:
-            accepted = np.ones(stop - start, dtype=bool)
-        else:
-            accepted = (np.abs(margins[:, check]) <= d).all(axis=1)
-        return accepted, category(counts, margins)
+        rng = mc.substream(seed, start)
+        groups = rng.multinomial(draws, group_probs, size=stop - start)
+        rows = np.flatnonzero(np.abs(groups @ levels) <= d)
+        counts = np.empty((rows.size, probs.size), dtype=np.int64)
+        for j, cells in enumerate(members):
+            counts[:, cells] = rng.multinomial(groups[rows, j], within[j])
+        tallies = counts @ weights
+        rows_ok = (np.abs(tallies[:, check]) <= d).all(axis=1)
+        accepted = np.zeros(stop - start, dtype=bool)
+        accepted[rows[rows_ok]] = True
+        categories = np.zeros(stop - start, dtype=np.intp)
+        categories[rows[rows_ok]] = category(tallies[rows_ok])
+        return accepted, categories
 
     return kernel
 
@@ -120,7 +158,8 @@ def _build_election_outcomes(spec: ExperimentSpec):
 
     Category index: lex pair i contributes bit 2^(K-1-i) when the earlier
     candidate wins that pair, so k=3 has 8 categories. A block draws its
-    ranking counts as one multinomial from substream(seed, start).
+    ranking counts from substream(seed, start) by _multinomial_kernel,
+    in two stages when conditioned.
     """
     n = _param(spec.params, "n", spec.family)
     k = _param(spec.params, "k", spec.family, default=3)
@@ -140,7 +179,7 @@ def _build_election_outcomes(spec: ExperimentSpec):
     bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
     kernel = _multinomial_kernel(
         n, np.full(len(signs), 1.0 / len(signs)), signs, check, d,
-        lambda counts, margins: (margins > 0) @ bit_weights)
+        lambda margins: (margins > 0) @ bit_weights)
     return kernel, 1 << n_pairs
 
 
@@ -192,7 +231,8 @@ def _build_triplet(spec: ExperimentSpec):
     vote margins being at most d. triplet_paradox votes by impartial
     culture; under triplet_noise each voter's three votes agree with a
     hidden uniform sign with probability (1+rho)/2. A trial is a hit when
-    its triplet-majority sums counts @ sign(weights) share one sign."""
+    its triplet-majority sums counts @ sign(weights) share one sign: the
+    kernel tallies the three margins, then those three sums."""
     n = _param(spec.params, "n", spec.family)
     if n < 3 or n % 3 != 0:
         raise InvalidInputError("vote count must be a positive multiple of 3")
@@ -207,14 +247,15 @@ def _build_triplet(spec: ExperimentSpec):
         raise InvalidInputError(
             "triplet conditioning uses all three margins")
     probs, weights = triplet_cell_tables(rho)
-    signs = np.sign(weights)
 
-    def cycle(counts, margins):
-        f_signs = counts @ signs
+    def cycle(tallies):
+        f_signs = tallies[:, 3:]
         hit = (f_signs > 0).all(axis=1) | (f_signs < 0).all(axis=1)
         return hit.astype(np.intp)
 
-    return _multinomial_kernel(m, probs, weights, np.arange(3), d, cycle), 2
+    return _multinomial_kernel(m, probs,
+                               np.hstack([weights, np.sign(weights)]),
+                               np.arange(3), d, cycle), 2
 
 
 def dice_model_from_params(params: dict):
@@ -327,6 +368,20 @@ def orthant3_mc(r: float, draws: int, seed: int) -> MonteCarloEstimate:
         family="orthant3", params={"r": r}, trials=draws, seed=seed))
 
 
+def lag_products(kernel: CorrelationKernel, n: int, lags, draws: int,
+                 rng: np.random.Generator,
+                 method: str = "auto") -> np.ndarray:
+    """faces[0] * faces[lag] for each lag of draws stationary dice, as a
+    C-ordered (draws, len(lags)) array. The dice are sampled from rng in
+    chunks of mc.BLOCK_SIZE rows, so memory stays bounded."""
+    prods = np.empty((draws, len(lags)))
+    for lo in range(0, draws, mc.BLOCK_SIZE):
+        hi = min(lo + mc.BLOCK_SIZE, draws)
+        faces, _ = sample_stationary_faces(n, kernel, rng, hi - lo, method)
+        prods[lo:hi] = faces[:, :1] * faces[:, lags]
+    return prods
+
+
 def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
                       seed: int, method: str = "auto") -> dict:
     """Empirical Cov(X_0, X_lag) of the stationary face sampler with
@@ -338,12 +393,7 @@ def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
         raise InvalidInputError("lags must be nonempty and lie in [0, n)")
     if draws < 2:
         raise InvalidInputError("need at least two draws")
-    model = StationaryGaussian(n=n, kernel=kernel, method=method)
-    rng = substream(seed, 0)
-    prods = np.empty((draws, len(lags)))
-    for it in range(draws):
-        faces = model.sample(rng).faces
-        prods[it] = faces[0] * faces[lags]
+    prods = lag_products(kernel, n, lags, draws, substream(seed, 0), method)
     means = prods.mean(axis=0)
     stderrs = prods.std(axis=0, ddof=1) / math.sqrt(draws)
     return {lag: (float(means[i]), float(stderrs[i]))

@@ -6,8 +6,8 @@ the outcomes of trials start..stop-1 as arrays. Randomness is
 counter-based Philox: the key is two splitmix64 words derived from the
 seed, and substream(seed, i) starts the 256-bit counter at [0, i, 0, 0],
 so index i owns a disjoint 2^64 stretch of the counter space. Every
-kernel draws its whole block, trial by trial in order, from
-substream(seed, start).
+kernel draws its whole block from substream(seed, start), in an order
+its family documents.
 
 Every trial reports one category index, and the engine reduces a run to
 integer counts per category: a block's counts are a bincount of its
@@ -42,9 +42,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # Trials per index block. A kernel draws a block from one substream keyed
 # by its first trial, so seeded results depend on it by design; it also
-# bounds a block's arrays (at most 4096 x 120 int64 ranking counts for
-# k=5 elections, 4096 x 64 int64 cell counts for triplets). A phase of
-# one block runs inline, without the thread pool.
+# bounds a block's arrays. The largest are the type counts of the
+# multinomial kernel: unconditioned, 4096 x 120 int64 ranking counts for
+# k=5 elections and 4096 x 64 int64 cell counts for triplets; conditioned,
+# 4096 x (2 or 4) group counts, then counts over the live types for only
+# the trials whose first margin is close. A phase of one block runs
+# inline, without the thread pool.
 BLOCK_SIZE = 4096
 
 # A trial kernel maps (seed, start, stop) to two arrays over the trials
@@ -210,7 +213,8 @@ def register_family(name: str):
 
     The kernel follows the block contract of TrialKernel: kernel(seed,
     start, stop) -> (accepted, category), arrays over trials
-    start..stop-1, drawn in trial order from substream(seed, start).
+    start..stop-1, drawn from substream(seed, start) in an order the
+    family documents.
     n_categories >= 2 is the number of category indices the kernel
     reports; a family estimate_probability can run has exactly 2 (miss,
     hit).
@@ -295,6 +299,9 @@ def _run_phase(kernel, seed, start, stop, workers, n_categories):
 def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
                 seed: int, workers: Optional[int],
                 acceptance_floor: float) -> CategoryCounts:
+    if not 0.0 < acceptance_floor <= 1.0:
+        raise InvalidInputError("acceptance_floor must lie in (0, 1], got %r"
+                                % (acceptance_floor,))
     workers = resolve_workers(workers)
     # The probe is whole blocks, so every block starts at a multiple of
     # BLOCK_SIZE whatever the floor.

@@ -128,35 +128,38 @@ def _circulant_eigenvalues(n: int, kernel: CorrelationKernel) -> np.ndarray:
 
 
 def _sample_circulant(n: int, kernel: CorrelationKernel,
-                      rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Davies-Harte synthesis on the circulant extension of size 2(n-1).
+                      rng: np.random.Generator,
+                      size: int) -> Optional[np.ndarray]:
+    """size rows of Davies-Harte synthesis on the circulant extension of
+    size m = 2(n-1), as a (size, n) array.
 
     Returns None when the extension has meaningfully negative eigenvalues
     (the embedding is not nonnegative definite), letting the caller fall
-    back. Normal draws are consumed as one array of length 2(n-1), indexed
-    low k to high k with real before imaginary parts.
+    back. Normal draws are consumed as one (size, m) array; within a row
+    they are indexed low k to high k with real before imaginary parts.
     """
     m = 2 * (n - 1)
     lam = _circulant_eigenvalues(n, kernel)
     if lam.min() < -1e-9 * max(lam.max(), 1.0):
         return None
     lam = np.clip(lam, 0.0, None)
-    v = rng.standard_normal(m)
+    v = rng.standard_normal((size, m))
     half = m // 2
-    w = np.zeros(m, dtype=complex)
-    w[0] = math.sqrt(lam[0] / m) * v[0]
-    w[half] = math.sqrt(lam[half] / m) * v[m - 1]
-    if half > 1:
-        k = np.arange(1, half)
-        scale = np.sqrt(lam[k] / (2.0 * m))
-        w[k] = scale * (v[2 * k - 1] + 1j * v[2 * k])
-        w[m - k] = np.conj(w[k])
-    x = np.fft.fft(w).real
-    return x[:n]
+    w = np.zeros((size, m), dtype=complex)
+    w[:, 0] = math.sqrt(lam[0] / m) * v[:, 0]
+    w[:, half] = math.sqrt(lam[half] / m) * v[:, m - 1]
+    # k = 1..half-1 takes v[2k-1] + i v[2k]; its mirror m-k the conjugate.
+    scale = np.sqrt(lam[1:half] / (2.0 * m))
+    w[:, 1:half] = scale * (v[:, 1:m - 1:2] + 1j * v[:, 2:m - 1:2])
+    w[:, half + 1:] = np.conj(w[:, half - 1:0:-1])
+    x = np.fft.fft(w, axis=1).real
+    return x[:, :n]
 
 
 def _sample_cholesky(n: int, kernel: CorrelationKernel,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator, size: int) -> np.ndarray:
+    """size rows of the Toeplitz Cholesky factor times one (size, n)
+    array of standard normals, as a (size, n) array."""
     if n > CHOLESKY_LIMIT:
         raise SizeLimitError(
             "Cholesky path limited to n <= %d" % CHOLESKY_LIMIT
@@ -168,7 +171,7 @@ def _sample_cholesky(n: int, kernel: CorrelationKernel,
     except np.linalg.LinAlgError:
         order = _first_failing_minor(cov)
         raise NotPositiveDefiniteError(minor_order=order) from None
-    return chol @ rng.standard_normal(n)
+    return rng.standard_normal((size, n)) @ chol.T
 
 
 def _first_failing_minor(cov: np.ndarray) -> int:
@@ -184,29 +187,32 @@ def _first_failing_minor(cov: np.ndarray) -> int:
     return lo
 
 
-def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
-                               rng: np.random.Generator,
-                               method: str = "auto") -> Die:
-    """A stationary Gaussian die: mean-zero faces with variance 1/2 and
-    lag covariance kernel.rho.
+def sample_stationary_faces(n: int, kernel: CorrelationKernel,
+                            rng: np.random.Generator, size: int,
+                            method: str = "auto") -> tuple:
+    """size independent stationary Gaussian dice: mean-zero faces with
+    variance 1/2 and lag covariance kernel.rho, as ((size, n) faces,
+    route), where route names the path taken: "direct" (n = 1),
+    "circulant" or "cholesky".
 
     method "circulant" uses the Davies-Harte embedding of size 2(n-1)
     (raises when the embedding is not nonnegative definite), "cholesky"
     factors the n x n Toeplitz covariance (n <= 4096), and "auto" tries
-    the embedding first and falls back to Cholesky with a warning.
+    the embedding first and falls back to Cholesky with a warning. The
+    rows come from one draw of normals and one row-wise FFT or one matrix
+    product; row i equals the i-th of size one-row calls on the same
+    generator (to rounding on the Cholesky route).
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
-    meta = {"model": "stationary", "kernel": kernel.name, "n": n}
     if n == 1:
-        faces = rng.standard_normal(1) * math.sqrt(0.5)
-        return Die(faces, meta={**meta, "method": "direct"})
+        return rng.standard_normal((size, 1)) * math.sqrt(0.5), "direct"
     if method not in ("auto", "circulant", "cholesky"):
         raise InvalidInputError("unknown method %r" % (method,))
     if method in ("auto", "circulant"):
-        faces = _sample_circulant(n, kernel, rng)
+        faces = _sample_circulant(n, kernel, rng, size)
         if faces is not None:
-            return Die(faces, meta={**meta, "method": "circulant"})
+            return faces, "circulant"
         if method == "circulant":
             raise NotPositiveDefiniteError(minor_order=0)
         warnings.warn(
@@ -214,8 +220,17 @@ def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
             "definite; falling back to Cholesky" % (kernel.name, n),
             RuntimeWarning,
         )
-    faces = _sample_cholesky(n, kernel, rng)
-    return Die(faces, meta={**meta, "method": "cholesky"})
+    return _sample_cholesky(n, kernel, rng, size), "cholesky"
+
+
+def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
+                               rng: np.random.Generator,
+                               method: str = "auto") -> Die:
+    """One stationary Gaussian die, sample_stationary_faces with size 1;
+    its meta records the route taken as "method"."""
+    faces, route = sample_stationary_faces(n, kernel, rng, 1, method)
+    return Die(faces[0], meta={"model": "stationary", "kernel": kernel.name,
+                               "n": n, "method": route})
 
 
 @dataclass(frozen=True)

@@ -421,6 +421,39 @@ def triplet_paradox_by_profiles(n_votes, d, trials, rng):
     return hits, accepted
 
 
+def triplet_paradox_exact(m, d):
+    """Exact close-election paradox law for m triplets of uniform-ranking
+    voters, as (P[the three triplet majorities agree | every margin is
+    at most d], P[every margin is at most d]) in Fractions. One
+    triplet's 216 ranking profiles give the law of its three weights and
+    their signs; m independent triplets are convolved one at a time."""
+    votes = []
+    for perm in itertools.permutations(range(3)):
+        pos = {c: i for i, c in enumerate(perm)}
+        votes.append(tuple(1 if pos[a] < pos[b] else -1
+                           for a, b in ((0, 1), (1, 2), (2, 0))))
+    one = {}
+    for trio in itertools.product(votes, repeat=3):
+        w = tuple(sum(v[p] for v in trio) for p in range(3))
+        key = w + tuple(1 if x > 0 else -1 for x in w)
+        one[key] = one.get(key, 0) + Fraction(1, 216)
+    law = {(0,) * 6: Fraction(1)}
+    for _ in range(m):
+        step = {}
+        for a, pa in law.items():
+            for b, pb in one.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                step[key] = step.get(key, 0) + pa * pb
+        law = step
+    accept = hit = Fraction(0)
+    for key, p in law.items():
+        if max(abs(x) for x in key[:3]) <= d:
+            accept += p
+            if all(x > 0 for x in key[3:]) or all(x < 0 for x in key[3:]):
+                hit += p
+    return hit / accept, accept
+
+
 def kalai_majority_exact(n, flip):
     """Exact Kalai paradox probability 1/4 (1 - 3 E[maj(x) maj(y)]) of
     majority over n (odd) fair +-1 votes x, y flipping each vote of x

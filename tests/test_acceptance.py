@@ -8,15 +8,13 @@ Gaussian-level constants, and the sampler/oracle cross-checks.
 
 Every test prints exactly one line, ``criterion NN PASS|FAIL - ...``
 (run pytest with ``-s`` to see the lines for passing tests too), then
-asserts. Criterion 13 runs a large conditioned simulation and is marked
-``slow``; deselect it with ``-m "not slow"``.
+asserts.
 """
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 import scipy.stats
 
 from oracles import (
@@ -338,7 +336,6 @@ def test_criterion_12_boolean_paradox_rates():
             "(0.125 +- 0.01)" % (maj.estimate, ft.estimate))
 
 
-@pytest.mark.slow
 def test_criterion_13_conditioned_triplet_agreement_at_scale():
     """Close-election conditioning lifts the triplet-majority agreement
     probability at n=30003, d=16: at least 500 accepted profiles land in

@@ -250,6 +250,7 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
     {"trials": [10]},
     {"tri": 5},            # only abbreviates --triples
     {"config": "x"},
+    {"rho": 0.4},          # a flag sum mode ignores
 ])
 def test_config_values_are_checked_like_flags(tmp_path, doc):
     config = tmp_path / "run.json"
@@ -316,6 +317,11 @@ def test_usage_errors_exit_two():
     _usage_error(["dice", "--model", "discrete", "--n", "0", "--triples",
                   "10"])
     _usage_error(["elections", "--n", "5", "--trials", "0"])
+    # A flag the chosen model ignores is an error, not silently dropped.
+    _usage_error(["triplet", "--n", "33", "--trials", "100", "--rho", "0.4"])
+    _usage_error(["dice", "--model", "conditioned", "--n", "10",
+                  "--triples", "3", "--hurst", "0.3"])
+    _usage_error(["dice", "--n", "10", "--triples", "3", "--hurst", "0.3"])
     _usage_error(["verify", "--suite", "bogus"])
     _usage_error(["nonsense"])
 

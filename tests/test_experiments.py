@@ -54,6 +54,7 @@ from oracles import (
     election_outcome_distribution,
     iid_triple_class_distribution,
     triplet_paradox_by_profiles,
+    triplet_paradox_exact,
 )
 
 
@@ -219,15 +220,42 @@ def test_close_election_family_matches_exact_law_at_n301():
 
 
 # The block kernels against the per-trial rule they replace, applied row
-# by row to the same multinomial rows. Values are compared where accepted
-# only: the engine ignores the value of a rejected trial.
+# by row to type counts rebuilt from the block's substream in the
+# kernel's documented draw order. Values are compared where accepted only:
+# the engine ignores the value of a rejected trial.
 
 ELECTION_CONDITIONINGS = {
-    2: (None, {"d": 1}, {"d": 1, "subset": [0]}),
-    3: (None, {"d": 1}, {"d": 1, "subset": [0, 2]}),
-    4: (None, {"d": 1}, {"d": 1, "subset": [1, 5]}),
-    5: (None, {"d": 1}, {"d": 1, "subset": [0, 4, 9]}),
+    2: ({"d": 1}, {"d": 1, "subset": [0]}),
+    3: ({"d": 1}, {"d": 1, "subset": [0, 2]}, {"d": 1, "subset": [1, 2]}),
+    4: ({"d": 1}, {"d": 1, "subset": [1, 5]}),
+    5: ({"d": 1}, {"d": 1, "subset": [0, 4, 9]}),
 }
+
+
+def _staged_rows(seed, start, size, draws, probs, weights, column, d):
+    """A conditioned block's type counts, rebuilt from substream(seed,
+    start): stage 1 draws the counts of the groups of live types that
+    share a weight in column, levels ascending; stage 2 splits, group by
+    group, the group counts of the trials whose column margin is at most
+    d. Returns the live weights and one row of live-type counts per
+    trial, None for a trial rejected at stage 1."""
+    live = probs > 0
+    probs, weights = probs[live], weights[live]
+    levels = sorted(set(weights[:, column].tolist()))
+    members = [np.flatnonzero(weights[:, column] == v) for v in levels]
+    rng = substream(seed, start)
+    groups = rng.multinomial(
+        draws, [probs[cells].sum() for cells in members], size=size)
+    passed = np.flatnonzero(np.abs(groups @ np.array(levels)) <= d)
+    rows = [None] * size
+    for i in passed:
+        rows[i] = np.zeros(len(probs), dtype=np.int64)
+    for j, cells in enumerate(members):
+        splits = rng.multinomial(groups[passed, j],
+                                 probs[cells] / probs[cells].sum())
+        for i, split in zip(passed, splits):
+            rows[i][cells] = split
+    return weights, rows
 
 
 @pytest.mark.parametrize("k", sorted(ELECTION_CONDITIONINGS))
@@ -244,43 +272,117 @@ def test_election_block_kernel_matches_per_trial_rule(k):
         assert n_cat == 1 << n_pairs
         accepted, values = kernel(seed, start, start + size)
         assert accepted.shape == values.shape == (size,)
-        rows = substream(seed, start).multinomial(n, pvals, size=size)
-        check = (np.arange(n_pairs) if cond is None or "subset" not in cond
-                 else np.array(cond["subset"]))
+        check = np.array(cond.get("subset", range(n_pairs)))
+        weights, rows = _staged_rows(seed, start, size, n, pvals, signs,
+                                     check[0], cond["d"])
         for i, row in enumerate(rows):
-            margins = row @ signs
-            ok = cond is None or np.max(np.abs(margins[check])) <= cond["d"]
+            if row is None:
+                assert not accepted[i] and values[i] == 0
+                continue
+            margins = row @ weights
+            assert row.sum() == n
+            ok = np.max(np.abs(margins[check])) <= cond["d"]
             assert accepted[i] == ok
             if ok:
-                assert values[i] == float((margins > 0) @ bit_weights)
-        if cond is not None:
-            assert 0 < np.count_nonzero(accepted) < size
+                assert values[i] == (margins > 0) @ bit_weights
+        assert 0 < np.count_nonzero(accepted) < size
+        assert 0 < sum(row is None for row in rows) < size
 
 
 @pytest.mark.parametrize("rho", [None, 0.4])
 def test_triplet_block_kernel_matches_per_trial_rule(rho):
     m, seed, start, size = 3, 6, BLOCK_SIZE, 600
     probs, weights = triplet_cell_tables(rho)
-    signs = np.sign(weights)
     family, params = (("triplet_paradox", {"n": 3 * m}) if rho is None
                       else ("triplet_noise", {"n": 3 * m, "rho": rho}))
-    for d in (None, 1):
-        kernel, _ = build_kernel(_spec(family, params, size, seed,
-                                       None if d is None else {"d": d}))
+    for d in (1, 3):
+        kernel, _ = build_kernel(_spec(family, params, size, seed, {"d": d}))
         accepted, values = kernel(seed, start, start + size)
         assert accepted.shape == values.shape == (size,)
-        rows = substream(seed, start).multinomial(m, probs, size=size)
+        live_weights, rows = _staged_rows(seed, start, size, m, probs,
+                                          weights, 0, d)
+        assert len(live_weights) == (44 if rho is None else 64)
         for i, row in enumerate(rows):
-            ok = d is None or np.max(np.abs(row @ weights)) <= d
+            if row is None:
+                assert not accepted[i] and values[i] == 0
+                continue
+            assert row.sum() == m
+            ok = np.max(np.abs(row @ live_weights)) <= d
             assert accepted[i] == ok
             if ok:
-                f_signs = row @ signs
+                f_signs = row @ np.sign(live_weights)
                 hit = (f_signs > 0).all() or (f_signs < 0).all()
-                assert values[i] == (1.0 if hit else 0.0)
+                assert values[i] == (1 if hit else 0)
         assert 0 < np.count_nonzero(values[accepted]) < np.count_nonzero(
             accepted)
-        if d is not None:
-            assert 0 < np.count_nonzero(accepted) < size
+        assert 0 < np.count_nonzero(accepted) < size
+        assert 0 < sum(row is None for row in rows) < size
+
+
+@pytest.mark.parametrize("family,params", [
+    *[("election_outcomes", {"n": 7, "k": k}) for k in (2, 3, 4, 5)],
+    ("triplet_paradox", {"n": 9}),
+    ("triplet_noise", {"n": 9, "rho": 0.4}),
+], ids=["k2", "k3", "k4", "k5", "paradox", "noise"])
+def test_unconditioned_block_is_one_multinomial(family, params):
+    """Unconditioned, a block is one multinomial of every type, the dead
+    triplet cells included, so its draws match a single
+    multinomial(n, p, size) call row by row."""
+    seed, start, size = 9, 3 * BLOCK_SIZE, 400
+    if family == "election_outcomes":
+        weights = ranking_sign_matrix(params["k"])
+        draws = params["n"]
+        probs = np.full(len(weights), 1.0 / len(weights))
+        bit_weights = 1 << np.arange(weights.shape[1] - 1, -1, -1)
+        rule = lambda row: (row @ weights > 0) @ bit_weights
+    else:
+        probs, weights = triplet_cell_tables(params.get("rho"))
+        draws = params["n"] // 3
+
+        def rule(row):
+            f_signs = row @ np.sign(weights)
+            return int((f_signs > 0).all() or (f_signs < 0).all())
+    kernel, _ = build_kernel(_spec(family, params, size, seed))
+    accepted, values = kernel(seed, start, start + size)
+    assert accepted.all()
+    rows = substream(seed, start).multinomial(draws, probs, size=size)
+    assert [rule(row) for row in rows] == values.tolist()
+    assert len(set(values.tolist())) > 1
+
+
+def test_staged_election_law_on_a_later_first_column():
+    """Conditioned on pairs 1 and 2 only, the first stage groups by pair
+    1's margin; the k=3, n=7, d=1 law still matches exact enumeration:
+    the outcome counts by chi-square (24.32 is the 0.999 quantile with 7
+    degrees of freedom) and the acceptance rate within 5 stderr."""
+    trials = 400_000
+    cc = estimate_categories(_spec("election_outcomes", {"n": 7, "k": 3},
+                                   trials, 4041,
+                                   conditioning={"d": 1, "subset": [1, 2]}))
+    exact, accept = election_outcome_distribution(7, d=1, subset=[1, 2])
+    p_acc = float(accept)
+    assert abs(cc.accepted / trials - p_acc) < 5.0 * math.sqrt(
+        p_acc * (1.0 - p_acc) / trials)
+    expected = cc.accepted * np.array([float(exact[i]) for i in range(8)])
+    assert expected.min() > 100
+    assert float(((cc.counts - expected) ** 2 / expected).sum()) < 24.32
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_triplet_noise_endpoints_run_conditioned(rho):
+    """At rho = 1 only 4 of the 64 cells are live and every stage-1 group
+    holds one; at rho = 0 all 64 are. Neither leaves a group of
+    probability 0 to normalize, so no NaN reaches a draw."""
+    with np.errstate(all="raise"):
+        est = estimate_probability(_spec("triplet_noise",
+                                         {"n": 9, "rho": rho}, 20_000, 12,
+                                         conditioning={"d": 1}))
+    assert est.accepted > 1_000
+    if rho == 1.0:
+        # every voter repeats one sign, so the three margins coincide
+        assert est.estimate == 1.0
+    else:
+        assert 0.0 < est.estimate < 1.0
 
 
 # The dice kernel against the rule it replaces: each triple drawn in order
@@ -511,6 +613,20 @@ def test_triplet_paradox_conditioned_matches_profile_simulation():
     se_ref = math.sqrt(p_ref * (1.0 - p_ref) / accepted)
     assert accepted > 1_000
     assert abs(est.estimate - p_ref) < 4.0 * math.hypot(est.stderr, se_ref)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_triplet_paradox_conditioned_matches_exact_law(d):
+    """n=9 (three triplets) against the exact convolution of the triplet
+    law: the acceptance rate and the cycle rate each within 5 stderr."""
+    trials = 200_000
+    est = estimate_probability(_spec("triplet_paradox", {"n": 9}, trials,
+                                     15, conditioning={"d": d}))
+    hit, accept = (float(v) for v in triplet_paradox_exact(3, d))
+    assert abs(est.accepted / trials - accept) < 5.0 * math.sqrt(
+        accept * (1.0 - accept) / trials)
+    assert abs(est.estimate - hit) < 5.0 * math.sqrt(
+        hit * (1.0 - hit) / est.accepted)
 
 
 def test_triplet_paradox_unconditioned_matches_profile_simulation():

@@ -239,6 +239,30 @@ def test_acceptance_floor_aborts_early():
     assert exc.value.probe_trials == BLOCK_SIZE
 
 
+_DRAWN = []
+
+
+@register_family("test_logged_coin")
+def _build_logged_coin(spec):
+    def kernel(seed, start, stop):
+        _DRAWN.append((seed, start, stop))
+        return _always(seed, start, stop)
+
+    return kernel, 2
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), 1.5])
+def test_acceptance_floor_outside_unit_interval_is_a_typed_error(floor):
+    """A floor outside (0, 1] is rejected before any block is drawn."""
+    _DRAWN.clear()
+    for estimator in (estimate_categories, estimate_probability):
+        with pytest.raises(InvalidInputError, match="acceptance_floor"):
+            estimator(_spec("test_logged_coin", 100), acceptance_floor=floor)
+    assert _DRAWN == []
+    estimate_probability(_spec("test_logged_coin", 100), acceptance_floor=1.0)
+    assert _DRAWN == [(0, 0, 100)]
+
+
 def test_results_do_not_depend_on_the_acceptance_floor():
     """Blocks start at multiples of BLOCK_SIZE whatever the probe length,
     so a block family run longer than both probes (1 and 4 blocks) draws

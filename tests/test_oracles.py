@@ -3,6 +3,7 @@ exact laws against brute-force enumeration where both can run."""
 
 import ast
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     close_election_law,
     election_outcome_distribution,
     kalai_majority_exact,
+    triplet_paradox_exact,
 )
 
 
@@ -77,3 +79,22 @@ def test_close_election_law_at_n301():
         assert law[idx] == pytest.approx(0.1213566, abs=5e-8)
     assert accept == pytest.approx(0.0077745, abs=5e-8)
     assert 1.0 - law[2] - law[5] == pytest.approx(0.7572869, abs=5e-8)
+
+
+def test_triplet_paradox_exact_matches_enumeration():
+    """m=1 with no binding margin is the three-voter cycle rate 1/18;
+    m=2 at d=2 against all 6^6 ranking profiles of six voters."""
+    assert triplet_paradox_exact(1, 3) == (Fraction(1, 18), 1)
+    cyclic = [tuple(1 if p.index(a) < p.index(b) else -1
+                    for a, b in ((0, 1), (1, 2), (2, 0)))
+              for p in itertools.permutations(range(3))]
+    hits = accepted = 0
+    for profile in itertools.product(cyclic, repeat=6):
+        votes = np.array(profile)
+        if np.abs(votes.sum(axis=0)).max() > 2:
+            continue
+        accepted += 1
+        f = np.sign(np.sign(votes.reshape(2, 3, 3).sum(axis=1)).sum(axis=0))
+        hits += bool((f == f[0]).all() and f[0] != 0)
+    assert triplet_paradox_exact(2, 2) == (Fraction(hits, accepted),
+                                           Fraction(accepted, 6 ** 6))

@@ -30,6 +30,7 @@ from intrans.samplers import (
     sample_discrete_conditioned,
     sample_iid,
     sample_profile,
+    sample_stationary_faces,
     sample_stationary_gaussian,
 )
 
@@ -269,6 +270,29 @@ def test_stationary_determinism():
         b = sample_stationary_gaussian(32, kernel,
                                        np.random.default_rng(13), method)
         np.testing.assert_array_equal(a.faces, b.faces)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_stationary_rows_equal_one_row_calls(n):
+    """A batch of rows is the batch of one-row draws on the same
+    generator: bit for bit on the circulant and direct routes (one FFT
+    per row either way), and to rounding on the Cholesky route, where a
+    matrix product replaces a matrix-vector product."""
+    kernel = CorrelationKernel.fbm(0.7)
+    for method in ("circulant", "cholesky"):
+        rows, route = sample_stationary_faces(
+            n, kernel, np.random.default_rng(17), 5, method)
+        assert rows.shape == (5, n)
+        assert route == ("direct" if n == 1 else method)
+        rng = np.random.default_rng(17)
+        one_by_one = np.stack([
+            sample_stationary_gaussian(n, kernel, rng, method).faces
+            for _ in range(5)])
+        if route == "cholesky":
+            np.testing.assert_allclose(rows, one_by_one, rtol=1e-12,
+                                       atol=1e-14)
+        else:
+            np.testing.assert_array_equal(rows, one_by_one)
 
 
 def test_stationary_auto_falls_back_with_warning():
