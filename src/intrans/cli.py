@@ -7,21 +7,24 @@ election, optionally conditioned on close margins; `triplet` runs the
 majority-of-triplets paradox experiments; `verify` executes the built-in
 exact-value and sampler self-checks.
 
-Results go to a fixed-column CSV (stdout when --out is omitted or `-`)
-with a JSON metadata sidecar next to the file. A `--config FILE` JSON
-object is read once and its keys become `--key=value` flags placed right
-after the subcommand, so argparse checks them exactly like flags, an
-explicit flag (which comes later) wins, and a null value leaves its flag
-unset. Flags and keys must be spelled out in full. Exit codes: 0
+The three run subcommands share --config, --seed and --out, and one
+writer: results go to a fixed-column CSV (stdout when --out is omitted or
+`-`) with a JSON metadata sidecar next to the file. A `--config FILE`
+JSON object is read once and its keys become `--key=value` flags placed
+right after the subcommand, so argparse checks them exactly like flags,
+an explicit flag (which comes later) wins, and a null value leaves its
+flag unset. Flags and keys must be spelled out in full. Exit codes: 0
 success, 1 failure during a run (machine-readable JSON on stderr), 2
 usage error, which includes every parameter value the experiment family
 rejects and a flag the chosen model ignores (--rho without --mode noise,
---hurst without --model stationary).
+--hurst without --model stationary, --dist with --model discrete or
+stationary).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -67,57 +70,54 @@ from .triplets import (
     triplet_covariances,
 )
 
-CSV_COLUMNS = ("experiment_id", "subcommand", "model", "n", "k", "d",
-               "hurst", "rho", "trials", "accepted", "statistic",
-               "estimate", "stderr", "seed", "wall_time_ms")
+# The columns a subcommand fills itself, between the run's identity and
+# its results.
+_FIXED_COLUMNS = ("model", "n", "k", "d", "hurst", "rho")
+CSV_COLUMNS = ("experiment_id", "subcommand", *_FIXED_COLUMNS, "trials",
+               "accepted", "statistic", "estimate", "stderr", "seed",
+               "wall_time_ms")
 
 
-def _experiment_id(spec: ExperimentSpec) -> str:
-    return hashlib.sha256(spec.to_json().encode()).hexdigest()[:12]
-
-
-def _write_rows(out: Optional[str], rows: list, meta: dict) -> None:
-    """The CSV to the file out, with its metadata sidecar, or to stdout
-    (no sidecar) when out is None or "-"."""
-    if out is None or out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-        return
-    with open(out, "w", newline="") as fh:
+def _report(args, spec, result, fixed, measured, exact=()) -> int:
+    """Write a run's CSV: one row per measured (statistic, estimate,
+    stderr) of result, then one per exact (statistic, value), whose
+    stderr is 0 and whose trials, accepted and wall_time_ms stay blank.
+    fixed maps _FIXED_COLUMNS to the subcommand's values; a column it
+    leaves out, or sets to None, stays blank. The CSV goes to stdout when
+    --out is omitted or "-", else to the file --out with a .meta.json
+    sidecar holding the spec and how the run was made."""
+    spec_json = spec.to_json()
+    exp_id = hashlib.sha256(spec_json.encode()).hexdigest()[:12]
+    ident = (exp_id, args.command, *map(fixed.get, _FIXED_COLUMNS))
+    wall_time_ms = round(result.wall_time_ms, 3)
+    rows = [(*ident, result.trials, result.accepted, name, float(estimate),
+             float(stderr), spec.seed, wall_time_ms)
+            for name, estimate, stderr in measured]
+    rows += [(*ident, None, None, name, float(value), 0.0, spec.seed, None)
+             for name, value in exact]
+    to_file = args.out not in (None, "-")
+    with (open(args.out, "w", newline="") if to_file
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
-    with open(out + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _row(experiment_id, subcommand, statistic, estimate, stderr, *,
-         model="", n="", k="", d="", hurst="", rho="", trials="",
-         accepted="", seed="", wall_time_ms=""):
-    return (experiment_id, subcommand, model, n, k, d, hurst, rho,
-            trials, accepted, statistic, repr(float(estimate)),
-            repr(float(stderr)), seed, wall_time_ms)
-
-
-def _meta(spec: ExperimentSpec, experiment_id: str, subcommand: str,
-          accepted: int, wall_time_ms: float) -> dict:
-    return {
-        "experiment_id": experiment_id,
-        "subcommand": subcommand,
-        "spec": json.loads(spec.to_json()),
-        "accepted": accepted,
-        "wall_time_ms": wall_time_ms,
-        "workers": resolve_workers(spec.workers),
-        "block_size": BLOCK_SIZE,
-        "stream_scheme": STREAM_SCHEME,
-        "package_version": __version__,
-        "numpy_version": np.__version__,
-    }
-
-
-# ---------------------------------------------------------------- dice
+    if to_file:
+        meta = {
+            "experiment_id": exp_id,
+            "subcommand": args.command,
+            "spec": json.loads(spec_json),
+            "accepted": result.accepted,
+            "wall_time_ms": result.wall_time_ms,
+            "workers": resolve_workers(spec.workers),
+            "block_size": BLOCK_SIZE,
+            "stream_scheme": STREAM_SCHEME,
+            "package_version": __version__,
+            "numpy_version": np.__version__,
+        }
+        with open(args.out + ".meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return 0
 
 
 def _make_spec(parser, family, params, trials, seed, conditioning=None):
@@ -129,13 +129,18 @@ def _make_spec(parser, family, params, trials, seed, conditioning=None):
         parser.error(str(e))
 
 
+# ---------------------------------------------------------------- dice
+
+
 def _cmd_dice(args, parser) -> int:
-    n, model = args.n, args.model
+    model = args.model
     if args.hurst is not None and model != "stationary":
         parser.error("--hurst only applies to --model stationary")
-    params = {"model": model, "n": n}
+    params = {"model": model, "n": args.n}
     if model in ("conditioned", "iid"):
-        params["dist"] = args.dist
+        params["dist"] = args.dist or "uniform"
+    elif args.dist is not None:
+        parser.error("--dist only applies to --model conditioned or iid")
     if model == "stationary":
         params["hurst"] = args.hurst
     spec = _make_spec(parser, "dice_triples", params, args.triples,
@@ -144,22 +149,12 @@ def _cmd_dice(args, parser) -> int:
 
     counts = estimate_categories(spec)
     summary = summarize_dice_categories(counts)
-    exp_id = _experiment_id(spec)
-    common = dict(model=model, n=n, trials=spec.trials,
-                  accepted=counts.accepted, seed=spec.seed,
-                  hurst=(params.get("hurst", "")),
-                  wall_time_ms=round(counts.wall_time_ms, 3))
-    rows = [
-        _row(exp_id, "dice", "intransitive_fraction",
-             summary["intransitive_fraction"],
-             summary["intransitive_stderr"], **common),
-        _row(exp_id, "dice", "agreement_rate", summary["agreement_rate"],
-             summary["agreement_stderr"], **common),
-    ]
-    _write_rows(args.out, rows,
-                _meta(spec, exp_id, "dice", counts.accepted,
-                      counts.wall_time_ms))
-    return 0
+    return _report(args, spec, counts,
+                   dict(model=model, n=args.n, hurst=args.hurst),
+                   [(name, summary[name], summary[stderr])
+                    for name, stderr in (
+                        ("intransitive_fraction", "intransitive_stderr"),
+                        ("agreement_rate", "agreement_stderr"))])
 
 
 # ----------------------------------------------------------- elections
@@ -184,7 +179,7 @@ def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
 
 
 def _cmd_elections(args, parser) -> int:
-    n, k = args.n, args.k
+    k = args.k
     excl = _parse_subset_excl(args.subset_excl, k, parser)
     n_pairs = k * (k - 1) // 2
     conditioning = None
@@ -195,7 +190,7 @@ def _cmd_elections(args, parser) -> int:
                                       if i != excl]
     elif excl is not None:
         parser.error("--subset-excl only makes sense with --d")
-    spec = _make_spec(parser, "election_outcomes", {"n": n, "k": k},
+    spec = _make_spec(parser, "election_outcomes", {"n": args.n, "k": k},
                       args.trials, args.seed, conditioning)
     from .experiments import (
         condorcet_probability,
@@ -204,33 +199,23 @@ def _cmd_elections(args, parser) -> int:
     )
 
     counts = estimate_categories(spec)
-    exp_id = _experiment_id(spec)
-    common = dict(model="impartial", n=n, k=k,
-                  d=("" if args.d is None else args.d),
-                  trials=spec.trials, accepted=counts.accepted,
-                  seed=spec.seed, wall_time_ms=round(counts.wall_time_ms, 3))
-    rows = []
-    meta_cats = outcome_categories(k)
-    for idx in range(1 << n_pairs):
+    measured = []
+    for idx, (signs, _, _) in enumerate(outcome_categories(k)):
         est = counts.proportion(idx)
-        bits = "".join("1" if v > 0 else "0" for v in meta_cats[idx][0])
-        rows.append(_row(exp_id, "elections", "outcome_" + bits,
-                         est.estimate, est.stderr, **common))
+        bits = "".join("1" if v > 0 else "0" for v in signs)
+        measured.append(("outcome_" + bits, est.estimate, est.stderr))
     for name, fn in (("transitive", transitive_probability),
                      ("condorcet_winner", condorcet_probability)):
-        p, se = fn(counts, k)
-        rows.append(_row(exp_id, "elections", name, p, se, **common))
-    _write_rows(args.out, rows,
-                _meta(spec, exp_id, "elections", counts.accepted,
-                      counts.wall_time_ms))
-    return 0
+        measured.append((name, *fn(counts, k)))
+    return _report(args, spec, counts,
+                   dict(model="impartial", n=args.n, k=k, d=args.d),
+                   measured)
 
 
 # ------------------------------------------------------------- triplet
 
 
 def _cmd_triplet(args, parser) -> int:
-    n = args.n
     conditioning = None
     if args.d is not None:
         conditioning = {"event": "close", "d": args.d}
@@ -239,27 +224,16 @@ def _cmd_triplet(args, parser) -> int:
         parser.error("--rho only applies to --mode noise")
     rho = args.rho
     family = "triplet_noise" if noise else "triplet_paradox"
-    params = {"n": n, "rho": rho} if noise else {"n": n}
+    params = {"n": args.n, "rho": rho} if noise else {"n": args.n}
     spec = _make_spec(parser, family, params, args.trials, args.seed,
                       conditioning)
     est = estimate_probability(spec)
-    exp_id = _experiment_id(spec)
-    common = dict(model=args.mode, n=n,
-                  d=("" if args.d is None else args.d),
-                  rho=("" if rho is None else rho), seed=spec.seed)
-    rows = [
-        _row(exp_id, "triplet", "paradox_rate", est.estimate, est.stderr,
-             trials=est.trials, accepted=est.accepted,
-             wall_time_ms=round(est.wall_time_ms, 3), **common),
-        _row(exp_id, "triplet", "alpha_star", alpha_star(), 0.0, **common),
-    ]
+    exact = [("alpha_star", alpha_star())]
     if rho is not None and 0.0 < rho < 1.0:
-        rows.append(_row(exp_id, "triplet", "alpha_rho", alpha_rho(rho),
-                         0.0, **common))
-    _write_rows(args.out, rows,
-                _meta(spec, exp_id, "triplet", est.accepted,
-                      est.wall_time_ms))
-    return 0
+        exact.append(("alpha_rho", alpha_rho(rho)))
+    return _report(args, spec, est,
+                   dict(model=args.mode, n=args.n, d=args.d, rho=rho),
+                   [("paradox_rate", est.estimate, est.stderr)], exact)
 
 
 # -------------------------------------------------------------- verify
@@ -459,6 +433,11 @@ _CONFIG = argparse.ArgumentParser(prog="intrans", add_help=False,
                                   allow_abbrev=False)
 _CONFIG.add_argument("--config", metavar="FILE",
                      help="JSON object of flag values; explicit flags win")
+# The options every run subcommand shares.
+_RUN = argparse.ArgumentParser(add_help=False, parents=[_CONFIG],
+                               allow_abbrev=False)
+_RUN.add_argument("--seed", type=int, default=0)
+_RUN.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
 
 @lru_cache(maxsize=None)
@@ -468,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Intransitive dice and close-election experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, parents=(_CONFIG,)):
+    def command(name, func, summary, parents=(_RUN,)):
         p = sub.add_parser(name, help=summary, parents=list(parents),
                            allow_abbrev=False)
         p.set_defaults(func=func, parser=p)
@@ -479,17 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("discrete", "conditioned", "stationary",
                                  "iid"),
                         help="sampling model (default conditioned)")
-    p_dice.add_argument("--dist", default="uniform",
-                        choices=tuple(sorted(DISTRIBUTIONS)),
-                        help="face distribution (default uniform)")
+    p_dice.add_argument("--dist", choices=tuple(sorted(DISTRIBUTIONS)),
+                        help="face distribution for --model conditioned "
+                             "or iid (default uniform)")
     p_dice.add_argument("--n", type=int, required=True,
                         help="faces per die")
     p_dice.add_argument("--hurst", type=float,
                         help="Hurst index for the stationary model")
     p_dice.add_argument("--triples", type=int, required=True,
                         help="number of independent triples")
-    p_dice.add_argument("--seed", type=int, default=0)
-    p_dice.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
     p_el = command("elections", _cmd_elections,
                    "impartial-culture tournament distribution")
@@ -503,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="lex pair index or 'i,j' left out of the "
                            "closeness requirement")
     p_el.add_argument("--trials", type=int, required=True)
-    p_el.add_argument("--seed", type=int, default=0)
-    p_el.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
     p_tr = command("triplet", _cmd_triplet,
                    "majority-of-triplets paradox experiments")
@@ -517,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--d", type=int,
                       help="closeness bound; omit for unconditioned")
     p_tr.add_argument("--trials", type=int, required=True)
-    p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
     p_ver = command("verify", _cmd_verify, "run built-in self checks",
                     parents=())

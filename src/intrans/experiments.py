@@ -406,6 +406,7 @@ def w_minus_nv_variance(dist, n: int, pairs: int, seed: int) -> float:
     that this ratio vanishes as n grows; the tests only check decrease."""
     if pairs < 2:
         raise InvalidInputError("need at least two pairs")
+    dist = get_distribution(dist)
     rng = substream(seed, 0)
     vals = np.empty(pairs)
     for it in range(pairs):

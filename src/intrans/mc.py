@@ -119,10 +119,20 @@ class CategoryCounts:
     def proportion(self, categories: Union[int, Sequence[int]],
                    stderr_method: str = "wald") -> MonteCarloEstimate:
         """Share of accepted draws in one category, or in any of a
-        sequence of distinct categories."""
+        sequence of distinct categories; InvalidInputError for an index
+        outside 0..len(counts)-1 or a repeated one."""
         if self.accepted < 1:
             raise InvalidInputError("no accepted trials")
-        hits = int(np.asarray(self.counts)[categories].sum())
+        counts = np.asarray(self.counts)
+        picked = [_integer("category", c) for c in
+                  ([categories] if np.ndim(categories) == 0
+                   else categories)]
+        if (len(set(picked)) < len(picked)
+                or not all(0 <= c < counts.size for c in picked)):
+            raise InvalidInputError(
+                "categories must be distinct indices in 0..%d, got %r"
+                % (counts.size - 1, categories))
+        hits = sum(int(counts[c]) for c in picked)
         return MonteCarloEstimate(
             estimate=hits / self.accepted,
             stderr=_proportion_stderr(hits, self.accepted, stderr_method),
@@ -194,7 +204,18 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        data = json.loads(text)
+        """The spec a to_json text describes; InvalidInputError for text
+        that is not a JSON object with family, params, trials and seed."""
+        try:
+            data = json.loads(text)
+        except (TypeError, ValueError) as e:
+            raise InvalidInputError("spec text is not JSON: %s" % e) from None
+        if not isinstance(data, dict):
+            raise InvalidInputError("spec JSON must be an object")
+        missing = [key for key in ("family", "params", "trials", "seed")
+                   if key not in data]
+        if missing:
+            raise InvalidInputError("spec JSON lacks %s" % ", ".join(missing))
         return cls(
             family=data["family"],
             params=data["params"],

@@ -57,6 +57,28 @@ def sample_iid(n: int, dist, rng: np.random.Generator) -> Die:
     return Die(faces, meta={"model": "iid", "dist": dist.name, "n": n})
 
 
+def _last_face_rejection(n: int, draw, max_attempts: int,
+                         what: str) -> np.ndarray:
+    """The faces of the first accepted candidate die of a last-face
+    sampler. Candidates come in batches of _batch_rows(n): draw(take)
+    returns the first n-1 faces of take candidates as a (take, n-1)
+    array, their last faces and a boolean mask of the accepted ones.
+    SamplerStallError once max_attempts candidates are all rejected."""
+    batch = _batch_rows(n)
+    attempts = 0
+    while attempts < max_attempts:
+        take = min(batch, max_attempts - attempts)
+        body, tail, ok = draw(take)
+        hits = np.nonzero(ok)[0]
+        attempts += take
+        if hits.size:
+            i = int(hits[0])
+            return np.append(body[i], tail[i])
+    raise SamplerStallError(
+        "%s sampler accepted nothing in %d attempts" % (what, max_attempts),
+        attempts=max_attempts, accepted=0)
+
+
 def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
                                   max_attempts: int = 1_000_000) -> Die:
     """n i.i.d. faces conditioned on their sum being exactly zero.
@@ -65,29 +87,23 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
     sum, and accepts with probability pdf(last) / sup pdf. The accepted
     law is exactly the conditional law on the zero-sum hyperplane. The
     acceptance rate decays like 1/sqrt(n) because the candidate last face
-    has standard deviation sqrt(n-1).
+    has standard deviation sqrt(n-1). A batch draws its faces, then one
+    uniform per candidate.
     """
     if n < 2:
         raise InvalidInputError("conditioned dice need n >= 2")
     dist = get_distribution(dist)
-    batch = _batch_rows(n)
-    attempts = 0
-    while attempts < max_attempts:
-        take = min(batch, max_attempts - attempts)
+
+    def draw(take):
         body = dist.sample(rng, (take, n - 1))
         tail = -body.sum(axis=1)
         u = rng.random(take)
-        density = np.asarray(dist.pdf(tail), dtype=float)
-        hits = np.nonzero(u * dist.sup_pdf <= density)[0]
-        attempts += take
-        if hits.size:
-            i = int(hits[0])
-            faces = np.concatenate([body[i], tail[i:i + 1]])
-            return Die(faces, meta={"model": "conditioned",
-                                    "dist": dist.name, "n": n})
-    raise SamplerStallError(
-        "conditioned sampler accepted nothing in %d attempts" % max_attempts,
-        attempts=max_attempts, accepted=0)
+        return body, tail, u * dist.sup_pdf <= np.asarray(dist.pdf(tail),
+                                                          dtype=float)
+
+    faces = _last_face_rejection(n, draw, max_attempts, "conditioned")
+    return Die(faces, meta={"model": "conditioned", "dist": dist.name,
+                            "n": n})
 
 
 def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
@@ -104,21 +120,14 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
     if n < 1:
         raise InvalidInputError("n must be positive")
     target = n * (n + 1) // 2
-    batch = _batch_rows(n)
-    attempts = 0
-    while attempts < max_attempts:
-        take = min(batch, max_attempts - attempts)
+
+    def draw(take):
         body = rng.integers(1, n + 1, size=(take, n - 1))
         tail = target - body.sum(axis=1)
-        hits = np.nonzero((tail >= 1) & (tail <= n))[0]
-        attempts += take
-        if hits.size:
-            i = int(hits[0])
-            faces = np.append(body[i], tail[i])
-            return Die(faces.astype(float), meta={"model": "discrete", "n": n})
-    raise SamplerStallError(
-        "discrete sampler accepted nothing in %d attempts" % max_attempts,
-        attempts=max_attempts, accepted=0)
+        return body, tail, (tail >= 1) & (tail <= n)
+
+    faces = _last_face_rejection(n, draw, max_attempts, "discrete")
+    return Die(faces.astype(float), meta={"model": "discrete", "n": n})
 
 
 def _circulant_eigenvalues(n: int, kernel: CorrelationKernel) -> np.ndarray:
@@ -269,11 +278,9 @@ class StationaryGaussian:
 
     n: int
     kernel: CorrelationKernel
-    method: str = "auto"
 
     def sample(self, rng: np.random.Generator) -> Die:
-        return sample_stationary_gaussian(self.n, self.kernel, rng,
-                                          self.method)
+        return sample_stationary_gaussian(self.n, self.kernel, rng)
 
     def cdf(self, x) -> np.ndarray:
         """Marginal CDF of one face, N(0, 1/2): the kernel enforces

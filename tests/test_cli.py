@@ -93,6 +93,14 @@ def test_dice_out_file_with_meta_sidecar(tmp_path):
     assert meta["block_size"] == BLOCK_SIZE == 4096
     assert "splitmix64(seed)" in meta["stream_scheme"]
     assert "[0, first trial of block, 0, 0]" in meta["stream_scheme"]
+    # --dist is uniform when omitted, and only for the models that use it.
+    for model, params in (("iid", {"model": "iid", "n": 4,
+                                   "dist": "uniform"}),
+                          ("discrete", {"model": "discrete", "n": 4})):
+        assert main(["dice", "--model", model, "--n", "4", "--triples",
+                     "5", "--out", str(out_path)]) == 0
+        meta = json.loads((tmp_path / "dice.csv.meta.json").read_text())
+        assert meta["spec"]["params"] == params
 
 
 def test_dice_stationary_path(tmp_path):
@@ -251,11 +259,18 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
     {"tri": 5},            # only abbreviates --triples
     {"config": "x"},
     {"rho": 0.4},          # a flag sum mode ignores
+    # dice flags the chosen model ignores
+    {"subcommand": "dice", "model": "discrete", "dist": "uniform"},
+    {"subcommand": "dice", "model": "stationary", "hurst": 0.75,
+     "dist": "gaussian"},
 ])
 def test_config_values_are_checked_like_flags(tmp_path, doc):
+    doc = dict(doc)
+    command = doc.pop("subcommand", "triplet")
+    size = "triples" if command == "dice" else "trials"
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"n": 9, "trials": 10, **doc}))
-    _usage_error(["triplet", "--config", str(config)])
+    config.write_text(json.dumps({"n": 9, size: 10, **doc}))
+    _usage_error([command, "--config", str(config)])
 
 
 def test_config_null_leaves_flag_unset(tmp_path):
@@ -322,6 +337,10 @@ def test_usage_errors_exit_two():
     _usage_error(["dice", "--model", "conditioned", "--n", "10",
                   "--triples", "3", "--hurst", "0.3"])
     _usage_error(["dice", "--n", "10", "--triples", "3", "--hurst", "0.3"])
+    _usage_error(["dice", "--model", "discrete", "--n", "10", "--triples",
+                  "3", "--dist", "uniform"])
+    _usage_error(["dice", "--model", "stationary", "--n", "8", "--hurst",
+                  "0.75", "--triples", "3", "--dist", "gaussian"])
     _usage_error(["verify", "--suite", "bogus"])
     _usage_error(["nonsense"])
 

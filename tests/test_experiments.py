@@ -8,6 +8,7 @@ counts for iid dice classes, and closed-form orthant/covariance values.
 Seeds are fixed, so the checks are deterministic.
 """
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -556,6 +557,16 @@ def test_spec_from_json_checks_field_types():
         ExperimentSpec.from_json('{"family": "election_outcomes", '
                                  '"params": {"n": 5}, "trials": 2.5, '
                                  '"seed": 1}')
+    whole = {"family": "election_outcomes", "params": {"n": 5},
+             "trials": 10, "seed": 1}
+    assert ExperimentSpec.from_json(json.dumps(whole)).trials == 10
+    for key in whole:
+        partial = {k: v for k, v in whole.items() if k != key}
+        with pytest.raises(InvalidInputError, match=key):
+            ExperimentSpec.from_json(json.dumps(partial))
+    for text in ("{", "", "not json", "[1, 2]", "5", "null", None):
+        with pytest.raises(InvalidInputError):
+            ExperimentSpec.from_json(text)
 
 
 def test_params_changed_after_construction_are_checked_again():
@@ -815,3 +826,10 @@ def test_w_minus_nv_variance_ratio_decreases():
     assert g[0] > g[1] > 0
     with pytest.raises(InvalidInputError):
         w_minus_nv_variance(uniform, 8, pairs=1, seed=0)
+
+
+def test_w_minus_nv_variance_takes_a_distribution_name():
+    for name in ("gaussian", "uniform"):
+        assert (w_minus_nv_variance(name, 8, pairs=50, seed=3)
+                == w_minus_nv_variance(get_distribution(name), 8, pairs=50,
+                                       seed=3))

@@ -124,6 +124,15 @@ def test_category_counts_proportion_over_categories():
     assert counts.proportion([]).estimate == 0.0
     assert counts.proportion([0, 1, 2, 3]).estimate == 1.0
     assert counts.proportion([2]).estimate == counts.proportion(2).estimate
+    assert counts.proportion(np.array([1, 3])).estimate == 12 / 20
+    # An index outside the counts, a repeated index or a non-integer is an
+    # error, not a wrapped read or a double count.
+    for bad in (-1, 4, 7, [0, -1], [4], [1, 1], 1.0, [True]):
+        with pytest.raises(InvalidInputError):
+            counts.proportion(bad)
+    with pytest.raises(InvalidInputError):
+        CategoryCounts(counts=np.array([3, 5, 2]), trials=10,
+                       accepted=10).proportion([1, 1])
 
 
 def test_proportion_needs_accepted_trials():
