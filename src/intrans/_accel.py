@@ -24,26 +24,8 @@ def pair_counts(a_sorted, b_sorted):
 
 
 def mcmc_pair_transfer(faces, ii, jj, uu):
-    """Run sum-preserving pair-transfer moves on an integer face vector.
-
-    faces is modified in place. Step t resamples the pair (ii[t], jj[t])
-    uniformly among all integer splits of their current sum that keep both
-    coordinates in [1, n]. uu[t] in [0, 1) selects the split.
-
-    The package no longer calls this: the discrete sampler draws exact
-    dice by last-face rejection. It stays only because the benchmark's
-    tracer (perfbench/spans.py) wraps it by name on every traced run, and
-    goes once the benchmark stops doing so.
-    """
-    n = faces.shape[0]
-    for t in range(ii.shape[0]):
-        i = ii[t]
-        j = jj[t]
-        s = faces[i] + faces[j]
-        lo = s - n if s - n > 1 else 1
-        hi = n if n < s - 1 else s - 1
-        x = lo + int(uu[t] * (hi - lo + 1))
-        if x > hi:  # u*width can round up to width at the very top of [0,1)
-            x = hi
-        faces[i] = x
-        faces[j] = s - x
+    """The retired pair-transfer MCMC step: the discrete sampler draws
+    exact dice by last-face rejection, so nothing in the package calls it.
+    The name stays only because the benchmark's tracer (perfbench/spans.py)
+    wraps it on every traced run; it goes once the tracer stops doing so."""
+    raise NotImplementedError("the pair-transfer MCMC step is retired")

@@ -15,10 +15,10 @@ right after the subcommand, so argparse checks them exactly like flags,
 an explicit flag (which comes later) wins, and a null value leaves its
 flag unset. Flags and keys must be spelled out in full. Exit codes: 0
 success, 1 failure during a run (machine-readable JSON on stderr), 2
-usage error, which includes every parameter value the experiment family
-rejects and a flag the chosen model ignores (--rho without --mode noise,
---hurst without --model stationary, --dist with --model discrete or
-stationary).
+usage error, which includes every value the experiment family rejects
+and every key it does not take, so a flag the chosen model ignores (--rho
+without --mode noise, --hurst without --model stationary, --dist with
+--model discrete or stationary, --subset-excl without --d).
 """
 
 from __future__ import annotations
@@ -120,8 +120,19 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
     return 0
 
 
+def _given(**flags) -> dict:
+    """The flags that were given: every one whose value is not None."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
+def _closeness(**flags) -> Optional[dict]:
+    """The closeness conditioning of the flags given; None when none is."""
+    given = _given(**flags)
+    return {"event": "close", **given} if given else None
+
+
 def _make_spec(parser, family, params, trials, seed, conditioning=None):
-    """The run's spec; a value its family rejects is a usage error."""
+    """The run's spec; a key or value its family rejects is a usage error."""
     try:
         return ExperimentSpec(family=family, params=params, trials=trials,
                               seed=seed, conditioning=conditioning)
@@ -133,16 +144,9 @@ def _make_spec(parser, family, params, trials, seed, conditioning=None):
 
 
 def _cmd_dice(args, parser) -> int:
-    model = args.model
-    if args.hurst is not None and model != "stationary":
-        parser.error("--hurst only applies to --model stationary")
-    params = {"model": model, "n": args.n}
-    if model in ("conditioned", "iid"):
-        params["dist"] = args.dist or "uniform"
-    elif args.dist is not None:
-        parser.error("--dist only applies to --model conditioned or iid")
-    if model == "stationary":
-        params["hurst"] = args.hurst
+    dist = args.dist or ("uniform" if args.model in ("conditioned", "iid")
+                         else None)
+    params = _given(model=args.model, n=args.n, dist=dist, hurst=args.hurst)
     spec = _make_spec(parser, "dice_triples", params, args.triples,
                       args.seed)
     from .experiments import summarize_dice_categories
@@ -150,7 +154,7 @@ def _cmd_dice(args, parser) -> int:
     counts = estimate_categories(spec)
     summary = summarize_dice_categories(counts)
     return _report(args, spec, counts,
-                   dict(model=model, n=args.n, hurst=args.hurst),
+                   dict(model=args.model, n=args.n, hurst=args.hurst),
                    [(name, summary[name], summary[stderr])
                     for name, stderr in (
                         ("intransitive_fraction", "intransitive_stderr"),
@@ -160,7 +164,8 @@ def _cmd_dice(args, parser) -> int:
 # ----------------------------------------------------------- elections
 
 
-def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
+def _subset_excluding(raw, k: int, parser) -> Optional[list]:
+    """Every lex pair but the one --subset-excl names; None without it."""
     if raw is None:
         return None
     try:
@@ -175,23 +180,15 @@ def _parse_subset_excl(raw, k: int, parser) -> Optional[int]:
         parser.error("--subset-excl expects a lex pair index or 'i,j'")
     if not 0 <= index < k * (k - 1) // 2:
         parser.error("--subset-excl pair index out of range")
-    return index
+    return [i for i in range(k * (k - 1) // 2) if i != index]
 
 
 def _cmd_elections(args, parser) -> int:
     k = args.k
-    excl = _parse_subset_excl(args.subset_excl, k, parser)
-    n_pairs = k * (k - 1) // 2
-    conditioning = None
-    if args.d is not None:
-        conditioning = {"event": "close", "d": args.d}
-        if excl is not None:
-            conditioning["subset"] = [i for i in range(n_pairs)
-                                      if i != excl]
-    elif excl is not None:
-        parser.error("--subset-excl only makes sense with --d")
+    subset = _subset_excluding(args.subset_excl, k, parser)
     spec = _make_spec(parser, "election_outcomes", {"n": args.n, "k": k},
-                      args.trials, args.seed, conditioning)
+                      args.trials, args.seed,
+                      _closeness(d=args.d, subset=subset))
     from .experiments import (
         condorcet_probability,
         outcome_categories,
@@ -216,17 +213,10 @@ def _cmd_elections(args, parser) -> int:
 
 
 def _cmd_triplet(args, parser) -> int:
-    conditioning = None
-    if args.d is not None:
-        conditioning = {"event": "close", "d": args.d}
-    noise = args.mode == "noise"
-    if args.rho is not None and not noise:
-        parser.error("--rho only applies to --mode noise")
     rho = args.rho
-    family = "triplet_noise" if noise else "triplet_paradox"
-    params = {"n": args.n, "rho": rho} if noise else {"n": args.n}
-    spec = _make_spec(parser, family, params, args.trials, args.seed,
-                      conditioning)
+    family = "triplet_noise" if args.mode == "noise" else "triplet_paradox"
+    spec = _make_spec(parser, family, _given(n=args.n, rho=rho),
+                      args.trials, args.seed, _closeness(d=args.d))
     est = estimate_probability(spec)
     exact = [("alpha_star", alpha_star())]
     if rho is not None and 0.0 < rho < 1.0:

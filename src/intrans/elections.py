@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, ParityError
+from .mc import _integer
 from .samplers import RankingProfile, lex_pairs
 from .tournaments import Tournament, count_triangles
 
@@ -69,12 +70,12 @@ def outcome(scores: PairwiseScores) -> Tournament:
 def is_close(scores: PairwiseScores, d: int,
              subset: Optional[Iterable[int]] = None) -> bool:
     """True when |S_j| <= d for every pair index j in subset (default:
-    all pairs)."""
-    if d < 1:
+    all pairs). d and every subset entry must be integers."""
+    if _integer("d", d) < 1:
         raise InvalidInputError("closeness threshold d must be >= 1")
     s = scores.s
     if subset is not None:
-        idx = np.asarray(sorted(set(int(j) for j in subset)), dtype=np.int64)
+        idx = np.asarray(sorted({_integer("subset", j) for j in subset}))
         if idx.size == 0:
             raise InvalidInputError("subset must name at least one pair")
         if idx.min() < 0 or idx.max() >= s.size:

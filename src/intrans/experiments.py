@@ -55,11 +55,11 @@ N_DICE_CATEGORIES = 12
 _REQUIRED = object()
 
 
-def _param(params: dict, key: str, family: str, convert=int,
+def _param(params: dict, key: str, family: str, convert=mc._integer,
            default=_REQUIRED):
-    """A family param passed through convert, or default when it is
-    absent or null; a typed error names the family and the key when a
-    required param is missing or a value cannot be converted."""
+    """convert(key, value) of a family param (an integer by default), or
+    default when it is absent or null; a typed error names the family and
+    the key when a required param is missing or a value cannot be read."""
     value = params.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -67,18 +67,34 @@ def _param(params: dict, key: str, family: str, convert=int,
                 "family %r needs the param %r" % (family, key))
         return default
     try:
-        return convert(value)
+        return convert(key, value)
     except (TypeError, ValueError):
         raise InvalidInputError("family %r cannot read the param %r = %r"
                                 % (family, key, value)) from None
 
 
-def _conditioning_fields(spec: ExperimentSpec):
+def _real(key: str, value) -> float:
+    """value as a float; TypeError for a bool."""
+    if isinstance(value, bool):
+        raise TypeError("%s must be a real number" % key)
+    return float(value)
+
+
+def _only(mapping, family: str, kind: str, *keys):
+    """InvalidInputError for the first non-null key of mapping not in keys."""
+    for key, value in mapping.items():
+        if value is not None and key not in keys:
+            raise InvalidInputError("family %r takes no %s %r"
+                                    % (family, kind, key))
+
+
+def _conditioning_fields(spec: ExperimentSpec, *keys):
     """Closeness threshold and margin subset from the spec's conditioning
-    descriptor; (None, None) when unconditioned."""
+    of event, d and keys; (None, None) when unconditioned."""
     cond = spec.conditioning
     if cond is None:
         return None, None
+    _only(cond, spec.family, "conditioning key", "event", "d", *keys)
     if cond.get("event", "close") != "close":
         raise InvalidInputError(
             "unknown conditioning event %r" % (cond.get("event"),))
@@ -86,7 +102,7 @@ def _conditioning_fields(spec: ExperimentSpec):
     if d < 1:
         raise InvalidInputError("conditioning needs a threshold d >= 1")
     subset = _param(cond, "subset", spec.family,
-                    lambda s: tuple(int(i) for i in s), None)
+                    lambda key, s: tuple(mc._integer(key, i) for i in s), None)
     return d, subset
 
 
@@ -161,13 +177,14 @@ def _build_election_outcomes(spec: ExperimentSpec):
     ranking counts from substream(seed, start) by _multinomial_kernel,
     in two stages when conditioned.
     """
+    _only(spec.params, spec.family, "param", "n", "k")
     n = _param(spec.params, "n", spec.family)
     k = _param(spec.params, "k", spec.family, default=3)
     if n < 1 or n % 2 == 0:
         raise ParityError("voter count must be odd to exclude ties")
     if not 2 <= k <= 5:
         raise InvalidInputError("outcome enumeration supports 2 <= k <= 5")
-    d, subset = _conditioning_fields(spec)
+    d, subset = _conditioning_fields(spec, "subset")
     n_pairs = k * (k - 1) // 2
     signs = ranking_sign_matrix(k)
     if subset is None:
@@ -233,19 +250,16 @@ def _build_triplet(spec: ExperimentSpec):
     hidden uniform sign with probability (1+rho)/2. A trial is a hit when
     its triplet-majority sums counts @ sign(weights) share one sign: the
     kernel tallies the three margins, then those three sums."""
+    noise = spec.family == "triplet_noise"
+    _only(spec.params, spec.family, "param", "n", "rho" if noise else "n")
     n = _param(spec.params, "n", spec.family)
     if n < 3 or n % 3 != 0:
         raise InvalidInputError("vote count must be a positive multiple of 3")
     m = n // 3
     if m % 2 == 0:
         raise ParityError("the number of triplets must be odd")
-    rho = None
-    if spec.family == "triplet_noise":
-        rho = _param(spec.params, "rho", spec.family, float)
-    d, subset = _conditioning_fields(spec)
-    if subset is not None:
-        raise InvalidInputError(
-            "triplet conditioning uses all three margins")
+    rho = _param(spec.params, "rho", spec.family, _real) if noise else None
+    d, _ = _conditioning_fields(spec)
     probs, weights = triplet_cell_tables(rho)
 
     def cycle(tallies):
@@ -258,27 +272,33 @@ def _build_triplet(spec: ExperimentSpec):
                                np.arange(3), d, cycle), 2
 
 
+_DICE_MODEL_PARAMS = {"conditioned": ("dist",), "iid": ("dist",),
+                      "stationary": ("hurst",), "discrete": ()}
+
+
 def dice_model_from_params(params: dict):
     """Instantiate a triple-sampling model from a params dict with keys
-    model, n, and dist or hurst as the model requires."""
+    model, n, and dist or hurst as the model requires; any other key is
+    an error naming the model."""
     family = "dice_triples"
-    name = params.get("model", "conditioned")
+    name = str(params.get("model", "conditioned"))
+    if name not in _DICE_MODEL_PARAMS:
+        raise InvalidInputError("unknown dice model %r" % (name,))
+    _only(params, family, "%r model param" % name, "model", "n",
+          *_DICE_MODEL_PARAMS[name])
     n = _param(params, "n", family)
     least = 2 if name == "conditioned" else 1
     if n < least:
         raise DomainError("the %s model needs n >= %d" % (name, least))
     if name == "discrete":
         return DiscreteConditioned(n=n)
-    if name == "conditioned":
-        return ContinuousConditioned(
-            n=n, dist=get_distribution(params.get("dist", "uniform")))
-    if name == "iid":
-        return IidContinuous(
-            n=n, dist=get_distribution(params.get("dist", "uniform")))
     if name == "stationary":
-        hurst = _param(params, "hurst", family, float)
+        hurst = _param(params, "hurst", family, _real)
         return StationaryGaussian(n=n, kernel=CorrelationKernel.fbm(hurst))
-    raise InvalidInputError("unknown dice model %r" % (name,))
+    dist = get_distribution(params.get("dist", "uniform"))
+    if name == "conditioned":
+        return ContinuousConditioned(n=n, dist=dist)
+    return IidContinuous(n=n, dist=dist)
 
 
 @register_family("dice_triples")
@@ -288,7 +308,8 @@ def _build_dice_triples(spec: ExperimentSpec):
     (transitive, intransitive, has_tie) and a in 0..3 counts the pairs
     whose win direction matches the CDF-sum direction. A block draws its
     triples one after another, three dice each, from
-    substream(seed, start)."""
+    substream(seed, start). It takes no conditioning."""
+    _only(spec.conditioning or {}, spec.family, "conditioning key")
     model = dice_model_from_params(spec.params)
     class_index = {cls: i for i, cls in enumerate(TRIPLE_CLASS_ORDER)}
 
@@ -343,8 +364,10 @@ def _build_orthant3(spec: ExperimentSpec):
     """Whether an equicorrelated trivariate standard Gaussian (params
     {"r": correlation}) lands in the positive orthant (category 1) or not
     (category 0). A block draws its (size, 3) standard normals from
-    substream(seed, start)."""
-    r = _param(spec.params, "r", spec.family, float)
+    substream(seed, start). It takes no conditioning."""
+    _only(spec.params, spec.family, "param", "r")
+    _only(spec.conditioning or {}, spec.family, "conditioning key")
+    r = _param(spec.params, "r", spec.family, _real)
     if not -0.5 < r <= 1.0:
         raise DomainError("equicorrelation must lie in (-1/2, 1]")
     cov = np.full((3, 3), r) + (1.0 - r) * np.eye(3)
@@ -388,7 +411,9 @@ def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
     per-draw stderr, as {lag: (mean, stderr)}. Uses the product of the
     first face with the lagged face, one sample per draw, so the stderr
     is an honest iid one."""
-    lags = [int(v) for v in lags]
+    n, draws, seed = map(mc._integer, ("n", "draws", "seed"),
+                         (n, draws, seed))
+    lags = [mc._integer("lag", v) for v in lags]
     if not lags or min(lags) < 0 or max(lags) >= n:
         raise InvalidInputError("lags must be nonempty and lie in [0, n)")
     if draws < 2:
@@ -404,6 +429,8 @@ def w_minus_nv_variance(dist, n: int, pairs: int, seed: int) -> float:
     """Sample variance of W(a, b) - n * (cdf_sum(a) - cdf_sum(b)) over
     independent conditioned pairs, divided by n^3. The analytic claim is
     that this ratio vanishes as n grows; the tests only check decrease."""
+    n, pairs, seed = map(mc._integer, ("n", "pairs", "seed"),
+                         (n, pairs, seed))
     if pairs < 2:
         raise InvalidInputError("need at least two pairs")
     dist = get_distribution(dist)

@@ -170,9 +170,9 @@ class ExperimentSpec:
 
     A spec is checked when it is made: params and conditioning (or None)
     must be mappings, trials, seed and workers (or None) integers, kept as
-    Python ints, trials at least 1, and the spec JSON; then the family's
-    builder runs once, so a param or conditioning value the family
-    rejects raises InvalidInputError here.
+    Python ints, trials and workers at least 1, and the spec JSON; then
+    the family's builder runs once, so a param or conditioning key or
+    value the family does not take raises InvalidInputError here.
     """
 
     family: str
@@ -191,8 +191,9 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not (name == "workers" and value is None):
                 object.__setattr__(self, name, _integer(name, value))
-        if self.trials < 1:
-            raise InvalidInputError("need at least one trial")
+        workers = 1 if self.workers is None else self.workers
+        if min(self.trials, workers) < 1:
+            raise InvalidInputError("need at least one trial and one worker")
         try:
             self.to_json()
         except (TypeError, ValueError) as e:
@@ -205,25 +206,18 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         """The spec a to_json text describes; InvalidInputError for text
-        that is not a JSON object with family, params, trials and seed."""
+        that is not a JSON object of the spec's fields."""
         try:
             data = json.loads(text)
         except (TypeError, ValueError) as e:
             raise InvalidInputError("spec text is not JSON: %s" % e) from None
         if not isinstance(data, dict):
             raise InvalidInputError("spec JSON must be an object")
-        missing = [key for key in ("family", "params", "trials", "seed")
-                   if key not in data]
-        if missing:
-            raise InvalidInputError("spec JSON lacks %s" % ", ".join(missing))
-        return cls(
-            family=data["family"],
-            params=data["params"],
-            trials=data["trials"],
-            seed=data["seed"],
-            conditioning=data.get("conditioning"),
-            workers=data.get("workers"),
-        )
+        try:
+            return cls(**data)
+        except TypeError as e:
+            raise InvalidInputError("spec JSON of family %r does not fit: %s"
+                                    % (data.get("family"), e)) from None
 
 
 _FAMILIES: dict = {}
@@ -240,8 +234,10 @@ def register_family(name: str):
     reports; a family estimate_probability can run has exactly 2 (miss,
     hit).
 
-    The builder owns its family's rules: it raises InvalidInputError for
-    a missing, unreadable or out-of-range param or conditioning value.
+    The builder owns its family's rules, and params and conditioning are
+    strict: it raises InvalidInputError, naming the family and the key,
+    for a non-null key it does not take and for a missing, unreadable
+    (a float or a bool for an integer) or out-of-range value.
     It runs whenever an ExperimentSpec is made, so it must be cheap and
     draw nothing.
     """

@@ -345,6 +345,19 @@ def test_usage_errors_exit_two():
     _usage_error(["nonsense"])
 
 
+def test_ignored_flag_error_names_the_family_and_the_key(capsys):
+    for argv, family, key in (
+            (["dice", "--model", "discrete", "--n", "10", "--triples", "3",
+              "--dist", "uniform"], "dice_triples", "dist"),
+            (["triplet", "--n", "33", "--trials", "100", "--rho", "0.4"],
+             "triplet_paradox", "rho"),
+            (["elections", "--n", "5", "--subset-excl", "1", "--trials",
+              "10"], "election_outcomes", "d")):
+        _usage_error(argv)
+        err = capsys.readouterr().err
+        assert "%r" % family in err and "%r" % key in err
+
+
 def test_numeric_failures_exit_one_with_json(capsys):
     # A failure during the run, not a rejected value: at n=100001 no
     # trial is within d=1, so the acceptance floor aborts it.

@@ -108,6 +108,11 @@ def test_is_close_thresholds():
     assert is_close(scores, 3)
     with pytest.raises(InvalidInputError):
         is_close(scores, 0)
+    # A threshold is never truncated: 2.9 is not read as 2.
+    with pytest.raises(InvalidInputError):
+        is_close(scores, 2.9)
+    with pytest.raises(InvalidInputError):
+        is_close(scores, True)
 
 
 def test_is_close_subset_semantics():
@@ -119,6 +124,9 @@ def test_is_close_subset_semantics():
         is_close(scores, 1, subset=())
     with pytest.raises(InvalidInputError):
         is_close(scores, 1, subset=(0, 3))
+    # 1.5 is not read as pair 1.
+    with pytest.raises(InvalidInputError):
+        is_close(scores, 1, subset=(1.5, 2))
 
 
 # ------------------------------------- winners and transitive outcomes

@@ -511,6 +511,64 @@ def test_missing_family_param_is_a_typed_error(family, params, key):
         build_kernel(_spec(family, params, 10, 1))
 
 
+# A valid (params, conditioning) of every family the package registers.
+# A family added later without an entry here fails the test below.
+_VALID_SPECS = {
+    "election_outcomes": ({"n": 5, "k": 3}, {"d": 1, "subset": [0, 1]}),
+    "triplet_paradox": ({"n": 9}, {"d": 1}),
+    "triplet_noise": ({"n": 9, "rho": 0.5}, {"d": 1}),
+    "dice_triples": ({"model": "stationary", "n": 4, "hurst": 0.6}, None),
+    "orthant3": ({"r": 0.2}, None),
+}
+_PACKAGE_FAMILIES = sorted(name for name, builder in mc._FAMILIES.items()
+                           if builder.__module__ == "intrans.experiments")
+
+
+@pytest.mark.parametrize("family", _PACKAGE_FAMILIES)
+def test_families_reject_keys_they_do_not_take(family):
+    params, conditioning = _VALID_SPECS[family]
+    _spec(family, params, 10, 1, conditioning)
+    # A null value stands for an absent key.
+    _spec(family, {**params, "extra": None}, 10, 1, conditioning)
+    with pytest.raises(InvalidInputError, match="%r.*'extra'" % family):
+        _spec(family, {**params, "extra": 1}, 10, 1, conditioning)
+    with pytest.raises(InvalidInputError, match="%r.*'extra'" % family):
+        _spec(family, params, 10, 1, {**(conditioning or {}), "extra": 1})
+
+
+@pytest.mark.parametrize("family,params,conditioning,key", [
+    ("election_outcomes", {"n": 301.7}, None, "n"),
+    ("election_outcomes", {"n": True}, None, "n"),
+    ("election_outcomes", {"n": 5, "k": 3.9}, None, "k"),
+    ("election_outcomes", {"n": 301}, {"d": 2.9}, "d"),
+    ("election_outcomes", {"n": 5}, {"d": 1, "subset": [0.5]}, "subset"),
+    ("election_outcomes", {"n": 5}, {"d": 1, "subet": [0]}, "subet"),
+    ("dice_triples", {"model": "discrete", "n": 4, "dist": "uniform"}, None,
+     "dist"),
+    ("dice_triples", {"mdoel": "discrete", "n": 4}, None, "mdoel"),
+    ("dice_triples", {"model": "stationary", "n": 8, "hurst": True}, None,
+     "hurst"),
+    ("dice_triples", {"n": 4}, {"d": 1}, "d"),
+    ("triplet_paradox", {"n": 9, "rho": 0.5}, None, "rho"),
+    ("triplet_noise", {"n": 9, "rho": True}, None, "rho"),
+    ("orthant3", {"r": True}, None, "r"),
+    ("orthant3", {"r": 0.2}, {"d": 1}, "d"),
+], ids=["n_float", "n_bool", "k_float", "d_float", "subset_float",
+        "subset_misspelt", "dist_on_discrete", "model_misspelt",
+        "hurst_bool", "dice_conditioned", "rho_on_paradox", "rho_bool",
+        "r_bool", "orthant_conditioned"])
+def test_bad_family_key_or_value_names_the_family_and_the_key(
+        family, params, conditioning, key):
+    with pytest.raises(InvalidInputError, match="%r.*%r" % (family, key)):
+        _spec(family, params, 10, 1, conditioning)
+
+
+def test_dice_key_error_names_the_model():
+    with pytest.raises(InvalidInputError, match="'discrete'.*'dist'"):
+        dice_model_from_params({"model": "discrete", "n": 4,
+                                "dist": "uniform"})
+
+
 @pytest.mark.parametrize("family,params,trials,conditioning", [
     ("election_outcomes", {"n": "abc"}, 10, None),
     ("election_outcomes", {"n": 5, "k": "x"}, 10, None),
@@ -543,9 +601,11 @@ def test_spec_is_checked_when_it_is_made(family, params, trials,
     {"seed": "1"},
     {"workers": 1.5},
     {"params": {"n": 5, "x": object()}},
+    {"workers": 0},
+    {"workers": -3},
 ], ids=["params_none", "conditioning_list", "trials_str", "trials_float",
         "trials_bool", "seed_float", "seed_str", "workers_float",
-        "params_not_json"])
+        "params_not_json", "workers_0", "workers_negative"])
 def test_spec_field_types_are_checked_when_it_is_made(fields):
     with pytest.raises(InvalidInputError):
         ExperimentSpec(**{"family": "election_outcomes", "params": {"n": 5},
@@ -567,6 +627,14 @@ def test_spec_from_json_checks_field_types():
     for text in ("{", "", "not json", "[1, 2]", "5", "null", None):
         with pytest.raises(InvalidInputError):
             ExperimentSpec.from_json(text)
+
+
+def test_spec_from_json_rejects_unknown_keys():
+    with pytest.raises(InvalidInputError,
+                       match="'election_outcomes'.*'condition'"):
+        ExperimentSpec.from_json('{"family": "election_outcomes", '
+                                 '"params": {"n": 5}, "trials": 10, '
+                                 '"seed": 1, "condition": {"d": 1}}')
 
 
 def test_params_changed_after_construction_are_checked_again():
@@ -812,6 +880,12 @@ def test_lag_covariance_validation():
         lag_covariance_mc(kernel, n=8, lags=[], draws=10, seed=0)
     with pytest.raises(InvalidInputError):
         lag_covariance_mc(kernel, n=8, lags=[0], draws=1, seed=0)
+    with pytest.raises(InvalidInputError):
+        lag_covariance_mc(kernel, n=8, lags=[0], draws=2.5, seed=0)
+    with pytest.raises(InvalidInputError):
+        lag_covariance_mc(kernel, n=8, lags=[0], draws=10, seed=1.5)
+    with pytest.raises(InvalidInputError):
+        lag_covariance_mc(kernel, n=8.5, lags=[0], draws=10, seed=0)
 
 
 def test_w_minus_nv_variance_ratio_decreases():
@@ -826,6 +900,12 @@ def test_w_minus_nv_variance_ratio_decreases():
     assert g[0] > g[1] > 0
     with pytest.raises(InvalidInputError):
         w_minus_nv_variance(uniform, 8, pairs=1, seed=0)
+    with pytest.raises(InvalidInputError):
+        w_minus_nv_variance(uniform, 8.5, pairs=10, seed=0)
+    with pytest.raises(InvalidInputError):
+        w_minus_nv_variance(uniform, 8, pairs=2.5, seed=0)
+    with pytest.raises(InvalidInputError):
+        w_minus_nv_variance(uniform, 8, pairs=10, seed=1.5)
 
 
 def test_w_minus_nv_variance_takes_a_distribution_name():
