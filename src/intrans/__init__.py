@@ -72,7 +72,6 @@ from .samplers import (
     sample_discrete_conditioned,
     sample_iid,
     sample_profile,
-    sample_stationary_faces,
     sample_stationary_gaussian,
 )
 from .tournaments import (

@@ -13,14 +13,25 @@ ACTIVE_IMPL = "python"
 
 
 def pair_counts(a_sorted, b_sorted):
-    """Win/tie counts for sorted face arrays.
+    """Win/tie counts for equal-shape face arrays sorted along their last
+    axis, by binary search of each row of a in its row of b.
 
     Returns (wins, ties) with wins = #{(i,j): a_i > b_j} and
-    ties = #{(i,j): a_i == b_j}.
+    ties = #{(i,j): a_i == b_j}: ints for 1-D faces, int64 arrays over
+    the leading axes otherwise.
     """
-    lo = np.searchsorted(b_sorted, a_sorted, side="left")
-    hi = np.searchsorted(b_sorted, a_sorted, side="right")
-    return int(lo.sum()), int((hi - lo).sum())
+    n = a_sorted.shape[-1]
+    a, b = a_sorted.reshape(-1, n), b_sorted.reshape(-1, n)
+    lo = np.empty(a.shape, dtype=np.int64)
+    hi = np.empty(a.shape, dtype=np.int64)
+    for r in range(a.shape[0]):
+        lo[r] = b[r].searchsorted(a[r], side="left")
+        hi[r] = b[r].searchsorted(a[r], side="right")
+    wins = lo.sum(axis=1).reshape(a_sorted.shape[:-1])
+    ties = (hi - lo).sum(axis=1).reshape(a_sorted.shape[:-1])
+    if a_sorted.ndim == 1:
+        return int(wins), int(ties)
+    return wins, ties
 
 
 def mcmc_pair_transfer(faces, ii, jj, uu):

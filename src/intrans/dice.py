@@ -37,12 +37,10 @@ class Die:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        faces = np.atleast_1d(np.asarray(self.faces))
-        if faces.ndim != 1 or faces.size < 1:
+        faces = _checked_faces(self.faces)
+        if faces.ndim != 1:
             raise InvalidInputError("a die needs a 1-D, non-empty face array")
-        if not np.all(np.isfinite(faces)):
-            raise InvalidInputError("faces must be finite")
-        faces = faces.astype(np.float64, copy=True)
+        faces = faces.copy()
         faces.setflags(write=False)
         object.__setattr__(self, "faces", faces)
 
@@ -50,15 +48,28 @@ class Die:
         return self.faces.size
 
 
+def _checked_faces(values) -> np.ndarray:
+    """values as a float64 array of dice along its last axis, with any
+    leading axes; InvalidInputError unless it is non-empty with finite
+    faces."""
+    faces = np.atleast_1d(np.asarray(values))
+    if faces.size < 1:
+        raise InvalidInputError("dice need a non-empty face array")
+    if not np.isfinite(faces).all():
+        raise InvalidInputError("faces must be finite")
+    return faces.astype(np.float64, copy=False)
+
+
 def as_faces(a: FacesLike) -> np.ndarray:
-    """The float64 face array of a Die, or of an array-like checked as
-    a Die checks its faces."""
-    return a.faces if isinstance(a, Die) else Die(a).faces
+    """The float64 face array of a Die, or of an array-like of dice along
+    its last axis (any leading axes) checked as a Die checks its faces."""
+    return a.faces if isinstance(a, Die) else _checked_faces(a)
 
 
 @dataclass(frozen=True)
 class PairStats:
-    """Counts of face-pair comparisons between two equal-length dice."""
+    """Counts of face-pair comparisons between two equal-length dice:
+    ints for one pair, int64 arrays over the leading axes for many."""
 
     wins: int
     losses: int
@@ -76,20 +87,26 @@ class TripleClass(enum.Enum):
     HAS_TIE = "has_tie"
 
 
-def pair_stats(a: FacesLike, b: FacesLike) -> PairStats:
+def pair_stats(a: FacesLike, b: FacesLike, *,
+               assume_sorted: bool = False) -> PairStats:
     """Exact win/loss/tie counts over all n^2 face pairs.
 
     O(n log n): both faces are sorted once, then every face of a is
-    located among the faces of b by binary search.
+    located among the faces of b by binary search. a and b may hold many
+    dice along their leading axes, in equal shapes; the counts then hold
+    one entry per pair of dice. assume_sorted skips the sort, for faces
+    already ascending along the last axis.
     """
     fa = as_faces(a)
     fb = as_faces(b)
-    if fa.size != fb.size:
+    if fa.shape != fb.shape:
         raise InvalidInputError(
-            "dice must have equal lengths (got %d and %d)" % (fa.size, fb.size)
-        )
-    wins, ties = _accel.pair_counts(np.sort(fa), np.sort(fb))
-    n2 = fa.size * fb.size
+            "dice must have equal shapes (got %s and %s)" % (fa.shape,
+                                                             fb.shape))
+    if not assume_sorted:
+        fa, fb = np.sort(fa, axis=-1), np.sort(fb, axis=-1)
+    wins, ties = _accel.pair_counts(fa, fb)
+    n2 = fa.shape[-1] ** 2
     return PairStats(wins=wins, losses=n2 - wins - ties, ties=ties)
 
 
@@ -103,7 +120,8 @@ def beats(a: FacesLike, b: FacesLike) -> bool:
 
 
 def cdf_sum(a: FacesLike, F: Callable) -> float:
-    """Sum of F over the faces.
+    """Sum of F over the faces, in face order: a float for one die, an
+    array over the leading axes for many.
 
     The difference cdf_sum(a, F) - cdf_sum(b, F) is the predictor of the
     beats outcome for non-uniform conditioned dice. F must be a monotone
@@ -113,7 +131,8 @@ def cdf_sum(a: FacesLike, F: Callable) -> float:
     values = np.asarray(F(faces), dtype=float)
     if values.shape != faces.shape:
         raise InvalidInputError("F must map the face array elementwise")
-    return float(values.sum())
+    sums = values.sum(axis=-1)
+    return float(sums) if faces.ndim == 1 else sums
 
 
 def classify_triple(a: FacesLike, b: FacesLike, c: FacesLike) -> TripleClass:
@@ -123,14 +142,16 @@ def classify_triple(a: FacesLike, b: FacesLike, c: FacesLike) -> TripleClass:
     cycle); any zero margin yields HAS_TIE, neither transitive nor
     intransitive.
     """
-    return classify_margins(pair_stats(a, b).margin, pair_stats(b, c).margin,
-                            pair_stats(c, a).margin)
+    margins = [pair_stats(a, b).margin, pair_stats(b, c).margin,
+               pair_stats(c, a).margin]
+    return list(TripleClass)[int(classify_margins(margins))]
 
 
-def classify_margins(m_ab: int, m_bc: int, m_ca: int) -> TripleClass:
-    """The class of a triple with signed margins m_ab, m_bc and m_ca."""
-    if m_ab == 0 or m_bc == 0 or m_ca == 0:
-        return TripleClass.HAS_TIE
-    if (m_ab > 0) == (m_bc > 0) == (m_ca > 0):
-        return TripleClass.INTRANSITIVE
-    return TripleClass.TRANSITIVE
+def classify_margins(margins) -> np.ndarray:
+    """The class of each triple whose signed margins m_ab, m_bc, m_ca lie
+    along the last axis, as its index in TripleClass order: HAS_TIE (2)
+    when a margin is zero, INTRANSITIVE (1) when all three share a sign,
+    else TRANSITIVE (0)."""
+    margins = np.asarray(margins)
+    cycle = (margins > 0).all(axis=-1) | (margins < 0).all(axis=-1)
+    return np.where((margins == 0).any(axis=-1), 2, cycle.astype(np.intp))

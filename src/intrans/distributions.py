@@ -107,7 +107,7 @@ def get_distribution(name_or_dist) -> FaceDistribution:
         return name_or_dist
     try:
         return DISTRIBUTIONS[name_or_dist]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise InvalidInputError(
             "unknown distribution %r (choose from %s)"
             % (name_or_dist, sorted(DISTRIBUTIONS))

@@ -21,7 +21,6 @@ from .dice import (
     cdf_sum,
     classify_margins,
     pair_stats,
-    w_statistic,
 )
 from .distributions import get_distribution
 from .elections import ranking_sign_matrix
@@ -42,14 +41,26 @@ from .samplers import (
     StationaryGaussian,
     lex_pairs,
     sample_continuous_conditioned,
-    sample_stationary_faces,
+    sample_stationary_gaussian,
 )
 from .triplets import triplet_cell_tables
 
-TRIPLE_CLASS_ORDER = (TripleClass.TRANSITIVE, TripleClass.INTRANSITIVE,
-                      TripleClass.HAS_TIE)
+# The class order of the dice_triples categories and of the indices
+# classify_margins returns.
+TRIPLE_CLASS_ORDER = tuple(TripleClass)
 
 N_DICE_CATEGORIES = 12
+
+# The dice kernels draw at most this many faces at a time: a chunk of
+# max(1, DICE_CHUNK_FACES // (3 n)) triples, or // (2 n) pairs, so memory
+# stays bounded at any block size. On the dice-continuous benchmark (one
+# 20 s run each on a 2-core x86-64 host, numpy 2.4.6) 8192 sits at the
+# throughput plateau with the peak RSS level: 2048 ran 25.0 trials per
+# reference slice at 58.7 MB, 8192 33.1 at 59.6 MB, 32768 30.4 at
+# 62.4 MB, and one draw per block 31.7 at 64.2 MB (its runs are 40
+# triples; one draw of a full 4096-triple block at n=512 peaks at ~500 MB
+# of allocations).
+DICE_CHUNK_FACES = 8192
 
 
 _REQUIRED = object()
@@ -306,29 +317,35 @@ def _build_dice_triples(spec: ExperimentSpec):
     """Class and prediction-agreement profile of an independent dice
     triple. Category = 4 * class + a, where class indexes
     (transitive, intransitive, has_tie) and a in 0..3 counts the pairs
-    whose win direction matches the CDF-sum direction. A block draws its
-    triples one after another, three dice each, from
-    substream(seed, start). It takes no conditioning."""
+    whose win direction matches the CDF-sum direction. It takes no
+    conditioning.
+
+    A block draws its triples from substream(seed, start) in chunks of t
+    triples, t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of
+    3 t rows per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2
+    form triple k). Each die's CDF sum adds its faces in draw order; then
+    each die is sorted once for the exact margins of its three pairs."""
     _only(spec.conditioning or {}, spec.family, "conditioning key")
     model = dice_model_from_params(spec.params)
-    class_index = {cls: i for i, cls in enumerate(TRIPLE_CLASS_ORDER)}
+    n = model.n
+    chunk = max(1, DICE_CHUNK_FACES // (3 * n))
+    # Pairs (a, b), (b, c), (c, a): the margins classify_margins takes,
+    # and the CDF-sum gaps with the same orientation.
+    follow = [1, 2, 0]
 
     def kernel(seed: int, start: int, stop: int):
         rng = mc.substream(seed, start)
         category = np.empty(stop - start, dtype=np.intp)
-        for t in range(stop - start):
-            dice = [model.sample(rng) for _ in range(3)]
-            sums = [cdf_sum(die, model.cdf) for die in dice]
-            margins = {}
-            agree = 0
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                margins[i, j] = pair_stats(dice[i], dice[j]).margin
-                if np.sign(margins[i, j]) == np.sign(sums[i] - sums[j]):
-                    agree += 1
-            # The margin of die 2 over die 0 is -margins[0, 2].
-            cls = classify_margins(margins[0, 1], margins[1, 2],
-                                   -margins[0, 2])
-            category[t] = 4 * class_index[cls] + agree
+        for lo in range(0, stop - start, chunk):
+            t = min(chunk, stop - start - lo)
+            dice = model.sample(rng, size=3 * t).reshape(t, 3, n)
+            sums = cdf_sum(dice, model.cdf)
+            dice.sort(axis=-1)
+            margins = pair_stats(dice, dice[:, follow],
+                                 assume_sorted=True).margin
+            agree = np.sign(margins) == np.sign(sums - sums[:, follow])
+            category[lo:lo + t] = (4 * classify_margins(margins)
+                                   + agree.sum(axis=1))
         return np.ones(stop - start, dtype=bool), category
 
     return kernel, N_DICE_CATEGORIES
@@ -400,7 +417,8 @@ def lag_products(kernel: CorrelationKernel, n: int, lags, draws: int,
     prods = np.empty((draws, len(lags)))
     for lo in range(0, draws, mc.BLOCK_SIZE):
         hi = min(lo + mc.BLOCK_SIZE, draws)
-        faces, _ = sample_stationary_faces(n, kernel, rng, hi - lo, method)
+        faces = sample_stationary_gaussian(n, kernel, rng, method,
+                                           size=hi - lo)
         prods[lo:hi] = faces[:, :1] * faces[:, lags]
     return prods
 
@@ -428,18 +446,22 @@ def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
 def w_minus_nv_variance(dist, n: int, pairs: int, seed: int) -> float:
     """Sample variance of W(a, b) - n * (cdf_sum(a) - cdf_sum(b)) over
     independent conditioned pairs, divided by n^3. The analytic claim is
-    that this ratio vanishes as n grows; the tests only check decrease."""
+    that this ratio vanishes as n grows; the tests only check decrease.
+    The pairs are drawn from substream(seed, 0) in chunks of
+    max(1, DICE_CHUNK_FACES // (2 n)), dice a and b of a pair in turn."""
     n, pairs, seed = map(mc._integer, ("n", "pairs", "seed"),
                          (n, pairs, seed))
     if pairs < 2:
         raise InvalidInputError("need at least two pairs")
     dist = get_distribution(dist)
     rng = substream(seed, 0)
+    chunk = max(1, DICE_CHUNK_FACES // (2 * n))
     vals = np.empty(pairs)
-    for it in range(pairs):
-        a = sample_continuous_conditioned(n, dist, rng)
-        b = sample_continuous_conditioned(n, dist, rng)
-        w = w_statistic(a, b)
+    for lo in range(0, pairs, chunk):
+        hi = min(lo + chunk, pairs)
+        dice = sample_continuous_conditioned(
+            n, dist, rng, size=2 * (hi - lo)).reshape(hi - lo, 2, n)
+        a, b = dice[:, 0], dice[:, 1]
         v = cdf_sum(a, dist.cdf) - cdf_sum(b, dist.cdf)
-        vals[it] = w - n * v
+        vals[lo:hi] = pair_stats(a, b).wins - n * v
     return float(vals.var(ddof=1)) / float(n) ** 3

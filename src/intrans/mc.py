@@ -254,7 +254,7 @@ def register_family(name: str):
 def build_kernel(spec: ExperimentSpec):
     try:
         builder = _FAMILIES[spec.family]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable family
         raise InvalidInputError(
             "unknown experiment family %r (registered: %s)"
             % (spec.family, sorted(_FAMILIES))

@@ -3,8 +3,9 @@
 Dice models:
 
 - iid continuous faces from a built-in distribution;
-- continuous faces conditioned on the face-sum being exactly zero
-  (rejection on the last face, acceptance rate Theta(1/sqrt(n)));
+- continuous faces conditioned on the face-sum being exactly zero (the
+  exact projection for Gaussian faces, otherwise rejection on the last
+  face, acceptance rate Theta(1/sqrt(n)));
 - integer faces uniform on {1..n}^n conditioned on the face-sum equal to
   n(n+1)/2 (rejection on the last face, exact for every n);
 - stationary Gaussian faces with variance 1/2 and a prescribed lag
@@ -12,7 +13,8 @@ Dice models:
 
 All samplers consume a numpy Generator passed by the caller and draw their
 randomness in a fixed documented order, so results are reproducible from
-the generator state alone.
+the generator state alone. As numpy's samplers do, each returns one die
+by default and, given size, a (size, n) array of dice drawn in turn.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.special import erf
 
 from .dice import Die
-from .distributions import FaceDistribution, get_distribution
+from .distributions import STD_GAUSSIAN, FaceDistribution, get_distribution
 from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -48,11 +50,13 @@ def _batch_rows(n: int) -> int:
     return max(1, min(max(8, int(2.0 * math.sqrt(n))), MAX_BATCH_FACES // n))
 
 
-def sample_iid(n: int, dist, rng: np.random.Generator) -> Die:
+def sample_iid(n: int, dist, rng: np.random.Generator, size=None):
     """n faces drawn i.i.d. from the given face distribution."""
     if n < 1:
         raise InvalidInputError("n must be positive")
     dist = get_distribution(dist)
+    if size is not None:
+        return dist.sample(rng, (size, n))
     faces = dist.sample(rng, n)
     return Die(faces, meta={"model": "iid", "dist": dist.name, "n": n})
 
@@ -80,34 +84,49 @@ def _last_face_rejection(n: int, draw, max_attempts: int,
 
 
 def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
-                                  max_attempts: int = 1_000_000) -> Die:
+                                  max_attempts: int = 1_000_000,
+                                  size=None):
     """n i.i.d. faces conditioned on their sum being exactly zero.
 
-    Draws the first n-1 faces i.i.d., sets the last face to minus their
-    sum, and accepts with probability pdf(last) / sup pdf. The accepted
-    law is exactly the conditional law on the zero-sum hyperplane. The
-    acceptance rate decays like 1/sqrt(n) because the candidate last face
-    has standard deviation sqrt(n-1). A batch draws its faces, then one
-    uniform per candidate.
+    Standard Gaussian faces are the projection z - mean(z) of n i.i.d.
+    N(0, 1) faces z: its law N(0, I - J/n) is exactly the zero-sum
+    conditional law, and a batch of dice is one (size, n) draw of z.
+
+    Other laws draw the first n-1 faces i.i.d., set the last face to
+    minus their sum, and accept with probability pdf(last) / sup pdf. The
+    accepted law is exactly the conditional law on the zero-sum
+    hyperplane. The acceptance rate decays like 1/sqrt(n) because the
+    candidate last face has standard deviation sqrt(n-1). A batch draws
+    its faces, then one uniform per candidate; dice are drawn one after
+    another.
     """
     if n < 2:
         raise InvalidInputError("conditioned dice need n >= 2")
     dist = get_distribution(dist)
+    rows = 1 if size is None else size
+    if dist is STD_GAUSSIAN:
+        z = rng.standard_normal((rows, n))
+        faces = z - z.mean(axis=1, keepdims=True)
+    else:
+        def draw(take):
+            body = dist.sample(rng, (take, n - 1))
+            tail = -body.sum(axis=1)
+            u = rng.random(take)
+            return body, tail, u * dist.sup_pdf <= np.asarray(
+                dist.pdf(tail), dtype=float)
 
-    def draw(take):
-        body = dist.sample(rng, (take, n - 1))
-        tail = -body.sum(axis=1)
-        u = rng.random(take)
-        return body, tail, u * dist.sup_pdf <= np.asarray(dist.pdf(tail),
-                                                          dtype=float)
-
-    faces = _last_face_rejection(n, draw, max_attempts, "conditioned")
-    return Die(faces, meta={"model": "conditioned", "dist": dist.name,
-                            "n": n})
+        faces = np.empty((rows, n))
+        for i in range(rows):
+            faces[i] = _last_face_rejection(n, draw, max_attempts,
+                                            "conditioned")
+    if size is not None:
+        return faces
+    return Die(faces[0], meta={"model": "conditioned", "dist": dist.name,
+                               "n": n})
 
 
 def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
-                                max_attempts: int = 50_000_000) -> Die:
+                                max_attempts: int = 50_000_000, size=None):
     """Faces uniform on {1..n}^n conditioned on face-sum n(n+1)/2.
 
     Draws the first n-1 faces uniformly from {1..n}, sets the last face to
@@ -115,7 +134,8 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
     valid die has exactly one preimage, so the accepted law is exactly
     uniform on the constraint set for every n. The acceptance rate is
     about sqrt(6 / (pi n)), the chance that the candidate last face (sd
-    about n^1.5 / sqrt(12)) lands in a window of width n.
+    about n^1.5 / sqrt(12)) lands in a window of width n. Dice are drawn
+    one after another; faces are floats.
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
@@ -126,8 +146,12 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
         tail = target - body.sum(axis=1)
         return body, tail, (tail >= 1) & (tail <= n)
 
-    faces = _last_face_rejection(n, draw, max_attempts, "discrete")
-    return Die(faces.astype(float), meta={"model": "discrete", "n": n})
+    faces = np.empty((1 if size is None else size, n))
+    for i in range(len(faces)):
+        faces[i] = _last_face_rejection(n, draw, max_attempts, "discrete")
+    if size is not None:
+        return faces
+    return Die(faces[0], meta={"model": "discrete", "n": n})
 
 
 def _circulant_eigenvalues(n: int, kernel: CorrelationKernel) -> np.ndarray:
@@ -196,9 +220,9 @@ def _first_failing_minor(cov: np.ndarray) -> int:
     return lo
 
 
-def sample_stationary_faces(n: int, kernel: CorrelationKernel,
-                            rng: np.random.Generator, size: int,
-                            method: str = "auto") -> tuple:
+def _stationary_faces(n: int, kernel: CorrelationKernel,
+                      rng: np.random.Generator, size: int,
+                      method: str = "auto") -> tuple:
     """size independent stationary Gaussian dice: mean-zero faces with
     variance 1/2 and lag covariance kernel.rho, as ((size, n) faces,
     route), where route names the path taken: "direct" (n = 1),
@@ -234,10 +258,15 @@ def sample_stationary_faces(n: int, kernel: CorrelationKernel,
 
 def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
                                rng: np.random.Generator,
-                               method: str = "auto") -> Die:
-    """One stationary Gaussian die, sample_stationary_faces with size 1;
-    its meta records the route taken as "method"."""
-    faces, route = sample_stationary_faces(n, kernel, rng, 1, method)
+                               method: str = "auto", size=None):
+    """Stationary Gaussian dice by _stationary_faces: one die, whose meta
+    records the route taken as "method", or a (size, n) array whose row i
+    equals the i-th of size one-die calls on the same generator (to
+    rounding on the Cholesky route)."""
+    faces, route = _stationary_faces(n, kernel, rng,
+                                     1 if size is None else size, method)
+    if size is not None:
+        return faces
     return Die(faces[0], meta={"model": "stationary", "kernel": kernel.name,
                                "n": n, "method": route})
 
@@ -248,8 +277,8 @@ class DiscreteConditioned:
 
     n: int
 
-    def sample(self, rng: np.random.Generator) -> Die:
-        return sample_discrete_conditioned(self.n, rng)
+    def sample(self, rng: np.random.Generator, size=None):
+        return sample_discrete_conditioned(self.n, rng, size=size)
 
     def cdf(self, x) -> np.ndarray:
         """Marginal CDF of one face: uniform on {1..n}."""
@@ -264,8 +293,9 @@ class ContinuousConditioned:
     n: int
     dist: FaceDistribution
 
-    def sample(self, rng: np.random.Generator) -> Die:
-        return sample_continuous_conditioned(self.n, self.dist, rng)
+    def sample(self, rng: np.random.Generator, size=None):
+        return sample_continuous_conditioned(self.n, self.dist, rng,
+                                             size=size)
 
     def cdf(self, x) -> np.ndarray:
         """The face law's CDF, the F of the CDF-sum statistic."""
@@ -279,8 +309,9 @@ class StationaryGaussian:
     n: int
     kernel: CorrelationKernel
 
-    def sample(self, rng: np.random.Generator) -> Die:
-        return sample_stationary_gaussian(self.n, self.kernel, rng)
+    def sample(self, rng: np.random.Generator, size=None):
+        return sample_stationary_gaussian(self.n, self.kernel, rng,
+                                          size=size)
 
     def cdf(self, x) -> np.ndarray:
         """Marginal CDF of one face, N(0, 1/2): the kernel enforces
@@ -295,8 +326,8 @@ class IidContinuous:
     n: int
     dist: FaceDistribution
 
-    def sample(self, rng: np.random.Generator) -> Die:
-        return sample_iid(self.n, self.dist, rng)
+    def sample(self, rng: np.random.Generator, size=None):
+        return sample_iid(self.n, self.dist, rng, size)
 
     def cdf(self, x) -> np.ndarray:
         """The face law's CDF, the F of the CDF-sum statistic."""

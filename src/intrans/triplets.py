@@ -469,7 +469,8 @@ def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
     def kernel(seed: int, start: int, stop: int):
         rng = mc.substream(seed, start)
         x = rng.integers(0, 2, size=(stop - start, n), dtype=np.int8) * 2 - 1
-        y = np.where(rng.random((stop - start, n)) < 1.0 / 3.0, -x, x)
+        flip = rng.random((stop - start, n)) < 1.0 / 3.0
+        y = x * (1 - 2 * flip.view(np.int8))
         return np.ones(stop - start, dtype=bool), signs(x) == signs(y)
 
     hit = mc._run_trials(kernel, 2, trials, seed, None, 1e-6).proportion(1)

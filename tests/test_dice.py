@@ -154,6 +154,55 @@ def test_pair_stats_needs_equal_lengths():
         pair_stats([1.0, 2.0], [1.0])
 
 
+def test_batch_forms_equal_the_one_die_forms_row_by_row():
+    """Lattice dice with many ties, a die against itself (zero margin)
+    and continuous dice, stacked along two leading axes."""
+    rng = np.random.default_rng(21)
+    a = rng.integers(1, 7, size=(4, 5, 6)).astype(float)
+    b = rng.integers(1, 7, size=(4, 5, 6)).astype(float)
+    b[0, 0] = a[0, 0]
+    b[1] = rng.standard_normal((5, 6))
+    a[1] = rng.standard_normal((5, 6))
+    F = lambda x: np.clip(x / 7.0, 0.0, 1.0)
+    stats = pair_stats(a, b)
+    assert stats.wins.shape == stats.ties.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            one = pair_stats(a[i, j], b[i, j])
+            assert (stats.wins[i, j], stats.losses[i, j],
+                    stats.ties[i, j]) == (one.wins, one.losses, one.ties)
+            assert cdf_sum(a, F)[i, j] == cdf_sum(a[i, j], F)
+    assert stats.margin[0, 0] == 0 and stats.ties[0, 0] > 0
+    assert (stats.ties[2:] > 0).any() and (stats.ties[1] == 0).all()
+    sorted_stats = pair_stats(np.sort(a, axis=-1), np.sort(b, axis=-1),
+                              assume_sorted=True)
+    np.testing.assert_array_equal(sorted_stats.margin, stats.margin)
+    np.testing.assert_array_equal(sorted_stats.ties, stats.ties)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_forms_reject_bad_faces_like_a_die(bad):
+    good = np.zeros((3, 4))
+    faces = good.copy()
+    faces[2, 1] = bad
+    with pytest.raises(InvalidInputError):
+        pair_stats(faces, good)
+    with pytest.raises(InvalidInputError):
+        pair_stats(good, faces, assume_sorted=True)
+    with pytest.raises(InvalidInputError):
+        cdf_sum(faces, lambda x: x)
+    with pytest.raises(InvalidInputError):
+        pair_stats(good, np.zeros((3, 5)))
+    with pytest.raises(InvalidInputError):
+        pair_stats(good, np.zeros((2, 4)))
+    with pytest.raises(InvalidInputError):
+        pair_stats(good, np.zeros(4))
+    with pytest.raises(InvalidInputError):
+        cdf_sum(np.zeros((3, 0)), lambda x: x)
+    with pytest.raises(InvalidInputError):
+        cdf_sum(good, lambda x: x.sum(axis=-1))
+
+
 @settings(max_examples=30, deadline=None)
 @given(a=faces_strategy)
 def test_w_statistic_self_pairs(a):

@@ -10,6 +10,7 @@ Seeds are fixed, so the checks are deterministic.
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from intrans.distributions import get_distribution
 from intrans.elections import ranking_sign_matrix
 from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
+    DICE_CHUNK_FACES,
     N_DICE_CATEGORIES,
     TRIPLE_CLASS_ORDER,
     condorcet_probability,
@@ -48,6 +50,7 @@ from intrans.samplers import (
     DiscreteConditioned,
     IidContinuous,
     StationaryGaussian,
+    sample_continuous_conditioned,
 )
 from intrans.triplets import orthant3, triplet_cell_tables
 from oracles import (
@@ -387,20 +390,29 @@ def test_triplet_noise_endpoints_run_conditioned(rho):
 
 
 # The dice kernel against the rule it replaces: each triple drawn in order
-# from the block's substream, classified by classify_triple and scored by
-# pair_stats and cdf_sum one pair at a time.
+# from the block's substream, one die at a time, classified by
+# classify_triple and scored by pair_stats and cdf_sum one pair at a time.
+# A block of the first three cases spans one or two chunks of
+# DICE_CHUNK_FACES faces, one of the last three more than three.
 
 DICE_BLOCK_PARAMS = (
     {"model": "discrete", "n": 6},
     {"model": "conditioned", "n": 8, "dist": "gaussian"},
     {"model": "stationary", "n": 16, "hurst": 0.75},
+    {"model": "stationary", "n": 512, "hurst": 0.75},
+    {"model": "discrete", "n": 250},
+    {"model": "conditioned", "n": 600, "dist": "gaussian"},
 )
 
 
-@pytest.mark.parametrize("params", DICE_BLOCK_PARAMS,
-                         ids=lambda p: p["model"])
+@pytest.mark.parametrize("params", DICE_BLOCK_PARAMS, ids=[
+    "discrete", "conditioned", "stationary", "stationary_n512",
+    "discrete_n250", "conditioned_n600"])
 def test_dice_block_kernel_matches_per_trial_rule(params):
-    seed, start, size = 8, BLOCK_SIZE, 300
+    seed, start = 8, BLOCK_SIZE
+    size = 300 if params["n"] <= 16 else 40
+    assert params["n"] <= 16 or size > 3 * (
+        DICE_CHUNK_FACES // (3 * params["n"]))
     kernel, n_cat = build_kernel(_spec("dice_triples", params, size, seed))
     assert n_cat == N_DICE_CATEGORIES
     accepted, values = kernel(seed, start, start + size)
@@ -419,8 +431,25 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
         assert value == 4 * TRIPLE_CLASS_ORDER.index(cls) + agree
         classes.add(cls)
     assert TripleClass.TRANSITIVE in classes
-    if params["model"] == "discrete":
+    if params["model"] == "discrete" and params["n"] <= 16:
         assert TripleClass.HAS_TIE in classes
+
+
+def test_dice_block_memory_is_bounded_by_the_chunk():
+    """A full block of 4096 stationary triples at n=512 peaks under 4 MB
+    of allocations: it draws DICE_CHUNK_FACES faces at a time, where one
+    draw of the whole block peaks at ~500 MB."""
+    kernel, _ = build_kernel(_spec(
+        "dice_triples", {"model": "stationary", "n": 512, "hurst": 0.75},
+        BLOCK_SIZE, 3))
+    tracemalloc.start()
+    try:
+        accepted, _ = kernel(3, 0, BLOCK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert accepted.sum() == BLOCK_SIZE
+    assert peak < 4 * 2 ** 20
 
 
 def test_block_families_do_not_depend_on_worker_count():
@@ -582,8 +611,11 @@ def test_dice_key_error_names_the_model():
     ("election_outcomes", {"n": 5}, 0, None),
     ("no_such_family", {}, 10, None),
     ("dice_triples", {"model": "conditioned", "n": 1}, 10, None),
+    ("dice_triples", {"n": 4, "dist": [1]}, 10, None),
+    (["x"], {}, 10, None),
 ], ids=["n", "k", "d", "missing_d", "rho", "r", "hurst", "missing_n",
-        "trials_0", "unknown_family", "conditioned_n1"])
+        "trials_0", "unknown_family", "conditioned_n1", "dist_unhashable",
+        "family_unhashable"])
 def test_spec_is_checked_when_it_is_made(family, params, trials,
                                          conditioning):
     with pytest.raises(InvalidInputError):
@@ -906,6 +938,24 @@ def test_w_minus_nv_variance_ratio_decreases():
         w_minus_nv_variance(uniform, 8, pairs=2.5, seed=0)
     with pytest.raises(InvalidInputError):
         w_minus_nv_variance(uniform, 8, pairs=10, seed=1.5)
+
+
+@pytest.mark.parametrize("dist,n,pairs", [
+    ("gaussian", 50, 200), ("uniform", 9, 30), ("gaussian", 5000, 3)],
+    ids=["gaussian_chunks", "uniform", "gaussian_pair_per_chunk"])
+def test_w_minus_nv_variance_equals_a_per_pair_loop(dist, n, pairs):
+    """The chunked estimator is, bit for bit, a loop over pairs that
+    draws dice a and b in turn and scores them one pair at a time."""
+    law = get_distribution(dist)
+    rng = substream(4, 0)
+    vals = []
+    for _ in range(pairs):
+        a = sample_continuous_conditioned(n, law, rng)
+        b = sample_continuous_conditioned(n, law, rng)
+        vals.append(pair_stats(a, b).wins
+                    - n * (cdf_sum(a, law.cdf) - cdf_sum(b, law.cdf)))
+    expected = float(np.var(vals, ddof=1)) / float(n) ** 3
+    assert w_minus_nv_variance(dist, n, pairs=pairs, seed=4) == expected
 
 
 def test_w_minus_nv_variance_takes_a_distribution_name():

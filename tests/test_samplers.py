@@ -17,6 +17,7 @@ from intrans.errors import (
     SamplerStallError,
     SizeLimitError,
 )
+from intrans.distributions import get_distribution
 from intrans.gaussian import CorrelationKernel, s_kernel
 from intrans.samplers import (
     MAX_BATCH_FACES,
@@ -30,7 +31,6 @@ from intrans.samplers import (
     sample_discrete_conditioned,
     sample_iid,
     sample_profile,
-    sample_stationary_faces,
     sample_stationary_gaussian,
 )
 
@@ -131,9 +131,11 @@ class _ShapeRecorder:
 @pytest.mark.parametrize("sample", [
     lambda n, rng: sample_continuous_conditioned(n, "gaussian", rng),
     lambda n, rng: sample_discrete_conditioned(n, rng),
-], ids=["continuous", "discrete"])
+    lambda n, rng: sample_continuous_conditioned(n, "uniform", rng),
+], ids=["continuous", "discrete", "uniform"])
 def test_last_face_batches_are_bounded(sample):
-    """At n = 10^5 a rejection batch holds at most 2^22 faces."""
+    """At n = 10^5 a rejection batch holds at most 2^22 faces (the
+    Gaussian draws one (1, n) array and does not reject)."""
     n = 100_000
     rng = _ShapeRecorder(np.random.default_rng(15))
     die = sample(n, rng)
@@ -280,14 +282,15 @@ def test_stationary_rows_equal_one_row_calls(n):
     matrix product replaces a matrix-vector product."""
     kernel = CorrelationKernel.fbm(0.7)
     for method in ("circulant", "cholesky"):
-        rows, route = sample_stationary_faces(
-            n, kernel, np.random.default_rng(17), 5, method)
+        rows = sample_stationary_gaussian(
+            n, kernel, np.random.default_rng(17), method, size=5)
         assert rows.shape == (5, n)
-        assert route == ("direct" if n == 1 else method)
         rng = np.random.default_rng(17)
-        one_by_one = np.stack([
-            sample_stationary_gaussian(n, kernel, rng, method).faces
-            for _ in range(5)])
+        dice = [sample_stationary_gaussian(n, kernel, rng, method)
+                for _ in range(5)]
+        route = dice[0].meta["method"]
+        assert route == ("direct" if n == 1 else method)
+        one_by_one = np.stack([die.faces for die in dice])
         if route == "cholesky":
             np.testing.assert_allclose(rows, one_by_one, rtol=1e-12,
                                        atol=1e-14)
@@ -331,10 +334,29 @@ def test_stationary_validation():
 # ------------------------------------------------------ model wrappers
 
 
+@pytest.mark.parametrize("model", [
+    DiscreteConditioned(7),
+    ContinuousConditioned(9, get_distribution("gaussian")),
+    ContinuousConditioned(9, get_distribution("uniform")),
+    ContinuousConditioned(9, get_distribution("shifted-exp")),
+    StationaryGaussian(9, CorrelationKernel.fbm(0.75)),
+    IidContinuous(9, get_distribution("shifted-exp")),
+], ids=["discrete", "gaussian", "uniform", "shifted-exp", "stationary",
+        "iid"])
+def test_size_form_equals_one_die_calls(model):
+    """sample(rng, size=k) is a (k, n) array whose rows are, bit for bit,
+    k one-die calls on the same generator."""
+    rows = model.sample(np.random.default_rng(23), size=6)
+    assert rows.shape == (6, model.n) and rows.dtype == np.float64
+    rng = np.random.default_rng(23)
+    one_by_one = np.stack([model.sample(rng).faces for _ in range(6)])
+    np.testing.assert_array_equal(rows, one_by_one)
+    assert model.sample(rng, size=0).shape == (0, model.n)
+
+
 def test_model_wrappers_smoke():
     rng = np.random.default_rng(17)
     kernel = CorrelationKernel.fbm(0.4)
-    from intrans.distributions import get_distribution
     uni = get_distribution("uniform")
     for model, expect in [
         (DiscreteConditioned(5), "discrete"),
