@@ -52,14 +52,14 @@ TRIPLE_CLASS_ORDER = tuple(TripleClass)
 N_DICE_CATEGORIES = 12
 
 # The dice kernels draw at most this many faces at a time: a chunk of
-# max(1, DICE_CHUNK_FACES // (3 n)) triples, or // (2 n) pairs, so memory
-# stays bounded at any block size. On the dice-continuous benchmark (one
-# 20 s run each on a 2-core x86-64 host, numpy 2.4.6) 8192 sits at the
-# throughput plateau with the peak RSS level: 2048 ran 25.0 trials per
-# reference slice at 58.7 MB, 8192 33.1 at 59.6 MB, 32768 30.4 at
-# 62.4 MB, and one draw per block 31.7 at 64.2 MB (its runs are 40
-# triples; one draw of a full 4096-triple block at n=512 peaks at ~500 MB
-# of allocations).
+# max(1, DICE_CHUNK_FACES // (3 n)) triples, // (2 n) pairs or // n lag
+# draws, so memory stays bounded at any block size. On the dice-continuous
+# benchmark (one 20 s run each on a 2-core x86-64 host, numpy 2.4.6) 8192
+# sits at the throughput plateau with the peak RSS level: 2048 ran 25.0
+# trials per reference slice at 58.7 MB, 8192 33.1 at 59.6 MB, 32768
+# 30.4 at 62.4 MB, and one draw per block 31.7 at 64.2 MB (its runs are
+# 40 triples; one draw of a full 4096-triple block at n=512 peaks at
+# ~500 MB of allocations).
 DICE_CHUNK_FACES = 8192
 
 
@@ -324,10 +324,17 @@ def _build_dice_triples(spec: ExperimentSpec):
     triples, t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of
     3 t rows per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2
     form triple k). Each die's CDF sum adds its faces in draw order; then
-    each die is sorted once for the exact margins of its three pairs."""
+    each die is sorted once for the exact margins of its three pairs.
+
+    A lattice die's CDF sum is an integer over n, so the discrete model
+    compares n times its sums rounded to integers: exactly the sums of
+    the floored faces, free of the float noise of adding k/n. Every
+    lattice die has the face sum n(n+1)/2, so a pair agrees exactly when
+    it ties."""
     _only(spec.conditioning or {}, spec.family, "conditioning key")
     model = dice_model_from_params(spec.params)
     n = model.n
+    lattice = isinstance(model, DiscreteConditioned)
     chunk = max(1, DICE_CHUNK_FACES // (3 * n))
     # Pairs (a, b), (b, c), (c, a): the margins classify_margins takes,
     # and the CDF-sum gaps with the same orientation.
@@ -340,6 +347,8 @@ def _build_dice_triples(spec: ExperimentSpec):
             t = min(chunk, stop - start - lo)
             dice = model.sample(rng, size=3 * t).reshape(t, 3, n)
             sums = cdf_sum(dice, model.cdf)
+            if lattice:
+                sums = np.rint(sums * n)
             dice.sort(axis=-1)
             margins = pair_stats(dice, dice[:, follow],
                                  assume_sorted=True).margin
@@ -413,10 +422,12 @@ def lag_products(kernel: CorrelationKernel, n: int, lags, draws: int,
                  method: str = "auto") -> np.ndarray:
     """faces[0] * faces[lag] for each lag of draws stationary dice, as a
     C-ordered (draws, len(lags)) array. The dice are sampled from rng in
-    chunks of mc.BLOCK_SIZE rows, so memory stays bounded."""
+    chunks of max(1, DICE_CHUNK_FACES // n) rows, so memory stays bounded
+    at any n; the chunks give the numbers of one draw of all the rows."""
     prods = np.empty((draws, len(lags)))
-    for lo in range(0, draws, mc.BLOCK_SIZE):
-        hi = min(lo + mc.BLOCK_SIZE, draws)
+    chunk = max(1, DICE_CHUNK_FACES // n)
+    for lo in range(0, draws, chunk):
+        hi = min(lo + chunk, draws)
         faces = sample_stationary_gaussian(n, kernel, rng, method,
                                            size=hi - lo)
         prods[lo:hi] = faces[:, :1] * faces[:, lags]

@@ -9,7 +9,10 @@ Dice models:
 - integer faces uniform on {1..n}^n conditioned on the face-sum equal to
   n(n+1)/2 (rejection on the last face, exact for every n);
 - stationary Gaussian faces with variance 1/2 and a prescribed lag
-  correlation (circulant embedding, Toeplitz Cholesky fallback/oracle).
+  correlation (Davies-Harte circulant embedding of size 2 s(n-1), s the
+  next 5-smooth integer, synthesized from its half spectrum with the
+  scales computed once per (n, kernel); Toeplitz Cholesky fallback and
+  oracle).
 
 All samplers consume a numpy Generator passed by the caller and draw their
 randomness in a fixed documented order, so results are reproducible from
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,39 +158,97 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
     return Die(faces[0], meta={"model": "discrete", "n": n})
 
 
-def _circulant_eigenvalues(n: int, kernel: CorrelationKernel) -> np.ndarray:
-    gamma = kernel.values(np.arange(n))
-    first_row = np.concatenate([gamma, gamma[-2:0:-1]])
-    return np.fft.fft(first_row).real
+def _smooth5(k: int) -> int:
+    """The smallest 5-smooth integer (prime factors 2, 3 and 5 only) that
+    is at least k >= 1: products 5^a 3^b 2^c searched below the next power
+    of two."""
+    best = 1 << (k - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < k:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@lru_cache(maxsize=32)
+def _circulant_scales(n: int,
+                      kernel: CorrelationKernel) -> Optional[np.ndarray]:
+    """Davies-Harte scales of the half spectrum, k = 0..m/2, for n faces
+    embedded in the circulant of size m = 2 s(n-1), s(k) the smallest
+    5-smooth integer >= k, so the row FFTs have only small prime factors:
+    sqrt(lam_k / m) at k = 0 and m/2, sqrt(lam_k / (2 m)) between, where
+    lam are the circulant's eigenvalues. None when the embedding has
+    meaningfully negative eigenvalues (it is not nonnegative definite).
+    Computed once per (n, kernel); the array is read-only."""
+    half = _smooth5(n - 1)
+    m = 2 * half
+    gamma = kernel.values(np.arange(half + 1))
+    lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if lam.min() < -1e-9 * max(lam.max(), 1.0):
+        return None
+    weights = np.full(half + 1, 2.0 * m)
+    weights[[0, half]] = m
+    scale = np.sqrt(np.clip(lam, 0.0, None) / weights)
+    scale.setflags(write=False)
+    return scale
 
 
 def _sample_circulant(n: int, kernel: CorrelationKernel,
                       rng: np.random.Generator,
                       size: int) -> Optional[np.ndarray]:
     """size rows of Davies-Harte synthesis on the circulant extension of
-    size m = 2(n-1), as a (size, n) array.
+    size m = 2 s(n-1), s(k) the smallest 5-smooth integer >= k, as a
+    (size, n) array. Any even m >= 2(n-1) with a nonnegative embedding
+    gives the exact law (Wood & Chan 1994); padding to 5-smooth sizes
+    keeps the FFTs fast.
 
     Returns None when the extension has meaningfully negative eigenvalues
     (the embedding is not nonnegative definite), letting the caller fall
     back. Normal draws are consumed as one (size, m) array; within a row
     they are indexed low k to high k with real before imaginary parts.
+    Only the half spectrum k = 0..m/2 is built: the rest is its conjugate
+    mirror, and one real-output FFT (np.fft.hfft) synthesizes the rows.
     """
-    m = 2 * (n - 1)
-    lam = _circulant_eigenvalues(n, kernel)
-    if lam.min() < -1e-9 * max(lam.max(), 1.0):
+    scale = _circulant_scales(n, kernel)
+    if scale is None:
         return None
-    lam = np.clip(lam, 0.0, None)
+    half = scale.size - 1
+    m = 2 * half
     v = rng.standard_normal((size, m))
-    half = m // 2
-    w = np.zeros((size, m), dtype=complex)
-    w[:, 0] = math.sqrt(lam[0] / m) * v[:, 0]
-    w[:, half] = math.sqrt(lam[half] / m) * v[:, m - 1]
-    # k = 1..half-1 takes v[2k-1] + i v[2k]; its mirror m-k the conjugate.
-    scale = np.sqrt(lam[1:half] / (2.0 * m))
-    w[:, 1:half] = scale * (v[:, 1:m - 1:2] + 1j * v[:, 2:m - 1:2])
-    w[:, half + 1:] = np.conj(w[:, half - 1:0:-1])
-    x = np.fft.fft(w, axis=1).real
-    return x[:, :n]
+    w = np.empty((size, half + 1), dtype=complex)
+    # Real and imaginary parts in turn: k = 0 takes v[0], k = 1..half-1
+    # take v[2k-1] + i v[2k], and k = half takes v[m-1].
+    parts = w.view(float)
+    parts[:, 0] = v[:, 0]
+    parts[:, 1] = 0.0
+    parts[:, 2:m] = v[:, 1:m - 1]
+    parts[:, m] = v[:, m - 1]
+    parts[:, m + 1] = 0.0
+    w *= scale
+    return np.fft.hfft(w, n=m, axis=1)[:, :n]
+
+
+@lru_cache(maxsize=1)
+def _toeplitz_cholesky(n: int, kernel: CorrelationKernel) -> np.ndarray:
+    """The read-only lower Cholesky factor of the n x n Toeplitz
+    covariance of kernel. Only the last factor is kept (at most
+    CHOLESKY_LIMIT^2 floats), so draws in row chunks at one (n, kernel)
+    factor it once."""
+    lags = np.arange(n)
+    cov = kernel.values(lags)[np.abs(lags[:, None] - lags)]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        order = _first_failing_minor(cov)
+        raise NotPositiveDefiniteError(minor_order=order) from None
+    chol.setflags(write=False)
+    return chol
 
 
 def _sample_cholesky(n: int, kernel: CorrelationKernel,
@@ -197,14 +259,7 @@ def _sample_cholesky(n: int, kernel: CorrelationKernel,
         raise SizeLimitError(
             "Cholesky path limited to n <= %d" % CHOLESKY_LIMIT
         )
-    lags = np.arange(n)
-    cov = kernel.values(lags)[np.abs(lags[:, None] - lags)]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        order = _first_failing_minor(cov)
-        raise NotPositiveDefiniteError(minor_order=order) from None
-    return rng.standard_normal((size, n)) @ chol.T
+    return rng.standard_normal((size, n)) @ _toeplitz_cholesky(n, kernel).T
 
 
 def _first_failing_minor(cov: np.ndarray) -> int:
@@ -228,13 +283,14 @@ def _stationary_faces(n: int, kernel: CorrelationKernel,
     route), where route names the path taken: "direct" (n = 1),
     "circulant" or "cholesky".
 
-    method "circulant" uses the Davies-Harte embedding of size 2(n-1)
-    (raises when the embedding is not nonnegative definite), "cholesky"
-    factors the n x n Toeplitz covariance (n <= 4096), and "auto" tries
-    the embedding first and falls back to Cholesky with a warning. The
-    rows come from one draw of normals and one row-wise FFT or one matrix
-    product; row i equals the i-th of size one-row calls on the same
-    generator (to rounding on the Cholesky route).
+    method "circulant" uses the Davies-Harte embedding of size 2 s(n-1),
+    s(k) the smallest 5-smooth integer >= k (raises when the embedding is
+    not nonnegative definite), "cholesky" factors the n x n Toeplitz
+    covariance (n <= 4096), and "auto" tries the embedding first and falls
+    back to Cholesky with a warning. The rows come from one draw of
+    normals and one row-wise FFT or one matrix product; row i equals the
+    i-th of size one-row calls on the same generator (to rounding on the
+    Cholesky route).
     """
     if n < 1:
         raise InvalidInputError("n must be positive")

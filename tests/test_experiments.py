@@ -28,6 +28,7 @@ from intrans.experiments import (
     condorcet_probability,
     dice_model_from_params,
     lag_covariance_mc,
+    lag_products,
     orthant3_mc,
     outcome_categories,
     summarize_dice_categories,
@@ -51,11 +52,13 @@ from intrans.samplers import (
     IidContinuous,
     StationaryGaussian,
     sample_continuous_conditioned,
+    sample_stationary_gaussian,
 )
 from intrans.triplets import orthant3, triplet_cell_tables
 from oracles import (
     close_election_law,
     election_outcome_distribution,
+    enumerate_discrete_dice,
     iid_triple_class_distribution,
     triplet_paradox_by_profiles,
     triplet_paradox_exact,
@@ -391,7 +394,8 @@ def test_triplet_noise_endpoints_run_conditioned(rho):
 
 # The dice kernel against the rule it replaces: each triple drawn in order
 # from the block's substream, one die at a time, classified by
-# classify_triple and scored by pair_stats and cdf_sum one pair at a time.
+# classify_triple and scored by pair_stats and the CDF-sum gap one pair at
+# a time.
 # A block of the first three cases spans one or two chunks of
 # DICE_CHUNK_FACES faces, one of the last three more than three.
 
@@ -403,6 +407,14 @@ DICE_BLOCK_PARAMS = (
     {"model": "discrete", "n": 250},
     {"model": "conditioned", "n": 600, "dist": "gaussian"},
 )
+
+
+def _cdf_sum_gap(model, x, y):
+    """cdf_sum(x) - cdf_sum(y) under the model's face CDF; for lattice dice
+    the exact gap of the floored face sums, since their CDF is floor / n."""
+    if isinstance(model, DiscreteConditioned):
+        return np.floor(x.faces).sum() - np.floor(y.faces).sum()
+    return cdf_sum(x, model.cdf) - cdf_sum(y, model.cdf)
 
 
 @pytest.mark.parametrize("params", DICE_BLOCK_PARAMS, ids=[
@@ -426,7 +438,7 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
         cls = classify_triple(a, b, c)
         agree = sum(
             np.sign(pair_stats(x, y).margin)
-            == np.sign(cdf_sum(x, model.cdf) - cdf_sum(y, model.cdf))
+            == np.sign(_cdf_sum_gap(model, x, y))
             for x, y in ((a, b), (a, c), (b, c)))
         assert value == 4 * TRIPLE_CLASS_ORDER.index(cls) + agree
         classes.add(cls)
@@ -844,6 +856,23 @@ def test_dice_triples_conditioned_reaches_every_class():
     assert 0.0 <= summary["agreement_rate"] <= 1.0
 
 
+@pytest.mark.parametrize("n, seed", [(4, 41), (5, 42)])
+def test_lattice_agreement_is_the_pair_tie_probability(n, seed):
+    """Every lattice die has the face sum n(n+1)/2, so the CDF-sum
+    predictor of every pair is exactly 0 and a pair agrees exactly when
+    it ties: the agreement rate estimates P(pair ties), brute-forced here
+    over all pairs of the enumerated dice (107/121 at n=4, 31747/48387 =
+    0.656106 at n=5)."""
+    dice = np.array(enumerate_discrete_dice(n))
+    margins = np.sign(dice[:, None, :, None]
+                      - dice[None, :, None, :]).sum(axis=(-1, -2))
+    p_tie = np.count_nonzero(margins == 0) / margins.size
+    summary = summarize_dice_categories(estimate_categories(
+        _spec("dice_triples", {"model": "discrete", "n": n}, 4_000, seed)))
+    assert abs(summary["agreement_rate"] - p_tie) <= (
+        4.0 * summary["agreement_stderr"])
+
+
 def test_summarize_dice_categories_arithmetic():
     counts = np.array([3, 1, 0, 2, 0, 4, 1, 1, 2, 0, 1, 5])
     cc = CategoryCounts(counts=counts, trials=25, accepted=20)
@@ -900,6 +929,34 @@ def test_lag_covariance_tracks_kernel():
     for lag, (mean, stderr) in out.items():
         assert stderr > 0.0
         assert abs(mean - kernel.rho(lag)) < 4.0 * stderr, lag
+
+
+def test_lag_products_chunks_equal_one_draw():
+    """lag_products draws DICE_CHUNK_FACES // n rows at a time; the
+    chunks give the numbers of one draw of all the rows."""
+    kernel = CorrelationKernel.fbm(0.75)
+    n, draws, lags = 100, 3 * (DICE_CHUNK_FACES // 100) + 5, [0, 1, 7]
+    prods = lag_products(kernel, n, lags, draws, np.random.default_rng(5))
+    faces = sample_stationary_gaussian(n, kernel, np.random.default_rng(5),
+                                       size=draws)
+    np.testing.assert_array_equal(prods, faces[:, :1] * faces[:, lags])
+
+
+def test_lag_covariance_memory_is_bounded():
+    """lag_covariance_mc at n=2049 peaks under 4 MB of allocations: rows
+    are drawn DICE_CHUNK_FACES faces at a time, where one draw of all
+    1024 rows and their spectra takes over 100 MB."""
+    kernel = CorrelationKernel.fbm(0.75)
+    tracemalloc.start()
+    try:
+        out = lag_covariance_mc(kernel, n=2049, lags=[1], draws=1024,
+                                seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mean, stderr = out[1]
+    assert abs(mean - kernel.rho(1)) < 4.0 * stderr
+    assert peak < 4 * 2 ** 20
 
 
 def test_lag_covariance_validation():

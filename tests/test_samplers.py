@@ -3,6 +3,7 @@ stationary synthesis routes, degenerate-covariance handling, and ranking
 profile bookkeeping."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from intrans.samplers import (
     IidContinuous,
     RankingProfile,
     StationaryGaussian,
+    _sample_circulant,
     lex_pairs,
     sample_continuous_conditioned,
     sample_discrete_conditioned,
@@ -296,6 +298,80 @@ def test_stationary_rows_equal_one_row_calls(n):
                                        atol=1e-14)
         else:
             np.testing.assert_array_equal(rows, one_by_one)
+
+
+def _next_smooth(k):
+    """The smallest integer >= k with no prime factor above 5, by search."""
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+class _IdentityNormals:
+    """A generator stub whose (m, m) normal draw is the identity, so row
+    i of a linear synthesis is its response to the i-th unit normal."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def standard_normal(self, shape):
+        assert shape == (self.m, self.m)
+        return np.eye(self.m)
+
+
+CIRCULANT_SIZES = [2, 3, 4, 5, 17, 200, 511, 512, 513]
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("n", CIRCULANT_SIZES)
+def test_circulant_covariance_is_exact(n, hurst):
+    """The synthesis is linear in its m = 2 s(n-1) normals (s the next
+    5-smooth integer), so fed the identity as its (m, m) draw it returns
+    the rows of a factor X with X^T X = Cov: the Toeplitz matrix of the
+    kernel's values, to 1e-12."""
+    kernel = CorrelationKernel.fbm(hurst)
+    m = 2 * _next_smooth(n - 1)
+    x = _sample_circulant(n, kernel, _IdentityNormals(m), m)
+    assert x.shape == (m, n)
+    lags = np.arange(n)
+    cov = kernel.values(lags)[np.abs(lags[:, None] - lags)]
+    np.testing.assert_allclose(x.T @ x, cov, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", CIRCULANT_SIZES)
+def test_fbm_embedding_never_falls_back(n):
+    """The padded fBm embedding stays nonnegative definite: the route is
+    the circulant, with no Cholesky fallback, for H = 0.05..0.95."""
+    rng = np.random.default_rng(18)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hurst in np.arange(1, 20) / 20:
+            die = sample_stationary_gaussian(
+                n, CorrelationKernel.fbm(float(hurst)), rng)
+            assert die.meta["method"] == "circulant", hurst
+
+
+def test_stationary_setup_is_computed_once_per_kernel():
+    """Repeated draws at one (n, kernel) evaluate the kernel once per
+    route: the circulant scales and the Cholesky factor are kept."""
+    calls = []
+
+    def rho(k):
+        calls.append(1)
+        return s_kernel(k, 0.75)
+
+    kernel = CorrelationKernel(name="counted", rho=rho)
+    calls.clear()
+    rng = np.random.default_rng(19)
+    for method in ("circulant", "cholesky"):
+        for _ in range(3):
+            sample_stationary_gaussian(40, kernel, rng, method, size=2)
+    assert len(calls) == 2
 
 
 def test_stationary_auto_falls_back_with_warning():
