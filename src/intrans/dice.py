@@ -92,10 +92,12 @@ def pair_stats(a: FacesLike, b: FacesLike, *,
     """Exact win/loss/tie counts over all n^2 face pairs.
 
     O(n log n): both faces are sorted once, then every face of a is
-    located among the faces of b by binary search. a and b may hold many
-    dice along their leading axes, in equal shapes; the counts then hold
-    one entry per pair of dice. assume_sorted skips the sort, for faces
-    already ascending along the last axis.
+    located among the faces of b by one binary search; a second search
+    counts the ties, only in the rows where a face of a equals a face of
+    b (_accel.pair_counts). a and b may hold many dice along their
+    leading axes, in equal shapes; the counts then hold one entry per
+    pair of dice. assume_sorted skips the sort, for faces already
+    ascending along the last axis.
     """
     fa = as_faces(a)
     fb = as_faces(b)
@@ -108,6 +110,30 @@ def pair_stats(a: FacesLike, b: FacesLike, *,
     wins, ties = _accel.pair_counts(fa, fb)
     n2 = fa.shape[-1] ** 2
     return PairStats(wins=wins, losses=n2 - wins - ties, ties=ties)
+
+
+def lattice_margins(dice: np.ndarray, partner) -> np.ndarray:
+    """Signed margins of lattice dice, exact, without a sort or a search.
+
+    dice holds dice of n faces, each an integer in 1..n, along its last
+    axis, in groups along the axis before it; partner indexes that axis,
+    and entry i of the result is margin(dice[..., i, :],
+    dice[..., partner[i], :]). One bincount with row offsets gives each
+    die's face histogram h; with h_x and h_y the histograms of a die and
+    its partner, the margin is
+    2 sum h_x (cumsum(h_y) - h_y) + sum h_x h_y - n^2 (twice the wins
+    plus the ties, less all n^2 face pairs).
+    """
+    n = dice.shape[-1]
+    faces = dice.reshape(-1, n)
+    if not (faces.min() >= 1 and faces.max() <= n
+            and (faces == np.floor(faces)).all()):
+        raise InvalidInputError("lattice faces must be integers in 1..n")
+    faces = faces.astype(np.intp)
+    faces += np.arange(-1, faces.size - 1, n)[:, None]
+    h = np.bincount(faces.ravel(), minlength=faces.size).reshape(dice.shape)
+    hy = h[..., partner, :]
+    return ((2 * np.cumsum(hy, axis=-1) - hy) * h).sum(axis=-1) - n * n
 
 
 def w_statistic(a: FacesLike, b: FacesLike) -> int:

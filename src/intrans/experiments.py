@@ -20,6 +20,7 @@ from .dice import (
     TripleClass,
     cdf_sum,
     classify_margins,
+    lattice_margins,
     pair_stats,
 )
 from .distributions import get_distribution
@@ -324,7 +325,9 @@ def _build_dice_triples(spec: ExperimentSpec):
     triples, t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of
     3 t rows per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2
     form triple k). Each die's CDF sum adds its faces in draw order; then
-    each die is sorted once for the exact margins of its three pairs.
+    each continuous die is sorted once for the exact margins of its three
+    pairs (pair_stats), and lattice dice are scored from their face
+    histograms (lattice_margins), with no sort or search.
 
     A lattice die's CDF sum is an integer over n, so the discrete model
     compares n times its sums rounded to integers: exactly the sums of
@@ -349,9 +352,11 @@ def _build_dice_triples(spec: ExperimentSpec):
             sums = cdf_sum(dice, model.cdf)
             if lattice:
                 sums = np.rint(sums * n)
-            dice.sort(axis=-1)
-            margins = pair_stats(dice, dice[:, follow],
-                                 assume_sorted=True).margin
+                margins = lattice_margins(dice, follow)
+            else:
+                dice.sort(axis=-1)
+                margins = pair_stats(dice, dice[:, follow],
+                                     assume_sorted=True).margin
             agree = np.sign(margins) == np.sign(sums - sums[:, follow])
             category[lo:lo + t] = (4 * classify_margins(margins)
                                    + agree.sum(axis=1))

@@ -59,6 +59,58 @@ def enumerate_discrete_dice(n):
     return out
 
 
+def lattice_multisets(n):
+    """The multisets of {1..n} of size n with sum n(n+1)/2, as an (N, n)
+    array of face counts (column k counts face k+1), and the number of
+    ordered dice n!/prod c! of each."""
+    target = n * (n + 1) // 2
+    rows = []
+
+    def extend(counts, size, total):
+        face = len(counts) + 1
+        if face > n:
+            if size == n and total == target:
+                rows.append(list(counts))
+            return
+        for c in range(n - size + 1):
+            if total + c * face > target:
+                break
+            counts.append(c)
+            extend(counts, size + c, total + c * face)
+            counts.pop()
+
+    extend([], 0, 0)
+    weights = [math.factorial(n) // math.prod(math.factorial(c) for c in row)
+               for row in rows]
+    return np.array(rows), np.array(weights)
+
+
+def lattice_triple_law(n):
+    """Exact law of three independent lattice dice (uniform on {1..n}^n
+    given the sum n(n+1)/2): (P(intransitive), tie_law), where tie_law[k]
+    is the chance that exactly k of the three pairs tie.
+
+    Over the multisets, M = H S H^T holds every margin (H the face
+    counts, S_xy = sign(x - y)); with D = diag(w) the multiset
+    probabilities, B = [M > 0] and T = [M = 0], P(intransitive) =
+    2 tr((DB)^3). Inclusion-exclusion over the three pairs, which pairwise
+    share a die, gives tie_law from t1 = w^T T w, t2 = sum_b w_b (Tw)_b^2
+    and t3 = tr((DT)^3). Intended for n <= 10."""
+    h, weights = lattice_multisets(n)
+    faces = np.arange(n)
+    M = h @ np.sign(faces[:, None] - faces[None, :]) @ h.T
+    w = weights / weights.sum()
+    DB = w[:, None] * (M > 0)
+    DT = w[:, None] * (M == 0)
+    intransitive = 2.0 * float(np.trace(DB @ DB @ DB))
+    Tw = (M == 0) @ w
+    t1, t2 = float(w @ Tw), float(w @ (Tw * Tw))
+    t3 = float(np.trace(DT @ DT @ DT))
+    tie_law = np.array([0.0, 3 * t1 - 6 * t2 + 3 * t3, 3 * t2 - 3 * t3, t3])
+    tie_law[0] = 1.0 - tie_law[1:].sum()
+    return intransitive, tie_law
+
+
 def discrete_face_marginal(n):
     """Exact law of one face of a die uniform on {1..n}^n given the sum
     n(n+1)/2, as probabilities of faces 1..n: P(face = k) is proportional

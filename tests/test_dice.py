@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intrans import _accel
 from intrans.dice import (
     Die,
     PairStats,
@@ -12,6 +13,7 @@ from intrans.dice import (
     beats,
     cdf_sum,
     classify_triple,
+    lattice_margins,
     pair_stats,
     w_statistic,
 )
@@ -178,6 +180,65 @@ def test_batch_forms_equal_the_one_die_forms_row_by_row():
                               assume_sorted=True)
     np.testing.assert_array_equal(sorted_stats.margin, stats.margin)
     np.testing.assert_array_equal(sorted_stats.ties, stats.ties)
+
+
+def test_pair_counts_searches_ties_only_in_rows_that_hold_them():
+    """Tie-free rows mixed with rows whose ties the second search must
+    count, each row against the brute-force loop."""
+    a = np.array([
+        [0.1, 0.5, 0.9, 1.3],    # no tie
+        [0.0, 1.0, 2.0, 5.0],    # a face equal to b's largest face
+        [0.0, 1.0, 2.0, 9.0],    # a face above every face of b, no tie
+        [1.0, 2.0, 3.0, 9.0],    # above every face of b, with a tie
+        [1.0, 2.0, 2.0, 3.0],    # identical dice
+        [10.0, 11.0, 12.0, 13.0],  # no tie, every pair won
+        [-1.0, -1.0, 0.0, 0.0],  # ties with b's smallest face only
+    ])
+    b = np.array([
+        [0.2, 0.6, 1.0, 1.4],
+        [1.5, 3.0, 4.0, 5.0],
+        [0.5, 1.5, 3.0, 4.0],
+        [0.5, 1.5, 3.0, 4.0],
+        [1.0, 2.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, 3.0],
+    ])
+    one = np.array([[1.0], [2.0], [3.0], [5.0]])
+    other = np.array([[1.0], [1.0], [5.0], [5.0]])
+    for x, y in ((a, b), (one, other), (a[::-1], b[::-1])):
+        stats = pair_stats(x.reshape(1, *x.shape), y.reshape(1, *y.shape))
+        for r in range(len(x)):
+            assert (stats.wins[0, r], stats.losses[0, r],
+                    stats.ties[0, r]) == brute_pair_counts(x[r], y[r])
+        assert (stats.ties > 0).any() and (stats.ties == 0).any()
+        assert stats.wins.dtype == stats.ties.dtype == np.int64
+    wins, ties = _accel.pair_counts(b[1], a[1])
+    assert type(wins) is int and type(ties) is int
+    assert (wins, ties) == brute_pair_counts(b[1], a[1])[::2]
+    stats = pair_stats(a[4], b[4])
+    assert type(stats.wins) is int and type(stats.ties) is int
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 250])
+def test_lattice_margins_equal_pair_stats(n):
+    rng = np.random.default_rng(n)
+    dice = rng.integers(1, n + 1, size=(4, 3, n)).astype(float)
+    dice[0, 1] = dice[0, 0][::-1]  # a pair of equal dice
+    partner = [1, 2, 0]
+    margins = lattice_margins(dice, partner)
+    np.testing.assert_array_equal(
+        margins, pair_stats(dice, dice[:, partner]).margin)
+    assert margins[0, 0] == 0
+    np.testing.assert_array_equal(
+        lattice_margins(dice[0], partner), margins[0])
+
+
+@pytest.mark.parametrize("bad", [0.0, 4.0, 2.5, np.nan])
+def test_lattice_margins_reject_faces_off_the_lattice(bad):
+    dice = np.ones((2, 3))
+    dice[1, 2] = bad
+    with pytest.raises(InvalidInputError):
+        lattice_margins(dice, [1, 0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

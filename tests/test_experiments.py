@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from intrans.dice import TripleClass, cdf_sum, classify_triple, pair_stats
 from intrans.distributions import get_distribution
@@ -60,6 +61,7 @@ from oracles import (
     election_outcome_distribution,
     enumerate_discrete_dice,
     iid_triple_class_distribution,
+    lattice_triple_law,
     triplet_paradox_by_profiles,
     triplet_paradox_exact,
 )
@@ -871,6 +873,26 @@ def test_lattice_agreement_is_the_pair_tie_probability(n, seed):
         _spec("dice_triples", {"model": "discrete", "n": n}, 4_000, seed)))
     assert abs(summary["agreement_rate"] - p_tie) <= (
         4.0 * summary["agreement_stderr"])
+
+
+@pytest.mark.parametrize("n, seed", [(5, 51), (6, 52), (7, 53), (8, 54)])
+def test_dice_triples_discrete_matches_the_exact_lattice_law(n, seed):
+    """All 12 categories against the exact law of lattice triples. A
+    lattice pair agrees exactly when it ties, so only transitive with no
+    agreeing pair (0), intransitive with none (4) and a triple with 1, 2
+    or 3 tied pairs (9, 10, 11) can occur: the other seven counts are 0,
+    and a chi-square test holds the live five to the law."""
+    trials = 15_000
+    cc = estimate_categories(_spec(
+        "dice_triples", {"model": "discrete", "n": n}, trials, seed))
+    intransitive, tie_law = lattice_triple_law(n)
+    live = [0, 4, 9, 10, 11]
+    expected = trials * np.array([tie_law[0] - intransitive, intransitive,
+                                  *tie_law[1:]])
+    counts = np.asarray(cc.counts)
+    assert cc.accepted == trials
+    assert np.delete(counts, live).sum() == 0
+    assert scipy.stats.chisquare(counts[live], expected).pvalue > 0.001
 
 
 def test_summarize_dice_categories_arithmetic():

@@ -13,7 +13,10 @@ import oracles
 from oracles import (
     close_election_law,
     election_outcome_distribution,
+    enumerate_discrete_dice,
     kalai_majority_exact,
+    lattice_multisets,
+    lattice_triple_law,
     triplet_paradox_exact,
 )
 
@@ -98,3 +101,41 @@ def test_triplet_paradox_exact_matches_enumeration():
         hits += bool((f == f[0]).all() and f[0] != 0)
     assert triplet_paradox_exact(2, 2) == (Fraction(hits, accepted),
                                            Fraction(accepted, 6 ** 6))
+
+
+def test_lattice_triple_law_matches_enumeration():
+    """n=4, against all 44^3 ordered triples of the 44 ordered dice, each
+    margin counted face pair by face pair."""
+    dice = np.array(enumerate_discrete_dice(4))
+    h, weights = lattice_multisets(4)
+    assert len(h) == 5 and weights.sum() == len(dice) == 44
+    margins = np.sign(dice[:, None, :, None]
+                      - dice[None, :, None, :]).sum(axis=(-1, -2))
+    a, b, c = np.meshgrid(*3 * [np.arange(len(dice))], indexing="ij")
+    triple = np.stack([margins[a, b], margins[b, c], margins[c, a]])
+    cycle = (triple > 0).all(axis=0) | (triple < 0).all(axis=0)
+    tied = (triple == 0).sum(axis=0)
+    intransitive, tie_law = lattice_triple_law(4)
+    assert intransitive == pytest.approx(cycle.mean(), abs=1e-12)
+    np.testing.assert_allclose(
+        tie_law, np.bincount(tied.ravel(), minlength=4) / tied.size,
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, intransitive, has_tie, pair_ties", [
+    (5, 0.032600, 0.882748, 0.656106),
+    (6, 0.058364, 0.769238, 0.491029),
+    (7, 0.088916, 0.644134, 0.356578),
+    (8, 0.118212, 0.523062, 0.255547),
+])
+def test_lattice_triple_law_table(n, intransitive, has_tie, pair_ties):
+    """The multiset counts N and the class law at n=5..8 (four decimals of
+    an earlier computation); a given pair ties with chance E[#tied]/3."""
+    h, weights = lattice_multisets(n)
+    assert len(h) == {5: 12, 6: 32, 7: 94, 8: 289}[n]
+    assert (h.sum(axis=1) == n).all()
+    assert (h @ np.arange(1, n + 1) == n * (n + 1) // 2).all()
+    p_intransitive, tie_law = lattice_triple_law(n)
+    assert p_intransitive == pytest.approx(intransitive, abs=5e-7)
+    assert 1.0 - tie_law[0] == pytest.approx(has_tie, abs=5e-7)
+    assert tie_law @ np.arange(4) / 3 == pytest.approx(pair_ties, abs=5e-7)
