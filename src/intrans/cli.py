@@ -29,6 +29,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -78,6 +80,26 @@ CSV_COLUMNS = ("experiment_id", "subcommand", *_FIXED_COLUMNS, "trials",
                "wall_time_ms")
 
 
+@contextlib.contextmanager
+def _overwritten(path):
+    """path open for text writing from its first byte, without truncating
+    it first (on ext4 the truncate to zero costs ~0.1 ms, most of a small
+    write). On exit, by an exception too, a regular file is cut where the
+    writing stopped, so no old byte trails the new ones; a FIFO or a
+    terminal is not cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              newline="") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                fd = fh.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _report(args, spec, result, fixed, measured, exact=()) -> int:
     """Write a run's CSV: one row per measured (statistic, estimate,
     stderr) of result, then one per exact (statistic, value), whose
@@ -85,7 +107,9 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
     fixed maps _FIXED_COLUMNS to the subcommand's values; a column it
     leaves out, or sets to None, stays blank. The CSV goes to stdout when
     --out is omitted or "-", else to the file --out with a .meta.json
-    sidecar holding the spec and how the run was made."""
+    sidecar holding the spec and how the run was made. Both files are
+    overwritten in place and cut to length (_overwritten), not truncated
+    first."""
     spec_json = spec.to_json()
     exp_id = hashlib.sha256(spec_json.encode()).hexdigest()[:12]
     ident = (exp_id, args.command, *map(fixed.get, _FIXED_COLUMNS))
@@ -96,7 +120,7 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
     rows += [(*ident, None, None, name, float(value), 0.0, spec.seed, None)
              for name, value in exact]
     to_file = args.out not in (None, "-")
-    with (open(args.out, "w", newline="") if to_file
+    with (_overwritten(args.out) if to_file
           else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -114,9 +138,8 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
             "package_version": __version__,
             "numpy_version": np.__version__,
         }
-        with open(args.out + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _overwritten(args.out + ".meta.json") as fh:
+            fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -196,11 +219,13 @@ def _cmd_elections(args, parser) -> int:
     )
 
     counts = estimate_categories(spec)
-    measured = []
-    for idx, (signs, _, _) in enumerate(outcome_categories(k)):
-        est = counts.proportion(idx)
-        bits = "".join("1" if v > 0 else "0" for v in signs)
-        measured.append(("outcome_" + bits, est.estimate, est.stderr))
+    # Every outcome's share and Wald stderr at once, in the operations
+    # and order of CategoryCounts.proportion, so the values are the same.
+    share = counts.counts / counts.accepted
+    stderr = np.sqrt(share * (1.0 - share) / counts.accepted)
+    measured = [("outcome_" + "".join("1" if v > 0 else "0" for v in signs),
+                 share[idx], stderr[idx])
+                for idx, (signs, _, _) in enumerate(outcome_categories(k))]
     for name, fn in (("transitive", transitive_probability),
                      ("condorcet_winner", condorcet_probability)):
         measured.append((name, *fn(counts, k)))

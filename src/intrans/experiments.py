@@ -23,7 +23,7 @@ from .dice import (
     lattice_margins,
     pair_stats,
 )
-from .distributions import get_distribution
+from .distributions import UNIFORM_SYM, get_distribution
 from .elections import ranking_sign_matrix
 from .errors import DomainError, InvalidInputError, ParityError
 from .gaussian import CorrelationKernel
@@ -324,20 +324,25 @@ def _build_dice_triples(spec: ExperimentSpec):
     A block draws its triples from substream(seed, start) in chunks of t
     triples, t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of
     3 t rows per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2
-    form triple k). Each die's CDF sum adds its faces in draw order; then
-    each continuous die is sorted once for the exact margins of its three
-    pairs (pair_stats), and lattice dice are scored from their face
-    histograms (lattice_margins), with no sort or search.
+    form triple k). A die's CDF sum, where needed (see below), adds its
+    faces in draw order; then each continuous die is sorted once for the
+    exact margins of its three pairs (pair_stats), and lattice dice are
+    scored from their face histograms (lattice_margins), with no sort or
+    search.
 
-    A lattice die's CDF sum is an integer over n, so the discrete model
-    compares n times its sums rounded to integers: exactly the sums of
-    the floored faces, free of the float noise of adding k/n. Every
-    lattice die has the face sum n(n+1)/2, so a pair agrees exactly when
-    it ties."""
+    Two models have the same CDF sum for every die, so every CDF-sum gap
+    is exactly 0 and a pair agrees exactly when it ties: the lattice model
+    (F is floor / n, and every die has the face sum n(n+1)/2) and the
+    sum-conditioned uniform law (F is affine on the support, and the faces
+    sum to 0, so the CDF sum is n/2). For them the kernel counts the tied
+    pairs and computes no CDF sum, whose float additions would otherwise
+    leave gaps of rounding noise."""
     _only(spec.conditioning or {}, spec.family, "conditioning key")
     model = dice_model_from_params(spec.params)
     n = model.n
     lattice = isinstance(model, DiscreteConditioned)
+    constant_cdf_sum = lattice or (isinstance(model, ContinuousConditioned)
+                                   and model.dist is UNIFORM_SYM)
     chunk = max(1, DICE_CHUNK_FACES // (3 * n))
     # Pairs (a, b), (b, c), (c, a): the margins classify_margins takes,
     # and the CDF-sum gaps with the same orientation.
@@ -349,15 +354,15 @@ def _build_dice_triples(spec: ExperimentSpec):
         for lo in range(0, stop - start, chunk):
             t = min(chunk, stop - start - lo)
             dice = model.sample(rng, size=3 * t).reshape(t, 3, n)
-            sums = cdf_sum(dice, model.cdf)
+            sums = None if constant_cdf_sum else cdf_sum(dice, model.cdf)
             if lattice:
-                sums = np.rint(sums * n)
                 margins = lattice_margins(dice, follow)
             else:
                 dice.sort(axis=-1)
                 margins = pair_stats(dice, dice[:, follow],
                                      assume_sorted=True).margin
-            agree = np.sign(margins) == np.sign(sums - sums[:, follow])
+            agree = (margins == 0 if sums is None else
+                     np.sign(margins) == np.sign(sums - sums[:, follow]))
             category[lo:lo + t] = (4 * classify_margins(margins)
                                    + agree.sum(axis=1))
         return np.ones(stop - start, dtype=bool), category

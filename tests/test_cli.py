@@ -9,13 +9,18 @@ payload on stderr.
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 import intrans
+from intrans import cli
 from intrans.cli import CSV_COLUMNS, build_parser, main
 from intrans.mc import BLOCK_SIZE
 
@@ -140,6 +145,26 @@ def test_elections_stdout_rows(capsys):
         assert r["model"] == "impartial"
         assert r["k"] == "3"
         assert r["d"] == ""
+
+
+def test_election_outcome_rows_are_exact_shares_with_wald_stderrs(capsys):
+    code, out, _ = _run(capsys, ["elections", "--n", "301", "--d", "3",
+                                 "--trials", "40960", "--seed", "5"])
+    assert code == 0
+    rows = [r for r in _parse_csv(out)
+            if r["statistic"].startswith("outcome_")]
+    assert len(rows) == 8
+    accepted = int(rows[0]["accepted"])
+    counts = []
+    for r in rows:
+        p = float(r["estimate"])
+        count = round(p * accepted)
+        assert abs(p * accepted - count) < 1e-6
+        assert p == count / accepted
+        assert float(r["stderr"]) == math.sqrt(p * (1.0 - p) / accepted)
+        counts.append(count)
+    assert sum(counts) == accepted
+    assert min(counts) > 0
 
 
 def test_elections_conditioning_and_subset_excl(tmp_path):
@@ -382,6 +407,75 @@ def test_bad_thread_cap_exits_one_with_json(capsys, monkeypatch):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------- in-place output
+
+
+def _csv_without_wall_time(text):
+    """The CSV's lines, each without its last column, wall_time_ms."""
+    return [line.rpartition(",")[0] for line in text.split("\r\n")]
+
+
+def _meta_without_wall_time(text):
+    return re.sub(r'"wall_time_ms": [^,\n]*', '"wall_time_ms": 0', text)
+
+
+def test_rerun_over_longer_files_leaves_a_fresh_runs_bytes(tmp_path):
+    argv = ["triplet", "--mode", "noise", "--n", "9", "--rho", "0.5",
+            "--trials", "500", "--seed", "4", "--out"]
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(argv + [str(fresh)]) == 0
+    for path in (reused, tmp_path / "reused.csv.meta.json"):
+        path.write_text("stale,row\r\n" * 400)
+    assert main(argv + [str(reused)]) == 0
+    for suffix, strip in (("", _csv_without_wall_time),
+                          (".meta.json", _meta_without_wall_time)):
+        new = (tmp_path / ("reused.csv" + suffix)).read_bytes().decode()
+        old = (tmp_path / ("fresh.csv" + suffix)).read_bytes().decode()
+        assert "stale" not in new
+        assert strip(new) == strip(old)
+
+
+def test_out_fifo_receives_the_whole_csv(tmp_path, capsys):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    argv = ["elections", "--n", "5", "--trials", "300", "--seed", "2"]
+    assert main(argv + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert main(argv) == 0
+    assert (_csv_without_wall_time(received[0].decode())
+            == _csv_without_wall_time(capsys.readouterr().out))
+    meta = json.loads((tmp_path / "pipe.csv.meta.json").read_text())
+    assert meta["subcommand"] == "elections"
+
+
+def test_writer_failing_partway_leaves_no_old_tail(tmp_path, monkeypatch):
+    out_path = tmp_path / "el.csv"
+    out_path.write_text("stale,row\r\n" * 400)
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.writer = csv.writer(fh)
+            self.writerow = self.writer.writerow
+
+        def writerows(self, rows):
+            self.writer.writerow(next(iter(rows)))
+            raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(cli, "csv", SimpleNamespace(writer=FailingWriter))
+    with pytest.raises(RuntimeError, match="disk gone"):
+        main(["elections", "--n", "5", "--trials", "300", "--seed", "2",
+              "--out", str(out_path)])
+    lines = out_path.read_bytes().decode().split("\r\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[1].split(",")[10] == "outcome_000"
+    assert lines[2:] == [""]
 
 
 # ------------------------------------------------------- reproducibility

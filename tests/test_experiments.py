@@ -875,6 +875,29 @@ def test_lattice_agreement_is_the_pair_tie_probability(n, seed):
         4.0 * summary["agreement_stderr"])
 
 
+@pytest.mark.parametrize("n, seed", [(6, 61), (50, 62)])
+def test_conditioned_uniform_agreement_is_the_tied_pair_share(n, seed):
+    """A sum-conditioned uniform die has the CDF sum n/2 (F is affine on
+    the support and the faces sum to 0), so a pair agrees exactly when it
+    ties: the reported agreement rate is the share of tied pairs among
+    the same triples, drawn here die by die and counted by pair_stats.
+    Summed in floats, the CDF sums gave n=50 an agreement of ~0.29."""
+    trials = 600
+    params = {"model": "conditioned", "n": n, "dist": "uniform"}
+    summary = summarize_dice_categories(estimate_categories(
+        _spec("dice_triples", params, trials, seed)))
+    model = dice_model_from_params(params)
+    rng = substream(seed, 0)
+    tied = 0
+    for _ in range(trials):
+        a, b, c = (model.sample(rng) for _ in range(3))
+        tied += sum(pair_stats(x, y).margin == 0
+                    for x, y in ((a, b), (b, c), (c, a)))
+    assert 0 < tied < 3 * trials
+    assert summary["agreement_rate"] == pytest.approx(
+        tied / (3 * trials), rel=1e-12)
+
+
 @pytest.mark.parametrize("n, seed", [(5, 51), (6, 52), (7, 53), (8, 54)])
 def test_dice_triples_discrete_matches_the_exact_lattice_law(n, seed):
     """All 12 categories against the exact law of lattice triples. A
