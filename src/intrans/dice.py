@@ -87,17 +87,14 @@ class TripleClass(enum.Enum):
     HAS_TIE = "has_tie"
 
 
-def pair_stats(a: FacesLike, b: FacesLike, *,
-               assume_sorted: bool = False) -> PairStats:
+def pair_stats(a: FacesLike, b: FacesLike) -> PairStats:
     """Exact win/loss/tie counts over all n^2 face pairs.
 
-    O(n log n): both faces are sorted once, then every face of a is
-    located among the faces of b by one binary search; a second search
-    counts the ties, only in the rows where a face of a equals a face of
-    b (_accel.pair_counts). a and b may hold many dice along their
-    leading axes, in equal shapes; the counts then hold one entry per
-    pair of dice. assume_sorted skips the sort, for faces already
-    ascending along the last axis.
+    O(n log n), faces in any order: the faces of both dice are merged by
+    one sort, and only rows where two faces collide are counted again by
+    binary search (_accel.pair_counts). a and b may hold many dice along
+    their leading axes, in equal shapes; the counts then hold one entry
+    per pair of dice.
     """
     fa = as_faces(a)
     fb = as_faces(b)
@@ -105,8 +102,6 @@ def pair_stats(a: FacesLike, b: FacesLike, *,
         raise InvalidInputError(
             "dice must have equal shapes (got %s and %s)" % (fa.shape,
                                                              fb.shape))
-    if not assume_sorted:
-        fa, fb = np.sort(fa, axis=-1), np.sort(fb, axis=-1)
     wins, ties = _accel.pair_counts(fa, fb)
     n2 = fa.shape[-1] ** 2
     return PairStats(wins=wins, losses=n2 - wins - ties, ties=ties)

@@ -325,10 +325,10 @@ def _build_dice_triples(spec: ExperimentSpec):
     triples, t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of
     3 t rows per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2
     form triple k). A die's CDF sum, where needed (see below), adds its
-    faces in draw order; then each continuous die is sorted once for the
-    exact margins of its three pairs (pair_stats), and lattice dice are
-    scored from their face histograms (lattice_margins), with no sort or
-    search.
+    faces in draw order; the exact margins of a chunk's continuous pairs
+    come from one pair_stats call on the dice as drawn (one sort of each
+    pair's merged faces), and lattice dice are scored from their face histograms
+    (lattice_margins), with no sort or search.
 
     Two models have the same CDF sum for every die, so every CDF-sum gap
     is exactly 0 and a pair agrees exactly when it ties: the lattice model
@@ -358,9 +358,7 @@ def _build_dice_triples(spec: ExperimentSpec):
             if lattice:
                 margins = lattice_margins(dice, follow)
             else:
-                dice.sort(axis=-1)
-                margins = pair_stats(dice, dice[:, follow],
-                                     assume_sorted=True).margin
+                margins = pair_stats(dice, dice[:, follow]).margin
             agree = (margins == 0 if sums is None else
                      np.sign(margins) == np.sign(sums - sums[:, follow]))
             category[lo:lo + t] = (4 * classify_margins(margins)
@@ -374,22 +372,24 @@ def summarize_dice_categories(counts: CategoryCounts) -> dict:
     """Reduce dice_triples counts to the reported statistics. Fractions
     are over all sampled triples (ties stay in the denominator); the
     agreement rate averages per-pair agreement over the 3 pairs of every
-    triple. Stderrs treat the counts as one multinomial draw."""
-    c = np.asarray(counts.counts, dtype=np.float64)
-    total = float(counts.accepted)
+    triple. Each rate is one correctly rounded ratio of integer counts.
+    Stderrs treat the counts as one multinomial draw."""
+    c = [int(k) for k in counts.counts]
+    total = int(counts.accepted)
     if total < 1:
         raise InvalidInputError("no accepted trials")
-    p = c / total
     out = {}
     for name, cls_i in (("transitive", 0), ("intransitive", 1),
                         ("has_tie", 2)):
-        frac = float(p[4 * cls_i:4 * cls_i + 4].sum())
+        frac = sum(c[4 * cls_i:4 * cls_i + 4]) / total
         out[name + "_fraction"] = frac
         out[name + "_stderr"] = math.sqrt(
             max(frac * (1.0 - frac), 0.0) / total)
-    weights = np.tile(np.arange(4), 3) / 3.0
-    rate = float(weights @ p)
-    var = float((weights * weights) @ p) - rate * rate
+    # Category k holds triples with k % 4 of their 3 pairs agreeing.
+    agreeing = sum((k % 4) * ck for k, ck in enumerate(c))
+    squares = sum((k % 4) ** 2 * ck for k, ck in enumerate(c))
+    rate = agreeing / (3 * total)
+    var = squares / (9 * total) - rate * rate
     out["agreement_rate"] = rate
     out["agreement_stderr"] = math.sqrt(max(var, 0.0) / total)
     return out

@@ -189,7 +189,13 @@ class CorrelationKernel:
         return np.asarray(self.rho(np.asarray(lags)), dtype=float)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def fbm(cls, H: float) -> "CorrelationKernel":
+        """The fBm-increment kernel s(k, H), one object per H (for the
+        last 64 H): a kernel compares by its rho function, so only then
+        do caches keyed on a kernel, such as the stationary sampler's
+        circulant scales, hit when a model with the same H is built
+        again."""
         return cls(
             name="fbm(H=%g)" % H,
             rho=lambda k: s_kernel(k, H),

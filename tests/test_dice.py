@@ -118,6 +118,76 @@ def test_pair_stats_monotone_invariance(pair, scale, shift):
     assert fwd == mapped
 
 
+# Faces where a label in the lowest mantissa bit could mislead a merge:
+# signed zeros, the two smallest subnormals, integer ties and magnitudes
+# from 1e-310 to 1e300, each also one ulp up and down.
+_EDGE_FACES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323,
+                        1.0, 2.0, 3.0, -1.0, 1e-310, -1e-310, 0.1, -7.5,
+                        1e300, -1e300])
+_EDGE_FACES = np.concatenate([_EDGE_FACES,
+                              np.nextafter(_EDGE_FACES, np.inf),
+                              np.nextafter(_EDGE_FACES, -np.inf)])
+
+
+@st.composite
+def ulp_pairs(draw):
+    """A die of edge or arbitrary faces up to 1e300 in magnitude (one ulp
+    from the largest float is infinite), and a die whose faces are
+    either a permutation of its faces each moved by -1, 0 or +1 ulp, or
+    drawn the same way as its own."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    face = st.sampled_from(list(_EDGE_FACES)) | st.floats(
+        min_value=-1e300, max_value=1e300)
+    a = np.array(draw(st.lists(face, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        toward = draw(st.lists(st.sampled_from([-np.inf, np.nan, np.inf]),
+                               min_size=n, max_size=n))
+        moved = np.where(np.isnan(toward), a, np.nextafter(a, toward))
+        b = np.array(draw(st.permutations(list(moved))))
+    else:
+        b = np.array(draw(st.lists(face, min_size=n, max_size=n)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=ulp_pairs())
+def test_pair_stats_is_exact_on_faces_one_ulp_apart(pair):
+    a, b = pair
+    stats = pair_stats(a, b)
+    assert (stats.wins, stats.losses, stats.ties) == brute_pair_counts(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_pair_stats_is_exact_on_edge_faces_in_a_batch(n):
+    """Many rows at once, so a collision in one row must not leak into
+    its neighbours; b's rows mix edge faces with 1-ulp moves of a's."""
+    rng = np.random.default_rng(300 + n)
+    a = rng.choice(_EDGE_FACES, size=(3000, n))
+    b = rng.choice(_EDGE_FACES, size=(3000, n))
+    near = rng.random(3000) < 0.5
+    b[near] = rng.permuted(np.nextafter(
+        a[near], rng.choice([-np.inf, np.inf], size=a[near].shape)), axis=1)
+    stats = pair_stats(a, b)
+    for r in range(a.shape[0]):
+        assert (stats.wins[r], stats.losses[r],
+                stats.ties[r]) == brute_pair_counts(a[r], b[r])
+
+
+@pytest.mark.parametrize("a, b, counts", [
+    ([-5e-324, 0.0], [-5e-324, -1.5e-323], (3, 0, 1)),
+    ([-5e-324, -1.5e-323], [-5e-324, 0.0], (0, 3, 1)),
+    ([0.0, -5e-324], [0.0, -5e-324], (1, 1, 2)),
+])
+def test_pair_stats_compares_signed_zero_buckets_as_floats(a, b, counts):
+    """Clearing the low bit of -5e-324 gives -0.0, which a float sort
+    puts level with +0.0 in either order: the merge must see that clash
+    by comparing cleared keys as floats. Compared as integers, -0.0 and
+    +0.0 differ, and the last pair read (2, 2, 0)."""
+    stats = pair_stats(a, b)
+    assert (stats.wins, stats.losses, stats.ties) == counts
+    assert brute_pair_counts(a, b) == counts
+
+
 def test_classify_triple_paper_example():
     a, b, c = [2, 4, 9], [1, 6, 8], [3, 5, 7]
     assert classify_triple(a, b, c) is TripleClass.INTRANSITIVE
@@ -176,8 +246,7 @@ def test_batch_forms_equal_the_one_die_forms_row_by_row():
             assert cdf_sum(a, F)[i, j] == cdf_sum(a[i, j], F)
     assert stats.margin[0, 0] == 0 and stats.ties[0, 0] > 0
     assert (stats.ties[2:] > 0).any() and (stats.ties[1] == 0).all()
-    sorted_stats = pair_stats(np.sort(a, axis=-1), np.sort(b, axis=-1),
-                              assume_sorted=True)
+    sorted_stats = pair_stats(np.sort(a, axis=-1), np.sort(b, axis=-1))
     np.testing.assert_array_equal(sorted_stats.margin, stats.margin)
     np.testing.assert_array_equal(sorted_stats.ties, stats.ties)
 
@@ -249,7 +318,7 @@ def test_batch_forms_reject_bad_faces_like_a_die(bad):
     with pytest.raises(InvalidInputError):
         pair_stats(faces, good)
     with pytest.raises(InvalidInputError):
-        pair_stats(good, faces, assume_sorted=True)
+        pair_stats(good, faces)
     with pytest.raises(InvalidInputError):
         cdf_sum(faces, lambda x: x)
     with pytest.raises(InvalidInputError):

@@ -19,6 +19,7 @@ from intrans.errors import (
     SizeLimitError,
 )
 from intrans.distributions import get_distribution
+from intrans.experiments import dice_model_from_params
 from intrans.gaussian import CorrelationKernel, s_kernel
 from intrans.samplers import (
     MAX_BATCH_FACES,
@@ -27,6 +28,7 @@ from intrans.samplers import (
     IidContinuous,
     RankingProfile,
     StationaryGaussian,
+    _circulant_scales,
     _sample_circulant,
     lex_pairs,
     sample_continuous_conditioned,
@@ -274,6 +276,22 @@ def test_stationary_determinism():
         b = sample_stationary_gaussian(32, kernel,
                                        np.random.default_rng(13), method)
         np.testing.assert_array_equal(a.faces, b.faces)
+
+
+def test_stationary_scales_are_computed_once_per_n_and_hurst():
+    """Two builds of one stationary spec share one fBm kernel, so the
+    second draw reuses the circulant scales of the first. H and n are
+    used by no other test, so the first draw is a miss."""
+    params = {"model": "stationary", "n": 41, "hurst": 0.6180339}
+    first = dice_model_from_params(params)
+    second = dice_model_from_params(dict(params))
+    assert first.kernel is second.kernel
+    assert CorrelationKernel.fbm(0.6180339) is first.kernel
+    before = _circulant_scales.cache_info()
+    first.sample(np.random.default_rng(1), size=2)
+    second.sample(np.random.default_rng(2), size=2)
+    after = _circulant_scales.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64])
