@@ -6,11 +6,9 @@ from .dice import (
     Die,
     PairStats,
     TripleClass,
-    beats,
     cdf_sum,
     classify_triple,
     pair_stats,
-    w_statistic,
 )
 from .distributions import (
     DISTRIBUTIONS,
@@ -20,16 +18,7 @@ from .distributions import (
     FaceDistribution,
     get_distribution,
 )
-from .elections import (
-    PairwiseScores,
-    condorcet_winner,
-    is_close,
-    is_transitive_outcome,
-    outcome,
-    sample_margins,
-    tally,
-    theory_values,
-)
+from .elections import condorcet_winner, is_transitive_outcome
 from .errors import (
     AcceptanceFloorError,
     DomainError,
@@ -59,26 +48,21 @@ from .mc import (
     estimate_categories,
     estimate_probability,
     register_family,
-    sweep,
 )
 from .samplers import (
     ContinuousConditioned,
     DiscreteConditioned,
     IidContinuous,
-    RankingProfile,
     StationaryGaussian,
     lex_pairs,
     sample_continuous_conditioned,
     sample_discrete_conditioned,
     sample_iid,
-    sample_profile,
     sample_stationary_gaussian,
 )
 from .tournaments import (
     Tournament,
     count_triangles,
-    dice_tournament,
-    fox_sudakov_report,
     min_reversals_to_transitive,
 )
 from .triplets import (
@@ -89,7 +73,6 @@ from .triplets import (
     kalai_paradox,
     noise_params,
     orthant3,
-    t_rho_clt,
     t_rho_exact,
     table1_joint,
     triplet_covariances,

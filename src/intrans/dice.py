@@ -131,15 +131,6 @@ def lattice_margins(dice: np.ndarray, partner) -> np.ndarray:
     return ((2 * np.cumsum(hy, axis=-1) - hy) * h).sum(axis=-1) - n * n
 
 
-def w_statistic(a: FacesLike, b: FacesLike) -> int:
-    """Number of face pairs with a_i > b_j (the win count W)."""
-    return pair_stats(a, b).wins
-
-
-def beats(a: FacesLike, b: FacesLike) -> bool:
-    return pair_stats(a, b).margin > 0
-
-
 def cdf_sum(a: FacesLike, F: Callable) -> float:
     """Sum of F over the faces, in face order: a float for one die, an
     array over the leading axes for many.

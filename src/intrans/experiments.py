@@ -40,7 +40,6 @@ from .samplers import (
     DiscreteConditioned,
     IidContinuous,
     StationaryGaussian,
-    lex_pairs,
     sample_continuous_conditioned,
     sample_stationary_gaussian,
 )
@@ -232,23 +231,20 @@ def outcome_categories(k: int) -> tuple:
     return tuple(rows)
 
 
-def condorcet_probability(counts: CategoryCounts, k: int,
-                          stderr_method: str = "wald"):
+def condorcet_probability(counts: CategoryCounts, k: int):
     """P[some candidate beats all others] from outcome counts, as
     (estimate, stderr)."""
     est = counts.proportion([i for i, (_, winner, _)
                              in enumerate(outcome_categories(k))
-                             if winner is not None], stderr_method)
+                             if winner is not None])
     return est.estimate, est.stderr
 
 
-def transitive_probability(counts: CategoryCounts, k: int,
-                           stderr_method: str = "wald"):
+def transitive_probability(counts: CategoryCounts, k: int):
     """P[the tournament is transitive] from outcome counts, as
     (estimate, stderr)."""
     est = counts.proportion([i for i, (_, _, trans)
-                             in enumerate(outcome_categories(k)) if trans],
-                            stderr_method)
+                             in enumerate(outcome_categories(k)) if trans])
     return est.estimate, est.stderr
 
 

@@ -4,10 +4,10 @@ predictors for conditioned i.i.d. dice.
 
 Central objects:
 
-- the odd Hermite coefficients of the sign and CDF maps,
+- partial sums of four classical identities in the odd Hermite
+  coefficients of the sign and CDF maps,
       d_{2q+1} = (-1)^q / (2^q q! (2q+1) sqrt(2*pi)),
       l_{2q+1} = d_{2q+1} * 2^{-q-1/2};
-- partial sums of four classical identities tied to those coefficients;
 - the fractional-Brownian-increment correlation kernel s_H;
 - Var(W) and the cyclic-sum variance of stationary Gaussian dice, beta
   and E[Phi(X) Phi(Y)], each the exact sum of its Hermite series;
@@ -34,44 +34,11 @@ from scipy.special import gammaln
 
 from .distributions import FaceDistribution, get_distribution
 from .errors import DomainError, InvalidInputError, SizeLimitError
+from .mc import _integer
 
 TWO_PI = 2.0 * math.pi
 
-# Limiting value of Var(W)/n^3 for i.i.d.-uniform-like unconditioned dice;
-# exposed for reference, no CLT test is attached to it.
-ALPHA_LIMIT = 1.0 / 6.0 - 1.0 / TWO_PI
-
 _MAX_SERIES_N = 512
-
-
-def hermite_coeff(q: int) -> tuple[float, float]:
-    """The q-th odd Hermite coefficients (d_{2q+1}, l_{2q+1}).
-
-    Evaluated in log space so large q cannot overflow; the sign is (-1)^q.
-    """
-    if q < 0:
-        raise DomainError("q must be nonnegative")
-    sign = -1.0 if q % 2 else 1.0
-    log_d = -(q * math.log(2.0) + math.lgamma(q + 1)
-              + math.log(2 * q + 1) + 0.5 * math.log(TWO_PI))
-    d = sign * math.exp(log_d)
-    ell = sign * math.exp(log_d - (q + 0.5) * math.log(2.0))
-    return d, ell
-
-
-def hermite_value(m: int, y) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_m evaluated by the three-term
-    recurrence He_{k+1}(y) = y*He_k(y) - k*He_{k-1}(y)."""
-    if m < 0:
-        raise DomainError("polynomial order must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    prev = np.ones_like(y)
-    if m == 0:
-        return prev
-    cur = y.copy()
-    for k in range(1, m):
-        prev, cur = cur, y * cur - k * prev
-    return cur
 
 
 def _coef_d2_factorial(q: np.ndarray) -> np.ndarray:
@@ -98,7 +65,7 @@ def identity_partial_sum(kind: str, Q: int) -> float:
     quarter and ramanujan_pi converge like q^{-3/2} (test with a
     tail-aware tolerance ~ Q^{-1/2}); newton_pi and sixth are geometric.
     """
-    if Q < 0:
+    if _integer("Q", Q) < 0:
         raise DomainError("Q must be nonnegative")
     if kind not in IDENTITY_KINDS:
         raise InvalidInputError(
@@ -140,13 +107,6 @@ def s_kernel(k, H: float):
     if value.ndim == 0:
         return float(value)
     return value
-
-
-def c_asymptotic(H: float) -> float:
-    """Constant c_H in the tail law s_H(k) ~ c_H |k|^{2H-2}."""
-    if not 0.0 < H < 1.0:
-        raise DomainError("Hurst index must lie in (0, 1)")
-    return H * (2.0 * H - 1.0) / 2.0
 
 
 def s_lag_partial_sum(n: int, H: float) -> float:
@@ -275,6 +235,8 @@ def beta_constant(kernel: CorrelationKernel,
     (1/2)((L+1)^{2H} - L^{2H}), is verified against the direct partial
     sum as a sanity check.
     """
+    if _integer("lag_cutoff", lag_cutoff) < 0:
+        raise DomainError("lag_cutoff must be nonnegative")
     if not kernel.absolutely_summable:
         raise DomainError(
             "beta requires an absolutely summable kernel "

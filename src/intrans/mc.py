@@ -30,7 +30,7 @@ import os
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -80,18 +80,13 @@ def substream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def derived_seed(seed: int, index: int) -> int:
-    """Deterministic per-grid-point seed for sweeps."""
-    return splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
-
-
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """A simulated probability with its standard error.
 
     For conditional estimates, trials counts raw draws and accepted the
     draws passing the conditioning event; the estimate is over accepted
-    draws only. stderr is Wald sqrt(p(1-p)/accepted) (Wilson optional).
+    draws only. stderr is Wald sqrt(p(1-p)/accepted).
     """
 
     estimate: float
@@ -116,8 +111,8 @@ class CategoryCounts:
     seed: Optional[int] = None
     wall_time_ms: float = 0.0
 
-    def proportion(self, categories: Union[int, Sequence[int]],
-                   stderr_method: str = "wald") -> MonteCarloEstimate:
+    def proportion(
+            self, categories: Union[int, Sequence[int]]) -> MonteCarloEstimate:
         """Share of accepted draws in one category, or in any of a
         sequence of distinct categories; InvalidInputError for an index
         outside 0..len(counts)-1 or a repeated one."""
@@ -132,10 +127,10 @@ class CategoryCounts:
             raise InvalidInputError(
                 "categories must be distinct indices in 0..%d, got %r"
                 % (counts.size - 1, categories))
-        hits = sum(int(counts[c]) for c in picked)
+        p = sum(int(counts[c]) for c in picked) / self.accepted
         return MonteCarloEstimate(
-            estimate=hits / self.accepted,
-            stderr=_proportion_stderr(hits, self.accepted, stderr_method),
+            estimate=p,
+            stderr=math.sqrt(p * (1.0 - p) / self.accepted),
             trials=self.trials,
             accepted=self.accepted,
             seed=self.seed,
@@ -280,17 +275,6 @@ def resolve_workers(requested: Optional[int]) -> int:
     return workers
 
 
-def _proportion_stderr(hits: int, accepted: int, method: str) -> float:
-    p = hits / accepted
-    if method == "wald":
-        return math.sqrt(p * (1.0 - p) / accepted)
-    if method == "wilson":
-        # z=1 Wilson halfwidth: robust near p in {0, 1}.
-        n = accepted
-        return math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / (1.0 + 1.0 / n)
-    raise InvalidInputError("stderr method must be 'wald' or 'wilson'")
-
-
 def _run_block(kernel: TrialKernel, seed: int, start: int, stop: int,
                n_categories: int) -> np.ndarray:
     """One block's category counts over its accepted trials."""
@@ -352,8 +336,7 @@ def estimate_categories(spec: ExperimentSpec, *,
 
 
 def estimate_probability(spec: ExperimentSpec, *,
-                         acceptance_floor: float = 1e-6,
-                         stderr_method: str = "wald") -> MonteCarloEstimate:
+                         acceptance_floor: float = 1e-6) -> MonteCarloEstimate:
     """Share of accepted trials in category 1 (a hit) of a two-category
     family; any other family is rejected before a trial is drawn."""
     kernel, n_categories = build_kernel(spec)
@@ -362,18 +345,4 @@ def estimate_probability(spec: ExperimentSpec, *,
             "family %r reports %d categories, not a hit/miss pair"
             % (spec.family, n_categories))
     return _run_trials(kernel, 2, spec.trials, spec.seed, spec.workers,
-                       acceptance_floor).proportion(1, stderr_method)
-
-
-def sweep(spec: ExperimentSpec, grid: Sequence[dict], *,
-          estimator=estimate_probability) -> list:
-    """One estimate per grid point; point i overrides spec.params and runs
-    with derived_seed(spec.seed, i), so points are independent and the
-    sweep is reproducible as a whole."""
-    results = []
-    for i, overrides in enumerate(grid):
-        point = replace(spec,
-                        params={**spec.params, **overrides},
-                        seed=derived_seed(spec.seed, i))
-        results.append((dict(overrides), estimator(point)))
-    return results
+                       acceptance_floor).proportion(1)

@@ -1,4 +1,5 @@
-"""Samplers for the four dice models and for ranked voting profiles.
+"""Samplers for the four dice models, and the lexicographic pair order
+shared with elections and tournaments.
 
 Dice models:
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -294,10 +295,10 @@ def _stationary_faces(n: int, kernel: CorrelationKernel,
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
-    if n == 1:
-        return rng.standard_normal((size, 1)) * math.sqrt(0.5), "direct"
     if method not in ("auto", "circulant", "cholesky"):
         raise InvalidInputError("unknown method %r" % (method,))
+    if n == 1:
+        return rng.standard_normal((size, 1)) * math.sqrt(0.5), "direct"
     if method in ("auto", "circulant"):
         faces = _sample_circulant(n, kernel, rng, size)
         if faces is not None:
@@ -400,73 +401,3 @@ def lex_pairs(k: int) -> list[tuple[int, int]]:
 def lex_pair_index(i: int, j: int, k: int) -> int:
     """Position of the pair (i, j), i < j, in lex_pairs(k)."""
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
-
-
-@dataclass(frozen=True)
-class RankingProfile:
-    """Strict ranking positions for n voters over k candidates.
-
-    positions[v, c] is candidate c's rank in voter v's order (0 = top),
-    so each row is a permutation of 0..k-1.
-    """
-
-    positions: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        pos = np.ascontiguousarray(self.positions, dtype=np.int64)
-        if pos.ndim != 2:
-            raise InvalidInputError("positions must be a 2-D array")
-        n, k = pos.shape
-        if n < 1 or k < 2:
-            raise InvalidInputError("need >= 1 voters and >= 2 candidates")
-        expected = np.arange(k)
-        if not np.array_equal(np.sort(pos, axis=1),
-                              np.broadcast_to(expected, pos.shape)):
-            raise InvalidInputError("each row must be a permutation of 0..k-1")
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_voters(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.positions.shape[1]
-
-    def _margins(self, pair_a, pair_b) -> np.ndarray:
-        """For pair index p, the voters placing pair_a[p] above pair_b[p]
-        minus the rest."""
-        above = self.positions[:, pair_a] < self.positions[:, pair_b]
-        return 2 * above.sum(axis=0, dtype=np.int64) - self.n_voters
-
-    def margin(self, a: int, b: int) -> int:
-        """Votes preferring a over b minus the reverse; parity matches n."""
-        return int(self._margins([a], [b])[0])
-
-    def margins_lex(self) -> np.ndarray:
-        """Margins over all candidate pairs in lexicographic order."""
-        aa, bb = zip(*lex_pairs(self.k))
-        return self._margins(list(aa), list(bb))
-
-    def pairwise_votes(self) -> np.ndarray:
-        """Per-voter pairwise votes, shape (n_voters, K), lex pair order:
-        +1 where the voter ranks the pair's first candidate higher. Each
-        row is one of the k! transitive sign tuples."""
-        pairs = lex_pairs(self.k)
-        cols = [
-            np.where(self.positions[:, a] < self.positions[:, b], 1, -1)
-            for a, b in pairs
-        ]
-        return np.stack(cols, axis=1).astype(np.int8)
-
-
-def sample_profile(n_voters: int, k: int,
-                   rng: np.random.Generator) -> RankingProfile:
-    """Impartial-culture profile: each voter's rank row is an independent
-    uniformly random permutation of 0..k-1 (argsort of i.i.d. uniforms)."""
-    if n_voters < 1 or k < 2:
-        raise InvalidInputError("need >= 1 voters and >= 2 candidates")
-    positions = np.argsort(rng.random((n_voters, k)), axis=1).astype(np.int64)
-    return RankingProfile(positions, meta={"culture": "impartial"})

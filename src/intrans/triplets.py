@@ -58,13 +58,6 @@ class TripletTallies:
     def m(self) -> int:
         return self.w3 + self.w1 + self.wm1 + self.wm3
 
-    def centered(self) -> tuple:
-        """Counts minus their means under uniform votes: m/8 for the
-        extreme values, 3m/8 for the inner ones; the four sum to zero."""
-        m = self.m
-        return (self.w3 - m / 8.0, self.w1 - 3.0 * m / 8.0,
-                self.wm1 - 3.0 * m / 8.0, self.wm3 - m / 8.0)
-
     def negated(self) -> "TripletTallies":
         """Tallies of the sign-flipped vote vector."""
         return TripletTallies(w3=self.wm3, w1=self.wm1,
@@ -96,14 +89,6 @@ def f_triplets(x) -> int:
     if w.size % 2 == 0:
         raise ParityError("the number of triplets must be odd")
     return int(np.sign(np.sign(w).sum()))
-
-
-def maj_vector(x_rows: np.ndarray) -> np.ndarray:
-    """Plain majority per row of a +-1 matrix with an odd column count."""
-    rows = np.asarray(x_rows)
-    if rows.shape[-1] % 2 == 0:
-        raise ParityError("majority needs an odd number of votes")
-    return np.sign(rows.sum(axis=-1)).astype(np.int8)
 
 
 def f_triplets_vector(x_rows: np.ndarray) -> np.ndarray:
@@ -280,22 +265,6 @@ class NoiseParams:
     def q1(self) -> float:
         return self.p1 - 0.5
 
-    @property
-    def sigma3_sq(self) -> float:
-        return self.p3 * (1.0 - self.p3)
-
-    @property
-    def sigma1_sq(self) -> float:
-        return self.p1 * (1.0 - self.p1)
-
-    @property
-    def sigma_sq(self) -> float:
-        return (self.sigma3_sq + 3.0 * self.sigma1_sq) / 4.0
-
-    @property
-    def c_const(self) -> float:
-        return math.sqrt(math.pi / 2.0) * math.sqrt(self.sigma_sq)
-
 
 def noise_params(rho: float) -> NoiseParams:
     """Flip-survival probabilities for correlation rho in [0, 1]."""
@@ -332,25 +301,6 @@ def t_rho_exact(tallies: TripletTallies, rho: float) -> float:
             pmf = np.convolve(pmf, binom.pmf(np.arange(count + 1), count, p))
     positive = float(pmf[m // 2 + 1:].sum())
     return 2.0 * positive - 1.0
-
-
-def t_rho_clt(tallies: TripletTallies, rho: float) -> float:
-    """Gaussian approximation of t_rho_exact (flagged approx): replaces
-    the binomial count with a normal of matching mean and variance. Only
-    for rho strictly inside (0, 1); the endpoints are degenerate."""
-    if not 0.0 < rho < 1.0:
-        raise DomainError("the approximation needs rho in (0, 1)")
-    params = noise_params(rho)
-    m = tallies.m
-    if m % 2 == 0:
-        raise ParityError("the number of triplets must be odd")
-    v3, v1, vm1, vm3 = tallies.centered()
-    a_tilde = (params.q3 * v3 + params.q1 * v1 - params.q1 * vm1
-               - params.q3 * vm3) / math.sqrt(m)
-    t = (params.sigma3_sq * (v3 + vm3) + params.sigma1_sq * (v1 + vm1)) \
-        / (params.sigma_sq * m)
-    sigma = math.sqrt(params.sigma_sq)
-    return math.erf(a_tilde / (math.sqrt(2.0) * sigma * math.sqrt(1.0 + t)))
 
 
 def _equicorrelated(diag: float, off: float) -> np.ndarray:

@@ -169,6 +169,23 @@ def held_karp_min_reversals(adj):
     return int(dp[(1 << k) - 1])
 
 
+def random_tournament(k, rng):
+    """Orientation vector over the lex pairs (itertools.combinations
+    order) of a uniformly random tournament on k vertices: each pair's
+    first vertex wins with probability 1/2, independently."""
+    y = np.where(rng.random(k * (k - 1) // 2) < 0.5, 1, -1)
+    return y.astype(np.int8)
+
+
+def transitive_tournament(k, order=None):
+    """Orientation vector over the lex pairs of the transitive tournament
+    in which earlier vertices of order (default 0..k-1) beat later ones."""
+    rank = {v: r for r, v in enumerate(range(k) if order is None else order)}
+    return np.array([1 if rank[i] < rank[j] else -1
+                     for i, j in itertools.combinations(range(k), 2)],
+                    dtype=np.int8)
+
+
 def brute_cyclic_triangles(adj):
     adj = np.asarray(adj, dtype=bool)
     k = adj.shape[0]
@@ -396,20 +413,6 @@ def hermite_variance_series_mp(n, hurst, Q, dps=40):
         return float(var_w), float(var_diff)
 
 
-def hermite_inner_products(max_degree, nodes=160):
-    """Gram matrix of the probabilists' Hermite polynomials under the
-    standard Gaussian, via quadrature; the oracle for orthogonality and
-    the (m!) normalization."""
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    cols = []
-    for m in range(max_degree + 1):
-        coeffs = np.zeros(m + 1)
-        coeffs[m] = 1.0
-        cols.append(np.polynomial.hermite_e.hermeval(x, coeffs))
-    cols = np.stack(cols)
-    return (cols * w) @ cols.T / math.sqrt(2.0 * math.pi)
-
-
 def conditioned_gaussian_cov(n):
     """Exact covariance matrix of n iid standard Gaussians conditioned on
     a zero sum: (I - J/n)."""
@@ -434,6 +437,12 @@ def table1_by_direct_count():
         w_bc = sum(p[1] for p in trio)
         counts[(w_ab, w_bc)] = counts.get((w_ab, w_bc), 0) + 1
     return {key: Fraction(val, 216) for key, val in counts.items()}
+
+
+def maj_vector(rows):
+    """Plain majority of each row of a +-1 matrix with an odd column
+    count: the aggregator the Kalai tests feed the package."""
+    return np.sign(np.asarray(rows).sum(axis=-1)).astype(np.int8)
 
 
 def t_rho_noisy_copy_mc(votes, rho, copies, rng):

@@ -21,6 +21,7 @@ from oracles import (
     enumerate_discrete_dice,
     gauss_hermite_phi_product,
     held_karp_min_reversals,
+    random_tournament,
     slab_rejection_faces,
     t_rho_noisy_copy_mc,
 )
@@ -42,7 +43,7 @@ from intrans.gaussian import (
 )
 from intrans.mc import ExperimentSpec, estimate_categories, estimate_probability
 from intrans.samplers import DiscreteConditioned, sample_continuous_conditioned
-from intrans.tournaments import min_reversals_to_transitive, random_tournament
+from intrans.tournaments import Tournament, min_reversals_to_transitive
 from intrans.triplets import (
     TRIPLET_VALUES,
     TripletTallies,
@@ -398,7 +399,7 @@ def test_criterion_15_samplers_vs_oracles():
     rng = np.random.default_rng(1519)
     mismatches = 0
     for _ in range(200):
-        t = random_tournament(5, rng)
+        t = Tournament(random_tournament(5, rng), 5)
         if min_reversals_to_transitive(t) != held_karp_min_reversals(
                 t.adjacency()):
             mismatches += 1

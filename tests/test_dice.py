@@ -10,12 +10,10 @@ from intrans.dice import (
     Die,
     PairStats,
     TripleClass,
-    beats,
     cdf_sum,
     classify_triple,
     lattice_margins,
     pair_stats,
-    w_statistic,
 )
 from intrans.errors import InvalidInputError
 
@@ -70,8 +68,6 @@ def test_pair_stats_small_example():
     stats = pair_stats([2, 4, 9], [1, 6, 8])
     assert stats == PairStats(wins=5, losses=4, ties=0)
     assert stats.margin == 1
-    assert w_statistic([2, 4, 9], [1, 6, 8]) == 5
-    assert beats([2, 4, 9], [1, 6, 8])
 
 
 def test_pair_stats_with_ties():
@@ -191,7 +187,8 @@ def test_pair_stats_compares_signed_zero_buckets_as_floats(a, b, counts):
 def test_classify_triple_paper_example():
     a, b, c = [2, 4, 9], [1, 6, 8], [3, 5, 7]
     assert classify_triple(a, b, c) is TripleClass.INTRANSITIVE
-    assert beats(a, b) and beats(b, c) and beats(c, a)
+    assert min(pair_stats(a, b).margin, pair_stats(b, c).margin,
+               pair_stats(c, a).margin) > 0
 
 
 def test_classify_triple_transitive_and_ties():

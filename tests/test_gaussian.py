@@ -1,6 +1,6 @@
-"""Hermite coefficients, series identities, variance series, and the 1/n
-pair-probability expansions, checked against quadrature and
-arbitrary-precision oracles."""
+"""Series identities, variance series, and the 1/n pair-probability
+expansions, checked against quadrature and arbitrary-precision
+oracles."""
 
 import math
 
@@ -10,14 +10,10 @@ import pytest
 from intrans.dice import pair_stats
 from intrans.errors import DomainError, InvalidInputError, SizeLimitError
 from intrans.gaussian import (
-    ALPHA_LIMIT,
     IDENTITY_KINDS,
     CorrelationKernel,
     beta_constant,
-    c_asymptotic,
     dist_constants,
-    hermite_coeff,
-    hermite_value,
     identity_partial_sum,
     pair_prob_asymptotic,
     phi_product_expectation,
@@ -30,73 +26,11 @@ from intrans.samplers import sample_stationary_gaussian
 
 from oracles import (
     gauss_hermite_phi_product,
-    hermite_inner_products,
     hermite_variance_series_mp,
     identity_partial_sum_mp,
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-# ------------------------------------------------- Hermite coefficients
-
-
-def test_hermite_coeff_first_values():
-    d1, l1 = hermite_coeff(0)
-    assert d1 == pytest.approx(1.0 / math.sqrt(TWO_PI), abs=1e-15)
-    assert l1 == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-15)
-    d3, l3 = hermite_coeff(1)
-    assert d3 == pytest.approx(-1.0 / (6.0 * math.sqrt(TWO_PI)), abs=1e-15)
-    assert l3 == pytest.approx(d3 * 2.0 ** -1.5, abs=1e-15)
-    d5, _ = hermite_coeff(2)
-    assert d5 == pytest.approx(1.0 / (40.0 * math.sqrt(TWO_PI)), abs=1e-15)
-
-
-def test_hermite_coeff_sign_alternates_and_decays():
-    prev = abs(hermite_coeff(0)[0])
-    for q in range(1, 30):
-        d, ell = hermite_coeff(q)
-        assert math.copysign(1.0, d) == (-1.0 if q % 2 else 1.0)
-        assert math.copysign(1.0, ell) == math.copysign(1.0, d)
-        assert abs(d) < prev
-        prev = abs(d)
-
-
-def test_hermite_coeff_large_q_no_overflow():
-    d, ell = hermite_coeff(400)
-    assert d == 0.0 or math.isfinite(d)
-    assert abs(ell) <= abs(d)
-
-
-def test_hermite_coeff_negative_q():
-    with pytest.raises(DomainError):
-        hermite_coeff(-1)
-
-
-def test_hermite_value_low_orders():
-    y = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
-    np.testing.assert_allclose(hermite_value(0, y), np.ones(5))
-    np.testing.assert_allclose(hermite_value(1, y), y)
-    np.testing.assert_allclose(hermite_value(2, y), y * y - 1.0)
-    np.testing.assert_allclose(hermite_value(3, y), y ** 3 - 3.0 * y)
-    with pytest.raises(DomainError):
-        hermite_value(-1, y)
-
-
-def test_hermite_orthogonality_against_quadrature():
-    """Gram matrix of hermite_value under the Gaussian weight must be
-    diag(m!), and must match the hermeval-based oracle."""
-    max_deg = 10
-    x, w = np.polynomial.hermite_e.hermegauss(160)
-    cols = np.stack([hermite_value(m, x) for m in range(max_deg + 1)])
-    gram = (cols * w) @ cols.T / math.sqrt(TWO_PI)
-
-    oracle = hermite_inner_products(max_deg)
-    norms = np.sqrt([math.factorial(m) for m in range(max_deg + 1)])
-    scaled = gram / np.outer(norms, norms)
-    scaled_oracle = oracle / np.outer(norms, norms)
-    np.testing.assert_allclose(scaled, np.eye(max_deg + 1), atol=1e-10)
-    np.testing.assert_allclose(scaled, scaled_oracle, atol=1e-10)
 
 
 # ------------------------------------------------------ series identities
@@ -135,6 +69,26 @@ def test_identity_validation():
         identity_partial_sum("nonsense", 5)
     with pytest.raises(DomainError):
         identity_partial_sum("quarter", -1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+def test_series_counts_must_be_integers(bad):
+    """Q and lag_cutoff count terms: 2.5 is not summed through index 3,
+    nor True read as 1, nor 10.5 taken as half-integer lags."""
+    with pytest.raises(InvalidInputError):
+        identity_partial_sum("sixth", bad)
+    with pytest.raises(InvalidInputError):
+        beta_constant(CorrelationKernel.fbm(0.5), lag_cutoff=bad)
+
+
+def test_series_counts_take_numpy_integers():
+    assert identity_partial_sum("sixth", np.int64(3)) == \
+        identity_partial_sum("sixth", 3)
+    kernel = CorrelationKernel.fbm(0.25)
+    assert beta_constant(kernel, lag_cutoff=np.int32(50)) == \
+        beta_constant(kernel, lag_cutoff=50)
+    with pytest.raises(DomainError):
+        beta_constant(kernel, lag_cutoff=-1)
 
 
 # --------------------------------------------- E[Phi(X) Phi(Y)] series
@@ -189,7 +143,8 @@ def test_s_kernel_values():
 def test_s_kernel_tail_law():
     H = 0.75
     k = 1000.0
-    ratio = s_kernel(k, H) / (c_asymptotic(H) * k ** (2 * H - 2))
+    # s_H(k) ~ c_H k^{2H-2} with c_H = H (2H - 1) / 2.
+    ratio = s_kernel(k, H) / (H * (2 * H - 1) / 2.0 * k ** (2 * H - 2))
     assert ratio == pytest.approx(1.0, abs=1e-5)
 
 
@@ -436,7 +391,3 @@ def test_pair_prob_validation():
         pair_prob_asymptotic("uniform", 10, "no_such_kind")
     with pytest.raises(InvalidInputError):
         pair_prob_asymptotic("uniform", 0, "joint_two_conditioned")
-
-
-def test_alpha_limit_constant():
-    assert ALPHA_LIMIT == pytest.approx(1.0 / 6.0 - 1.0 / TWO_PI, abs=1e-15)

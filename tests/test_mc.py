@@ -1,6 +1,6 @@
 """The Monte Carlo engine: substream reproducibility, worker-count
-invariance, estimators on deterministic kernels, the acceptance floor,
-and sweeps."""
+invariance, estimators on deterministic kernels, and the acceptance
+floor."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,12 @@ from intrans.mc import (
     ExperimentSpec,
     MonteCarloEstimate,
     build_kernel,
-    derived_seed,
     estimate_categories,
     estimate_probability,
     register_family,
     resolve_workers,
     splitmix64,
     substream,
-    sweep,
 )
 
 
@@ -91,13 +89,6 @@ def test_substream_reproducible_and_disjoint():
     assert not np.array_equal(a, d)
 
 
-def test_derived_seed_distinct():
-    seeds = {derived_seed(5, i) for i in range(200)}
-    assert len(seeds) == 200
-    assert all(0 <= s < 2 ** 64 for s in seeds)
-    assert derived_seed(5, 3) == derived_seed(5, 3)
-
-
 def test_estimate_validation():
     with pytest.raises(InvalidInputError):
         MonteCarloEstimate(estimate=0.5, stderr=0.1, trials=5, accepted=6)
@@ -108,10 +99,9 @@ def test_category_counts_proportion():
     est = counts.proportion(0)
     assert est.estimate == pytest.approx(0.3)
     assert est.stderr == pytest.approx((0.3 * 0.7 / 10) ** 0.5)
-    wilson = counts.proportion(0, stderr_method="wilson")
-    assert wilson.stderr > 0
-    with pytest.raises(InvalidInputError):
-        counts.proportion(0, stderr_method="jackknife")
+    # The Wald stderr of a share of 0 or 1 is exactly 0.
+    extreme = CategoryCounts(counts=np.array([0, 10]), trials=10, accepted=10)
+    assert extreme.proportion(0).stderr == extreme.proportion(1).stderr == 0.0
 
 
 def test_category_counts_proportion_over_categories():
@@ -140,12 +130,6 @@ def test_proportion_needs_accepted_trials():
                            accepted=0)
     with pytest.raises(InvalidInputError):
         empty.proportion(1)
-
-
-def test_wilson_nonzero_at_extremes():
-    counts = CategoryCounts(counts=np.array([0, 10]), trials=10, accepted=10)
-    assert counts.proportion(0).stderr == 0.0
-    assert counts.proportion(0, stderr_method="wilson").stderr > 0.0
 
 
 # ----------------------------------------------------------- the spec
@@ -300,24 +284,6 @@ def test_probability_reproducible_across_calls():
     b = estimate_probability(_spec("test_coin", 5000, seed=9))
     assert a.estimate == b.estimate
     assert a.accepted == b.accepted
-
-
-# --------------------------------------------------------------- sweep
-
-
-def test_sweep_grid_and_determinism():
-    spec = _spec("test_coin", 30_000, seed=21)
-    grid = [{"p": 0.2}, {"p": 0.5}, {"p": 0.8}]
-    run1 = sweep(spec, grid)
-    run2 = sweep(spec, grid)
-    assert [r[0] for r in run1] == grid
-    for (_, e1), (_, e2) in zip(run1, run2):
-        assert e1.estimate == e2.estimate
-    for (overrides, est) in run1:
-        assert est.estimate == pytest.approx(overrides["p"], abs=0.01)
-        assert est.seed == derived_seed(21, grid.index(overrides))
-    # Distinct grid points use distinct derived seeds.
-    assert len({est.seed for _, est in run1}) == 3
 
 
 # ------------------------------------------------------------- workers

@@ -1,6 +1,6 @@
-"""Dice and profile samplers: exactness of the conditioned laws, the two
-stationary synthesis routes, degenerate-covariance handling, and ranking
-profile bookkeeping."""
+"""Dice samplers: exactness of the conditioned laws, the two stationary
+synthesis routes, degenerate-covariance handling, and the lex pair
+order."""
 
 import math
 import warnings
@@ -9,8 +9,6 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from intrans.errors import (
     InvalidInputError,
@@ -26,7 +24,6 @@ from intrans.samplers import (
     ContinuousConditioned,
     DiscreteConditioned,
     IidContinuous,
-    RankingProfile,
     StationaryGaussian,
     _circulant_scales,
     _sample_circulant,
@@ -34,12 +31,10 @@ from intrans.samplers import (
     sample_continuous_conditioned,
     sample_discrete_conditioned,
     sample_iid,
-    sample_profile,
     sample_stationary_gaussian,
 )
 
 from oracles import (
-    brute_margins,
     conditioned_gaussian_cov,
     discrete_face_marginal,
     enumerate_discrete_dice,
@@ -419,8 +414,14 @@ def test_stationary_validation():
     rng = np.random.default_rng(16)
     with pytest.raises(InvalidInputError):
         sample_stationary_gaussian(0, kernel, rng)
-    with pytest.raises(InvalidInputError):
-        sample_stationary_gaussian(8, kernel, rng, method="qmc")
+    # The method is checked at every n, also where one die is a single
+    # direct draw.
+    for n in (1, 8):
+        with pytest.raises(InvalidInputError):
+            sample_stationary_gaussian(n, kernel, rng, method="qmc")
+        with pytest.raises(InvalidInputError):
+            sample_stationary_gaussian(n, kernel, rng, method="bogus",
+                                       size=3)
     with pytest.raises(SizeLimitError):
         sample_stationary_gaussian(5000, kernel, rng, method="cholesky")
 
@@ -463,7 +464,7 @@ def test_model_wrappers_smoke():
         assert die.faces.shape == (model.n,)
 
 
-# ---------------------------------------------------- ranking profiles
+# ---------------------------------------------------------- lex pairs
 
 
 def test_lex_pairs():
@@ -472,87 +473,3 @@ def test_lex_pairs():
     assert len(lex_pairs(5)) == 10
     with pytest.raises(InvalidInputError):
         lex_pairs(1)
-
-
-def test_profile_validation():
-    with pytest.raises(InvalidInputError):
-        RankingProfile(np.array([[0, 0, 1]]))
-    with pytest.raises(InvalidInputError):
-        RankingProfile(np.array([0, 1, 2]))
-    with pytest.raises(InvalidInputError):
-        RankingProfile(np.zeros((0, 3), dtype=np.int64))
-    with pytest.raises(InvalidInputError):
-        RankingProfile(np.array([[0], [0]]))
-
-
-def test_profile_positions_are_frozen():
-    profile = RankingProfile(np.array([[0, 1, 2], [2, 1, 0]]))
-    with pytest.raises(ValueError):
-        profile.positions[0, 0] = 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000),
-       n=st.integers(1, 40), k=st.integers(2, 5))
-def test_profile_margins_match_bruteforce(seed, n, k):
-    profile = sample_profile(n, k, np.random.default_rng(seed))
-    pairs = lex_pairs(k)
-    expected = brute_margins(profile.positions, pairs)
-    got = profile.margins_lex()
-    assert got.tolist() == expected
-    for (a, b), m in zip(pairs, expected):
-        assert profile.margin(a, b) == m
-        assert profile.margin(b, a) == -m
-
-
-def test_profile_margin_parity():
-    profile = sample_profile(11, 3, np.random.default_rng(18))
-    for m in profile.margins_lex():
-        assert int(m) % 2 == 1  # odd voters, odd margins
-
-
-def test_pairwise_votes_consistency():
-    rng = np.random.default_rng(19)
-    profile = sample_profile(25, 4, rng)
-    votes = profile.pairwise_votes()
-    assert votes.shape == (25, 6)
-    assert set(np.unique(votes)) <= {-1, 1}
-    np.testing.assert_array_equal(votes.sum(axis=0), profile.margins_lex())
-
-
-def test_pairwise_votes_rows_are_transitive():
-    """Each voter's sign row must correspond to a strict order: the implied
-    beats-counts over candidates form a permutation of 0..k-1."""
-    rng = np.random.default_rng(20)
-    profile = sample_profile(60, 4, rng)
-    votes = profile.pairwise_votes()
-    pairs = lex_pairs(4)
-    for row in votes:
-        wins = [0] * 4
-        for (a, b), s in zip(pairs, row):
-            if s == 1:
-                wins[a] += 1
-            else:
-                wins[b] += 1
-        assert sorted(wins) == [0, 1, 2, 3]
-
-
-def test_sample_profile_uniform_over_orders():
-    rng = np.random.default_rng(21)
-    profile = sample_profile(12_000, 3, rng)
-    counts = Counter(tuple(row) for row in profile.positions)
-    assert len(counts) == 6
-    for freq in counts.values():
-        assert freq / 12_000 == pytest.approx(1.0 / 6.0, abs=0.02)
-
-
-def test_sample_profile_determinism_and_validation():
-    a = sample_profile(9, 3, np.random.default_rng(22))
-    b = sample_profile(9, 3, np.random.default_rng(22))
-    np.testing.assert_array_equal(a.positions, b.positions)
-    assert a.meta["culture"] == "impartial"
-    assert (a.n_voters, a.k) == (9, 3)
-    with pytest.raises(InvalidInputError):
-        sample_profile(0, 3, np.random.default_rng(23))
-    with pytest.raises(InvalidInputError):
-        sample_profile(5, 1, np.random.default_rng(24))

@@ -1,6 +1,7 @@
-"""Tournament structure: adjacency round-trips, triangle counts, the
-branch-and-bound distance to transitivity against a subset-DP oracle, and
-the dice bridge."""
+"""Tournament structure: the adjacency matrix, triangle counts, and the
+branch-and-bound distance to transitivity against a subset-DP oracle."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,14 +10,23 @@ from intrans.errors import InvalidInputError, SizeLimitError
 from intrans.tournaments import (
     Tournament,
     count_triangles,
-    dice_tournament,
-    fox_sudakov_report,
     min_reversals_to_transitive,
+)
+
+from oracles import (
+    brute_cyclic_triangles,
+    held_karp_min_reversals,
     random_tournament,
     transitive_tournament,
 )
 
-from oracles import brute_cyclic_triangles, held_karp_min_reversals
+
+def _random(k, rng):
+    return Tournament(random_tournament(k, rng), k)
+
+
+def _transitive(k, order=None):
+    return Tournament(transitive_tournament(k, order), k)
 
 
 # ------------------------------------------------------- construction
@@ -34,45 +44,31 @@ def test_tournament_validation():
         t.y[0] = -1
 
 
-def test_from_adjacency_validation():
+@pytest.mark.parametrize("y", [[1.5, -1, 1], [1, -1, 0.5], [1, -1, -1.9],
+                               ["1", "-1", "1"]])
+def test_orientations_are_checked_before_the_cast(y):
+    """1.5 is not truncated to a +1 orientation, nor a string parsed."""
     with pytest.raises(InvalidInputError):
-        Tournament.from_adjacency(np.zeros((2, 3), dtype=bool))
-    eye = np.eye(3, dtype=bool)
-    with pytest.raises(InvalidInputError):
-        Tournament.from_adjacency(eye)  # self-loops
-    both = np.array([[0, 1], [1, 0]], dtype=bool)
-    with pytest.raises(InvalidInputError):
-        Tournament.from_adjacency(both)  # both directions
+        Tournament(np.array(y), 3)
 
 
 def test_adjacency_round_trip():
+    """adj[i, j] is true iff i beats j: exactly one direction per pair,
+    no self-loops, and the lex-pair entries read back y."""
     rng = np.random.default_rng(50)
     for k in (2, 3, 5, 8):
-        t = random_tournament(k, rng)
-        back = Tournament.from_adjacency(t.adjacency())
-        np.testing.assert_array_equal(back.y, t.y)
-        assert back.k == k
-
-
-def test_beats_consistency():
-    rng = np.random.default_rng(51)
-    t = random_tournament(6, rng)
-    adj = t.adjacency()
-    for i in range(6):
-        for j in range(6):
-            if i != j:
-                assert t.beats(i, j) == bool(adj[i, j])
-                assert t.beats(i, j) != t.beats(j, i)
-    with pytest.raises(InvalidInputError):
-        t.beats(0, 0)
-    with pytest.raises(InvalidInputError):
-        t.beats(0, 6)
+        t = _random(k, rng)
+        adj = t.adjacency()
+        np.testing.assert_array_equal(adj ^ adj.T, ~np.eye(k, dtype=bool))
+        back = [1 if adj[i, j] else -1
+                for i, j in itertools.combinations(range(k), 2)]
+        assert back == t.y.tolist()
 
 
 def test_out_degrees_sum():
     rng = np.random.default_rng(52)
     for k in (3, 5, 7):
-        t = random_tournament(k, rng)
+        t = _random(k, rng)
         assert int(t.out_degrees().sum()) == k * (k - 1) // 2
 
 
@@ -83,13 +79,13 @@ def test_count_triangles_matches_bruteforce():
     rng = np.random.default_rng(53)
     for k in (3, 4, 5, 7, 9):
         for _ in range(20):
-            t = random_tournament(k, rng)
+            t = _random(k, rng)
             assert count_triangles(t) == brute_cyclic_triangles(t.adjacency())
 
 
 def test_transitive_has_no_triangles():
     for k in (2, 4, 8):
-        assert count_triangles(transitive_tournament(k)) == 0
+        assert count_triangles(_transitive(k)) == 0
 
 
 def test_three_cycle_counts_one():
@@ -102,7 +98,7 @@ def test_three_cycle_counts_one():
 
 def test_min_reversals_transitive_is_zero():
     for k in (2, 5, 9):
-        assert min_reversals_to_transitive(transitive_tournament(k)) == 0
+        assert min_reversals_to_transitive(_transitive(k)) == 0
 
 
 def test_min_reversals_three_cycle_is_one():
@@ -113,12 +109,12 @@ def test_min_reversals_three_cycle_is_one():
 def test_min_reversals_matches_subset_dp():
     rng = np.random.default_rng(54)
     for _ in range(50):
-        t = random_tournament(5, rng)
+        t = _random(5, rng)
         assert min_reversals_to_transitive(t) == \
             held_karp_min_reversals(t.adjacency())
     for k in (6, 7, 8):
         for _ in range(10):
-            t = random_tournament(k, rng)
+            t = _random(k, rng)
             assert min_reversals_to_transitive(t) == \
                 held_karp_min_reversals(t.adjacency())
 
@@ -128,7 +124,7 @@ def test_min_reversals_reversal_symmetry():
     the target ordering)."""
     rng = np.random.default_rng(55)
     for _ in range(20):
-        t = random_tournament(6, rng)
+        t = _random(6, rng)
         flipped = Tournament((-t.y).astype(np.int8), t.k)
         assert min_reversals_to_transitive(t) == \
             min_reversals_to_transitive(flipped)
@@ -137,61 +133,15 @@ def test_min_reversals_reversal_symmetry():
 def test_min_reversals_size_limit():
     rng = np.random.default_rng(56)
     with pytest.raises(SizeLimitError):
-        min_reversals_to_transitive(random_tournament(11, rng))
+        min_reversals_to_transitive(_random(11, rng))
 
 
 def test_transitive_tournament_custom_order():
-    t = transitive_tournament(3, order=[2, 0, 1])
-    assert t.beats(2, 0) and t.beats(2, 1) and t.beats(0, 1)
-    with pytest.raises(InvalidInputError):
-        transitive_tournament(3, order=[0, 0, 1])
-
-
-# ------------------------------------------------------- dice bridge
-
-
-def test_dice_tournament_three_cycle():
-    dice = ([2, 4, 9], [1, 6, 8], [3, 5, 7])
-    t = dice_tournament(dice)
-    assert count_triangles(t) == 1
-    assert t.beats(0, 1) and t.beats(1, 2) and t.beats(2, 0)
-
-
-def test_dice_tournament_transitive():
-    dice = ([7, 8, 9], [4, 5, 6], [1, 2, 3])
-    t = dice_tournament(dice)
-    assert count_triangles(t) == 0
-    assert t.beats(0, 1) and t.beats(0, 2) and t.beats(1, 2)
-
-
-def test_dice_tournament_tie_rejected():
-    with pytest.raises(InvalidInputError):
-        dice_tournament(([1, 2, 3], [1, 2, 3]))
-    with pytest.raises(InvalidInputError):
-        dice_tournament(([1, 2, 3],))
-
-
-# ------------------------------------------------------------ report
-
-
-def test_fox_sudakov_report_fields():
-    t = Tournament(np.array([1, -1, 1], dtype=np.int8), 3)
-    rep = fox_sudakov_report(t)
-    assert rep["vertices"] == 3
-    assert rep["min_reversals"] == 1
-    assert rep["cyclic_triangles"] == 1
-    assert rep["epsilon_far"] == pytest.approx(1.0 / 9.0)
-    assert rep["triangle_density"] == pytest.approx(1.0 / 27.0)
-
-
-def test_fox_sudakov_report_transitive():
-    rep = fox_sudakov_report(transitive_tournament(6))
-    assert rep["min_reversals"] == 0
-    assert rep["epsilon_far"] == 0.0
-    assert rep["cyclic_triangles"] == 0
+    adj = _transitive(3, order=[2, 0, 1]).adjacency()
+    assert adj[2, 0] and adj[2, 1] and adj[0, 1]
 
 
 def test_random_tournament_determinism():
     a = random_tournament(8, np.random.default_rng(57))
     b = random_tournament(8, np.random.default_rng(57))
-    np.testing.assert_array_equal(a.y, b.y)
+    np.testing.assert_array_equal(a, b)
