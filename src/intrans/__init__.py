@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .dice import (
-    Die,
     PairStats,
     TripleClass,
     cdf_sum,

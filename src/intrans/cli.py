@@ -370,8 +370,7 @@ def _suite_samplers() -> list:
     checks = []
     rng = np.random.default_rng(20260818)
     gauss = get_distribution("gaussian")
-    draws = np.stack([sample_continuous_conditioned(3, gauss, rng).faces
-                      for _ in range(4000)])
+    draws = sample_continuous_conditioned(3, gauss, rng, 4000)
     var = float(draws.var(axis=0).mean())
     cov = float(np.cov(draws[:, 0], draws[:, 1])[0, 1])
     ok = abs(var - 2.0 / 3.0) <= 0.05 and abs(cov + 1.0 / 3.0) <= 0.05
@@ -381,17 +380,13 @@ def _suite_samplers() -> list:
     checks.append(_check("conditioned_sums_zero",
                          float(sums.max()) <= 1e-9 * 3,
                          "max |sum| = %.1e" % float(sums.max())))
-    seqs = {}
-    for _ in range(7000):
-        die = sample_discrete_conditioned(3, rng)
-        key = tuple(int(v) for v in die.faces)
-        seqs[key] = seqs.get(key, 0) + 1
-    freqs = np.array(sorted(seqs.values())) / 7000.0
-    max_dev = float(np.max(np.abs(freqs - 1.0 / 7.0)))
-    ok = len(seqs) == 7 and max_dev <= 0.03
+    _, seqs = np.unique(sample_discrete_conditioned(3, rng, 7000), axis=0,
+                        return_counts=True)
+    max_dev = float(np.max(np.abs(seqs / 7000.0 - 1.0 / 7.0)))
+    ok = seqs.size == 7 and max_dev <= 0.03
     checks.append(_check("discrete_n3_uniform", ok,
                          "%d sequences, max dev %.3f vs 1/7"
-                         % (len(seqs), max_dev)))
+                         % (seqs.size, max_dev)))
     kernel = CorrelationKernel.fbm(0.75)
     lag_target = float(s_kernel(1, 0.75))
     prods = {"circulant": None, "cholesky": None}
@@ -409,8 +404,7 @@ def _suite_samplers() -> list:
     checks.append(_check("fbm_methods_agree", diff <= 4 * diff_se,
                          "|circulant - cholesky| = %.4f (se %.4f)"
                          % (diff, diff_se)))
-    big = np.stack([sample_discrete_conditioned(250, rng).faces
-                    for _ in range(20)])
+    big = sample_discrete_conditioned(250, rng, 20)
     sums = big.sum(axis=1)
     ok = (np.all(sums == 250 * 251 // 2)
           and big.min() >= 1 and big.max() <= 250)

@@ -14,38 +14,13 @@ probability zero.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _accel
 from .errors import InvalidInputError
-
-FacesLike = Union["Die", Sequence[float], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Die:
-    """An n-sided die.
-
-    meta carries sampler annotations (e.g. the model, n and the
-    stationary synthesis method) and never affects comparisons.
-    """
-
-    faces: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        faces = _checked_faces(self.faces)
-        if faces.ndim != 1:
-            raise InvalidInputError("a die needs a 1-D, non-empty face array")
-        faces = faces.copy()
-        faces.setflags(write=False)
-        object.__setattr__(self, "faces", faces)
-
-    def __len__(self):
-        return self.faces.size
 
 
 def _checked_faces(values) -> np.ndarray:
@@ -58,12 +33,6 @@ def _checked_faces(values) -> np.ndarray:
     if not np.isfinite(faces).all():
         raise InvalidInputError("faces must be finite")
     return faces.astype(np.float64, copy=False)
-
-
-def as_faces(a: FacesLike) -> np.ndarray:
-    """The float64 face array of a Die, or of an array-like of dice along
-    its last axis (any leading axes) checked as a Die checks its faces."""
-    return a.faces if isinstance(a, Die) else _checked_faces(a)
 
 
 @dataclass(frozen=True)
@@ -87,7 +56,7 @@ class TripleClass(enum.Enum):
     HAS_TIE = "has_tie"
 
 
-def pair_stats(a: FacesLike, b: FacesLike) -> PairStats:
+def pair_stats(a, b) -> PairStats:
     """Exact win/loss/tie counts over all n^2 face pairs.
 
     O(n log n), faces in any order: the faces of both dice are merged by
@@ -96,8 +65,8 @@ def pair_stats(a: FacesLike, b: FacesLike) -> PairStats:
     their leading axes, in equal shapes; the counts then hold one entry
     per pair of dice.
     """
-    fa = as_faces(a)
-    fb = as_faces(b)
+    fa = _checked_faces(a)
+    fb = _checked_faces(b)
     if fa.shape != fb.shape:
         raise InvalidInputError(
             "dice must have equal shapes (got %s and %s)" % (fa.shape,
@@ -131,7 +100,7 @@ def lattice_margins(dice: np.ndarray, partner) -> np.ndarray:
     return ((2 * np.cumsum(hy, axis=-1) - hy) * h).sum(axis=-1) - n * n
 
 
-def cdf_sum(a: FacesLike, F: Callable) -> float:
+def cdf_sum(a, F: Callable) -> float:
     """Sum of F over the faces, in face order: a float for one die, an
     array over the leading axes for many.
 
@@ -139,7 +108,7 @@ def cdf_sum(a: FacesLike, F: Callable) -> float:
     beats outcome for non-uniform conditioned dice. F must be a monotone
     nondecreasing map into [0, 1] that maps the face array elementwise.
     """
-    faces = as_faces(a)
+    faces = _checked_faces(a)
     values = np.asarray(F(faces), dtype=float)
     if values.shape != faces.shape:
         raise InvalidInputError("F must map the face array elementwise")
@@ -147,7 +116,7 @@ def cdf_sum(a: FacesLike, F: Callable) -> float:
     return float(sums) if faces.ndim == 1 else sums
 
 
-def classify_triple(a: FacesLike, b: FacesLike, c: FacesLike) -> TripleClass:
+def classify_triple(a, b, c) -> TripleClass:
     """Classify a dice triple from its three pairwise signed margins.
 
     Intransitive means the beats relation cycles (a>b>c>a or the reverse

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import mc  # block kernels look mc.substream up at call time
 from .dice import (
-    TripleClass,
     cdf_sum,
     classify_margins,
     lattice_margins,
@@ -44,10 +43,6 @@ from .samplers import (
     sample_stationary_gaussian,
 )
 from .triplets import triplet_cell_tables
-
-# The class order of the dice_triples categories and of the indices
-# classify_margins returns.
-TRIPLE_CLASS_ORDER = tuple(TripleClass)
 
 N_DICE_CATEGORIES = 12
 
@@ -429,13 +424,13 @@ def lag_products(kernel: CorrelationKernel, n: int, lags, draws: int,
     """faces[0] * faces[lag] for each lag of draws stationary dice, as a
     C-ordered (draws, len(lags)) array. The dice are sampled from rng in
     chunks of max(1, DICE_CHUNK_FACES // n) rows, so memory stays bounded
-    at any n; the chunks give the numbers of one draw of all the rows."""
+    at any n; the chunks give the numbers of one draw of all the rows (to
+    rounding on the Cholesky route)."""
     prods = np.empty((draws, len(lags)))
     chunk = max(1, DICE_CHUNK_FACES // n)
     for lo in range(0, draws, chunk):
         hi = min(lo + chunk, draws)
-        faces = sample_stationary_gaussian(n, kernel, rng, method,
-                                           size=hi - lo)
+        faces = sample_stationary_gaussian(n, kernel, rng, hi - lo, method)
         prods[lo:hi] = faces[:, :1] * faces[:, lags]
     return prods
 

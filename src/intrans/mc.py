@@ -111,6 +111,12 @@ class CategoryCounts:
     seed: Optional[int] = None
     wall_time_ms: float = 0.0
 
+    def __post_init__(self):
+        if not 0 <= self.accepted <= self.trials:
+            raise InvalidInputError("need 0 <= accepted <= trials")
+        if self.accepted != np.asarray(self.counts).sum():
+            raise InvalidInputError("the counts must sum to accepted")
+
     def proportion(
             self, categories: Union[int, Sequence[int]]) -> MonteCarloEstimate:
         """Share of accepted draws in one category, or in any of a

@@ -17,8 +17,9 @@ Dice models:
 
 All samplers consume a numpy Generator passed by the caller and draw their
 randomness in a fixed documented order, so results are reproducible from
-the generator state alone. As numpy's samplers do, each returns one die
-by default and, given size, a (size, n) array of dice drawn in turn.
+the generator state alone. Each returns size dice as the rows of a
+(size, n) float64 array, drawn in turn: k calls with size 1 give the rows
+of one call with size k (to rounding on the Cholesky route).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import erf
 
-from .dice import Die
 from .distributions import STD_GAUSSIAN, FaceDistribution, get_distribution
 from .errors import (
     InvalidInputError,
@@ -55,15 +55,13 @@ def _batch_rows(n: int) -> int:
     return max(1, min(max(8, int(2.0 * math.sqrt(n))), MAX_BATCH_FACES // n))
 
 
-def sample_iid(n: int, dist, rng: np.random.Generator, size=None):
-    """n faces drawn i.i.d. from the given face distribution."""
+def sample_iid(n: int, dist, rng: np.random.Generator,
+               size: int) -> np.ndarray:
+    """size dice of n faces drawn i.i.d. from the given face
+    distribution."""
     if n < 1:
         raise InvalidInputError("n must be positive")
-    dist = get_distribution(dist)
-    if size is not None:
-        return dist.sample(rng, (size, n))
-    faces = dist.sample(rng, n)
-    return Die(faces, meta={"model": "iid", "dist": dist.name, "n": n})
+    return get_distribution(dist).sample(rng, (size, n))
 
 
 def _last_face_rejection(n: int, draw, max_attempts: int,
@@ -89,9 +87,10 @@ def _last_face_rejection(n: int, draw, max_attempts: int,
 
 
 def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
-                                  max_attempts: int = 1_000_000,
-                                  size=None):
-    """n i.i.d. faces conditioned on their sum being exactly zero.
+                                  size: int,
+                                  max_attempts: int = 1_000_000) -> np.ndarray:
+    """size dice of n i.i.d. faces conditioned on their sum being exactly
+    zero.
 
     Standard Gaussian faces are the projection z - mean(z) of n i.i.d.
     N(0, 1) faces z: its law N(0, I - J/n) is exactly the zero-sum
@@ -108,31 +107,28 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
     if n < 2:
         raise InvalidInputError("conditioned dice need n >= 2")
     dist = get_distribution(dist)
-    rows = 1 if size is None else size
     if dist is STD_GAUSSIAN:
-        z = rng.standard_normal((rows, n))
-        faces = z - z.mean(axis=1, keepdims=True)
-    else:
-        def draw(take):
-            body = dist.sample(rng, (take, n - 1))
-            tail = -body.sum(axis=1)
-            u = rng.random(take)
-            return body, tail, u * dist.sup_pdf <= np.asarray(
-                dist.pdf(tail), dtype=float)
+        z = rng.standard_normal((size, n))
+        return z - z.mean(axis=1, keepdims=True)
 
-        faces = np.empty((rows, n))
-        for i in range(rows):
-            faces[i] = _last_face_rejection(n, draw, max_attempts,
-                                            "conditioned")
-    if size is not None:
-        return faces
-    return Die(faces[0], meta={"model": "conditioned", "dist": dist.name,
-                               "n": n})
+    def draw(take):
+        body = dist.sample(rng, (take, n - 1))
+        tail = -body.sum(axis=1)
+        u = rng.random(take)
+        return body, tail, u * dist.sup_pdf <= np.asarray(
+            dist.pdf(tail), dtype=float)
+
+    faces = np.empty((size, n))
+    for i in range(size):
+        faces[i] = _last_face_rejection(n, draw, max_attempts, "conditioned")
+    return faces
 
 
-def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
-                                max_attempts: int = 50_000_000, size=None):
-    """Faces uniform on {1..n}^n conditioned on face-sum n(n+1)/2.
+def sample_discrete_conditioned(n: int, rng: np.random.Generator,
+                                size: int, *,
+                                max_attempts: int = 50_000_000) -> np.ndarray:
+    """size dice with faces uniform on {1..n}^n conditioned on face-sum
+    n(n+1)/2.
 
     Draws the first n-1 faces uniformly from {1..n}, sets the last face to
     n(n+1)/2 minus their sum, and accepts iff it lies in [1, n]. Every
@@ -151,12 +147,10 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator, *,
         tail = target - body.sum(axis=1)
         return body, tail, (tail >= 1) & (tail <= n)
 
-    faces = np.empty((1 if size is None else size, n))
-    for i in range(len(faces)):
+    faces = np.empty((size, n))
+    for i in range(size):
         faces[i] = _last_face_rejection(n, draw, max_attempts, "discrete")
-    if size is not None:
-        return faces
-    return Die(faces[0], meta={"model": "discrete", "n": n})
+    return faces
 
 
 def _smooth5(k: int) -> int:
@@ -276,33 +270,30 @@ def _first_failing_minor(cov: np.ndarray) -> int:
     return lo
 
 
-def _stationary_faces(n: int, kernel: CorrelationKernel,
-                      rng: np.random.Generator, size: int,
-                      method: str = "auto") -> tuple:
+def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
+                               rng: np.random.Generator, size: int,
+                               method: str = "auto") -> np.ndarray:
     """size independent stationary Gaussian dice: mean-zero faces with
-    variance 1/2 and lag covariance kernel.rho, as ((size, n) faces,
-    route), where route names the path taken: "direct" (n = 1),
-    "circulant" or "cholesky".
+    variance 1/2 and lag covariance kernel.rho, as a (size, n) array.
 
     method "circulant" uses the Davies-Harte embedding of size 2 s(n-1),
     s(k) the smallest 5-smooth integer >= k (raises when the embedding is
     not nonnegative definite), "cholesky" factors the n x n Toeplitz
     covariance (n <= 4096), and "auto" tries the embedding first and falls
-    back to Cholesky with a warning. The rows come from one draw of
-    normals and one row-wise FFT or one matrix product; row i equals the
-    i-th of size one-row calls on the same generator (to rounding on the
-    Cholesky route).
+    back to Cholesky with a warning. One face (n = 1) is a scaled normal
+    on every route. The rows come from one draw of normals and one
+    row-wise FFT or one matrix product.
     """
     if n < 1:
         raise InvalidInputError("n must be positive")
     if method not in ("auto", "circulant", "cholesky"):
         raise InvalidInputError("unknown method %r" % (method,))
     if n == 1:
-        return rng.standard_normal((size, 1)) * math.sqrt(0.5), "direct"
+        return rng.standard_normal((size, 1)) * math.sqrt(0.5)
     if method in ("auto", "circulant"):
         faces = _sample_circulant(n, kernel, rng, size)
         if faces is not None:
-            return faces, "circulant"
+            return faces
         if method == "circulant":
             raise NotPositiveDefiniteError(minor_order=0)
         warnings.warn(
@@ -310,22 +301,7 @@ def _stationary_faces(n: int, kernel: CorrelationKernel,
             "definite; falling back to Cholesky" % (kernel.name, n),
             RuntimeWarning,
         )
-    return _sample_cholesky(n, kernel, rng, size), "cholesky"
-
-
-def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
-                               rng: np.random.Generator,
-                               method: str = "auto", size=None):
-    """Stationary Gaussian dice by _stationary_faces: one die, whose meta
-    records the route taken as "method", or a (size, n) array whose row i
-    equals the i-th of size one-die calls on the same generator (to
-    rounding on the Cholesky route)."""
-    faces, route = _stationary_faces(n, kernel, rng,
-                                     1 if size is None else size, method)
-    if size is not None:
-        return faces
-    return Die(faces[0], meta={"model": "stationary", "kernel": kernel.name,
-                               "n": n, "method": route})
+    return _sample_cholesky(n, kernel, rng, size)
 
 
 @dataclass(frozen=True)
@@ -334,8 +310,8 @@ class DiscreteConditioned:
 
     n: int
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return sample_discrete_conditioned(self.n, rng, size=size)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return sample_discrete_conditioned(self.n, rng, size)
 
     def cdf(self, x) -> np.ndarray:
         """Marginal CDF of one face: uniform on {1..n}."""
@@ -350,9 +326,8 @@ class ContinuousConditioned:
     n: int
     dist: FaceDistribution
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return sample_continuous_conditioned(self.n, self.dist, rng,
-                                             size=size)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return sample_continuous_conditioned(self.n, self.dist, rng, size)
 
     def cdf(self, x) -> np.ndarray:
         """The face law's CDF, the F of the CDF-sum statistic."""
@@ -366,9 +341,8 @@ class StationaryGaussian:
     n: int
     kernel: CorrelationKernel
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return sample_stationary_gaussian(self.n, self.kernel, rng,
-                                          size=size)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return sample_stationary_gaussian(self.n, self.kernel, rng, size)
 
     def cdf(self, x) -> np.ndarray:
         """Marginal CDF of one face, N(0, 1/2): the kernel enforces
@@ -383,7 +357,7 @@ class IidContinuous:
     n: int
     dist: FaceDistribution
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sample_iid(self.n, self.dist, rng, size)
 
     def cdf(self, x) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
+from .mc import _integer
 from .samplers import lex_pairs
 
 MAX_EXACT_REVERSALS = 10
@@ -28,6 +29,7 @@ class Tournament:
 
     def __post_init__(self):
         y = np.asarray(self.y)
+        object.__setattr__(self, "k", _integer("k", self.k))
         expected = self.k * (self.k - 1) // 2
         if self.k < 2:
             raise InvalidInputError("a tournament needs at least 2 vertices")

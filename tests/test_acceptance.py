@@ -384,14 +384,13 @@ def test_criterion_15_samplers_vs_oracles():
         model = DiscreteConditioned(n=n)
         rng = np.random.default_rng(seed)
         obs = np.zeros(len(support))
-        for _ in range(draws):
-            obs[index[tuple(int(v) for v in model.sample(rng).faces)]] += 1
+        for die in model.sample(rng, draws):
+            obs[index[tuple(int(v) for v in die)]] += 1
         pvals["chi2 n=%d" % n] = scipy.stats.chisquare(obs).pvalue
 
     gauss = get_distribution("gaussian")
     rng = np.random.default_rng(1517)
-    direct = np.array([sample_continuous_conditioned(6, gauss, rng).faces[0]
-                       for _ in range(4000)])
+    direct = sample_continuous_conditioned(6, gauss, rng, 4000)[:, 0]
     slab = slab_rejection_faces(6, gauss.sampler, np.random.default_rng(1518),
                                 tol=0.01, draws=1500)[:, 0]
     pvals["ks"] = scipy.stats.ks_2samp(direct, slab).pvalue

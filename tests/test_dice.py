@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from intrans import _accel
 from intrans.dice import (
-    Die,
     PairStats,
     TripleClass,
     cdf_sum,
@@ -40,28 +39,20 @@ def face_pairs(draw, elements=_face_values):
 _grid_faces = st.integers(min_value=-100, max_value=100).map(lambda k: k / 2.0)
 
 
-def test_die_validation():
-    with pytest.raises(InvalidInputError):
-        Die(np.array([]))
-    with pytest.raises(InvalidInputError):
-        Die(np.array([[1.0, 2.0]]))
-    with pytest.raises(InvalidInputError):
-        Die(np.array([1.0, np.nan]))
-    die = Die(np.array([3.0, 1.0, 2.0]))
-    assert not die.faces.flags.writeable
-    assert len(die) == 3
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_raw_faces_must_be_finite_like_a_die(bad):
-    # Raw arrays pass the same check as Die, so a non-finite face is an
-    # error and not a count.
+    # Every face array is checked, so a non-finite face or an empty die is
+    # an error and not a count.
     with pytest.raises(InvalidInputError):
         pair_stats([bad, 1.0], [0.0, 2.0])
     with pytest.raises(InvalidInputError):
         cdf_sum([bad, 1.0], lambda x: x)
     with pytest.raises(InvalidInputError):
         classify_triple([1.0, 2.0], [0.0, 3.0], [bad, 1.5])
+    with pytest.raises(InvalidInputError):
+        pair_stats([], [])
+    with pytest.raises(InvalidInputError):
+        cdf_sum(np.empty((2, 0)), lambda x: x)
 
 
 def test_pair_stats_small_example():
@@ -208,7 +199,7 @@ def test_classify_triple_order_invariance():
 
 
 def test_cdf_sum_basics():
-    die = Die(np.array([0.0, 1.0, -1.0]))
+    die = np.array([0.0, 1.0, -1.0])
     total = cdf_sum(die, lambda x: np.clip((np.asarray(x) + 1) / 2, 0, 1))
     assert total == pytest.approx(0.5 + 1.0 + 0.0)
     with pytest.raises(InvalidInputError):

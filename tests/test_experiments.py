@@ -25,7 +25,6 @@ from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
     DICE_CHUNK_FACES,
     N_DICE_CATEGORIES,
-    TRIPLE_CLASS_ORDER,
     condorcet_probability,
     dice_model_from_params,
     lag_covariance_mc,
@@ -413,7 +412,7 @@ def _cdf_sum_gap(model, x, y):
     """cdf_sum(x) - cdf_sum(y) under the model's face CDF; for lattice dice
     the exact gap of the floored face sums, since their CDF is floor / n."""
     if isinstance(model, DiscreteConditioned):
-        return np.floor(x.faces).sum() - np.floor(y.faces).sum()
+        return np.floor(x).sum() - np.floor(y).sum()
     return cdf_sum(x, model.cdf) - cdf_sum(y, model.cdf)
 
 
@@ -434,13 +433,13 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
     rng = substream(seed, start)
     classes = set()
     for value in values:
-        a, b, c = (model.sample(rng) for _ in range(3))
+        a, b, c = model.sample(rng, 3)
         cls = classify_triple(a, b, c)
         agree = sum(
             np.sign(pair_stats(x, y).margin)
             == np.sign(_cdf_sum_gap(model, x, y))
             for x, y in ((a, b), (a, c), (b, c)))
-        assert value == 4 * TRIPLE_CLASS_ORDER.index(cls) + agree
+        assert value == 4 * tuple(TripleClass).index(cls) + agree
         classes.add(cls)
     assert TripleClass.TRANSITIVE in classes
     if params["model"] == "discrete" and params["n"] <= 16:
@@ -878,7 +877,7 @@ def test_conditioned_uniform_agreement_is_the_tied_pair_share(n, seed):
     """A sum-conditioned uniform die has the CDF sum n/2 (F is affine on
     the support and the faces sum to 0), so a pair agrees exactly when it
     ties: the reported agreement rate is the share of tied pairs among
-    the same triples, drawn here die by die and counted by pair_stats.
+    the same triples, drawn here triple by triple and counted by pair_stats.
     Summed in floats, the CDF sums gave n=50 an agreement of ~0.29."""
     trials = 600
     params = {"model": "conditioned", "n": n, "dist": "uniform"}
@@ -888,7 +887,7 @@ def test_conditioned_uniform_agreement_is_the_tied_pair_share(n, seed):
     rng = substream(seed, 0)
     tied = 0
     for _ in range(trials):
-        a, b, c = (model.sample(rng) for _ in range(3))
+        a, b, c = model.sample(rng, 3)
         tied += sum(pair_stats(x, y).margin == 0
                     for x, y in ((a, b), (b, c), (c, a)))
     assert 0 < tied < 3 * trials
@@ -1003,7 +1002,7 @@ def test_lag_products_chunks_equal_one_draw():
     n, draws, lags = 100, 3 * (DICE_CHUNK_FACES // 100) + 5, [0, 1, 7]
     prods = lag_products(kernel, n, lags, draws, np.random.default_rng(5))
     faces = sample_stationary_gaussian(n, kernel, np.random.default_rng(5),
-                                       size=draws)
+                                       draws)
     np.testing.assert_array_equal(prods, faces[:, :1] * faces[:, lags])
 
 
@@ -1072,8 +1071,7 @@ def test_w_minus_nv_variance_equals_a_per_pair_loop(dist, n, pairs):
     rng = substream(4, 0)
     vals = []
     for _ in range(pairs):
-        a = sample_continuous_conditioned(n, law, rng)
-        b = sample_continuous_conditioned(n, law, rng)
+        a, b = sample_continuous_conditioned(n, law, rng, 2)
         vals.append(pair_stats(a, b).wins
                     - n * (cdf_sum(a, law.cdf) - cdf_sum(b, law.cdf)))
     expected = float(np.var(vals, ddof=1)) / float(n) ** 3

@@ -230,11 +230,9 @@ def test_variance_W_against_monte_carlo():
     rng = np.random.default_rng(7)
     k = CorrelationKernel.fbm(0.25)
     n, draws = 64, 4000
-    ws = np.empty(draws)
-    for i in range(draws):
-        a = sample_stationary_gaussian(n, k, rng)
-        b = sample_stationary_gaussian(n, k, rng)
-        ws[i] = pair_stats(a.faces, b.faces).wins
+    dice = sample_stationary_gaussian(n, k, rng, 2 * draws).reshape(
+        draws, 2, n)
+    ws = pair_stats(dice[:, 0], dice[:, 1]).wins
     mc = float(ws.var(ddof=1))
     series = variance_W_series(k, n)
     assert mc == pytest.approx(series, rel=0.10)
@@ -271,13 +269,10 @@ def test_variance_diff_against_monte_carlo():
     rng = np.random.default_rng(11)
     k = CorrelationKernel.fbm(0.25)
     n, draws = 48, 6000
-    ds = np.empty(draws)
-    for i in range(draws):
-        a = sample_stationary_gaussian(n, k, rng).faces
-        b = sample_stationary_gaussian(n, k, rng).faces
-        c = sample_stationary_gaussian(n, k, rng).faces
-        ds[i] = (pair_stats(a, b).wins + pair_stats(b, c).wins
-                 + pair_stats(c, a).wins)
+    a, b, c = sample_stationary_gaussian(n, k, rng, 3 * draws).reshape(
+        draws, 3, n).transpose(1, 0, 2)
+    ds = (pair_stats(a, b).wins + pair_stats(b, c).wins
+          + pair_stats(c, a).wins)
     mc = float(ds.var(ddof=1)) / 3.0
     series = variance_diff_series(k, n)
     assert mc == pytest.approx(series, rel=0.10)

@@ -132,6 +132,17 @@ def test_proportion_needs_accepted_trials():
         empty.proportion(1)
 
 
+@pytest.mark.parametrize("counts, trials, accepted", [
+    ([3, 7], 10, 5), ([3, 7], 10, 11), ([3, 7], 9, 10), ([0, 0], 5, -1)])
+def test_category_counts_must_be_consistent(counts, trials, accepted):
+    """Counts summing to other than accepted, or accepted outside
+    0..trials, are an error on construction, not a share above 1 and a
+    raw math domain error from the stderr."""
+    with pytest.raises(InvalidInputError):
+        CategoryCounts(counts=np.array(counts), trials=trials,
+                       accepted=accepted).proportion(1)
+
+
 # ----------------------------------------------------------- the spec
 
 

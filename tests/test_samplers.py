@@ -54,12 +54,10 @@ def _near_kernel(c1):
 
 def test_sample_iid_basic():
     rng = np.random.default_rng(0)
-    die = sample_iid(12, "uniform", rng)
-    assert die.faces.shape == (12,)
-    assert die.meta["model"] == "iid"
-    assert die.meta["dist"] == "uniform"
+    dice = sample_iid(12, "uniform", rng, 3)
+    assert dice.shape == (3, 12) and dice.dtype == np.float64
     with pytest.raises(InvalidInputError):
-        sample_iid(0, "uniform", rng)
+        sample_iid(0, "uniform", rng, 1)
 
 
 # --------------------------------------------- continuous conditioned
@@ -69,28 +67,22 @@ def test_sample_iid_basic():
 @pytest.mark.parametrize("n", [2, 3, 10, 50])
 def test_conditioned_sum_is_zero(dist, n):
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        die = sample_continuous_conditioned(n, dist, rng)
-        assert abs(float(die.faces.sum())) <= 1e-9 * n
-        assert die.faces.shape == (n,)
-        assert die.meta["model"] == "conditioned"
+    dice = sample_continuous_conditioned(n, dist, rng, 5)
+    assert dice.shape == (5, n)
+    assert np.abs(dice.sum(axis=1)).max() <= 1e-9 * n
 
 
 def test_conditioned_n2_is_antithetic():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        die = sample_continuous_conditioned(2, "uniform", rng)
-        assert die.faces[1] == pytest.approx(-die.faces[0], abs=1e-12)
+    dice = sample_continuous_conditioned(2, "uniform", rng, 20)
+    np.testing.assert_allclose(dice[:, 1], -dice[:, 0], rtol=0, atol=1e-12)
 
 
 def test_conditioned_gaussian_covariance_matches_projection():
     """Gaussian faces given a zero sum have covariance I - J/n exactly."""
     rng = np.random.default_rng(3)
     n, draws = 3, 30_000
-    rows = np.stack([
-        sample_continuous_conditioned(n, "gaussian", rng).faces
-        for _ in range(draws)
-    ])
+    rows = sample_continuous_conditioned(n, "gaussian", rng, draws)
     cov = np.cov(rows.T)
     np.testing.assert_allclose(cov, conditioned_gaussian_cov(n), atol=0.025)
     np.testing.assert_allclose(rows.mean(axis=0), np.zeros(n), atol=0.02)
@@ -99,15 +91,15 @@ def test_conditioned_gaussian_covariance_matches_projection():
 def test_conditioned_requires_two_faces():
     rng = np.random.default_rng(4)
     with pytest.raises(InvalidInputError):
-        sample_continuous_conditioned(1, "uniform", rng)
+        sample_continuous_conditioned(1, "uniform", rng, 1)
 
 
 def test_conditioned_stall():
     rng = np.random.default_rng(5)
     with pytest.raises(SamplerStallError):
-        sample_continuous_conditioned(10, "uniform", rng, max_attempts=0)
+        sample_continuous_conditioned(10, "uniform", rng, 1, max_attempts=0)
     with pytest.raises(SamplerStallError):
-        sample_discrete_conditioned(10, rng, max_attempts=0)
+        sample_discrete_conditioned(10, rng, 1, max_attempts=0)
 
 
 class _ShapeRecorder:
@@ -128,17 +120,16 @@ class _ShapeRecorder:
 
 
 @pytest.mark.parametrize("sample", [
-    lambda n, rng: sample_continuous_conditioned(n, "gaussian", rng),
-    lambda n, rng: sample_discrete_conditioned(n, rng),
-    lambda n, rng: sample_continuous_conditioned(n, "uniform", rng),
+    lambda n, rng: sample_continuous_conditioned(n, "gaussian", rng, 1),
+    lambda n, rng: sample_discrete_conditioned(n, rng, 1),
+    lambda n, rng: sample_continuous_conditioned(n, "uniform", rng, 1),
 ], ids=["continuous", "discrete", "uniform"])
 def test_last_face_batches_are_bounded(sample):
     """At n = 10^5 a rejection batch holds at most 2^22 faces (the
     Gaussian draws one (1, n) array and does not reject)."""
     n = 100_000
     rng = _ShapeRecorder(np.random.default_rng(15))
-    die = sample(n, rng)
-    assert die.faces.shape == (n,)
+    assert sample(n, rng).shape == (1, n)
     batches = [shape for shape in rng.shapes if len(shape) == 2]
     assert batches
     assert all(rows * (cols + 1) <= MAX_BATCH_FACES for rows, cols in batches)
@@ -153,11 +144,8 @@ def test_discrete_small_n_support_and_uniformity():
     support = set(enumerate_discrete_dice(3))
     assert len(support) == 7
     draws = 10_000
-    counts = Counter()
-    for _ in range(draws):
-        die = sample_discrete_conditioned(3, rng)
-        key = tuple(int(x) for x in die.faces)
-        counts[key] += 1
+    counts = Counter(tuple(int(x) for x in die)
+                     for die in sample_discrete_conditioned(3, rng, draws))
     assert set(counts) == support
     for key in support:
         assert counts[key] / draws == pytest.approx(1.0 / 7.0, abs=0.025)
@@ -169,12 +157,10 @@ def test_discrete_support(n):
     rng = np.random.default_rng(7)
     support = set(enumerate_discrete_dice(n))
     target = n * (n + 1) // 2
-    for _ in range(300):
-        die = sample_discrete_conditioned(n, rng)
-        key = tuple(int(x) for x in die.faces)
+    for die in sample_discrete_conditioned(n, rng, 300):
+        key = tuple(int(x) for x in die)
         assert key in support
         assert sum(key) == target
-        assert die.meta == {"model": "discrete", "n": n}
 
 
 def test_discrete_n5_chi_square_vs_enumeration():
@@ -184,9 +170,8 @@ def test_discrete_n5_chi_square_vs_enumeration():
     index = {s: i for i, s in enumerate(support)}
     rng = np.random.default_rng(13)
     obs = np.zeros(len(support))
-    for _ in range(40_000):
-        die = sample_discrete_conditioned(5, rng)
-        obs[index[tuple(int(v) for v in die.faces)]] += 1
+    for die in sample_discrete_conditioned(5, rng, 40_000):
+        obs[index[tuple(int(v) for v in die)]] += 1
     assert scipy.stats.chisquare(obs).pvalue > 0.001
 
 
@@ -195,8 +180,7 @@ def test_discrete_n250_sum_and_range():
     enough dice that dropping either bound of the acceptance test shows."""
     rng = np.random.default_rng(8)
     n = 250
-    faces = np.stack([sample_discrete_conditioned(n, rng).faces
-                      for _ in range(200)]).astype(int)
+    faces = sample_discrete_conditioned(n, rng, 200).astype(int)
     assert faces.min() >= 1 and faces.max() <= n
     np.testing.assert_array_equal(faces.sum(axis=1), n * (n + 1) // 2)
 
@@ -210,8 +194,7 @@ def test_discrete_n250_face_marginals_exact():
         np.bincount(small[:, 0] - 1, minlength=5) / len(small), rtol=1e-12)
     n, draws = 250, 20_000
     rng = np.random.default_rng(14)
-    faces = np.stack([sample_discrete_conditioned(n, rng).faces
-                      for _ in range(draws)]).astype(int)
+    faces = sample_discrete_conditioned(n, rng, draws).astype(int)
     expected = draws * discrete_face_marginal(n)
     for col in (0, n - 1):
         obs = np.bincount(faces[:, col] - 1, minlength=n)
@@ -220,14 +203,14 @@ def test_discrete_n250_face_marginals_exact():
 
 def test_discrete_determinism():
     for n in (10, 250):
-        d1 = sample_discrete_conditioned(n, np.random.default_rng(9))
-        d2 = sample_discrete_conditioned(n, np.random.default_rng(9))
-        np.testing.assert_array_equal(d1.faces, d2.faces)
+        d1 = sample_discrete_conditioned(n, np.random.default_rng(9), 1)
+        d2 = sample_discrete_conditioned(n, np.random.default_rng(9), 1)
+        np.testing.assert_array_equal(d1, d2)
 
 
 def test_discrete_validation():
     with pytest.raises(InvalidInputError):
-        sample_discrete_conditioned(0, np.random.default_rng(10))
+        sample_discrete_conditioned(0, np.random.default_rng(10), 1)
 
 
 # ------------------------------------------------ stationary gaussian
@@ -239,38 +222,38 @@ def test_stationary_lag_statistics(method):
     covariance of the kernel."""
     H, n, draws = 0.75, 64, 4000
     kernel = CorrelationKernel.fbm(H)
-    rng = np.random.default_rng(11)
-    var0 = np.empty(draws)
-    lag1 = np.empty(draws)
-    for i in range(draws):
-        x = sample_stationary_gaussian(n, kernel, rng, method=method).faces
-        var0[i] = float(np.mean(x * x))
-        lag1[i] = float(np.mean(x[:-1] * x[1:]))
+    x = sample_stationary_gaussian(n, kernel, np.random.default_rng(11),
+                                   draws, method)
+    var0 = np.mean(x * x, axis=1)
+    lag1 = np.mean(x[:, :-1] * x[:, 1:], axis=1)
     for series, target in ((var0, 0.5), (lag1, s_kernel(1, H))):
         est = float(series.mean())
         se = float(series.std(ddof=1)) / math.sqrt(draws)
         assert abs(est - target) <= 4.0 * se + 1e-12
 
 
-def test_stationary_metadata_and_n1():
-    rng = np.random.default_rng(12)
+def test_stationary_n1_is_a_scaled_normal():
+    """One face is sqrt(1/2) times one standard normal per die on every
+    route, and draws nothing else."""
     kernel = CorrelationKernel.fbm(0.3)
-    die = sample_stationary_gaussian(16, kernel, rng)
-    assert die.meta["method"] == "circulant"
-    assert die.meta["model"] == "stationary"
-    one = sample_stationary_gaussian(1, kernel, rng)
-    assert one.meta["method"] == "direct"
-    assert one.faces.shape == (1,)
+    ref = np.random.default_rng(12)
+    expect = ref.standard_normal((4, 1)) * math.sqrt(0.5)
+    after = ref.random()
+    for method in ("auto", "circulant", "cholesky"):
+        rng = np.random.default_rng(12)
+        one = sample_stationary_gaussian(1, kernel, rng, 4, method)
+        np.testing.assert_array_equal(one, expect)
+        assert rng.random() == after
 
 
 def test_stationary_determinism():
     kernel = CorrelationKernel.fbm(0.25)
     for method in ("circulant", "cholesky"):
         a = sample_stationary_gaussian(32, kernel,
-                                       np.random.default_rng(13), method)
+                                       np.random.default_rng(13), 1, method)
         b = sample_stationary_gaussian(32, kernel,
-                                       np.random.default_rng(13), method)
-        np.testing.assert_array_equal(a.faces, b.faces)
+                                       np.random.default_rng(13), 1, method)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_stationary_scales_are_computed_once_per_n_and_hurst():
@@ -292,21 +275,20 @@ def test_stationary_scales_are_computed_once_per_n_and_hurst():
 @pytest.mark.parametrize("n", [1, 2, 17, 64])
 def test_stationary_rows_equal_one_row_calls(n):
     """A batch of rows is the batch of one-row draws on the same
-    generator: bit for bit on the circulant and direct routes (one FFT
-    per row either way), and to rounding on the Cholesky route, where a
-    matrix product replaces a matrix-vector product."""
+    generator: bit for bit on the circulant route and at n = 1 (one FFT
+    or one scaled normal per row either way), and to rounding on the
+    Cholesky route, where a matrix product of more rows replaces one of
+    a single row."""
     kernel = CorrelationKernel.fbm(0.7)
     for method in ("circulant", "cholesky"):
         rows = sample_stationary_gaussian(
-            n, kernel, np.random.default_rng(17), method, size=5)
+            n, kernel, np.random.default_rng(17), 5, method)
         assert rows.shape == (5, n)
         rng = np.random.default_rng(17)
-        dice = [sample_stationary_gaussian(n, kernel, rng, method)
-                for _ in range(5)]
-        route = dice[0].meta["method"]
-        assert route == ("direct" if n == 1 else method)
-        one_by_one = np.stack([die.faces for die in dice])
-        if route == "cholesky":
+        one_by_one = np.concatenate([
+            sample_stationary_gaussian(n, kernel, rng, 1, method)
+            for _ in range(5)])
+        if method == "cholesky" and n > 1:
             np.testing.assert_allclose(rows, one_by_one, rtol=1e-12,
                                        atol=1e-14)
         else:
@@ -359,14 +341,17 @@ def test_circulant_covariance_is_exact(n, hurst):
 @pytest.mark.parametrize("n", CIRCULANT_SIZES)
 def test_fbm_embedding_never_falls_back(n):
     """The padded fBm embedding stays nonnegative definite: the route is
-    the circulant, with no Cholesky fallback, for H = 0.05..0.95."""
-    rng = np.random.default_rng(18)
+    the circulant, with no Cholesky fallback warning, for
+    H = 0.05..0.95, and "auto" gives the circulant's numbers."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for hurst in np.arange(1, 20) / 20:
-            die = sample_stationary_gaussian(
-                n, CorrelationKernel.fbm(float(hurst)), rng)
-            assert die.meta["method"] == "circulant", hurst
+            kernel = CorrelationKernel.fbm(float(hurst))
+            auto = sample_stationary_gaussian(
+                n, kernel, np.random.default_rng(18), 2)
+            circulant = sample_stationary_gaussian(
+                n, kernel, np.random.default_rng(18), 2, "circulant")
+            np.testing.assert_array_equal(auto, circulant, err_msg=hurst)
 
 
 def test_stationary_setup_is_computed_once_per_kernel():
@@ -383,7 +368,7 @@ def test_stationary_setup_is_computed_once_per_kernel():
     rng = np.random.default_rng(19)
     for method in ("circulant", "cholesky"):
         for _ in range(3):
-            sample_stationary_gaussian(40, kernel, rng, method, size=2)
+            sample_stationary_gaussian(40, kernel, rng, 2, method)
     assert len(calls) == 2
 
 
@@ -391,12 +376,16 @@ def test_stationary_auto_falls_back_with_warning():
     """A kernel whose circulant extension has a negative eigenvalue but
     whose Toeplitz covariance is still positive definite must fall back."""
     kernel = _near_kernel(0.26)
-    rng = np.random.default_rng(14)
     with pytest.warns(RuntimeWarning):
-        die = sample_stationary_gaussian(4, kernel, rng, method="auto")
-    assert die.meta["method"] == "cholesky"
+        auto = sample_stationary_gaussian(4, kernel,
+                                          np.random.default_rng(14), 3)
+    cholesky = sample_stationary_gaussian(4, kernel,
+                                          np.random.default_rng(14), 3,
+                                          "cholesky")
+    np.testing.assert_array_equal(auto, cholesky)
     with pytest.raises(NotPositiveDefiniteError):
-        sample_stationary_gaussian(4, kernel, rng, method="circulant")
+        sample_stationary_gaussian(4, kernel, np.random.default_rng(14), 3,
+                                   "circulant")
 
 
 def test_stationary_not_positive_definite_reports_minor():
@@ -405,7 +394,7 @@ def test_stationary_not_positive_definite_reports_minor():
     kernel = _near_kernel(0.45)
     rng = np.random.default_rng(15)
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        sample_stationary_gaussian(4, kernel, rng, method="cholesky")
+        sample_stationary_gaussian(4, kernel, rng, 1, "cholesky")
     assert exc.value.minor_order == 3
 
 
@@ -413,17 +402,15 @@ def test_stationary_validation():
     kernel = CorrelationKernel.fbm(0.5)
     rng = np.random.default_rng(16)
     with pytest.raises(InvalidInputError):
-        sample_stationary_gaussian(0, kernel, rng)
-    # The method is checked at every n, also where one die is a single
+        sample_stationary_gaussian(0, kernel, rng, 1)
+    # The method is checked at every n, also where a die is a single
     # direct draw.
     for n in (1, 8):
-        with pytest.raises(InvalidInputError):
-            sample_stationary_gaussian(n, kernel, rng, method="qmc")
-        with pytest.raises(InvalidInputError):
-            sample_stationary_gaussian(n, kernel, rng, method="bogus",
-                                       size=3)
+        for size in (1, 3):
+            with pytest.raises(InvalidInputError):
+                sample_stationary_gaussian(n, kernel, rng, size, "qmc")
     with pytest.raises(SizeLimitError):
-        sample_stationary_gaussian(5000, kernel, rng, method="cholesky")
+        sample_stationary_gaussian(5000, kernel, rng, 1, "cholesky")
 
 
 # ------------------------------------------------------ model wrappers
@@ -439,29 +426,25 @@ def test_stationary_validation():
 ], ids=["discrete", "gaussian", "uniform", "shifted-exp", "stationary",
         "iid"])
 def test_size_form_equals_one_die_calls(model):
-    """sample(rng, size=k) is a (k, n) array whose rows are, bit for bit,
-    k one-die calls on the same generator."""
-    rows = model.sample(np.random.default_rng(23), size=6)
+    """sample(rng, k) is a (k, n) array whose rows are, bit for bit, k
+    calls with size 1 on the same generator."""
+    rows = model.sample(np.random.default_rng(23), 6)
     assert rows.shape == (6, model.n) and rows.dtype == np.float64
     rng = np.random.default_rng(23)
-    one_by_one = np.stack([model.sample(rng).faces for _ in range(6)])
+    one_by_one = np.concatenate([model.sample(rng, 1) for _ in range(6)])
     np.testing.assert_array_equal(rows, one_by_one)
-    assert model.sample(rng, size=0).shape == (0, model.n)
+    assert model.sample(rng, 0).shape == (0, model.n)
 
 
 def test_model_wrappers_smoke():
     rng = np.random.default_rng(17)
     kernel = CorrelationKernel.fbm(0.4)
     uni = get_distribution("uniform")
-    for model, expect in [
-        (DiscreteConditioned(5), "discrete"),
-        (ContinuousConditioned(6, uni), "conditioned"),
-        (StationaryGaussian(7, kernel), "stationary"),
-        (IidContinuous(8, uni), "iid"),
-    ]:
-        die = model.sample(rng)
-        assert die.meta["model"] == expect
-        assert die.faces.shape == (model.n,)
+    for model in [DiscreteConditioned(5), ContinuousConditioned(6, uni),
+                  StationaryGaussian(7, kernel), IidContinuous(8, uni)]:
+        dice = model.sample(rng, 2)
+        assert dice.shape == (2, model.n) and dice.dtype == np.float64
+        assert np.isfinite(dice).all()
 
 
 # ---------------------------------------------------------- lex pairs

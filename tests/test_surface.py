@@ -16,8 +16,6 @@ ALLOWED = {
                           "wraps it",
     "ACTIVE_IMPL": "the benchmark records it as run provenance "
                    "(perfbench/run.py)",
-    "TRIPLE_CLASS_ORDER": "it names the class order of the dice_triples "
-                          "categories for callers that read the counts",
 }
 
 

@@ -39,6 +39,11 @@ def test_tournament_validation():
         Tournament(np.array([1, 1], dtype=np.int8), 3)
     with pytest.raises(InvalidInputError):
         Tournament(np.array([1, 0, 1], dtype=np.int8), 3)
+    # A float k is not kept for a later raw TypeError, nor True read as 1.
+    for k in (3.0, True):
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            Tournament(np.array([1, -1, 1], dtype=np.int8), k)
+    assert Tournament(np.array([1, -1, 1]), np.int64(3)).k == 3
     t = Tournament(np.array([1, -1, 1], dtype=np.int8), 3)
     with pytest.raises(ValueError):
         t.y[0] = -1
