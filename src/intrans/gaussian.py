@@ -40,6 +40,9 @@ TWO_PI = 2.0 * math.pi
 
 _MAX_SERIES_N = 512
 
+# beta_constant sums the kernel over the lags |i| <= BETA_LAG_CUTOFF.
+BETA_LAG_CUTOFF = 200_000
+
 
 def _coef_d2_factorial(q: np.ndarray) -> np.ndarray:
     """d_{2q+1}^2 * (2q+1)!  ==  C(2q,q) / ((2q+1) * 2^{2q} * 2*pi), with
@@ -222,21 +225,19 @@ def variance_diff_series(kernel: CorrelationKernel, n: int) -> float:
     return float(w @ cells @ w)
 
 
-def beta_constant(kernel: CorrelationKernel,
-                  lag_cutoff: int = 200_000) -> float:
+def beta_constant(kernel: CorrelationKernel) -> float:
     """Leading coefficient beta in Var(W) = beta n^3 + o(n^3):
 
         beta = 2 sum_{q>=0} d_{2q+1}^2 (2q+1)! sum_{i in Z} rho(i)^{2q+1}
              = 2 sum_{i in Z} arcsin(rho(i)) / (2 pi),
 
-    the lag sum truncated at |i| <= lag_cutoff. Requires an absolutely
+    the lag sum truncated at |i| <= BETA_LAG_CUTOFF. Requires an absolutely
     summable kernel (fBm with H <= 1/2). For fBm with H < 1/2 the
     zero-sum property of the lags, sum_{|v|<=L} rho(v) =
     (1/2)((L+1)^{2H} - L^{2H}), is verified against the direct partial
     sum as a sanity check.
     """
-    if _integer("lag_cutoff", lag_cutoff) < 0:
-        raise DomainError("lag_cutoff must be nonnegative")
+    lag_cutoff = BETA_LAG_CUTOFF
     if not kernel.absolutely_summable:
         raise DomainError(
             "beta requires an absolutely summable kernel "
@@ -258,8 +259,8 @@ def beta_constant(kernel: CorrelationKernel,
 class DistConstants:
     """Integral constants of a face distribution used by the 1/n expansions.
 
-    a = E[x F(x)], b = E[x^2 F(x)], gamma3/gamma4 the third and fourth
-    cumulants, alpha1 = 5 gamma3^2/12 - gamma4/8, alpha2 = gamma3/2.
+    a = E[x F(x)], b = E[x^2 F(x)], gamma3 the third cumulant and
+    alpha2 = gamma3/2, the skewness term of the expansions.
     a^2 <= 1/12 always, with equality only for the symmetric uniform law.
     """
 
@@ -267,11 +268,6 @@ class DistConstants:
     a: float
     b: float
     gamma3: float
-    gamma4: float
-
-    @property
-    def alpha1(self) -> float:
-        return 5.0 * self.gamma3 ** 2 / 12.0 - self.gamma4 / 8.0
 
     @property
     def alpha2(self) -> float:
@@ -292,10 +288,9 @@ def _dist_constants_by_name(name: str) -> DistConstants:
     dist = get_distribution(name)
     a = _expectation(dist, lambda x: x * float(dist.cdf(x)))
     b = _expectation(dist, lambda x: x * x * float(dist.cdf(x)))
+    # Mean 0, variance 1: the third cumulant is the third moment.
     m3 = _expectation(dist, lambda x: x ** 3)
-    m4 = _expectation(dist, lambda x: x ** 4)
-    # Mean 0, variance 1: the third cumulant is m3, the fourth m4 - 3.
-    return DistConstants(name=name, a=a, b=b, gamma3=m3, gamma4=m4 - 3.0)
+    return DistConstants(name=name, a=a, b=b, gamma3=m3)
 
 
 def dist_constants(dist) -> DistConstants:

@@ -18,8 +18,8 @@ addition is exact and order-free, so a run's counts never depend on the
 worker count, the scheduling order or the acceptance floor.
 
 Conditional estimates count raw draws in `trials` and categories among
-accepted draws only; an acceptance-rate floor aborts hopeless runs during
-a probe phase (the aborted run reports nothing, so no bias enters).
+accepted draws only; a run accepting less than ACCEPTANCE_FLOOR aborts
+in a probe phase (the aborted run reports nothing, so no bias enters).
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ BLOCK_SIZE = 4096
 # trial's category index in 0..n_categories-1, read only where accepted
 # is true. A two-category family reports 0 for a miss and 1 for a hit.
 TrialKernel = Callable[[int, int, int], tuple]
+
+# A run aborts when its probe phase, the whole blocks that hold
+# ceil(3 / ACCEPTANCE_FLOOR) trials, accepts a smaller share of them.
+ACCEPTANCE_FLOOR = 1e-6
 
 # How the runs draw their randomness, as recorded in run metadata.
 STREAM_SCHEME = (
@@ -304,10 +308,10 @@ def _run_phase(kernel, seed, start, stop, workers, n_categories):
 
 
 def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
-                seed: int, workers: Optional[int],
-                acceptance_floor: float) -> CategoryCounts:
+                seed: int, workers: Optional[int]) -> CategoryCounts:
+    acceptance_floor = ACCEPTANCE_FLOOR
     if not 0.0 < acceptance_floor <= 1.0:
-        raise InvalidInputError("acceptance_floor must lie in (0, 1], got %r"
+        raise InvalidInputError("ACCEPTANCE_FLOOR must lie in (0, 1], got %r"
                                 % (acceptance_floor,))
     workers = resolve_workers(workers)
     # The probe is whole blocks, so every block starts at a multiple of
@@ -333,16 +337,14 @@ def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
                           wall_time_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def estimate_categories(spec: ExperimentSpec, *,
-                        acceptance_floor: float = 1e-6) -> CategoryCounts:
+def estimate_categories(spec: ExperimentSpec) -> CategoryCounts:
     """Category counts over accepted trials."""
     kernel, n_categories = build_kernel(spec)
     return _run_trials(kernel, n_categories, spec.trials, spec.seed,
-                       spec.workers, acceptance_floor)
+                       spec.workers)
 
 
-def estimate_probability(spec: ExperimentSpec, *,
-                         acceptance_floor: float = 1e-6) -> MonteCarloEstimate:
+def estimate_probability(spec: ExperimentSpec) -> MonteCarloEstimate:
     """Share of accepted trials in category 1 (a hit) of a two-category
     family; any other family is rejected before a trial is drawn."""
     kernel, n_categories = build_kernel(spec)
@@ -350,5 +352,5 @@ def estimate_probability(spec: ExperimentSpec, *,
         raise InvalidInputError(
             "family %r reports %d categories, not a hit/miss pair"
             % (spec.family, n_categories))
-    return _run_trials(kernel, 2, spec.trials, spec.seed, spec.workers,
-                       acceptance_floor).proportion(1)
+    return _run_trials(kernel, 2, spec.trials, spec.seed,
+                       spec.workers).proportion(1)

@@ -41,11 +41,16 @@ from .errors import (
     SizeLimitError,
 )
 from .gaussian import CorrelationKernel
+from .mc import _integer
 
 CHOLESKY_LIMIT = 4096
 # One rejection batch of the last-face samplers holds at most this many
 # faces, so memory stays bounded at large n.
 MAX_BATCH_FACES = 1 << 22
+# Candidates a last-face sampler draws for one die before it raises
+# SamplerStallError: continuous (non-Gaussian) and lattice dice.
+CONTINUOUS_MAX_ATTEMPTS = 1_000_000
+DISCRETE_MAX_ATTEMPTS = 50_000_000
 
 
 def _batch_rows(n: int) -> int:
@@ -55,10 +60,18 @@ def _batch_rows(n: int) -> int:
     return max(1, min(max(8, int(2.0 * math.sqrt(n))), MAX_BATCH_FACES // n))
 
 
+def _dice_count(size) -> int:
+    """size as a Python int; InvalidInputError unless a count >= 0."""
+    if _integer("size", size) < 0:
+        raise InvalidInputError("size must be nonnegative, got %d" % size)
+    return int(size)
+
+
 def sample_iid(n: int, dist, rng: np.random.Generator,
                size: int) -> np.ndarray:
     """size dice of n faces drawn i.i.d. from the given face
     distribution."""
+    size = _dice_count(size)
     if n < 1:
         raise InvalidInputError("n must be positive")
     return get_distribution(dist).sample(rng, (size, n))
@@ -87,8 +100,7 @@ def _last_face_rejection(n: int, draw, max_attempts: int,
 
 
 def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
-                                  size: int,
-                                  max_attempts: int = 1_000_000) -> np.ndarray:
+                                  size: int) -> np.ndarray:
     """size dice of n i.i.d. faces conditioned on their sum being exactly
     zero.
 
@@ -102,8 +114,9 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
     hyperplane. The acceptance rate decays like 1/sqrt(n) because the
     candidate last face has standard deviation sqrt(n-1). A batch draws
     its faces, then one uniform per candidate; dice are drawn one after
-    another.
+    another, each given CONTINUOUS_MAX_ATTEMPTS candidates.
     """
+    size = _dice_count(size)
     if n < 2:
         raise InvalidInputError("conditioned dice need n >= 2")
     dist = get_distribution(dist)
@@ -120,13 +133,13 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
 
     faces = np.empty((size, n))
     for i in range(size):
-        faces[i] = _last_face_rejection(n, draw, max_attempts, "conditioned")
+        faces[i] = _last_face_rejection(n, draw, CONTINUOUS_MAX_ATTEMPTS,
+                                        "conditioned")
     return faces
 
 
 def sample_discrete_conditioned(n: int, rng: np.random.Generator,
-                                size: int, *,
-                                max_attempts: int = 50_000_000) -> np.ndarray:
+                                size: int) -> np.ndarray:
     """size dice with faces uniform on {1..n}^n conditioned on face-sum
     n(n+1)/2.
 
@@ -136,8 +149,10 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator,
     uniform on the constraint set for every n. The acceptance rate is
     about sqrt(6 / (pi n)), the chance that the candidate last face (sd
     about n^1.5 / sqrt(12)) lands in a window of width n. Dice are drawn
-    one after another; faces are floats.
+    one after another, each given DISCRETE_MAX_ATTEMPTS candidates; faces
+    are floats.
     """
+    size = _dice_count(size)
     if n < 1:
         raise InvalidInputError("n must be positive")
     target = n * (n + 1) // 2
@@ -149,7 +164,8 @@ def sample_discrete_conditioned(n: int, rng: np.random.Generator,
 
     faces = np.empty((size, n))
     for i in range(size):
-        faces[i] = _last_face_rejection(n, draw, max_attempts, "discrete")
+        faces[i] = _last_face_rejection(n, draw, DISCRETE_MAX_ATTEMPTS,
+                                        "discrete")
     return faces
 
 
@@ -284,6 +300,7 @@ def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
     on every route. The rows come from one draw of normals and one
     row-wise FFT or one matrix product.
     """
+    size = _dice_count(size)
     if n < 1:
         raise InvalidInputError("n must be positive")
     if method not in ("auto", "circulant", "cholesky"):
@@ -312,11 +329,6 @@ class DiscreteConditioned:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sample_discrete_conditioned(self.n, rng, size)
-
-    def cdf(self, x) -> np.ndarray:
-        """Marginal CDF of one face: uniform on {1..n}."""
-        return np.clip(np.floor(np.asarray(x, dtype=np.float64)),
-                       0.0, self.n) / self.n
 
 
 @dataclass(frozen=True)

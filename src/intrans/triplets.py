@@ -35,8 +35,6 @@ from .elections import ranking_sign_matrix
 
 TRIPLET_VALUES = (-3, -1, 1, 3)
 
-SQRT3 = math.sqrt(3.0)
-
 
 @dataclass(frozen=True)
 class TripletTallies:
@@ -57,11 +55,6 @@ class TripletTallies:
     @property
     def m(self) -> int:
         return self.w3 + self.w1 + self.wm1 + self.wm3
-
-    def negated(self) -> "TripletTallies":
-        """Tallies of the sign-flipped vote vector."""
-        return TripletTallies(w3=self.wm3, w1=self.wm1,
-                              wm1=self.w1, wm3=self.w3)
 
     @classmethod
     def from_votes(cls, x) -> "TripletTallies":
@@ -100,7 +93,7 @@ def f_triplets_vector(x_rows: np.ndarray) -> np.ndarray:
     m = n // 3
     if m % 2 == 0:
         raise ParityError("the number of triplets must be odd")
-    w = rows.reshape(rows.shape[0], m, 3).sum(axis=2)
+    w = rows[:, 0::3] + rows[:, 1::3] + rows[:, 2::3]
     return np.sign(np.sign(w).sum(axis=1)).astype(np.int8)
 
 
@@ -192,8 +185,9 @@ class TripletCovariances:
     """Exact covariance constants of the normalized triplet weight
     A = w/sqrt(3) and its sign B = sgn(w), between adjacent pairs.
 
-    The irrational covariances are stored as rational coefficients of
-    sqrt(3): cov_a_b_same = cov_a_b_same_sqrt3 * sqrt(3), likewise cross.
+    The irrational covariances Cov(A, B) on the same pair and across
+    adjacent pairs are stored exactly, as the rational coefficients
+    cov_a_b_same_sqrt3 and cov_a_b_cross_sqrt3 of sqrt(3).
     """
 
     var_a: Fraction
@@ -202,14 +196,6 @@ class TripletCovariances:
     cov_b_b: Fraction
     cov_a_b_same_sqrt3: Fraction
     cov_a_b_cross_sqrt3: Fraction
-
-    @property
-    def cov_a_b_same(self) -> float:
-        return float(self.cov_a_b_same_sqrt3) * SQRT3
-
-    @property
-    def cov_a_b_cross(self) -> float:
-        return float(self.cov_a_b_cross_sqrt3) * SQRT3
 
 
 def triplet_covariances() -> TripletCovariances:
@@ -423,6 +409,6 @@ def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
         y = x * (1 - 2 * flip.view(np.int8))
         return np.ones(stop - start, dtype=bool), signs(x) == signs(y)
 
-    hit = mc._run_trials(kernel, 2, trials, seed, None, 1e-6).proportion(1)
+    hit = mc._run_trials(kernel, 2, trials, seed, None).proportion(1)
     return replace(hit, estimate=1.0 - 1.5 * hit.estimate,
                    stderr=1.5 * hit.stderr)

@@ -73,22 +73,15 @@ def test_identity_validation():
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
 def test_series_counts_must_be_integers(bad):
-    """Q and lag_cutoff count terms: 2.5 is not summed through index 3,
-    nor True read as 1, nor 10.5 taken as half-integer lags."""
+    """Q counts terms: 2.5 is not summed through index 3, nor True read
+    as 1."""
     with pytest.raises(InvalidInputError):
         identity_partial_sum("sixth", bad)
-    with pytest.raises(InvalidInputError):
-        beta_constant(CorrelationKernel.fbm(0.5), lag_cutoff=bad)
 
 
 def test_series_counts_take_numpy_integers():
     assert identity_partial_sum("sixth", np.int64(3)) == \
         identity_partial_sum("sixth", 3)
-    kernel = CorrelationKernel.fbm(0.25)
-    assert beta_constant(kernel, lag_cutoff=np.int32(50)) == \
-        beta_constant(kernel, lag_cutoff=50)
-    with pytest.raises(DomainError):
-        beta_constant(kernel, lag_cutoff=-1)
 
 
 # --------------------------------------------- E[Phi(X) Phi(Y)] series
@@ -223,7 +216,7 @@ def test_variance_series_reject_non_covariance_kernel():
         with pytest.raises(DomainError):
             series(k, 2)
     with pytest.raises(DomainError):
-        beta_constant(k, lag_cutoff=10)
+        beta_constant(k)
 
 
 def test_variance_W_against_monte_carlo():
@@ -320,27 +313,22 @@ def test_dist_constants_exact_values():
     assert c.a == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-12)
     assert c.b == pytest.approx(0.5, abs=1e-12)
     assert c.gamma3 == pytest.approx(0.0, abs=1e-12)
-    assert c.gamma4 == pytest.approx(-1.2, abs=1e-12)
 
     c = dist_constants("gaussian")
     assert c.a == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
     assert c.b == pytest.approx(0.5, abs=1e-12)
     assert c.gamma3 == pytest.approx(0.0, abs=1e-12)
-    assert c.gamma4 == pytest.approx(0.0, abs=1e-12)
 
     c = dist_constants("shifted-exp")
     assert c.a == pytest.approx(0.25, abs=1e-12)
     assert c.b == pytest.approx(0.75, abs=1e-12)
     assert c.gamma3 == pytest.approx(2.0, abs=1e-12)
-    assert c.gamma4 == pytest.approx(6.0, abs=1e-12)
 
 
 def test_dist_constants_alpha_properties():
     c = dist_constants("uniform")
-    assert c.alpha1 == pytest.approx(0.15, abs=1e-12)
     assert c.alpha2 == pytest.approx(0.0, abs=1e-12)
     c = dist_constants("shifted-exp")
-    assert c.alpha1 == pytest.approx(11.0 / 12.0, abs=1e-12)
     assert c.alpha2 == pytest.approx(1.0, abs=1e-12)
 
 

@@ -5,6 +5,7 @@ floor."""
 import numpy as np
 import pytest
 
+from intrans import mc
 from intrans.errors import AcceptanceFloorError, InvalidInputError
 from intrans.mc import (
     BLOCK_SIZE,
@@ -233,10 +234,10 @@ def test_deterministic_categories():
         estimate_probability(_spec("test_mod_cat", 10))
 
 
-def test_acceptance_floor_aborts_early():
+def test_acceptance_floor_aborts_early(monkeypatch):
+    monkeypatch.setattr(mc, "ACCEPTANCE_FLOOR", 0.01)
     with pytest.raises(AcceptanceFloorError) as exc:
-        estimate_probability(_spec("test_never", 1_000_000),
-                             acceptance_floor=0.01)
+        estimate_probability(_spec("test_never", 1_000_000))
     assert exc.value.observed_rate == 0.0
     # The probe is ceil(3 / floor) = 300 trials rounded up to whole
     # blocks.
@@ -256,26 +257,33 @@ def _build_logged_coin(spec):
 
 
 @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), 1.5])
-def test_acceptance_floor_outside_unit_interval_is_a_typed_error(floor):
-    """A floor outside (0, 1] is rejected before any block is drawn."""
+def test_acceptance_floor_outside_unit_interval_is_a_typed_error(
+        floor, monkeypatch):
+    """A floor outside (0, 1] is rejected before any block is drawn; at
+    the strictest floor, whose probe is the run, a 100-trial run draws
+    the one block (0, 100)."""
+    monkeypatch.setattr(mc, "ACCEPTANCE_FLOOR", floor)
     _DRAWN.clear()
     for estimator in (estimate_categories, estimate_probability):
-        with pytest.raises(InvalidInputError, match="acceptance_floor"):
-            estimator(_spec("test_logged_coin", 100), acceptance_floor=floor)
+        with pytest.raises(InvalidInputError, match="ACCEPTANCE_FLOOR"):
+            estimator(_spec("test_logged_coin", 100))
     assert _DRAWN == []
-    estimate_probability(_spec("test_logged_coin", 100), acceptance_floor=1.0)
+    monkeypatch.setattr(mc, "ACCEPTANCE_FLOOR", 1.0)
+    estimate_probability(_spec("test_logged_coin", 100))
     assert _DRAWN == [(0, 0, 100)]
 
 
-def test_results_do_not_depend_on_the_acceptance_floor():
+def test_results_do_not_depend_on_the_acceptance_floor(monkeypatch):
     """Blocks start at multiples of BLOCK_SIZE whatever the probe length,
     so a block family run longer than both probes (1 and 4 blocks) draws
     the same streams at either floor."""
     trials = 5 * BLOCK_SIZE + 123
-    loose, strict = (
-        estimate_probability(_spec("test_coin", trials, seed=17),
-                             acceptance_floor=floor)
-        for floor in (0.5, 2e-4))
+
+    def run(floor):
+        monkeypatch.setattr(mc, "ACCEPTANCE_FLOOR", floor)
+        return estimate_probability(_spec("test_coin", trials, seed=17))
+
+    loose, strict = run(0.5), run(2e-4)
     assert loose.estimate == strict.estimate
     assert loose.accepted == strict.accepted == trials
 

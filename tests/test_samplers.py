@@ -16,6 +16,7 @@ from intrans.errors import (
     SamplerStallError,
     SizeLimitError,
 )
+from intrans import samplers
 from intrans.distributions import get_distribution
 from intrans.experiments import dice_model_from_params
 from intrans.gaussian import CorrelationKernel, s_kernel
@@ -94,12 +95,36 @@ def test_conditioned_requires_two_faces():
         sample_continuous_conditioned(1, "uniform", rng, 1)
 
 
-def test_conditioned_stall():
+def test_conditioned_stall(monkeypatch):
     rng = np.random.default_rng(5)
+    monkeypatch.setattr(samplers, "CONTINUOUS_MAX_ATTEMPTS", 0)
+    monkeypatch.setattr(samplers, "DISCRETE_MAX_ATTEMPTS", 0)
     with pytest.raises(SamplerStallError):
-        sample_continuous_conditioned(10, "uniform", rng, 1, max_attempts=0)
+        sample_continuous_conditioned(10, "uniform", rng, 1)
     with pytest.raises(SamplerStallError):
-        sample_discrete_conditioned(10, rng, 1, max_attempts=0)
+        sample_discrete_conditioned(10, rng, 1)
+
+
+_SAMPLERS = {
+    "discrete": lambda rng, size: sample_discrete_conditioned(5, rng, size),
+    "conditioned": lambda rng, size: sample_continuous_conditioned(
+        5, "uniform", rng, size),
+    "stationary": lambda rng, size: sample_stationary_gaussian(
+        5, CorrelationKernel.fbm(0.75), rng, size),
+    "iid": lambda rng, size: sample_iid(5, "uniform", rng, size),
+}
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, True])
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_samplers_reject_a_bad_size(sampler, size):
+    """A negative, fractional or boolean dice count is an
+    InvalidInputError; zero and numpy integers are counts."""
+    rng = np.random.default_rng(6)
+    with pytest.raises(InvalidInputError, match="size"):
+        _SAMPLERS[sampler](rng, size)
+    assert _SAMPLERS[sampler](rng, 0).shape == (0, 5)
+    assert _SAMPLERS[sampler](rng, np.int64(2)).shape == (2, 5)
 
 
 class _ShapeRecorder:
