@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__
 from .distributions import DISTRIBUTIONS, get_distribution
@@ -312,6 +311,8 @@ def _suite_covariances() -> list:
 
 
 def _suite_predictors() -> list:
+    from scipy.special import ndtr
+
     checks = []
     beta = beta_constant(CorrelationKernel.fbm(0.5))
     checks.append(_check("beta_iid_sixth", abs(beta - 1.0 / 6.0) <= 1e-12,

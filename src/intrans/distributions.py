@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidInputError
 
@@ -58,6 +57,14 @@ def _gauss_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
+def _gauss_cdf(x):
+    # scipy is imported where a function first needs it, so elections,
+    # triplet and lattice dice runs start without loading it.
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 def _shifted_exp_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.where(x >= -1.0, np.exp(-np.clip(x, -1.0, None) - 1.0), 0.0)
@@ -80,7 +87,7 @@ UNIFORM_SYM = FaceDistribution(
 STD_GAUSSIAN = FaceDistribution(
     name="gaussian",
     pdf=_gauss_pdf,
-    cdf=ndtr,
+    cdf=_gauss_cdf,
     sup_pdf=_INV_SQRT_2PI,
     support=(-math.inf, math.inf),
     sampler=lambda rng, size: rng.standard_normal(size),

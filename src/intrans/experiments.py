@@ -112,6 +112,53 @@ def _conditioning_fields(spec: ExperimentSpec, *keys):
     return d, subset
 
 
+# Below this many draws the stage-1 table of a conditioned election is
+# built from exact binomial coefficients; from it on, its middle term
+# comes from an asymptotic series, in time and memory that do not grow
+# with the number of draws.
+_EXACT_TABLE_DRAWS = 1024
+
+
+def _close_upper_counts(draws: int, d: int):
+    """Stage 1 of a conditioned election block. The first checked margin
+    is 2 g - draws, where g, the count of the rankings that put that
+    pair's earlier candidate first, is Binomial(draws, 1/2). Returns the
+    values of g where the margin is at most d >= 1 in absolute value,
+    ascending, and a table of their probabilities C(draws, g) / 2^draws
+    followed by the rest, 1 - P(close), which is exactly 0 when d >=
+    draws; or None when more than BLOCK_SIZE values of g are close, where
+    drawing each trial's g is no dearer than the table.
+
+    Below _EXACT_TABLE_DRAWS every entry is an exact integer ratio, so it
+    is correctly rounded. From it on the middle term, at m = draws // 2,
+    is C(2m, m) / 4^m = exp(1/(192m^3) - 1/(8m)) / sqrt(pi m), whose next
+    term is below 1e-16 relative at m >= 512, times draws / (draws + 1)
+    for odd draws, and the others follow by the ratios of neighbouring
+    binomial coefficients, each within a few ulps."""
+    lo, hi = max(0, (draws - d + 1) // 2), min(draws, (draws + d) // 2)
+    if hi - lo >= mc.BLOCK_SIZE:
+        return None
+    close = np.arange(lo, hi + 1)
+    if draws < _EXACT_TABLE_DRAWS:
+        coef = [math.comb(draws, lo)]
+        for g in range(lo, hi):
+            coef.append(coef[-1] * (draws - g) // (g + 1))
+        coef.append(2 ** draws - sum(coef))
+        return close, np.array([c / 2 ** draws for c in coef])
+    m = draws // 2
+    x = 1 / m
+    mid = math.exp(x ** 3 / 192 - x / 8) * math.sqrt(x / math.pi)
+    if draws % 2:
+        mid *= draws / (draws + 1)
+    g = np.arange(m, hi)
+    up = mid * np.cumprod((draws - g) / (g + 1))
+    g = np.arange(m, lo, -1)
+    down = mid * np.cumprod(g / (draws - g + 1))
+    table = np.concatenate([down[::-1], [mid], up])
+    rest = 0.0 if hi - lo == draws else max(0.0, 1.0 - table.sum())
+    return close, np.append(table, rest)
+
+
 def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
                         check: np.ndarray, d: Optional[int], category):
     """The block kernel of the election and triplet families. A trial
@@ -123,20 +170,33 @@ def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
 
     Unconditioned (d None), a block draws its counts as one multinomial
     of draws over probs, size stop - start, from substream(seed, start).
+    Row i is trial start + i.
 
     Conditioned, the block draws in two stages from that substream. A
     multinomial splits exactly by groups of types, so the law is the same.
     Types of probability 0 are dropped, and the live types are grouped by
     their weight in the first checked column, levels ascending: two
     groups of k!/2 rankings for elections, the four values of w_ab for
-    triplets (over the 44 live cells of impartial culture). Stage 1 draws
-    the group counts of every trial as one multinomial of draws over the
-    group probabilities. They fix the first checked tally, and only the
-    trials where it is at most d go on. Stage 2 draws, group by group in
-    level order, the counts within the group of each surviving trial, as
-    one multinomial of its group count over the group's normalized
-    probabilities. A trial rejected at stage 1 draws nothing more, is not
-    accepted and reports category 0.
+    triplets (over the 44 live cells of impartial culture). Stage 1 gives
+    the group counts of the trials whose first checked tally is at most d,
+    the survivors; the others draw nothing more, are not accepted and
+    report category 0. Stage 2 draws, group by group in level order, the
+    counts within the group of each survivor, as one multinomial of its
+    group count over the group's normalized probabilities.
+
+    For elections (levels -1 and +1, equally likely) the count g of the
+    upper group is Binomial(draws, 1/2), so stage 1 draws the number of
+    survivors at each close g as one multinomial of stop - start over the
+    table of _close_upper_counts (the close values of g, then the rest),
+    and the survivors, g ascending, are rows 0..M-1; rows M.. are
+    rejected. For triplets, and for elections with more than BLOCK_SIZE
+    close values of g, stage 1 draws the group counts of every trial as
+    one multinomial of draws over the group probabilities, size stop -
+    start, and keeps the trials where the first tally is close; row i is
+    trial start + i. Either way a block's survivors, and so its category
+    counts and accepted total, have the law of those of stop - start
+    independent trials; only with the table are the rows not trial
+    positions.
     """
     if d is None:
         def kernel(seed: int, start: int, stop: int):
@@ -153,14 +213,25 @@ def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
     members = [np.flatnonzero(group == j) for j in range(levels.size)]
     group_probs = np.array([probs[cells].sum() for cells in members])
     within = [probs[cells] / p for cells, p in zip(members, group_probs)]
+    stage_one = None
+    if levels.tolist() == [-1, 1] and group_probs[0] == group_probs[1]:
+        stage_one = _close_upper_counts(draws, d)
 
     def kernel(seed: int, start: int, stop: int):
         rng = mc.substream(seed, start)
-        groups = rng.multinomial(draws, group_probs, size=stop - start)
-        rows = np.flatnonzero(np.abs(groups @ levels) <= d)
+        if stage_one is not None:
+            close, table = stage_one
+            upper = np.repeat(close, rng.multinomial(stop - start,
+                                                     table)[:-1])
+            groups = np.column_stack([draws - upper, upper])
+            rows = np.arange(upper.size)
+        else:
+            groups = rng.multinomial(draws, group_probs, size=stop - start)
+            rows = np.flatnonzero(np.abs(groups @ levels) <= d)
+            groups = groups[rows]
         counts = np.empty((rows.size, probs.size), dtype=np.int64)
         for j, cells in enumerate(members):
-            counts[:, cells] = rng.multinomial(groups[rows, j], within[j])
+            counts[:, cells] = rng.multinomial(groups[:, j], within[j])
         tallies = counts @ weights
         rows_ok = (np.abs(tallies[:, check]) <= d).all(axis=1)
         accepted = np.zeros(stop - start, dtype=bool)
@@ -181,7 +252,8 @@ def _build_election_outcomes(spec: ExperimentSpec):
     Category index: lex pair i contributes bit 2^(K-1-i) when the earlier
     candidate wins that pair, so k=3 has 8 categories. A block draws its
     ranking counts from substream(seed, start) by _multinomial_kernel,
-    in two stages when conditioned.
+    in two stages when conditioned. The spec is checked on every call; the
+    kernel is built once per (n, k, d, checked pairs) by _election_kernel.
     """
     _only(spec.params, spec.family, "param", "n", "k")
     n = _param(spec.params, "n", spec.family)
@@ -192,18 +264,26 @@ def _build_election_outcomes(spec: ExperimentSpec):
         raise InvalidInputError("outcome enumeration supports 2 <= k <= 5")
     d, subset = _conditioning_fields(spec, "subset")
     n_pairs = k * (k - 1) // 2
-    signs = ranking_sign_matrix(k)
     if subset is None:
-        check = np.arange(n_pairs)
+        check = tuple(range(n_pairs))
     else:
-        check = np.asarray(sorted(set(subset)), dtype=np.intp)
-        if check.size == 0 or check[0] < 0 or check[-1] >= n_pairs:
+        check = tuple(sorted(set(subset)))
+        if not check or check[0] < 0 or check[-1] >= n_pairs:
             raise InvalidInputError("subset indexes lex pairs 0..K-1")
-    bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
-    kernel = _multinomial_kernel(
-        n, np.full(len(signs), 1.0 / len(signs)), signs, check, d,
+    return _election_kernel(n, k, d, check), 1 << n_pairs
+
+
+# The kernels of the most recently used parameter sets, so a spec's
+# kernel is built once however often its builder runs (the spec checks
+# itself when it is made, and each estimate builds its kernel again).
+@lru_cache(maxsize=32)
+def _election_kernel(n: int, k: int, d: Optional[int], check: tuple):
+    signs = ranking_sign_matrix(k)
+    bit_weights = 1 << np.arange(signs.shape[1] - 1, -1, -1)
+    return _multinomial_kernel(
+        n, np.full(len(signs), 1.0 / len(signs)), signs,
+        np.asarray(check, dtype=np.intp), d,
         lambda margins: (margins > 0) @ bit_weights)
-    return kernel, 1 << n_pairs
 
 
 @lru_cache(maxsize=None)

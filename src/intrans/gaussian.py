@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import FaceDistribution, get_distribution
 from .errors import DomainError, InvalidInputError, SizeLimitError
@@ -47,6 +46,8 @@ BETA_LAG_CUTOFF = 200_000
 def _coef_d2_factorial(q: np.ndarray) -> np.ndarray:
     """d_{2q+1}^2 * (2q+1)!  ==  C(2q,q) / ((2q+1) * 2^{2q} * 2*pi), with
     C(2q,q) by log-gamma."""
+    from scipy.special import gammaln
+
     q = np.asarray(q, dtype=float)
     return np.exp(gammaln(2 * q + 1) - 2 * gammaln(q + 1) - np.log(2 * q + 1)
                   - 2 * q * math.log(2.0) - math.log(TWO_PI))

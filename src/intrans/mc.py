@@ -45,15 +45,21 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # bounds a block's arrays. The largest are the type counts of the
 # multinomial kernel: unconditioned, 4096 x 120 int64 ranking counts for
 # k=5 elections and 4096 x 64 int64 cell counts for triplets; conditioned,
-# 4096 x (2 or 4) group counts, then counts over the live types for only
-# the trials whose first margin is close. A phase of one block runs
-# inline, without the thread pool.
+# 4096 x 4 triplet group counts (elections draw one count per close value
+# of the first margin, when there are at most 4096), then counts over the
+# live types for only the trials whose first margin is close. A phase of
+# one block runs inline, without the thread pool.
 BLOCK_SIZE = 4096
 
 # A trial kernel maps (seed, start, stop) to two arrays over the trials
-# start..stop-1, in trial order: accepted (bool) and category (int), the
-# trial's category index in 0..n_categories-1, read only where accepted
-# is true. A two-category family reports 0 for a miss and 1 for a hit.
+# start..stop-1: accepted (bool) and category (int), the trial's category
+# index in 0..n_categories-1, read only where accepted is true. A
+# two-category family reports 0 for a miss and 1 for a hit. The engine
+# reads only the block's category counts over its accepted rows, so only
+# those carry the law. Row i is trial start + i in every kernel but the
+# conditioned election kernel whose first margin has at most BLOCK_SIZE
+# close values: its rows are the block's survivors of that margin
+# followed by its rejected trials (see experiments._multinomial_kernel).
 TrialKernel = Callable[[int, int, int], tuple]
 
 # A run aborts when its probe phase, the whole blocks that hold

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .distributions import STD_GAUSSIAN, FaceDistribution, get_distribution
 from .errors import (
@@ -359,6 +358,8 @@ class StationaryGaussian:
     def cdf(self, x) -> np.ndarray:
         """Marginal CDF of one face, N(0, 1/2): the kernel enforces
         rho(0) = 1/2, so 1/sqrt(2 rho(0)) = 1."""
+        from scipy.special import erf
+
         return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64)))
 
 

@@ -324,6 +324,24 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["elections", "--n", "301", "--d", "3", "--trials", "4096"],
+    ["dice", "--model", "discrete", "--n", "20", "--triples", "3"],
+], ids=["elections", "dice-discrete"])
+def test_runs_without_a_cdf_do_not_load_scipy(tmp_path, argv):
+    """Elections and lattice dice need no scipy function, so a run of
+    either in a fresh interpreter leaves scipy unimported."""
+    src = os.path.dirname(os.path.dirname(intrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from intrans.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                          str(tmp_path / "run.csv")], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.split() == ["0", "False"]
+
+
 # ----------------------------------------------------------- exit codes
 
 

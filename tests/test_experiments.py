@@ -35,7 +35,7 @@ from intrans.experiments import (
     transitive_probability,
     w_minus_nv_variance,
 )
-from intrans import mc
+from intrans import experiments, mc
 from intrans.gaussian import CorrelationKernel
 from intrans.mc import (
     BLOCK_SIZE,
@@ -239,12 +239,14 @@ ELECTION_CONDITIONINGS = {
 
 
 def _staged_rows(seed, start, size, draws, probs, weights, column, d):
-    """A conditioned block's type counts, rebuilt from substream(seed,
-    start): stage 1 draws the counts of the groups of live types that
-    share a weight in column, levels ascending; stage 2 splits, group by
-    group, the group counts of the trials whose column margin is at most
-    d. Returns the live weights and one row of live-type counts per
-    trial, None for a trial rejected at stage 1."""
+    """The type counts of a conditioned block that draws each trial's
+    stage 1 (triplets, and elections with more than BLOCK_SIZE close
+    values of the first margin), rebuilt from substream(seed, start):
+    stage 1 draws the counts of the groups of live types that share a
+    weight in column, levels ascending; stage 2 splits, group by group,
+    the group counts of the trials whose column margin is at most d.
+    Returns the live weights and one row of live-type counts per trial,
+    None for a trial rejected at stage 1."""
     live = probs > 0
     probs, weights = probs[live], weights[live]
     levels = sorted(set(weights[:, column].tolist()))
@@ -264,12 +266,40 @@ def _staged_rows(seed, start, size, draws, probs, weights, column, d):
     return weights, rows
 
 
+def _close_law(n, d):
+    """The values g of Binomial(n, 1/2) with |2 g - n| <= d, and their
+    exact probabilities C(n, g) / 2^n."""
+    close = [g for g in range(n + 1) if abs(2 * g - n) <= d]
+    return close, [Fraction(math.comb(n, g), 2 ** n) for g in close]
+
+
+def _thinned_election_rows(seed, start, size, n, signs, column, d):
+    """A conditioned election block's ranking counts, rebuilt from
+    substream(seed, start): stage 1 draws how many of the size trials
+    survive at each close g, the count of the rankings with weight +1 in
+    column, as one multinomial over the exact law of those g and the
+    rest; stage 2 splits, group by group (weight -1 first), the group
+    counts of the survivors, g ascending. Returns one row of ranking
+    counts per survivor, in row order."""
+    close, law = _close_law(n, d)
+    rng = substream(seed, start)
+    hits = rng.multinomial(size, [float(p) for p in law]
+                           + [float(1 - sum(law))])
+    upper = np.repeat(close, hits[:-1])
+    probs = np.full(len(signs), 1.0 / len(signs))
+    rows = np.zeros((upper.size, len(signs)), dtype=np.int64)
+    for level, group in ((-1, n - upper), (1, upper)):
+        cells = np.flatnonzero(signs[:, column] == level)
+        rows[:, cells] = rng.multinomial(group,
+                                         probs[cells] / probs[cells].sum())
+    return rows
+
+
 @pytest.mark.parametrize("k", sorted(ELECTION_CONDITIONINGS))
 def test_election_block_kernel_matches_per_trial_rule(k):
     n, seed, start, size = 7, 5, 2 * BLOCK_SIZE, 600
     signs = ranking_sign_matrix(k)
     n_pairs = signs.shape[1]
-    pvals = np.full(signs.shape[0], 1.0 / signs.shape[0])
     bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
     for cond in ELECTION_CONDITIONINGS[k]:
         kernel, n_cat = build_kernel(_spec("election_outcomes",
@@ -279,20 +309,149 @@ def test_election_block_kernel_matches_per_trial_rule(k):
         accepted, values = kernel(seed, start, start + size)
         assert accepted.shape == values.shape == (size,)
         check = np.array(cond.get("subset", range(n_pairs)))
-        weights, rows = _staged_rows(seed, start, size, n, pvals, signs,
-                                     check[0], cond["d"])
+        rows = _thinned_election_rows(seed, start, size, n, signs, check[0],
+                                      cond["d"])
+        assert not accepted[len(rows):].any()
+        assert not values[len(rows):].any()
         for i, row in enumerate(rows):
-            if row is None:
-                assert not accepted[i] and values[i] == 0
-                continue
-            margins = row @ weights
+            margins = row @ signs
             assert row.sum() == n
             ok = np.max(np.abs(margins[check])) <= cond["d"]
             assert accepted[i] == ok
             if ok:
                 assert values[i] == (margins > 0) @ bit_weights
         assert 0 < np.count_nonzero(accepted) < size
-        assert 0 < sum(row is None for row in rows) < size
+        assert 0 < len(rows) < size
+
+
+def test_election_kernel_with_many_close_values_draws_each_trial():
+    """With more close values of the first margin than a block has
+    trials, the election kernel draws each trial's stage 1, and row i is
+    trial start + i."""
+    n, d, seed, start, size = 10 ** 8 + 1, 9001, 7, BLOCK_SIZE, 300
+    assert experiments._close_upper_counts(n, d) is None
+    signs = ranking_sign_matrix(3)
+    bit_weights = np.array([4, 2, 1])
+    kernel, _ = build_kernel(_spec("election_outcomes", {"n": n}, size,
+                                   seed, conditioning={"d": d}))
+    accepted, values = kernel(seed, start, start + size)
+    weights, rows = _staged_rows(seed, start, size, n,
+                                 np.full(len(signs), 1 / len(signs)),
+                                 signs, 0, d)
+    for i, row in enumerate(rows):
+        if row is None:
+            assert not accepted[i] and values[i] == 0
+            continue
+        margins = row @ weights
+        assert row.sum() == n
+        ok = np.max(np.abs(margins)) <= d
+        assert accepted[i] == ok
+        if ok:
+            assert values[i] == (margins > 0) @ bit_weights
+    assert 0 < np.count_nonzero(accepted) < size
+    assert 0 < sum(row is None for row in rows) < size
+
+
+@pytest.mark.parametrize("n", [5, 7, 301, 1024, 1025, 4097])
+def test_stage_one_table_is_the_exact_truncated_law(n):
+    """The conditioned election kernel's stage-1 table: each close g at
+    its exact probability C(n, g) / 2^n, then 1 - P(close), which is 0
+    when d >= n. Exact integer ratios below _EXACT_TABLE_DRAWS, so equal
+    to the exact law rounded; from it on, within 1e-12 relative."""
+    exact = n < experiments._EXACT_TABLE_DRAWS
+    for d in (1, 2, 3, 100, n, n + 4):
+        stage_one = experiments._close_upper_counts(n, d)
+        if stage_one is None:
+            assert sum(abs(2 * g - n) <= d for g in range(n + 1)) > BLOCK_SIZE
+            continue
+        close, table = stage_one
+        exact_close, law = _close_law(n, d)
+        assert close.tolist() == exact_close
+        assert len(table) == len(law) + 1
+        for p, q in zip(table, law + [1 - sum(law)]):
+            if exact:
+                assert p == float(q)
+            else:
+                assert p == pytest.approx(float(q), rel=1e-12, abs=0)
+        if d >= n:
+            assert table[-1] == 0.0
+
+
+def test_huge_close_election_builds_in_constant_memory():
+    """At n = 10^9 + 1 a conditioned election spec is made and runs a
+    block without any array of length n: with d = 3 by the stage-1 table
+    (its middle term from the series), with d = 10^5 and d = n, whose
+    close values of g outnumber a block, by drawing each trial's g."""
+    n = 10 ** 9 + 1
+    close, table = experiments._close_upper_counts(n, 3)
+    assert close.tolist() == [n // 2 - 1, n // 2, n // 2 + 1, n // 2 + 2]
+    assert table[:-1].sum() == pytest.approx(0.0001009, rel=1e-3)
+    for d in (3, 10 ** 5, n):
+        tracemalloc.start()
+        try:
+            spec = _spec("election_outcomes", {"n": n}, BLOCK_SIZE, 4,
+                         conditioning={"d": d})
+            kernel, _ = build_kernel(spec)
+            accepted, _ = kernel(4, 0, BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        if d == n:
+            assert accepted.all()
+
+
+@pytest.mark.parametrize("k,cond", [
+    (2, {"d": 1}), (3, {"d": 1, "subset": [1, 2]}),
+    (4, {"d": 3, "subset": [1, 5]}), (3, {"d": 9}), (2, {"d": 9}),
+], ids=["k2", "k3-subset-1-2", "k4-subset-1-5", "k3-d-over-n",
+        "k2-d-over-n"])
+def test_election_stage_one_draws_the_table(k, cond):
+    """A conditioned block's survivors are its first M rows, M the close
+    cells' total in one multinomial of the block size over the stage-1
+    table of the first checked pair; with d >= n every trial survives,
+    and k=2 accepts exactly its survivors."""
+    n, seed, start, size = 9, 8, BLOCK_SIZE, 500
+    kernel, _ = build_kernel(_spec("election_outcomes", {"n": n, "k": k},
+                                   size, seed, conditioning=cond))
+    accepted, _ = kernel(seed, start, start + size)
+    _, table = experiments._close_upper_counts(n, cond["d"])
+    survivors = substream(seed, start).multinomial(size, table)[:-1].sum()
+    assert not accepted[survivors:].any()
+    if cond["d"] >= n:
+        assert survivors == size
+    if k == 2:
+        assert accepted[:survivors].all()
+        assert 0 < survivors
+
+
+def test_thinned_election_counts_do_not_depend_on_worker_count():
+    spec = _spec("election_outcomes", {"n": 301}, 3 * BLOCK_SIZE, 21,
+                 conditioning={"d": 3})
+    one, two = (estimate_categories(replace(spec, workers=w))
+                for w in (1, 2))
+    assert one.trials == two.trials == 3 * BLOCK_SIZE
+    assert one.accepted == two.accepted > 0
+    np.testing.assert_array_equal(one.counts, two.counts)
+
+
+def test_election_kernels_are_built_once_per_parameter_set():
+    """Equal parameters give the same kernel object, other d or subset
+    another; the cache holds a bounded number of kernels."""
+    def kernel(params, cond):
+        return build_kernel(_spec("election_outcomes", params, 10, 1,
+                                  cond))[0]
+
+    base = kernel({"n": 301}, {"d": 3})
+    assert kernel({"n": 301}, {"d": 3}) is base
+    assert kernel({"n": 301, "k": 3}, {"d": 3, "subset": [2, 0, 1]}) is base
+    assert kernel({"n": 301}, {"d": 5}) is not base
+    assert kernel({"n": 301}, {"d": 3, "subset": [0, 1]}) is not base
+    bound = experiments._election_kernel.cache_info().maxsize
+    assert bound is not None
+    for n in range(1, 2 * bound + 10, 2):
+        kernel({"n": n}, {"d": 1})
+    assert experiments._election_kernel.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("rho", [None, 0.4])
