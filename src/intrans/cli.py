@@ -544,7 +544,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_with_config(parser, argv))
     try:
         return args.func(args, args.parser)
-    except (IntransError, FloatingPointError, np.linalg.LinAlgError) as e:
+    except (IntransError, FloatingPointError, np.linalg.LinAlgError,
+            OSError) as e:
         payload = {"error": type(e).__name__, "message": str(e), **vars(e)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1

@@ -38,11 +38,11 @@ def _checked_faces(values) -> np.ndarray:
 @dataclass(frozen=True)
 class PairStats:
     """Counts of face-pair comparisons between two equal-length dice:
-    ints for one pair, int64 arrays over the leading axes for many."""
+    ints for one pair, int64 arrays over the leading axes for many. The
+    ties are the rest of the n^2 face pairs."""
 
     wins: int
     losses: int
-    ties: int
 
     @property
     def margin(self) -> int:
@@ -57,7 +57,7 @@ class TripleClass(enum.Enum):
 
 
 def pair_stats(a, b) -> PairStats:
-    """Exact win/loss/tie counts over all n^2 face pairs.
+    """Exact win and loss counts over all n^2 face pairs.
 
     O(n log n), faces in any order: the faces of both dice are merged by
     one sort, and only rows where two faces collide are counted again by
@@ -73,7 +73,7 @@ def pair_stats(a, b) -> PairStats:
                                                              fb.shape))
     wins, ties = _accel.pair_counts(fa, fb)
     n2 = fa.shape[-1] ** 2
-    return PairStats(wins=wins, losses=n2 - wins - ties, ties=ties)
+    return PairStats(wins=wins, losses=n2 - wins - ties)
 
 
 def lattice_margins(dice: np.ndarray, partner) -> np.ndarray:

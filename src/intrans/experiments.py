@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import mc  # block kernels look mc.substream up at call time
+from . import mc
 from .dice import (
     cdf_sum,
     classify_margins,
@@ -79,6 +79,11 @@ def _param(params: dict, key: str, family: str, convert=mc._integer,
                                 % (family, key, value)) from None
 
 
+def _as_given(key: str, value):
+    """value unchanged: a param read only for the null-as-absent rule."""
+    return value
+
+
 def _real(key: str, value) -> float:
     """value as a float; TypeError for a bool."""
     if isinstance(value, bool):
@@ -101,9 +106,9 @@ def _conditioning_fields(spec: ExperimentSpec, *keys):
     if cond is None:
         return None, None
     _only(cond, spec.family, "conditioning key", "event", "d", *keys)
-    if cond.get("event", "close") != "close":
-        raise InvalidInputError(
-            "unknown conditioning event %r" % (cond.get("event"),))
+    event = _param(cond, "event", spec.family, _as_given, "close")
+    if event != "close":
+        raise InvalidInputError("unknown conditioning event %r" % (event,))
     d = _param(cond, "d", spec.family)
     if d < 1:
         raise InvalidInputError("conditioning needs a threshold d >= 1")
@@ -169,8 +174,8 @@ def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
     category of each accepted trial.
 
     Unconditioned (d None), a block draws its counts as one multinomial
-    of draws over probs, size stop - start, from substream(seed, start).
-    Row i is trial start + i.
+    of draws over probs, size the block's trial count, from the block's
+    substream, and reports every trial's category in trial order.
 
     Conditioned, the block draws in two stages from that substream. A
     multinomial splits exactly by groups of types, so the law is the same.
@@ -179,31 +184,28 @@ def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
     groups of k!/2 rankings for elections, the four values of w_ab for
     triplets (over the 44 live cells of impartial culture). Stage 1 gives
     the group counts of the trials whose first checked tally is at most d,
-    the survivors; the others draw nothing more, are not accepted and
-    report category 0. Stage 2 draws, group by group in level order, the
-    counts within the group of each survivor, as one multinomial of its
-    group count over the group's normalized probabilities.
+    the survivors; the others draw nothing more and are not accepted.
+    Stage 2 draws, group by group in level order, the counts within the
+    group of each survivor, as one multinomial of its group count over the
+    group's normalized probabilities. The kernel reports the categories of
+    the accepted survivors in survivor order.
 
     For elections (levels -1 and +1, equally likely) the count g of the
     upper group is Binomial(draws, 1/2), so stage 1 draws the number of
-    survivors at each close g as one multinomial of stop - start over the
-    table of _close_upper_counts (the close values of g, then the rest),
-    and the survivors, g ascending, are rows 0..M-1; rows M.. are
-    rejected. For triplets, and for elections with more than BLOCK_SIZE
-    close values of g, stage 1 draws the group counts of every trial as
-    one multinomial of draws over the group probabilities, size stop -
-    start, and keeps the trials where the first tally is close; row i is
-    trial start + i. Either way a block's survivors, and so its category
-    counts and accepted total, have the law of those of stop - start
-    independent trials; only with the table are the rows not trial
-    positions.
+    survivors at each close g as one multinomial of the block's trial
+    count over the table of _close_upper_counts (the close values of g,
+    then the rest), and orders the survivors by g ascending. For
+    triplets, and for elections with more than BLOCK_SIZE close values of
+    g, stage 1 draws the group counts of every trial as one multinomial
+    of draws over the group probabilities, size the block's trial count,
+    and keeps the trials where the first tally is close, in trial order.
+    Either way a block's survivors, and so its category counts and
+    accepted total, have the law of those of as many independent trials.
     """
     if d is None:
-        def kernel(seed: int, start: int, stop: int):
-            counts = mc.substream(seed, start).multinomial(
-                draws, probs, size=stop - start)
-            return (np.ones(stop - start, dtype=bool),
-                    category(counts @ weights))
+        def kernel(rng: np.random.Generator, size: int):
+            return category(rng.multinomial(draws, probs, size=size)
+                            @ weights)
 
         return kernel
 
@@ -217,28 +219,19 @@ def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
     if levels.tolist() == [-1, 1] and group_probs[0] == group_probs[1]:
         stage_one = _close_upper_counts(draws, d)
 
-    def kernel(seed: int, start: int, stop: int):
-        rng = mc.substream(seed, start)
+    def kernel(rng: np.random.Generator, size: int):
         if stage_one is not None:
             close, table = stage_one
-            upper = np.repeat(close, rng.multinomial(stop - start,
-                                                     table)[:-1])
+            upper = np.repeat(close, rng.multinomial(size, table)[:-1])
             groups = np.column_stack([draws - upper, upper])
-            rows = np.arange(upper.size)
         else:
-            groups = rng.multinomial(draws, group_probs, size=stop - start)
-            rows = np.flatnonzero(np.abs(groups @ levels) <= d)
-            groups = groups[rows]
-        counts = np.empty((rows.size, probs.size), dtype=np.int64)
+            groups = rng.multinomial(draws, group_probs, size=size)
+            groups = groups[np.abs(groups @ levels) <= d]
+        counts = np.empty((len(groups), probs.size), dtype=np.int64)
         for j, cells in enumerate(members):
             counts[:, cells] = rng.multinomial(groups[:, j], within[j])
         tallies = counts @ weights
-        rows_ok = (np.abs(tallies[:, check]) <= d).all(axis=1)
-        accepted = np.zeros(stop - start, dtype=bool)
-        accepted[rows[rows_ok]] = True
-        categories = np.zeros(stop - start, dtype=np.intp)
-        categories[rows[rows_ok]] = category(tallies[rows_ok])
-        return accepted, categories
+        return category(tallies[(np.abs(tallies[:, check]) <= d).all(axis=1)])
 
     return kernel
 
@@ -251,8 +244,8 @@ def _build_election_outcomes(spec: ExperimentSpec):
 
     Category index: lex pair i contributes bit 2^(K-1-i) when the earlier
     candidate wins that pair, so k=3 has 8 categories. A block draws its
-    ranking counts from substream(seed, start) by _multinomial_kernel,
-    in two stages when conditioned. The spec is checked on every call; the
+    ranking counts from its substream by _multinomial_kernel, in two
+    stages when conditioned. The spec is checked on every call; the
     kernel is built once per (n, k, d, checked pairs) by _election_kernel.
     """
     _only(spec.params, spec.family, "param", "n", "k")
@@ -361,10 +354,11 @@ _DICE_MODEL_PARAMS = {"conditioned": ("dist",), "iid": ("dist",),
 
 def dice_model_from_params(params: dict):
     """Instantiate a triple-sampling model from a params dict with keys
-    model, n, and dist or hurst as the model requires; any other key is
-    an error naming the model."""
+    model, n, and dist or hurst as the model requires; a null model or
+    dist stands for the default, and any other key is an error naming the
+    model."""
     family = "dice_triples"
-    name = str(params.get("model", "conditioned"))
+    name = str(_param(params, "model", family, _as_given, "conditioned"))
     if name not in _DICE_MODEL_PARAMS:
         raise InvalidInputError("unknown dice model %r" % (name,))
     _only(params, family, "%r model param" % name, "model", "n",
@@ -378,7 +372,8 @@ def dice_model_from_params(params: dict):
     if name == "stationary":
         hurst = _param(params, "hurst", family, _real)
         return StationaryGaussian(n=n, kernel=CorrelationKernel.fbm(hurst))
-    dist = get_distribution(params.get("dist", "uniform"))
+    dist = get_distribution(_param(params, "dist", family, _as_given,
+                                   "uniform"))
     if name == "conditioned":
         return ContinuousConditioned(n=n, dist=dist)
     return IidContinuous(n=n, dist=dist)
@@ -392,14 +387,15 @@ def _build_dice_triples(spec: ExperimentSpec):
     whose win direction matches the CDF-sum direction. It takes no
     conditioning.
 
-    A block draws its triples from substream(seed, start) in chunks of t
-    triples, t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of
-    3 t rows per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2
-    form triple k). A die's CDF sum, where needed (see below), adds its
-    faces in draw order; the exact margins of a chunk's continuous pairs
-    come from one pair_stats call on the dice as drawn (one sort of each
-    pair's merged faces), and lattice dice are scored from their face histograms
-    (lattice_margins), with no sort or search.
+    A block draws its triples from its substream in chunks of t triples,
+    t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of 3 t rows
+    per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2 form
+    triple k), and reports every triple's category in draw order. A die's
+    CDF sum, where needed (see below), adds its faces in draw order; the
+    exact margins of a chunk's continuous pairs come from one pair_stats
+    call on the dice as drawn (one sort of each pair's merged faces), and
+    lattice dice are scored from their face histograms (lattice_margins),
+    with no sort or search.
 
     Two models have the same CDF sum for every die, so every CDF-sum gap
     is exactly 0 and a pair agrees exactly when it ties: the lattice model
@@ -419,11 +415,10 @@ def _build_dice_triples(spec: ExperimentSpec):
     # and the CDF-sum gaps with the same orientation.
     follow = [1, 2, 0]
 
-    def kernel(seed: int, start: int, stop: int):
-        rng = mc.substream(seed, start)
-        category = np.empty(stop - start, dtype=np.intp)
-        for lo in range(0, stop - start, chunk):
-            t = min(chunk, stop - start - lo)
+    def kernel(rng: np.random.Generator, size: int):
+        category = np.empty(size, dtype=np.intp)
+        for lo in range(0, size, chunk):
+            t = min(chunk, size - lo)
             dice = model.sample(rng, size=3 * t).reshape(t, 3, n)
             sums = None if constant_cdf_sum else cdf_sum(dice, model.cdf)
             if lattice:
@@ -434,7 +429,7 @@ def _build_dice_triples(spec: ExperimentSpec):
                      np.sign(margins) == np.sign(sums - sums[:, follow]))
             category[lo:lo + t] = (4 * classify_margins(margins)
                                    + agree.sum(axis=1))
-        return np.ones(stop - start, dtype=bool), category
+        return category
 
     return kernel, N_DICE_CATEGORIES
 
@@ -470,8 +465,8 @@ def summarize_dice_categories(counts: CategoryCounts) -> dict:
 def _build_orthant3(spec: ExperimentSpec):
     """Whether an equicorrelated trivariate standard Gaussian (params
     {"r": correlation}) lands in the positive orthant (category 1) or not
-    (category 0). A block draws its (size, 3) standard normals from
-    substream(seed, start). It takes no conditioning."""
+    (category 0). A block draws its (size, 3) standard normals from its
+    substream. It takes no conditioning."""
     _only(spec.params, spec.family, "param", "r")
     _only(spec.conditioning or {}, spec.family, "conditioning key")
     r = _param(spec.params, "r", spec.family, _real)
@@ -483,10 +478,9 @@ def _build_orthant3(spec: ExperimentSpec):
     evals, evecs = np.linalg.eigh(cov)
     root_t = (evecs * np.sqrt(np.clip(evals, 0.0, None))).T
 
-    def kernel(seed: int, start: int, stop: int):
-        z = mc.substream(seed, start).standard_normal((stop - start, 3))
-        hit = ((z @ root_t) > 0.0).all(axis=1)
-        return np.ones(stop - start, dtype=bool), hit.astype(np.intp)
+    def kernel(rng: np.random.Generator, size: int):
+        z = rng.standard_normal((size, 3))
+        return ((z @ root_t) > 0.0).all(axis=1).astype(np.intp)
 
     return kernel, 2
 

@@ -1,21 +1,22 @@
 """Reproducible, parallelizable Monte Carlo engine.
 
 Trials are grouped into fixed index blocks of BLOCK_SIZE trials, and the
-block is the engine's unit of work: a kernel maps (seed, start, stop) to
-the outcomes of trials start..stop-1 as arrays. Randomness is
-counter-based Philox: the key is two splitmix64 words derived from the
-seed, and substream(seed, i) starts the 256-bit counter at [0, i, 0, 0],
-so index i owns a disjoint 2^64 stretch of the counter space. Every
-kernel draws its whole block from substream(seed, start), in an order
-its family documents.
+block is the engine's unit of work. Randomness is counter-based Philox:
+the key is two splitmix64 words derived from the seed, and
+substream(seed, i) starts the 256-bit counter at [0, i, 0, 0], so index
+i owns a disjoint 2^64 stretch of the counter space. The engine makes
+one substream per block, substream(seed, start) for the block of trials
+start..stop-1, and hands it to the family's kernel, which draws the
+whole block from it in an order the family documents.
 
-Every trial reports one category index, and the engine reduces a run to
-integer counts per category: a block's counts are a bincount of its
-accepted trials, and a run's are the sum of its blocks'. Block starts are
-multiples of BLOCK_SIZE (the probe phase below is whole blocks too), so
-the blocks depend only on (spec, seed) and the fixed block size. Integer
-addition is exact and order-free, so a run's counts never depend on the
-worker count, the scheduling order or the acceptance floor.
+Every accepted trial reports one category index, and the engine reduces
+a run to integer counts per category: a block's counts are a bincount of
+the categories its kernel reports, and a run's are the sum of its
+blocks'. Block starts are multiples of BLOCK_SIZE (the probe phase below
+is whole blocks too), so the blocks depend only on (spec, seed) and the
+fixed block size. Integer addition is exact and order-free, so a run's
+counts never depend on the worker count, the scheduling order or the
+acceptance floor.
 
 Conditional estimates count raw draws in `trials` and categories among
 accepted draws only; a run accepting less than ACCEPTANCE_FLOOR aborts
@@ -40,9 +41,9 @@ from .errors import AcceptanceFloorError, InvalidInputError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials per index block. A kernel draws a block from one substream keyed
-# by its first trial, so seeded results depend on it by design; it also
-# bounds a block's arrays. The largest are the type counts of the
+# Trials per index block. The engine draws a block from one substream
+# keyed by its first trial, so seeded results depend on it by design; it
+# also bounds a block's arrays. The largest are the type counts of the
 # multinomial kernel: unconditioned, 4096 x 120 int64 ranking counts for
 # k=5 elections and 4096 x 64 int64 cell counts for triplets; conditioned,
 # 4096 x 4 triplet group counts (elections draw one count per close value
@@ -51,16 +52,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # one block runs inline, without the thread pool.
 BLOCK_SIZE = 4096
 
-# A trial kernel maps (seed, start, stop) to two arrays over the trials
-# start..stop-1: accepted (bool) and category (int), the trial's category
-# index in 0..n_categories-1, read only where accepted is true. A
-# two-category family reports 0 for a miss and 1 for a hit. The engine
-# reads only the block's category counts over its accepted rows, so only
-# those carry the law. Row i is trial start + i in every kernel but the
-# conditioned election kernel whose first margin has at most BLOCK_SIZE
-# close values: its rows are the block's survivors of that margin
-# followed by its rejected trials (see experiments._multinomial_kernel).
-TrialKernel = Callable[[int, int, int], tuple]
+# A trial kernel maps (rng, size), the block's substream and its number
+# of trials, to an int array holding the category index, in
+# 0..n_categories-1, of each of the block's accepted trials, in an order
+# the family documents; a rejected trial reports nothing. A two-category
+# family reports 0 for a miss and 1 for a hit.
+TrialKernel = Callable[[np.random.Generator, int], np.ndarray]
 
 # A run aborts when its probe phase, the whole blocks that hold
 # ceil(3 / ACCEPTANCE_FLOOR) trials, accepts a smaller share of them.
@@ -237,10 +234,10 @@ _FAMILIES: dict = {}
 def register_family(name: str):
     """Decorator registering builder(spec) -> (kernel, n_categories).
 
-    The kernel follows the block contract of TrialKernel: kernel(seed,
-    start, stop) -> (accepted, category), arrays over trials
-    start..stop-1, drawn from substream(seed, start) in an order the
-    family documents.
+    The kernel follows the block contract of TrialKernel: kernel(rng,
+    size) -> the categories of the accepted trials among size trials,
+    all drawn from rng, the block's substream, in an order the family
+    documents.
     n_categories >= 2 is the number of category indices the kernel
     reports; a family estimate_probability can run has exactly 2 (miss,
     hit).
@@ -293,9 +290,10 @@ def resolve_workers(requested: Optional[int]) -> int:
 
 def _run_block(kernel: TrialKernel, seed: int, start: int, stop: int,
                n_categories: int) -> np.ndarray:
-    """One block's category counts over its accepted trials."""
-    ok, category = kernel(seed, start, stop)
-    return np.bincount(category[ok], minlength=n_categories)
+    """One block's category counts over its accepted trials, drawn from
+    the block's substream."""
+    return np.bincount(kernel(substream(seed, start), stop - start),
+                       minlength=n_categories)
 
 
 def _run_phase(kernel, seed, start, stop, workers, n_categories):

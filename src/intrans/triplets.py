@@ -235,11 +235,10 @@ def triplet_covariances() -> TripletCovariances:
 @dataclass(frozen=True)
 class NoiseParams:
     """Per-triplet survival probabilities under independent vote flips
-    with probability epsilon = (1-rho)/2: p3 is the chance a +3 triplet
-    keeps a positive majority, p1 the same for a +1 triplet; q = p - 1/2."""
+    with probability (1-rho)/2: p3 is the chance a +3 triplet keeps a
+    positive majority, p1 the same for a +1 triplet; q = p - 1/2."""
 
     rho: float
-    epsilon: float
     p3: float
     p1: float
 
@@ -264,7 +263,7 @@ def noise_params(rho: float) -> NoiseParams:
     # minority flips, or it and one majority vote flip; as keep + eps = 1,
     # that is keep^2 + 2 eps^2 keep.
     p1 = keep ** 3 + eps * keep ** 2 + 2.0 * eps ** 2 * keep
-    return NoiseParams(rho=rho, epsilon=eps, p3=p3, p1=p1)
+    return NoiseParams(rho=rho, p3=p3, p1=p1)
 
 
 def t_rho_exact(tallies: TripletTallies, rho: float) -> float:
@@ -389,7 +388,7 @@ def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
     each coordinate flipped with probability 1/3. g maps a (rows, n) +-1
     matrix to a +-1 vector of length rows, else InvalidInputError, and
     runs on the worker threads. A block draws its votes, then its flips,
-    from substream(seed, start); a hit is g(x) == g(y), the estimate
+    from its substream; a hit is g(x) == g(y), the estimate
     1 - 1.5 p over the hit share p, bit-identical at any worker count."""
     n, trials = mc._integer("n", n), mc._integer("trials", trials)
     seed = mc._integer("seed", seed)
@@ -402,12 +401,11 @@ def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
             raise InvalidInputError("g must map each row of votes to +-1")
         return out
 
-    def kernel(seed: int, start: int, stop: int):
-        rng = mc.substream(seed, start)
-        x = rng.integers(0, 2, size=(stop - start, n), dtype=np.int8) * 2 - 1
-        flip = rng.random((stop - start, n)) < 1.0 / 3.0
+    def kernel(rng: np.random.Generator, size: int):
+        x = rng.integers(0, 2, size=(size, n), dtype=np.int8) * 2 - 1
+        flip = rng.random((size, n)) < 1.0 / 3.0
         y = x * (1 - 2 * flip.view(np.int8))
-        return np.ones(stop - start, dtype=bool), signs(x) == signs(y)
+        return (signs(x) == signs(y)).astype(np.intp)
 
     hit = mc._run_trials(kernel, 2, trials, seed, None).proportion(1)
     return replace(hit, estimate=1.0 - 1.5 * hit.estimate,

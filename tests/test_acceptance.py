@@ -199,10 +199,10 @@ def test_criterion_06_conditioned_dice_agreement():
     least 0.95, plus a monotone agreement trend from n=100 to n=400.
 
     Known shortfall: the Gaussian agreement rate at n=200 is genuinely
-    about 0.943 (0.9428 +- 0.0008 measured at 30000 triples; excluding
-    exactly tied pairs lifts it only to 0.9465), crossing 0.95 only near
-    n=280. The test states the 0.95 bound anyway and fails honestly on
-    that sub-check rather than widening the tolerance.
+    below 0.95 (0.94456 +- 0.00013, pinned at 10^6 triples in the
+    README), crossing 0.95 between n=240 and n=260. The test states the
+    0.95 bound anyway and fails honestly on that sub-check rather than
+    widening the tolerance.
     """
     stats = {}
     for dist, seed in (("gaussian", 601), ("shifted-exp", 602)):

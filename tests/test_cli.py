@@ -423,6 +423,17 @@ def test_bad_thread_cap_exits_one_with_json(capsys, monkeypatch):
     assert "INTRANS_THREADS" in payload["message"]
 
 
+
+def test_unwritable_out_exits_one_with_json(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = _run(capsys, ["elections", "--n", "5", "--trials", "10",
+                                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(err.strip())
+    assert payload["error"] == "FileNotFoundError"
+    assert str(out) in payload["message"]
+    assert not out.parent.exists()
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -227,8 +227,9 @@ def test_close_election_family_matches_exact_law_at_n301():
 
 # The block kernels against the per-trial rule they replace, applied row
 # by row to type counts rebuilt from the block's substream in the
-# kernel's documented draw order. Values are compared where accepted only:
-# the engine ignores the value of a rejected trial.
+# kernel's documented draw order. A kernel reports the categories of its
+# accepted trials only, so they are compared, in order, with the rule's
+# categories of the accepted rows.
 
 ELECTION_CONDITIONINGS = {
     2: ({"d": 1}, {"d": 1, "subset": [0]}),
@@ -280,7 +281,7 @@ def _thinned_election_rows(seed, start, size, n, signs, column, d):
     column, as one multinomial over the exact law of those g and the
     rest; stage 2 splits, group by group (weight -1 first), the group
     counts of the survivors, g ascending. Returns one row of ranking
-    counts per survivor, in row order."""
+    counts per survivor, in survivor order."""
     close, law = _close_law(n, d)
     rng = substream(seed, start)
     hits = rng.multinomial(size, [float(p) for p in law]
@@ -306,49 +307,45 @@ def test_election_block_kernel_matches_per_trial_rule(k):
                                            {"n": n, "k": k}, size, seed,
                                            conditioning=cond))
         assert n_cat == 1 << n_pairs
-        accepted, values = kernel(seed, start, start + size)
-        assert accepted.shape == values.shape == (size,)
+        values = kernel(substream(seed, start), size)
+        assert values.dtype.kind == "i"
         check = np.array(cond.get("subset", range(n_pairs)))
         rows = _thinned_election_rows(seed, start, size, n, signs, check[0],
                                       cond["d"])
-        assert not accepted[len(rows):].any()
-        assert not values[len(rows):].any()
-        for i, row in enumerate(rows):
+        expected = []
+        for row in rows:
             margins = row @ signs
             assert row.sum() == n
-            ok = np.max(np.abs(margins[check])) <= cond["d"]
-            assert accepted[i] == ok
-            if ok:
-                assert values[i] == (margins > 0) @ bit_weights
-        assert 0 < np.count_nonzero(accepted) < size
-        assert 0 < len(rows) < size
+            if np.max(np.abs(margins[check])) <= cond["d"]:
+                expected.append((margins > 0) @ bit_weights)
+        assert values.tolist() == expected
+        assert 0 < values.size <= len(rows) < size
 
 
 def test_election_kernel_with_many_close_values_draws_each_trial():
     """With more close values of the first margin than a block has
-    trials, the election kernel draws each trial's stage 1, and row i is
-    trial start + i."""
+    trials, the election kernel draws each trial's stage 1 and reports
+    the accepted trials in trial order."""
     n, d, seed, start, size = 10 ** 8 + 1, 9001, 7, BLOCK_SIZE, 300
     assert experiments._close_upper_counts(n, d) is None
     signs = ranking_sign_matrix(3)
     bit_weights = np.array([4, 2, 1])
     kernel, _ = build_kernel(_spec("election_outcomes", {"n": n}, size,
                                    seed, conditioning={"d": d}))
-    accepted, values = kernel(seed, start, start + size)
+    values = kernel(substream(seed, start), size)
     weights, rows = _staged_rows(seed, start, size, n,
                                  np.full(len(signs), 1 / len(signs)),
                                  signs, 0, d)
-    for i, row in enumerate(rows):
+    expected = []
+    for row in rows:
         if row is None:
-            assert not accepted[i] and values[i] == 0
             continue
         margins = row @ weights
         assert row.sum() == n
-        ok = np.max(np.abs(margins)) <= d
-        assert accepted[i] == ok
-        if ok:
-            assert values[i] == (margins > 0) @ bit_weights
-    assert 0 < np.count_nonzero(accepted) < size
+        if np.max(np.abs(margins)) <= d:
+            expected.append((margins > 0) @ bit_weights)
+    assert values.tolist() == expected
+    assert 0 < values.size < size
     assert 0 < sum(row is None for row in rows) < size
 
 
@@ -391,14 +388,16 @@ def test_huge_close_election_builds_in_constant_memory():
         try:
             spec = _spec("election_outcomes", {"n": n}, BLOCK_SIZE, 4,
                          conditioning={"d": d})
-            kernel, _ = build_kernel(spec)
-            accepted, _ = kernel(4, 0, BLOCK_SIZE)
+            kernel, n_cat = build_kernel(spec)
+            values = kernel(substream(4, 0), BLOCK_SIZE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+        assert values.size <= BLOCK_SIZE
+        assert values.size == 0 or 0 <= values.min() <= values.max() < n_cat
         if d == n:
-            assert accepted.all()
+            assert values.size == BLOCK_SIZE
 
 
 @pytest.mark.parametrize("k,cond", [
@@ -407,22 +406,23 @@ def test_huge_close_election_builds_in_constant_memory():
 ], ids=["k2", "k3-subset-1-2", "k4-subset-1-5", "k3-d-over-n",
         "k2-d-over-n"])
 def test_election_stage_one_draws_the_table(k, cond):
-    """A conditioned block's survivors are its first M rows, M the close
+    """A conditioned block accepts at most its M survivors, M the close
     cells' total in one multinomial of the block size over the stage-1
-    table of the first checked pair; with d >= n every trial survives,
-    and k=2 accepts exactly its survivors."""
+    table of the first checked pair; with d >= n every trial survives and
+    is accepted, and k=2 accepts exactly its survivors."""
     n, seed, start, size = 9, 8, BLOCK_SIZE, 500
-    kernel, _ = build_kernel(_spec("election_outcomes", {"n": n, "k": k},
-                                   size, seed, conditioning=cond))
-    accepted, _ = kernel(seed, start, start + size)
+    kernel, n_cat = build_kernel(_spec("election_outcomes",
+                                       {"n": n, "k": k}, size, seed,
+                                       conditioning=cond))
+    values = kernel(substream(seed, start), size)
     _, table = experiments._close_upper_counts(n, cond["d"])
     survivors = substream(seed, start).multinomial(size, table)[:-1].sum()
-    assert not accepted[survivors:].any()
+    assert values.size <= survivors
+    assert values.size == 0 or 0 <= values.min() <= values.max() < n_cat
     if cond["d"] >= n:
-        assert survivors == size
+        assert survivors == values.size == size
     if k == 2:
-        assert accepted[:survivors].all()
-        assert 0 < survivors
+        assert 0 < survivors == values.size
 
 
 def test_thinned_election_counts_do_not_depend_on_worker_count():
@@ -462,25 +462,21 @@ def test_triplet_block_kernel_matches_per_trial_rule(rho):
                       else ("triplet_noise", {"n": 3 * m, "rho": rho}))
     for d in (1, 3):
         kernel, _ = build_kernel(_spec(family, params, size, seed, {"d": d}))
-        accepted, values = kernel(seed, start, start + size)
-        assert accepted.shape == values.shape == (size,)
+        values = kernel(substream(seed, start), size)
         live_weights, rows = _staged_rows(seed, start, size, m, probs,
                                           weights, 0, d)
         assert len(live_weights) == (44 if rho is None else 64)
-        for i, row in enumerate(rows):
+        expected = []
+        for row in rows:
             if row is None:
-                assert not accepted[i] and values[i] == 0
                 continue
             assert row.sum() == m
-            ok = np.max(np.abs(row @ live_weights)) <= d
-            assert accepted[i] == ok
-            if ok:
+            if np.max(np.abs(row @ live_weights)) <= d:
                 f_signs = row @ np.sign(live_weights)
                 hit = (f_signs > 0).all() or (f_signs < 0).all()
-                assert values[i] == (1 if hit else 0)
-        assert 0 < np.count_nonzero(values[accepted]) < np.count_nonzero(
-            accepted)
-        assert 0 < np.count_nonzero(accepted) < size
+                expected.append(1 if hit else 0)
+        assert values.tolist() == expected
+        assert 0 < np.count_nonzero(values) < values.size < size
         assert 0 < sum(row is None for row in rows) < size
 
 
@@ -508,8 +504,7 @@ def test_unconditioned_block_is_one_multinomial(family, params):
             f_signs = row @ np.sign(weights)
             return int((f_signs > 0).all() or (f_signs < 0).all())
     kernel, _ = build_kernel(_spec(family, params, size, seed))
-    accepted, values = kernel(seed, start, start + size)
-    assert accepted.all()
+    values = kernel(substream(seed, start), size)
     rows = substream(seed, start).multinomial(draws, probs, size=size)
     assert [rule(row) for row in rows] == values.tolist()
     assert len(set(values.tolist())) > 1
@@ -585,9 +580,8 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
         DICE_CHUNK_FACES // (3 * params["n"]))
     kernel, n_cat = build_kernel(_spec("dice_triples", params, size, seed))
     assert n_cat == N_DICE_CATEGORIES
-    accepted, values = kernel(seed, start, start + size)
-    assert accepted.shape == values.shape == (size,)
-    assert accepted.all()
+    values = kernel(substream(seed, start), size)
+    assert values.shape == (size,)
     model = dice_model_from_params(params)
     rng = substream(seed, start)
     classes = set()
@@ -609,16 +603,17 @@ def test_dice_block_memory_is_bounded_by_the_chunk():
     """A full block of 4096 stationary triples at n=512 peaks under 4 MB
     of allocations: it draws DICE_CHUNK_FACES faces at a time, where one
     draw of the whole block peaks at ~500 MB."""
-    kernel, _ = build_kernel(_spec(
+    kernel, n_cat = build_kernel(_spec(
         "dice_triples", {"model": "stationary", "n": 512, "hurst": 0.75},
         BLOCK_SIZE, 3))
     tracemalloc.start()
     try:
-        accepted, _ = kernel(3, 0, BLOCK_SIZE)
+        values = kernel(substream(3, 0), BLOCK_SIZE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert accepted.sum() == BLOCK_SIZE
+    assert values.shape == (BLOCK_SIZE,)
+    assert 0 <= values.min() <= values.max() < n_cat
     assert peak < 4 * 2 ** 20
 
 
@@ -667,8 +662,8 @@ _FAMILY_SPECS = (
 def test_families_report_two_or_more_categories(family, params):
     kernel, n_categories = build_kernel(_spec(family, params, 10, 1))
     assert n_categories >= 2
-    ok, category = kernel(1, 0, 10)
-    assert ok.dtype == bool and category.dtype.kind == "i"
+    category = kernel(substream(1, 0), 10)
+    assert category.shape == (10,) and category.dtype.kind == "i"
     assert category.min() >= 0 and category.max() < n_categories
 
 
@@ -733,6 +728,30 @@ def test_families_reject_keys_they_do_not_take(family):
         _spec(family, {**params, "extra": 1}, 10, 1, conditioning)
     with pytest.raises(InvalidInputError, match="%r.*'extra'" % family):
         _spec(family, params, 10, 1, {**(conditioning or {}), "extra": 1})
+
+
+@pytest.mark.parametrize("family,params,conditioning,key", [
+    ("dice_triples", {"n": 5}, None, "model"),
+    ("dice_triples", {"model": "conditioned", "n": 5}, None, "dist"),
+    ("dice_triples", {"model": "iid", "n": 5}, None, "dist"),
+    ("election_outcomes", {"n": 5}, {"d": 3}, "event"),
+    ("triplet_paradox", {"n": 9}, {"d": 1}, "event"),
+], ids=["model", "conditioned_dist", "iid_dist", "election_event",
+        "triplet_event"])
+def test_a_null_key_is_an_absent_key(family, params, conditioning, key):
+    """A null model, dist or conditioning event means the key is not
+    given: the spec runs, and gives the same counts at the same seed as
+    the spec without it."""
+    if key == "event":
+        with_null = _spec(family, params, 3000, 13, {**conditioning,
+                                                     key: None})
+    else:
+        with_null = _spec(family, {**params, key: None}, 600, 13,
+                          conditioning)
+    without = replace(with_null, params=params, conditioning=conditioning)
+    a, b = estimate_categories(with_null), estimate_categories(without)
+    assert a.accepted == b.accepted > 0
+    np.testing.assert_array_equal(a.counts, b.counts)
 
 
 @pytest.mark.parametrize("family,params,conditioning,key", [

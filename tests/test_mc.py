@@ -26,43 +26,39 @@ from intrans.mc import (
 def _build_coin(spec):
     p = float(spec.params.get("p", 0.5))
 
-    def kernel(seed, start, stop):
-        heads = substream(seed, start).random(stop - start) < p
-        return np.ones(stop - start, dtype=bool), heads.astype(np.intp)
+    def kernel(rng, size):
+        return (rng.random(size) < p).astype(np.intp)
 
     return kernel, 2
 
 
 @register_family("test_never")
 def _build_never(spec):
-    def kernel(seed, start, stop):
-        return (np.zeros(stop - start, dtype=bool),
-                np.zeros(stop - start, dtype=np.intp))
+    def kernel(rng, size):
+        return np.zeros(0, dtype=np.intp)
 
     return kernel, 2
 
 
 @register_family("test_mod_cond")
 def _build_mod_cond(spec):
-    def kernel(seed, start, stop):
-        t = np.arange(start, stop)
-        return t % 3 == 0, (t % 6 == 0).astype(np.intp)
+    def kernel(rng, size):
+        t = np.arange(size)
+        return (t[t % 3 == 0] % 6 == 0).astype(np.intp)
 
     return kernel, 2
 
 
 @register_family("test_mod_cat")
 def _build_mod_cat(spec):
-    def kernel(seed, start, stop):
-        t = np.arange(start, stop)
-        return np.ones(t.size, dtype=bool), t % 4
+    def kernel(rng, size):
+        return np.arange(size) % 4
 
     return kernel, 4
 
 
-def _always(seed, start, stop):
-    return (np.ones(stop - start, dtype=bool),
-            np.zeros(stop - start, dtype=np.intp))
+def _always(rng, size):
+    return np.zeros(size, dtype=np.intp)
 
 
 def _spec(family, trials, seed=0, params=None, workers=None):
@@ -249,9 +245,9 @@ _DRAWN = []
 
 @register_family("test_logged_coin")
 def _build_logged_coin(spec):
-    def kernel(seed, start, stop):
-        _DRAWN.append((seed, start, stop))
-        return _always(seed, start, stop)
+    def kernel(rng, size):
+        _DRAWN.append(size)
+        return _always(rng, size)
 
     return kernel, 2
 
@@ -261,7 +257,7 @@ def test_acceptance_floor_outside_unit_interval_is_a_typed_error(
         floor, monkeypatch):
     """A floor outside (0, 1] is rejected before any block is drawn; at
     the strictest floor, whose probe is the run, a 100-trial run draws
-    the one block (0, 100)."""
+    one block of 100 trials."""
     monkeypatch.setattr(mc, "ACCEPTANCE_FLOOR", floor)
     _DRAWN.clear()
     for estimator in (estimate_categories, estimate_probability):
@@ -270,7 +266,7 @@ def test_acceptance_floor_outside_unit_interval_is_a_typed_error(
     assert _DRAWN == []
     monkeypatch.setattr(mc, "ACCEPTANCE_FLOOR", 1.0)
     estimate_probability(_spec("test_logged_coin", 100))
-    assert _DRAWN == [(0, 0, 100)]
+    assert _DRAWN == [100]
 
 
 def test_results_do_not_depend_on_the_acceptance_floor(monkeypatch):
@@ -319,3 +315,47 @@ def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.delenv("INTRANS_THREADS")
     assert resolve_workers(3) == 3
     assert resolve_workers(None) >= 1
+
+
+# ------------------------------------------------------------- streams
+
+
+# A valid spec of each family the package registers, conditioned where
+# the family takes conditioning.
+_PACKAGE_SPECS = {
+    "election_outcomes": ({"n": 5, "k": 3}, {"d": 1}),
+    "triplet_paradox": ({"n": 9}, {"d": 1}),
+    "triplet_noise": ({"n": 9, "rho": 0.5}, {"d": 1}),
+    "dice_triples": ({"model": "iid", "n": 4}, None),
+    "orthant3": ({"r": 0.2}, None),
+}
+
+
+@pytest.mark.parametrize("family", sorted(
+    name for name, builder in mc._FAMILIES.items()
+    if builder.__module__ == "intrans.experiments"))
+def test_the_engine_makes_one_stream_per_block(family, monkeypatch):
+    """The engine makes each block's substream, substream(seed, start),
+    and nothing else makes one: a run of three blocks and 17 trials
+    makes exactly four, one at each block start, at one worker thread or
+    two, and gives the same counts at both."""
+    params, conditioning = _PACKAGE_SPECS[family]
+    spec = ExperimentSpec(family=family, params=params,
+                          trials=3 * BLOCK_SIZE + 17, seed=5,
+                          conditioning=conditioning)
+    made = []
+
+    def counted(seed, trial):
+        made.append((seed, trial))
+        return substream(seed, trial)
+
+    monkeypatch.setattr(mc, "substream", counted)
+    counts = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("INTRANS_THREADS", threads)
+        made.clear()
+        counts.append(estimate_categories(spec).counts)
+        assert sorted(made) == [(5, start) for start in
+                                (0, BLOCK_SIZE, 2 * BLOCK_SIZE,
+                                 3 * BLOCK_SIZE)]
+    np.testing.assert_array_equal(*counts)

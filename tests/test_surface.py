@@ -1,9 +1,9 @@
 """The package's public surface: every public top-level name in
-src/intrans, every public method or property of a public class, and
-every defaulted parameter of a public function or method is used by the
-package itself or by the acceptance suite. So a definition, a member or
-an option that only its own unit tests reach does not come back
-unnoticed. The scans parse the source; they import nothing. One more
+src/intrans, every public method or property of a public class, every
+field of a public dataclass, and every defaulted parameter of a public
+function or method is used by the package itself or by the acceptance
+suite. So a definition, a member, a field or an option that only its
+own unit tests reach does not come back unnoticed. The scans parse the source; they import nothing. One more
 test imports the package in a fresh interpreter, to check that the
 experiment families are registered by the package import alone."""
 
@@ -101,6 +101,20 @@ def _public_members(tree):
                     yield node, item
 
 
+def _public_fields(tree):
+    """(class, field) for each public annotated field of a public
+    top-level dataclass."""
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and any(getattr(getattr(d, "func", d), "id", None)
+                        == "dataclass" for d in node.decorator_list)):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield node, item.target.id
+
+
 def _public_functions(tree):
     """(name, function, leading) for each public top-level function and
     public member; leading is the count of arguments a call does not
@@ -167,19 +181,21 @@ def _unpassed_defaults():
 
 
 def _unread_members():
-    """"Class.member" for each public member whose name no module of the
-    package and nothing in tests/test_acceptance.py reads as an
-    attribute, and for each member of ABSENT_MEMBERS that is defined."""
+    """"Class.member" for each public member or dataclass field whose
+    name no module of the package and nothing in tests/test_acceptance.py
+    reads as an attribute, and for each member of ABSENT_MEMBERS that is
+    defined."""
     trees = _package_trees()
     read = set()
     for tree in [*trees.values(), _acceptance_tree()]:
         read.update(node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute))
-    return ["%s.%s" % (cls.name, member.name)
-            for tree in trees.values()
-            for cls, member in _public_members(tree)
-            if member.name not in read
-            or "%s.%s" % (cls.name, member.name) in ABSENT_MEMBERS]
+    members = [(cls.name, member.name) for tree in trees.values()
+               for cls, member in _public_members(tree)]
+    members += [(cls.name, field) for tree in trees.values()
+                for cls, field in _public_fields(tree)]
+    return ["%s.%s" % (cls, name) for cls, name in members
+            if name not in read or "%s.%s" % (cls, name) in ABSENT_MEMBERS]
 
 
 def test_every_public_name_has_a_reader():
@@ -200,8 +216,8 @@ def test_every_default_is_passed_by_some_call():
 def test_every_public_member_has_a_reader():
     unread = [m for m in _unread_members() if m not in ALLOWED_MEMBERS]
     assert unread == [], (
-        "public members read only by their own unit tests; delete them, or "
-        "give a reason in ALLOWED_MEMBERS")
+        "public members or dataclass fields read only by their own unit "
+        "tests; delete them, or give a reason in ALLOWED_MEMBERS")
 
 
 def test_allowlist_names_only_unread_names():

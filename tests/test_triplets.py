@@ -215,9 +215,8 @@ def test_triplet_covariances_exact():
 
 def test_noise_params_endpoints():
     clean = noise_params(1.0)
-    assert (clean.epsilon, clean.p3, clean.p1) == (0.0, 1.0, 1.0)
+    assert (clean.p3, clean.p1) == (1.0, 1.0)
     flat = noise_params(0.0)
-    assert flat.epsilon == 0.5
     assert flat.p3 == pytest.approx(0.5, abs=1e-15)
     assert flat.p1 == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(DomainError):
