@@ -13,7 +13,7 @@ die's faces. numpy sorts float64 rows with SIMD at a few ns a face,
 about ten times less than a binary search or a stable argsort costs per
 face. The label moves a face by at most one ulp, so the merge is exact
 unless two faces share a value once the bit is cleared; only those
-rows, which continuous dice almost never hold, are counted again by
+rows (continuous dice almost never hold one) are counted again by
 binary search.
 """
 

@@ -12,10 +12,10 @@ writer: results go to a fixed-column CSV (stdout when --out is omitted or
 `-`) with a JSON metadata sidecar next to the file. A `--config FILE`
 JSON object is read once and its keys become `--key=value` flags placed
 right after the subcommand, so argparse checks them exactly like flags,
-an explicit flag (which comes later) wins, and a null value leaves its
+an explicit flag (it comes later) wins, and a null value leaves its
 flag unset. Flags and keys must be spelled out in full. Exit codes: 0
 success, 1 failure during a run (machine-readable JSON on stderr), 2
-usage error, which includes every value the experiment family rejects
+usage error, including every value the experiment family rejects
 and every key it does not take, so a flag the chosen model ignores (--rho
 without --mode noise, --hurst without --model stationary, --dist with
 --model discrete or stationary, --subset-excl without --d).
@@ -41,6 +41,13 @@ import numpy as np
 from . import __version__
 from .distributions import DISTRIBUTIONS, get_distribution
 from .errors import IntransError, InvalidInputError
+from .experiments import (
+    condorcet_probability,
+    lag_products,
+    outcome_categories,
+    summarize_dice_categories,
+    transitive_probability,
+)
 from .gaussian import (
     CorrelationKernel,
     beta_constant,
@@ -60,7 +67,11 @@ from .mc import (
     estimate_probability,
     resolve_workers,
 )
-from .samplers import lex_pair_index
+from .samplers import (
+    lex_pair_index,
+    sample_continuous_conditioned,
+    sample_discrete_conditioned,
+)
 from .triplets import (
     alpha_rho,
     alpha_star,
@@ -131,7 +142,7 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
             "spec": json.loads(spec_json),
             "accepted": result.accepted,
             "wall_time_ms": result.wall_time_ms,
-            "workers": resolve_workers(spec.workers),
+            "workers": resolve_workers(None),
             "block_size": BLOCK_SIZE,
             "stream_scheme": STREAM_SCHEME,
             "package_version": __version__,
@@ -171,8 +182,6 @@ def _cmd_dice(args, parser) -> int:
     params = _given(model=args.model, n=args.n, dist=dist, hurst=args.hurst)
     spec = _make_spec(parser, "dice_triples", params, args.triples,
                       args.seed)
-    from .experiments import summarize_dice_categories
-
     counts = estimate_categories(spec)
     summary = summarize_dice_categories(counts)
     return _report(args, spec, counts,
@@ -211,12 +220,6 @@ def _cmd_elections(args, parser) -> int:
     spec = _make_spec(parser, "election_outcomes", {"n": args.n, "k": k},
                       args.trials, args.seed,
                       _closeness(d=args.d, subset=subset))
-    from .experiments import (
-        condorcet_probability,
-        outcome_categories,
-        transitive_probability,
-    )
-
     counts = estimate_categories(spec)
     # Every outcome's share and Wald stderr at once, in the operations
     # and order of CategoryCounts.proportion, so the values are the same.
@@ -317,8 +320,7 @@ def _suite_predictors() -> list:
     beta = beta_constant(CorrelationKernel.fbm(0.5))
     checks.append(_check("beta_iid_sixth", abs(beta - 1.0 / 6.0) <= 1e-12,
                          "beta(H=1/2)=%.15f target 1/6" % beta))
-    val = pair_prob_asymptotic(get_distribution("uniform"), 100,
-                               "joint_two_conditioned")
+    val = pair_prob_asymptotic(get_distribution("uniform"), 100)
     target = 0.25 - 1.0 / 600.0
     checks.append(_check("uniform_joint_two_n100",
                          abs(val - target) <= 1e-12,
@@ -362,12 +364,6 @@ def _suite_predictors() -> list:
 
 
 def _suite_samplers() -> list:
-    from .experiments import lag_products
-    from .samplers import (
-        sample_continuous_conditioned,
-        sample_discrete_conditioned,
-    )
-
     checks = []
     rng = np.random.default_rng(20260818)
     gauss = get_distribution("gaussian")

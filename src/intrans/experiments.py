@@ -61,22 +61,23 @@ DICE_CHUNK_FACES = 8192
 _REQUIRED = object()
 
 
-def _param(params: dict, key: str, family: str, convert=mc._integer,
+def _param(mapping, key: str, family: str, kind: str, convert=mc._integer,
            default=_REQUIRED):
-    """convert(key, value) of a family param (an integer by default), or
-    default when it is absent or null; a typed error names the family and
-    the key when a required param is missing or a value cannot be read."""
-    value = params.get(key)
+    """convert(key, value) of a family param or conditioning key, as kind
+    says (an integer by default), or default when it is absent or null; a
+    typed error names the family, the kind and the key when a required
+    key is missing or a value cannot be read."""
+    value = mapping.get(key)
     if value is None:
         if default is _REQUIRED:
             raise InvalidInputError(
-                "family %r needs the param %r" % (family, key))
+                "family %r needs the %s %r" % (family, kind, key))
         return default
     try:
         return convert(key, value)
     except (TypeError, ValueError):
-        raise InvalidInputError("family %r cannot read the param %r = %r"
-                                % (family, key, value)) from None
+        raise InvalidInputError("family %r cannot read the %s %r = %r"
+                                % (family, kind, key, value)) from None
 
 
 def _as_given(key: str, value):
@@ -105,14 +106,15 @@ def _conditioning_fields(spec: ExperimentSpec, *keys):
     cond = spec.conditioning
     if cond is None:
         return None, None
-    _only(cond, spec.family, "conditioning key", "event", "d", *keys)
-    event = _param(cond, "event", spec.family, _as_given, "close")
+    kind = "conditioning key"
+    _only(cond, spec.family, kind, "event", "d", *keys)
+    event = _param(cond, "event", spec.family, kind, _as_given, "close")
     if event != "close":
         raise InvalidInputError("unknown conditioning event %r" % (event,))
-    d = _param(cond, "d", spec.family)
+    d = _param(cond, "d", spec.family, kind)
     if d < 1:
         raise InvalidInputError("conditioning needs a threshold d >= 1")
-    subset = _param(cond, "subset", spec.family,
+    subset = _param(cond, "subset", spec.family, kind,
                     lambda key, s: tuple(mc._integer(key, i) for i in s), None)
     return d, subset
 
@@ -130,9 +132,9 @@ def _close_upper_counts(draws: int, d: int):
     pair's earlier candidate first, is Binomial(draws, 1/2). Returns the
     values of g where the margin is at most d >= 1 in absolute value,
     ascending, and a table of their probabilities C(draws, g) / 2^draws
-    followed by the rest, 1 - P(close), which is exactly 0 when d >=
-    draws; or None when more than BLOCK_SIZE values of g are close, where
-    drawing each trial's g is no dearer than the table.
+    followed by the rest, 1 - P(close), exactly 0 when d >= draws; or
+    None when more than BLOCK_SIZE values of g are close, where drawing
+    each trial's g is no dearer than the table.
 
     Below _EXACT_TABLE_DRAWS every entry is an exact integer ratio, so it
     is correctly rounded. From it on the middle term, at m = draws // 2,
@@ -249,8 +251,8 @@ def _build_election_outcomes(spec: ExperimentSpec):
     kernel is built once per (n, k, d, checked pairs) by _election_kernel.
     """
     _only(spec.params, spec.family, "param", "n", "k")
-    n = _param(spec.params, "n", spec.family)
-    k = _param(spec.params, "k", spec.family, default=3)
+    n = _param(spec.params, "n", spec.family, "param")
+    k = _param(spec.params, "k", spec.family, "param", default=3)
     if n < 1 or n % 2 == 0:
         raise ParityError("voter count must be odd to exclude ties")
     if not 2 <= k <= 5:
@@ -261,7 +263,9 @@ def _build_election_outcomes(spec: ExperimentSpec):
         check = tuple(range(n_pairs))
     else:
         check = tuple(sorted(set(subset)))
-        if not check or check[0] < 0 or check[-1] >= n_pairs:
+        if not check:
+            raise InvalidInputError("the conditioning subset names no pair")
+        if check[0] < 0 or check[-1] >= n_pairs:
             raise InvalidInputError("subset indexes lex pairs 0..K-1")
     return _election_kernel(n, k, d, check), 1 << n_pairs
 
@@ -328,13 +332,14 @@ def _build_triplet(spec: ExperimentSpec):
     kernel tallies the three margins, then those three sums."""
     noise = spec.family == "triplet_noise"
     _only(spec.params, spec.family, "param", "n", "rho" if noise else "n")
-    n = _param(spec.params, "n", spec.family)
+    n = _param(spec.params, "n", spec.family, "param")
     if n < 3 or n % 3 != 0:
         raise InvalidInputError("vote count must be a positive multiple of 3")
     m = n // 3
     if m % 2 == 0:
         raise ParityError("the number of triplets must be odd")
-    rho = _param(spec.params, "rho", spec.family, _real) if noise else None
+    rho = (_param(spec.params, "rho", spec.family, "param", _real) if noise
+           else None)
     d, _ = _conditioning_fields(spec)
     probs, weights = triplet_cell_tables(rho)
 
@@ -358,22 +363,23 @@ def dice_model_from_params(params: dict):
     dist stands for the default, and any other key is an error naming the
     model."""
     family = "dice_triples"
-    name = str(_param(params, "model", family, _as_given, "conditioned"))
+    name = str(_param(params, "model", family, "param", _as_given,
+                      "conditioned"))
     if name not in _DICE_MODEL_PARAMS:
         raise InvalidInputError("unknown dice model %r" % (name,))
     _only(params, family, "%r model param" % name, "model", "n",
           *_DICE_MODEL_PARAMS[name])
-    n = _param(params, "n", family)
+    n = _param(params, "n", family, "param")
     least = 2 if name == "conditioned" else 1
     if n < least:
         raise DomainError("the %s model needs n >= %d" % (name, least))
     if name == "discrete":
         return DiscreteConditioned(n=n)
     if name == "stationary":
-        hurst = _param(params, "hurst", family, _real)
+        hurst = _param(params, "hurst", family, "param", _real)
         return StationaryGaussian(n=n, kernel=CorrelationKernel.fbm(hurst))
-    dist = get_distribution(_param(params, "dist", family, _as_given,
-                                   "uniform"))
+    dist = get_distribution(_param(params, "dist", family, "param",
+                                   _as_given, "uniform"))
     if name == "conditioned":
         return ContinuousConditioned(n=n, dist=dist)
     return IidContinuous(n=n, dist=dist)
@@ -469,11 +475,11 @@ def _build_orthant3(spec: ExperimentSpec):
     substream. It takes no conditioning."""
     _only(spec.params, spec.family, "param", "r")
     _only(spec.conditioning or {}, spec.family, "conditioning key")
-    r = _param(spec.params, "r", spec.family, _real)
+    r = _param(spec.params, "r", spec.family, "param", _real)
     if not -0.5 < r <= 1.0:
         raise DomainError("equicorrelation must lie in (-1/2, 1]")
     cov = np.full((3, 3), r) + (1.0 - r) * np.eye(3)
-    # eigendecomposition square root: cov is singular at r = 1, which is
+    # eigendecomposition square root: cov is singular at r = 1, a value
     # inside the documented domain, so Cholesky would reject it
     evals, evecs = np.linalg.eigh(cov)
     root_t = (evecs * np.sqrt(np.clip(evals, 0.0, None))).T

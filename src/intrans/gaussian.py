@@ -1,6 +1,6 @@
 """Hermite-expansion constants, closed-form identities, and variance series
 for stationary Gaussian dice, plus the asymptotic pair-probability
-predictors for conditioned i.i.d. dice.
+predictor for conditioned i.i.d. dice.
 
 Central objects:
 
@@ -11,12 +11,12 @@ Central objects:
 - the fractional-Brownian-increment correlation kernel s_H;
 - Var(W) and the cyclic-sum variance of stationary Gaussian dice, beta
   and E[Phi(X) Phi(Y)], each the exact sum of its Hermite series;
-- per-distribution constants (A, B, cumulants) feeding the 1/n expansions
-  of pairwise comparison probabilities for sum-conditioned dice.
+- per-distribution constants (a, b) and the 1/n expansion of a joint
+  pairwise comparison probability for sum-conditioned dice.
 
 Numerical conventions: binomials and factorials in log space and partial
 sums accumulated with math.fsum. Every full Hermite series here is a sum
-of terms d_{2q+1}^2 (2q+1)! x^{2q+1}, which is Sheppard's orthant
+of terms d_{2q+1}^2 (2q+1)! x^{2q+1}, that is Sheppard's orthant
 covariance arcsin(x) / (2 pi) for |x| <= 1 (at x = 1 it is the quarter
 identity), so those series are evaluated in closed form, with no
 truncation (see _orthant_cov).
@@ -116,8 +116,8 @@ def s_kernel(k, H: float):
 def s_lag_partial_sum(n: int, H: float) -> float:
     """Closed form of sum_{|v| <= n} s_H(v): (1/2)((n+1)^{2H} - n^{2H}).
 
-    The sum telescopes; for H < 1/2 it decreases to 0, which is the
-    zero-sum property of the negatively correlated regime.
+    The sum telescopes; for H < 1/2 it decreases to 0: the zero-sum
+    property of the negatively correlated regime.
     """
     if not 0.0 < H < 1.0:
         raise DomainError("Hurst index must lie in (0, 1)")
@@ -258,21 +258,14 @@ def beta_constant(kernel: CorrelationKernel) -> float:
 
 @dataclass(frozen=True)
 class DistConstants:
-    """Integral constants of a face distribution used by the 1/n expansions.
-
-    a = E[x F(x)], b = E[x^2 F(x)], gamma3 the third cumulant and
-    alpha2 = gamma3/2, the skewness term of the expansions.
+    """Integral constants of a face distribution: a = E[x F(x)], the
+    constant of the 1/n expansion, and b = E[x^2 F(x)].
     a^2 <= 1/12 always, with equality only for the symmetric uniform law.
     """
 
     name: str
     a: float
     b: float
-    gamma3: float
-
-    @property
-    def alpha2(self) -> float:
-        return self.gamma3 / 2.0
 
 
 def _expectation(dist: FaceDistribution, integrand) -> float:
@@ -289,9 +282,7 @@ def _dist_constants_by_name(name: str) -> DistConstants:
     dist = get_distribution(name)
     a = _expectation(dist, lambda x: x * float(dist.cdf(x)))
     b = _expectation(dist, lambda x: x * x * float(dist.cdf(x)))
-    # Mean 0, variance 1: the third cumulant is the third moment.
-    m3 = _expectation(dist, lambda x: x ** 3)
-    return DistConstants(name=name, a=a, b=b, gamma3=m3)
+    return DistConstants(name=name, a=a, b=b)
 
 
 def dist_constants(dist) -> DistConstants:
@@ -299,35 +290,10 @@ def dist_constants(dist) -> DistConstants:
     return _dist_constants_by_name(get_distribution(dist).name)
 
 
-# The four 1/n-expansion kinds for sum-conditioned dice. Conditioning
-# events: "one" = die a's face-sum pinned to zero, "two" = both a and b.
-PAIR_PROB_KINDS = {
-    # P[a1 > b1 and a2 > b2 | both sums zero]
-    "joint_two_conditioned": lambda c, n: 0.25 - 2.0 * c.a ** 2 / n,
-    # P[a1 > b1 | a's sum zero]
-    "beats_one_conditioned": lambda c, n: (
-        0.5 + 1.0 / (4 * n) + c.alpha2 * c.a / n - c.b / (2 * n)),
-    # P[a1 > b1 and a2 > b2 | a's sum zero]
-    "joint_one_conditioned": lambda c, n: (
-        0.25 + 1.0 / (4 * n) + c.alpha2 * c.a / n - c.b / (2 * n)
-        - c.a ** 2 / n),
-    # P[a1 > b1 and a2 > c1 | a's and b's sums zero]
-    "cross_two_conditioned": lambda c, n: (
-        0.25 + 1.0 / (8 * n) + c.alpha2 * c.a / (2 * n) - c.b / (4 * n)
-        - c.a ** 2 / n),
-}
-
-
-def pair_prob_asymptotic(dist, n: int, which: str) -> float:
-    """First-order 1/n expansion of a pairwise comparison probability for
-    sum-conditioned i.i.d. dice; see PAIR_PROB_KINDS for the four kinds."""
+def pair_prob_asymptotic(dist, n: int) -> float:
+    """First-order 1/n expansion 1/4 - 2 a^2 / n of P[a1 > b1 and a2 > b2]
+    for two i.i.d. n-face dice a and b whose face sums are both
+    conditioned to zero."""
     if n < 1:
         raise InvalidInputError("n must be positive")
-    try:
-        formula = PAIR_PROB_KINDS[which]
-    except KeyError:
-        raise InvalidInputError(
-            "unknown expansion kind %r (choose from %s)"
-            % (which, sorted(PAIR_PROB_KINDS))
-        ) from None
-    return formula(dist_constants(dist), float(n))
+    return 0.25 - 2.0 * dist_constants(dist).a ** 2 / float(n)

@@ -6,8 +6,8 @@ the key is two splitmix64 words derived from the seed, and
 substream(seed, i) starts the 256-bit counter at [0, i, 0, 0], so index
 i owns a disjoint 2^64 stretch of the counter space. The engine makes
 one substream per block, substream(seed, start) for the block of trials
-start..stop-1, and hands it to the family's kernel, which draws the
-whole block from it in an order the family documents.
+start..stop-1, and hands it to the family's kernel; the kernel draws
+the whole block from it in an order the family documents.
 
 Every accepted trial reports one category index, and the engine reduces
 a run to integer counts per category: a block's counts are a bincount of
@@ -174,13 +174,15 @@ class ExperimentSpec:
 
     family names a registered experiment kind, params configure the model,
     conditioning (optional) holds the closeness event {"d": int, "subset":
-    [pair indices] or None}. Equal specs produce bit-identical estimates.
+    [pair indices] or None}. Equal specs produce bit-identical estimates
+    at any worker count, so the count (INTRANS_THREADS, see
+    resolve_workers) is not part of the spec.
 
     A spec is checked when it is made: params and conditioning (or None)
-    must be mappings, trials, seed and workers (or None) integers, kept as
-    Python ints, trials and workers at least 1, and the spec JSON; then
-    the family's builder runs once, so a param or conditioning key or
-    value the family does not take raises InvalidInputError here.
+    must be mappings, trials and seed integers, kept as Python ints,
+    trials at least 1, and the spec JSON; then the family's builder runs
+    once, so a param or conditioning key or value the family does not
+    take raises InvalidInputError here.
     """
 
     family: str
@@ -188,20 +190,16 @@ class ExperimentSpec:
     trials: int
     seed: int
     conditioning: Optional[dict] = None
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if not (isinstance(self.params, Mapping) and isinstance(
                 self.conditioning, (Mapping, type(None)))):
             raise InvalidInputError(
                 "params must be a mapping, conditioning a mapping or None")
-        for name in ("trials", "seed", "workers"):
-            value = getattr(self, name)
-            if not (name == "workers" and value is None):
-                object.__setattr__(self, name, _integer(name, value))
-        workers = 1 if self.workers is None else self.workers
-        if min(self.trials, workers) < 1:
-            raise InvalidInputError("need at least one trial and one worker")
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.trials < 1:
+            raise InvalidInputError("need at least one trial")
         try:
             self.to_json()
         except (TypeError, ValueError) as e:
@@ -271,8 +269,9 @@ def build_kernel(spec: ExperimentSpec):
 
 
 def resolve_workers(requested: Optional[int]) -> int:
-    """Requested worker count, capped by INTRANS_THREADS when set;
-    hardware default otherwise."""
+    """The worker count: INTRANS_THREADS when set, else the CPU count
+    (the engine asks with None); a requested count is capped by
+    INTRANS_THREADS."""
     cap = os.environ.get("INTRANS_THREADS")
     try:
         cap_n = max(1, int(cap)) if cap else None
@@ -312,12 +311,12 @@ def _run_phase(kernel, seed, start, stop, workers, n_categories):
 
 
 def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
-                seed: int, workers: Optional[int]) -> CategoryCounts:
+                seed: int) -> CategoryCounts:
     acceptance_floor = ACCEPTANCE_FLOOR
     if not 0.0 < acceptance_floor <= 1.0:
         raise InvalidInputError("ACCEPTANCE_FLOOR must lie in (0, 1], got %r"
                                 % (acceptance_floor,))
-    workers = resolve_workers(workers)
+    workers = resolve_workers(None)
     # The probe is whole blocks, so every block starts at a multiple of
     # BLOCK_SIZE whatever the floor.
     probe_blocks = math.ceil(math.ceil(3.0 / acceptance_floor) / BLOCK_SIZE)
@@ -344,8 +343,7 @@ def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
 def estimate_categories(spec: ExperimentSpec) -> CategoryCounts:
     """Category counts over accepted trials."""
     kernel, n_categories = build_kernel(spec)
-    return _run_trials(kernel, n_categories, spec.trials, spec.seed,
-                       spec.workers)
+    return _run_trials(kernel, n_categories, spec.trials, spec.seed)
 
 
 def estimate_probability(spec: ExperimentSpec) -> MonteCarloEstimate:
@@ -356,5 +354,4 @@ def estimate_probability(spec: ExperimentSpec) -> MonteCarloEstimate:
         raise InvalidInputError(
             "family %r reports %d categories, not a hit/miss pair"
             % (spec.family, n_categories))
-    return _run_trials(kernel, 2, spec.trials, spec.seed,
-                       spec.workers).proportion(1)
+    return _run_trials(kernel, 2, spec.trials, spec.seed).proportion(1)

@@ -37,7 +37,7 @@ class Tournament:
             raise InvalidInputError(
                 "orientation vector must have length C(k,2) = %d" % expected
             )
-        # Checked before the cast, which would truncate 1.5 to 1.
+        # Checked before the cast, since it would truncate 1.5 to 1.
         if y.dtype.kind not in "iuf" or not np.all(np.abs(y) == 1):
             raise InvalidInputError("orientations must be +1 or -1")
         y = y.astype(np.int8)

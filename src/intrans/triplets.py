@@ -407,6 +407,6 @@ def kalai_paradox(g: Callable[[np.ndarray], np.ndarray], n: int,
         y = x * (1 - 2 * flip.view(np.int8))
         return (signs(x) == signs(y)).astype(np.intp)
 
-    hit = mc._run_trials(kernel, 2, trials, seed, None).proportion(1)
+    hit = mc._run_trials(kernel, 2, trials, seed).proportion(1)
     return replace(hit, estimate=1.0 - 1.5 * hit.estimate,
                    stderr=1.5 * hit.stderr)

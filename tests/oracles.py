@@ -294,6 +294,43 @@ def close_election_law(n_voters, d):
             math.exp(log_total))
 
 
+def election_margin_law(n_voters, k, d=None):
+    """Exact tournament outcome law of a k-candidate impartial-culture
+    election, conditioned on every pairwise margin being at most d, by
+    dynamic programming over voters: a map from the margin vector over
+    the lex pairs to the integer number of ranking sequences reaching
+    it, one voter (k! rankings) at a time.
+
+    Returns ({category_index: Fraction}, acceptance Fraction), the index
+    setting bit 2^(P-1-p) when the lex-earlier candidate wins pair p of
+    P, as election_outcome_distribution does for k=3.
+    """
+    pair_list = list(itertools.combinations(range(k), 2))
+    steps = []
+    for perm in itertools.permutations(range(k)):
+        pos = {c: i for i, c in enumerate(perm)}
+        steps.append(tuple(1 if pos[i] < pos[j] else -1
+                           for i, j in pair_list))
+    ways = {(0,) * len(pair_list): 1}
+    for _ in range(n_voters):
+        step = {}
+        for margins, count in ways.items():
+            for signs in steps:
+                key = tuple(m + s for m, s in zip(margins, signs))
+                step[key] = step.get(key, 0) + count
+        ways = step
+    dist = {}
+    for margins, count in ways.items():
+        if d is not None and max(abs(m) for m in margins) > d:
+            continue
+        idx = sum(1 << (len(pair_list) - 1 - p)
+                  for p, m in enumerate(margins) if m > 0)
+        dist[idx] = dist.get(idx, 0) + count
+    total = sum(dist.values())
+    return ({idx: Fraction(c, total) for idx, c in dist.items()},
+            Fraction(total, math.factorial(k) ** n_voters))
+
+
 def iid_triple_class_distribution(n):
     """Exact (transitive, intransitive, tied) probabilities for a triple
     of independent n-face dice with a continuous face law, by enumerating
@@ -482,22 +519,41 @@ def triplet_paradox_by_profiles(n_votes, d, trials, rng):
     return hits, accepted
 
 
-def triplet_paradox_exact(m, d):
-    """Exact close-election paradox law for m triplets of uniform-ranking
-    voters, as (P[the three triplet majorities agree | every margin is
-    at most d], P[every margin is at most d]) in Fractions. One
-    triplet's 216 ranking profiles give the law of its three weights and
-    their signs; m independent triplets are convolved one at a time."""
-    votes = []
-    for perm in itertools.permutations(range(3)):
-        pos = {c: i for i, c in enumerate(perm)}
-        votes.append(tuple(1 if pos[a] < pos[b] else -1
-                           for a, b in ((0, 1), (1, 2), (2, 0))))
+def noise_vote_law(rho):
+    """The 8 vote patterns (ab, bc, ca) of one correlated-noise voter
+    with their Fraction probabilities: a hidden fair sign s, and each
+    vote equal to s with probability (1 + rho) / 2, independently."""
+    agree = (1 + Fraction(rho)) / 2
+    law = {}
+    for votes in itertools.product((1, -1), repeat=3):
+        ups = votes.count(1)
+        law[votes] = (agree ** ups * (1 - agree) ** (3 - ups)
+                      + (1 - agree) ** ups * agree ** (3 - ups)) / 2
+    return law
+
+
+def triplet_paradox_exact(m, d, rho=None):
+    """Exact close-election paradox law for m triplets of voters, as
+    (P[the three triplet majorities agree | every margin is at most d],
+    P[every margin is at most d]) in Fractions. Voters rank uniformly
+    (6 cyclic vote patterns) when rho is None, else follow
+    noise_vote_law(rho) at a rational rho (8 patterns). One triplet's
+    voter-pattern profiles give the law of its three weights and their
+    signs; m independent triplets are convolved one at a time."""
+    if rho is None:
+        voter = {}
+        for perm in itertools.permutations(range(3)):
+            pos = {c: i for i, c in enumerate(perm)}
+            voter[tuple(1 if pos[a] < pos[b] else -1
+                        for a, b in ((0, 1), (1, 2), (2, 0)))] = \
+                Fraction(1, 6)
+    else:
+        voter = noise_vote_law(rho)
     one = {}
-    for trio in itertools.product(votes, repeat=3):
+    for trio in itertools.product(voter, repeat=3):
         w = tuple(sum(v[p] for v in trio) for p in range(3))
         key = w + tuple(1 if x > 0 else -1 for x in w)
-        one[key] = one.get(key, 0) + Fraction(1, 216)
+        one[key] = one.get(key, 0) + math.prod(voter[v] for v in trio)
     law = {(0,) * 6: Fraction(1)}
     for _ in range(m):
         step = {}

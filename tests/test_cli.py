@@ -401,6 +401,27 @@ def test_ignored_flag_error_names_the_family_and_the_key(capsys):
         assert "%r" % family in err and "%r" % key in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["elections", "--n", "5", "--subset-excl", "1", "--trials", "10"],
+     "family 'election_outcomes' needs the conditioning key 'd'"),
+    (["elections", "--n", "3", "--k", "2", "--d", "1", "--subset-excl", "0",
+      "--trials", "10"], "the conditioning subset names no pair"),
+], ids=["subset_without_d", "empty_subset"])
+def test_conditioning_errors_name_what_is_wrong(capsys, argv, message):
+    _usage_error(argv)
+    assert message in capsys.readouterr().err
+
+
+def test_sidecar_workers_is_the_thread_setting(tmp_path, monkeypatch):
+    monkeypatch.setenv("INTRANS_THREADS", "3")
+    out_path = tmp_path / "el.csv"
+    assert main(["elections", "--n", "5", "--trials", "10",
+                 "--out", str(out_path)]) == 0
+    meta = json.loads((tmp_path / "el.csv.meta.json").read_text())
+    assert meta["workers"] == 3
+    assert "workers" not in meta["spec"]
+
+
 def test_numeric_failures_exit_one_with_json(capsys):
     # A failure during the run, not a rejected value: at n=100001 no
     # trial is within d=1, so the acceptance floor aborts it.

@@ -57,6 +57,7 @@ from intrans.samplers import (
 from intrans.triplets import orthant3, triplet_cell_tables
 from oracles import (
     close_election_law,
+    election_margin_law,
     election_outcome_distribution,
     enumerate_discrete_dice,
     iid_triple_class_distribution,
@@ -153,6 +154,19 @@ def test_election_outcomes_validation():
                                       conditioning=cond))
 
 
+@pytest.mark.parametrize("conditioning, message", [
+    ({"subset": [0]},
+     "family 'election_outcomes' needs the conditioning key 'd'"),
+    ({"d": 1.5},
+     "family 'election_outcomes' cannot read the conditioning key 'd'"),
+    ({"d": 2, "subset": []}, "the conditioning subset names no pair"),
+], ids=["missing_d", "float_d", "empty_subset"])
+def test_conditioning_errors_name_what_is_wrong(conditioning, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        _spec("election_outcomes", {"n": 5}, 10, 1, conditioning)
+    assert message in str(excinfo.value)
+
+
 def test_election_oracle_small_n_pins():
     dist3, accept3 = election_outcome_distribution(3)
     assert accept3 == 1
@@ -223,6 +237,25 @@ def test_close_election_family_matches_exact_law_at_n301():
     assert float(((cc.counts - expected) ** 2 / expected).sum()) < 24.32
     p_cw, se_cw = condorcet_probability(cc, 3)
     assert abs(p_cw - (1.0 - law[2] - law[5])) <= 4.0 * se_cw
+
+
+def test_conditioned_k4_election_matches_exact_law():
+    """k=4, n=5, d=1 against the margin-vector dynamic program: the
+    acceptance rate within 4 stderr and the 64 outcome counts by
+    chi-square (p > 0.001)."""
+    trials = 200_000
+    law, accept = election_margin_law(5, 4, 1)
+    cc = estimate_categories(_spec("election_outcomes", {"n": 5, "k": 4},
+                                   trials, 4051, conditioning={"d": 1}))
+    p = float(accept)
+    assert abs(cc.accepted / trials - p) <= 4.0 * math.sqrt(
+        p * (1.0 - p) / trials)
+    probs = np.array([float(law.get(idx, 0)) for idx in range(64)])
+    assert not cc.counts[probs == 0].any()
+    live = probs > 0
+    _, pvalue = scipy.stats.chisquare(cc.counts[live],
+                                      cc.accepted * probs[live])
+    assert pvalue > 0.001
 
 
 # The block kernels against the per-trial rule they replace, applied row
@@ -425,11 +458,19 @@ def test_election_stage_one_draws_the_table(k, cond):
         assert 0 < survivors == values.size
 
 
-def test_thinned_election_counts_do_not_depend_on_worker_count():
+def _at_threads(monkeypatch, estimate, spec, *threads):
+    """estimate(spec) at each INTRANS_THREADS worker count in threads."""
+    results = []
+    for count in threads:
+        monkeypatch.setenv("INTRANS_THREADS", str(count))
+        results.append(estimate(spec))
+    return results
+
+
+def test_thinned_election_counts_do_not_depend_on_worker_count(monkeypatch):
     spec = _spec("election_outcomes", {"n": 301}, 3 * BLOCK_SIZE, 21,
                  conditioning={"d": 3})
-    one, two = (estimate_categories(replace(spec, workers=w))
-                for w in (1, 2))
+    one, two = _at_threads(monkeypatch, estimate_categories, spec, 1, 2)
     assert one.trials == two.trials == 3 * BLOCK_SIZE
     assert one.accepted == two.accepted > 0
     np.testing.assert_array_equal(one.counts, two.counts)
@@ -617,30 +658,29 @@ def test_dice_block_memory_is_bounded_by_the_chunk():
     assert peak < 4 * 2 ** 20
 
 
-def test_block_families_do_not_depend_on_worker_count():
+def test_block_families_do_not_depend_on_worker_count(monkeypatch):
     trials = 3 * BLOCK_SIZE + 17
     election = ExperimentSpec(family="election_outcomes",
                               params={"n": 301}, trials=trials, seed=3,
                               conditioning={"d": 9})
-    one, eight = (estimate_categories(replace(election, workers=w))
-                  for w in (1, 8))
+    one, eight = _at_threads(monkeypatch, estimate_categories, election,
+                             1, 8)
     assert one.accepted == eight.accepted > 0
     np.testing.assert_array_equal(one.counts, eight.counts)
     triplet = ExperimentSpec(family="triplet_paradox", params={"n": 303},
                              trials=trials, seed=4, conditioning={"d": 9})
-    one, eight = (estimate_probability(replace(triplet, workers=w))
-                  for w in (1, 8))
+    one, eight = _at_threads(monkeypatch, estimate_probability, triplet,
+                             1, 8)
     assert one.accepted == eight.accepted > 0
     assert one.estimate == eight.estimate
     trials = 2 * BLOCK_SIZE + 17
     dice = _spec("dice_triples", {"model": "discrete", "n": 5}, trials, 5)
-    one, eight = (estimate_categories(replace(dice, workers=w))
-                  for w in (1, 8))
+    one, eight = _at_threads(monkeypatch, estimate_categories, dice, 1, 8)
     assert one.accepted == eight.accepted == trials
     np.testing.assert_array_equal(one.counts, eight.counts)
     orthant = _spec("orthant3", {"r": 0.3}, trials, 6)
-    one, eight = (estimate_probability(replace(orthant, workers=w))
-                  for w in (1, 8))
+    one, eight = _at_threads(monkeypatch, estimate_probability, orthant,
+                             1, 8)
     assert one.accepted == eight.accepted == trials
     assert one.estimate == eight.estimate
 
@@ -820,13 +860,9 @@ def test_spec_is_checked_when_it_is_made(family, params, trials,
     {"trials": True},
     {"seed": 2.5},
     {"seed": "1"},
-    {"workers": 1.5},
     {"params": {"n": 5, "x": object()}},
-    {"workers": 0},
-    {"workers": -3},
 ], ids=["params_none", "conditioning_list", "trials_str", "trials_float",
-        "trials_bool", "seed_float", "seed_str", "workers_float",
-        "params_not_json", "workers_0", "workers_negative"])
+        "trials_bool", "seed_float", "seed_str", "params_not_json"])
 def test_spec_field_types_are_checked_when_it_is_made(fields):
     with pytest.raises(InvalidInputError):
         ExperimentSpec(**{"family": "election_outcomes", "params": {"n": 5},
@@ -848,6 +884,15 @@ def test_spec_from_json_checks_field_types():
     for text in ("{", "", "not json", "[1, 2]", "5", "null", None):
         with pytest.raises(InvalidInputError):
             ExperimentSpec.from_json(text)
+
+
+def test_spec_has_no_worker_count():
+    """Seeded results do not depend on the worker count, so a spec does
+    not hold one: a spec text with "workers" does not fit."""
+    text = json.dumps({"family": "election_outcomes", "params": {"n": 5},
+                       "trials": 10, "seed": 1, "workers": None})
+    with pytest.raises(InvalidInputError, match="workers"):
+        ExperimentSpec.from_json(text)
 
 
 def test_spec_from_json_rejects_unknown_keys():
@@ -926,6 +971,21 @@ def test_triplet_paradox_conditioned_matches_exact_law(d):
     assert abs(est.accepted / trials - accept) < 5.0 * math.sqrt(
         accept * (1.0 - accept) / trials)
     assert abs(est.estimate - hit) < 5.0 * math.sqrt(
+        hit * (1.0 - hit) / est.accepted)
+
+
+def test_triplet_noise_conditioned_matches_exact_law():
+    """n=9 (three triplets), rho=0.4 and d=1 against the exact
+    convolution of the 8-pattern noise law at rho = 2/5: the acceptance
+    rate and the cycle rate each within 4 stderr."""
+    trials = 400_000
+    est = estimate_probability(_spec("triplet_noise", {"n": 9, "rho": 0.4},
+                                     trials, 9403, conditioning={"d": 1}))
+    hit, accept = (float(v) for v in
+                   triplet_paradox_exact(3, 1, Fraction(2, 5)))
+    assert abs(est.accepted / trials - accept) <= 4.0 * math.sqrt(
+        accept * (1.0 - accept) / trials)
+    assert abs(est.estimate - hit) <= 4.0 * math.sqrt(
         hit * (1.0 - hit) / est.accepted)
 
 

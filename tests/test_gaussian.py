@@ -312,24 +312,14 @@ def test_dist_constants_exact_values():
     c = dist_constants("uniform")
     assert c.a == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-12)
     assert c.b == pytest.approx(0.5, abs=1e-12)
-    assert c.gamma3 == pytest.approx(0.0, abs=1e-12)
 
     c = dist_constants("gaussian")
     assert c.a == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
     assert c.b == pytest.approx(0.5, abs=1e-12)
-    assert c.gamma3 == pytest.approx(0.0, abs=1e-12)
 
     c = dist_constants("shifted-exp")
     assert c.a == pytest.approx(0.25, abs=1e-12)
     assert c.b == pytest.approx(0.75, abs=1e-12)
-    assert c.gamma3 == pytest.approx(2.0, abs=1e-12)
-
-
-def test_dist_constants_alpha_properties():
-    c = dist_constants("uniform")
-    assert c.alpha2 == pytest.approx(0.0, abs=1e-12)
-    c = dist_constants("shifted-exp")
-    assert c.alpha2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_a_squared_bounded_by_one_twelfth():
@@ -341,36 +331,11 @@ def test_a_squared_bounded_by_one_twelfth():
 
 
 def test_pair_prob_joint_two_uniform():
-    got = pair_prob_asymptotic("uniform", 100, "joint_two_conditioned")
+    got = pair_prob_asymptotic("uniform", 100)
     assert got == pytest.approx(0.25 - 1.0 / 600.0, abs=1e-12)
 
 
-def test_pair_prob_beats_one_symmetric_laws_stay_half():
-    # For symmetric laws with b = 1/2 the 1/n corrections cancel exactly.
-    for name in ("uniform", "gaussian"):
-        got = pair_prob_asymptotic(name, 50, "beats_one_conditioned")
-        assert got == pytest.approx(0.5, abs=1e-9)
-
-
-def test_pair_prob_beats_one_skewed_law():
-    # a = 1/4, b = 3/4, alpha2 = 1: 1/2 + 1/80 + 1/80 - 3/160 = 0.50625.
-    got = pair_prob_asymptotic("shifted-exp", 20, "beats_one_conditioned")
-    assert got == pytest.approx(0.50625, abs=1e-8)
-
-
-def test_pair_prob_cross_two_relation():
-    """The cross kind averages the one-sum corrections at half strength
-    except for the shared -a^2/n term."""
-    n = 64
-    c = dist_constants("uniform")
-    joint_one = pair_prob_asymptotic("uniform", n, "joint_one_conditioned")
-    cross = pair_prob_asymptotic("uniform", n, "cross_two_conditioned")
-    half_corr = (joint_one - 0.25 + c.a ** 2 / n) / 2.0
-    assert cross == pytest.approx(0.25 + half_corr - c.a ** 2 / n, abs=1e-12)
-
-
 def test_pair_prob_validation():
-    with pytest.raises(InvalidInputError):
-        pair_prob_asymptotic("uniform", 10, "no_such_kind")
-    with pytest.raises(InvalidInputError):
-        pair_prob_asymptotic("uniform", 0, "joint_two_conditioned")
+    for n in (0, -3):
+        with pytest.raises(InvalidInputError):
+            pair_prob_asymptotic("uniform", n)

@@ -2,6 +2,8 @@
 invariance, estimators on deterministic kernels, and the acceptance
 floor."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,9 +63,9 @@ def _always(rng, size):
     return np.zeros(size, dtype=np.intp)
 
 
-def _spec(family, trials, seed=0, params=None, workers=None):
+def _spec(family, trials, seed=0, params=None):
     return ExperimentSpec(family=family, params=params or {}, trials=trials,
-                          seed=seed, workers=workers)
+                          seed=seed)
 
 
 # --------------------------------------------------------- primitives
@@ -146,30 +148,29 @@ def test_category_counts_must_be_consistent(counts, trials, accepted):
 def test_spec_json_round_trip():
     spec = ExperimentSpec(
         family="test_coin", params={"p": 0.25, "n": 9}, trials=100, seed=7,
-        conditioning={"d": 3, "subset": [0, 2]}, workers=2)
+        conditioning={"d": 3, "subset": [0, 2]})
     back = ExperimentSpec.from_json(spec.to_json())
     assert back == spec
+    assert sorted(json.loads(spec.to_json())) == [
+        "conditioning", "family", "params", "seed", "trials"]
     minimal = ExperimentSpec.from_json(
         '{"family": "test_coin", "params": {}, "trials": 1, "seed": 0}')
     assert minimal.conditioning is None
-    assert minimal.workers is None
     numpy_valued = ExperimentSpec(
         family="test_coin", params={"p": np.float32(0.25), "n": np.int64(9)},
         trials=100, seed=7,
-        conditioning={"d": np.int64(3), "subset": [0, 2]}, workers=2)
+        conditioning={"d": np.int64(3), "subset": [0, 2]})
     assert numpy_valued.to_json() == spec.to_json()
     assert ExperimentSpec.from_json(numpy_valued.to_json()) == spec
 
 
 def test_numpy_integer_fields_are_stored_as_python_ints():
     spec = ExperimentSpec(family="test_coin", params={},
-                          trials=np.int64(100), seed=np.int64(7),
-                          workers=np.int32(2))
-    assert spec == _spec("test_coin", 100, seed=7, workers=2)
-    assert all(type(v) is int for v in (spec.trials, spec.seed,
-                                        spec.workers))
+                          trials=np.int64(100), seed=np.int32(7))
+    assert spec == _spec("test_coin", 100, seed=7)
+    assert all(type(v) is int for v in (spec.trials, spec.seed))
     a = estimate_probability(spec)
-    b = estimate_probability(_spec("test_coin", 100, seed=7, workers=2))
+    b = estimate_probability(_spec("test_coin", 100, seed=7))
     assert (a.estimate, a.accepted) == (b.estimate, b.accepted)
 
 
@@ -199,18 +200,15 @@ def test_fair_coin_probability():
     assert est.trials == est.accepted == 1_000_000
 
 
-def test_worker_count_does_not_change_results():
-    base = estimate_probability(_spec("test_coin", 20_000, seed=3,
-                                      workers=1))
-    multi = estimate_probability(_spec("test_coin", 20_000, seed=3,
-                                       workers=8))
+def test_worker_count_does_not_change_results(monkeypatch):
+    monkeypatch.setenv("INTRANS_THREADS", "1")
+    base = estimate_probability(_spec("test_coin", 20_000, seed=3))
+    cat1 = estimate_categories(_spec("test_mod_cat", 20_000, seed=3))
+    monkeypatch.setenv("INTRANS_THREADS", "8")
+    multi = estimate_probability(_spec("test_coin", 20_000, seed=3))
+    cat8 = estimate_categories(_spec("test_mod_cat", 20_000, seed=3))
     assert base.estimate == multi.estimate
     assert base.accepted == multi.accepted
-
-    cat1 = estimate_categories(_spec("test_mod_cat", 20_000, seed=3,
-                                     workers=1))
-    cat8 = estimate_categories(_spec("test_mod_cat", 20_000, seed=3,
-                                     workers=8))
     np.testing.assert_array_equal(cat1.counts, cat8.counts)
 
 

@@ -12,11 +12,13 @@ import pytest
 import oracles
 from oracles import (
     close_election_law,
+    election_margin_law,
     election_outcome_distribution,
     enumerate_discrete_dice,
     kalai_majority_exact,
     lattice_multisets,
     lattice_triple_law,
+    noise_vote_law,
     triplet_paradox_exact,
 )
 
@@ -82,6 +84,48 @@ def test_close_election_law_at_n301():
         assert law[idx] == pytest.approx(0.1213566, abs=5e-8)
     assert accept == pytest.approx(0.0077745, abs=5e-8)
     assert 1.0 - law[2] - law[5] == pytest.approx(0.7572869, abs=5e-8)
+
+
+def test_election_margin_law_matches_enumeration():
+    """k=3 against the composition enumeration, conditioned and not;
+    k=4, n=5, d=1 pinned."""
+    assert election_margin_law(5, 3, 1) == election_outcome_distribution(
+        5, d=1)
+    assert election_margin_law(7, 3) == election_outcome_distribution(7)
+    law, accept = election_margin_law(5, 4, 1)
+    assert float(accept) == pytest.approx(0.1019362, abs=5e-8)
+    assert len(law) == 64 and sum(law.values()) == 1
+
+
+def test_noise_vote_law_endpoints():
+    """rho=0 is three fair coins; rho=1 is three copies of one."""
+    assert set(noise_vote_law(0).values()) == {Fraction(1, 8)}
+    assert noise_vote_law(1) == {
+        v: Fraction(1, 2) if len(set(v)) == 1 else 0
+        for v in itertools.product((1, -1), repeat=3)}
+    assert sum(noise_vote_law(Fraction(2, 5)).values()) == 1
+
+
+def test_triplet_paradox_exact_noise_matches_enumeration():
+    """m=2 at d=2 and rho=2/5 against all 8^6 vote-pattern profiles of
+    six voters, each weighted by its product of pattern probabilities;
+    m=3 at d=1 pinned."""
+    law = noise_vote_law(Fraction(2, 5))
+    patterns = np.array(list(law), dtype=np.int8)
+    scaled = np.array([int(p * 1000) for p in law.values()],
+                      dtype=np.int64)
+    profiles = np.indices((8,) * 6).reshape(6, -1).T
+    votes = patterns[profiles]
+    weight = scaled[profiles].prod(axis=1)
+    close = np.abs(votes.sum(axis=1)).max(axis=1) <= 2
+    f = np.sign(np.sign(votes.reshape(-1, 2, 3, 3).sum(axis=2)).sum(axis=1))
+    hit = close & (f == f[:, :1]).all(axis=1) & (f[:, 0] != 0)
+    accepted, hits = int(weight[close].sum()), int(weight[hit].sum())
+    assert triplet_paradox_exact(2, 2, Fraction(2, 5)) == (
+        Fraction(hits, accepted), Fraction(accepted, 1000 ** 6))
+    hit3, accept3 = triplet_paradox_exact(3, 1, Fraction(2, 5))
+    assert float(hit3) == pytest.approx(0.256952, abs=5e-7)
+    assert float(accept3) == pytest.approx(0.123117, abs=5e-7)
 
 
 def test_triplet_paradox_exact_matches_enumeration():
