@@ -105,8 +105,10 @@ def cdf_sum(a, F: Callable) -> float:
     array over the leading axes for many.
 
     The difference cdf_sum(a, F) - cdf_sum(b, F) is the predictor of the
-    beats outcome for non-uniform conditioned dice. F must be a monotone
-    nondecreasing map into [0, 1] that maps the face array elementwise.
+    beats outcome for non-uniform conditioned dice. F must map the face
+    array elementwise into [0, 1] and be nondecreasing to within
+    rounding: a computed CDF such as distributions.normal_cdf may fall by
+    one ulp between close faces.
     """
     faces = _checked_faces(a)
     values = np.asarray(F(faces), dtype=float)

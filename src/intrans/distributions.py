@@ -1,14 +1,18 @@
 """Face-value distributions used by the dice models.
 
 All three built-ins have mean 0 and variance 1, bounded density, and a
-closed-form CDF. Each instance exposes enough structure for exact
-hyperplane conditioning (density, its supremum, support endpoints).
+CDF computed in numpy: closed forms for the uniform and shifted
+exponential laws, and normal_cdf, a tabulated Taylor expansion, for the
+Gaussian, so a dice run needs no special-function library. Each
+instance exposes enough structure for exact hyperplane conditioning
+(density, its supremum, support endpoints).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -57,12 +61,61 @@ def _gauss_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def _gauss_cdf(x):
-    # scipy is imported where a function first needs it, so elections,
-    # triplet and lattice dice runs start without loading it.
-    from scipy.special import ndtr
+# normal_cdf expands Phi about the nearest node j/128 of [-9, 9], so
+# |t| <= 1/256 and the degree-5 Taylor remainder is below 1.2e-17. Beyond
+# the range Phi is within Phi(-9) = 1.13e-19 of 0 or 1, so x is clipped.
+_NODES_PER_UNIT = 128
+_NODE_RANGE = 9
+# The table position of the node x0 = 0.
+_NODE_OFFSET = _NODE_RANGE * _NODES_PER_UNIT
 
-    return ndtr(x)
+
+@lru_cache(maxsize=None)
+def _normal_cdf_table() -> np.ndarray:
+    """Row k, k = 0..5, holds the k-th Taylor coefficient of Phi at the
+    nodes x0 = j/128 of [-9, 9]: Phi(x0), then
+    phi(x0) (-1)^(k-1) He_(k-1)(x0) / k!, with He the probabilists'
+    Hermite polynomials. Built on first use (~2 ms), read-only."""
+    x0 = np.arange(-_NODE_OFFSET, _NODE_OFFSET + 1) / _NODES_PER_UNIT
+    table = np.empty((6, x0.size))
+    # Phi(x0) from the lower tail Phi(-|x0|), so a value near 1 is
+    # rounded once, in its subtraction from 1.
+    tail = np.array([0.5 * math.erfc(abs(x) / math.sqrt(2.0)) for x in x0])
+    table[0] = np.where(x0 > 0.0, 1.0 - tail, tail)
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * x0 * x0)
+    he_prev, he = np.zeros_like(x0), np.ones_like(x0)
+    for k in range(1, 6):
+        table[k] = (-1) ** (k - 1) * phi * he / math.factorial(k)
+        he_prev, he = he, x0 * he - (k - 1) * he_prev
+    table.setflags(write=False)
+    return table
+
+
+def normal_cdf(x):
+    """The standard normal CDF Phi, elementwise, in x's shape.
+
+    Within 1.2e-16 of the exact value: the largest error against an
+    arbitrary-precision Phi over 10^4 points of [-9.5, 9.5] is 1.11e-16,
+    as for a double-precision ndtr. Consecutive values on sorted inputs
+    may fall by one ulp. NaN maps to NaN, -inf to Phi(-9) = 1.13e-19 and
+    +inf to 1.
+    """
+    x = np.clip(np.asarray(x, dtype=np.float64), -_NODE_RANGE, _NODE_RANGE)
+    nodes = np.rint(_NODES_PER_UNIT * x)
+    # Exact (Sterbenz): x is within a factor 2 of its node, or the node
+    # is 0.
+    t = x - nodes / _NODES_PER_UNIT
+    # A NaN's node casts to a junk index, which mode="clip" keeps in
+    # the table; its t carries the NaN through.
+    with np.errstate(invalid="ignore"):
+        index = nodes.astype(np.intp)
+    index += _NODE_OFFSET
+    table = _normal_cdf_table()
+    value = table[5].take(index, mode="clip")
+    for row in table[4::-1]:
+        value *= t
+        value += row.take(index, mode="clip")
+    return value
 
 
 def _shifted_exp_pdf(x):
@@ -87,7 +140,7 @@ UNIFORM_SYM = FaceDistribution(
 STD_GAUSSIAN = FaceDistribution(
     name="gaussian",
     pdf=_gauss_pdf,
-    cdf=_gauss_cdf,
+    cdf=normal_cdf,
     sup_pdf=_INV_SQRT_2PI,
     support=(-math.inf, math.inf),
     sampler=lambda rng, size: rng.standard_normal(size),

@@ -271,13 +271,16 @@ def build_kernel(spec: ExperimentSpec):
 def resolve_workers(requested: Optional[int]) -> int:
     """The worker count: INTRANS_THREADS when set, else the CPU count
     (the engine asks with None); a requested count is capped by
-    INTRANS_THREADS."""
+    INTRANS_THREADS, which must be an integer of at least 1."""
     cap = os.environ.get("INTRANS_THREADS")
     try:
-        cap_n = max(1, int(cap)) if cap else None
+        cap_n = int(cap) if cap else None
+        if cap_n is not None and cap_n < 1:
+            raise ValueError
     except ValueError:
         raise InvalidInputError(
-            "INTRANS_THREADS must be an integer, got %r" % cap) from None
+            "INTRANS_THREADS must be an integer of at least 1, got %r"
+            % cap) from None
     if requested is None:
         workers = cap_n if cap_n is not None else (os.cpu_count() or 1)
     else:

@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import STD_GAUSSIAN, FaceDistribution, get_distribution
+from .distributions import (STD_GAUSSIAN, FaceDistribution, get_distribution,
+                            normal_cdf)
 from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -356,11 +357,10 @@ class StationaryGaussian:
         return sample_stationary_gaussian(self.n, self.kernel, rng, size)
 
     def cdf(self, x) -> np.ndarray:
-        """Marginal CDF of one face, N(0, 1/2): the kernel enforces
-        rho(0) = 1/2, so 1/sqrt(2 rho(0)) = 1."""
-        from scipy.special import erf
-
-        return 0.5 * (1.0 + erf(np.asarray(x, dtype=np.float64)))
+        """Marginal CDF of one face, N(0, 1/2), as Phi(sqrt(2) x): the
+        kernel enforces rho(0) = 1/2. Within 1.2e-16 of the exact value,
+        as 0.5 (1 + erf(x)) is."""
+        return normal_cdf(math.sqrt(2.0) * np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)

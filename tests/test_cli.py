@@ -313,15 +313,18 @@ def test_abbreviated_flags_are_usage_errors():
     _usage_error(["triplet", "--n", "9", "--tri", "10"])
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+def _fresh_python(code, *argv):
+    """stdout of `code` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(intrans.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, intrans.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.linalg', 'scipy.stats') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                         capture_output=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          text=True, capture_output=True, check=True).stdout
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    code = ("import sys, intrans.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,17 +332,50 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     ["dice", "--model", "discrete", "--n", "20", "--triples", "3"],
 ], ids=["elections", "dice-discrete"])
 def test_runs_without_a_cdf_do_not_load_scipy(tmp_path, argv):
-    """Elections and lattice dice need no scipy function, so a run of
-    either in a fresh interpreter leaves scipy unimported."""
-    src = os.path.dirname(os.path.dirname(intrans.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    """Elections and lattice dice call no CDF, so a run of either in a
+    fresh interpreter leaves scipy unimported and never builds the
+    normal CDF table."""
     code = ("import sys; from intrans.cli import main; "
             "code = main(sys.argv[1:]); "
-            "print(code, 'scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, *argv, "--out",
-                          str(tmp_path / "run.csv")], env=env, text=True,
-                         capture_output=True, check=True).stdout
-    assert out.split() == ["0", "False"]
+            "d = sys.modules.get('intrans.distributions'); "
+            "built = d is not None and "
+            "d._normal_cdf_table.cache_info().currsize > 0; "
+            "print(code, 'scipy' in sys.modules, built)")
+    out = _fresh_python(code, *argv, "--out", str(tmp_path / "run.csv"))
+    assert out.split() == ["0", "False", "False"]
+
+
+# One small run of every run subcommand path: its sampler and, for
+# continuous dice, its face CDF.
+RUN_PATHS = [
+    ["elections", "--n", "301", "--d", "3", "--trials", "4096"],
+    ["triplet", "--n", "9", "--trials", "50"],
+    ["triplet", "--mode", "noise", "--n", "9", "--rho", "0.5", "--trials",
+     "50"],
+    ["dice", "--model", "discrete", "--n", "20", "--triples", "3"],
+    ["dice", "--model", "conditioned", "--dist", "uniform", "--n", "20",
+     "--triples", "3"],
+    ["dice", "--model", "conditioned", "--dist", "gaussian", "--n", "20",
+     "--triples", "3"],
+    ["dice", "--model", "conditioned", "--dist", "shifted-exp", "--n", "20",
+     "--triples", "3"],
+    ["dice", "--model", "iid", "--dist", "gaussian", "--n", "20",
+     "--triples", "3"],
+    ["dice", "--model", "stationary", "--hurst", "0.75", "--n", "32",
+     "--triples", "3"],
+]
+
+
+def test_no_run_subcommand_loads_scipy(tmp_path):
+    """Every run path, continuous CDFs included, needs only numpy, so
+    all of them in one fresh interpreter leave scipy unimported."""
+    code = ("import json, sys; from intrans.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(*codes, 'scipy' in sys.modules)")
+    runs = [argv + ["--out", str(tmp_path / ("run%d.csv" % i))]
+            for i, argv in enumerate(RUN_PATHS)]
+    out = _fresh_python(code, json.dumps(runs)).split()
+    assert out == ["0"] * len(RUN_PATHS) + ["False"]
 
 
 # ----------------------------------------------------------- exit codes
@@ -435,8 +471,9 @@ def test_numeric_failures_exit_one_with_json(capsys):
     assert payload["observed_rate"] == 0.0
 
 
-def test_bad_thread_cap_exits_one_with_json(capsys, monkeypatch):
-    monkeypatch.setenv("INTRANS_THREADS", "abc")
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_bad_thread_cap_exits_one_with_json(capsys, monkeypatch, cap):
+    monkeypatch.setenv("INTRANS_THREADS", cap)
     code, _, err = _run(capsys, ["elections", "--n", "11", "--trials", "10"])
     assert code == 1
     payload = json.loads(err.strip())

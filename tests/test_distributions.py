@@ -1,10 +1,14 @@
-"""Built-in face distributions: normalization, moments, rejection bounds."""
+"""Built-in face distributions: normalization, moments, rejection bounds,
+and the numpy normal CDF against an arbitrary-precision oracle."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from intrans.distributions import (
     DISTRIBUTIONS,
@@ -12,8 +16,10 @@ from intrans.distributions import (
     STD_GAUSSIAN,
     UNIFORM_SYM,
     get_distribution,
+    normal_cdf,
 )
 from intrans.errors import InvalidInputError
+from intrans.experiments import dice_model_from_params
 
 ALL = (UNIFORM_SYM, STD_GAUSSIAN, SHIFTED_EXPONENTIAL)
 
@@ -72,3 +78,61 @@ def test_registry():
     assert get_distribution(STD_GAUSSIAN) is STD_GAUSSIAN
     with pytest.raises(InvalidInputError):
         get_distribution("cauchy")
+
+
+# ----------------------------------------------------------- normal_cdf
+
+# About two ulps of a value in [1/2, 1), where one ulp is 1.11e-16.
+PHI_TOL = 2.3e-16
+
+
+def _phi_points():
+    """Gaussian draws scaled by 2, a grid over [-9.5, 9.5] with every
+    midpoint (j + 1/2)/128 between normal_cdf's nodes, and the clip
+    edges at +-9."""
+    draws = 2.0 * np.random.default_rng(2026).standard_normal(6000)
+    grid = np.linspace(-9.5, 9.5, 2001)
+    midpoints = (np.arange(-1216, 1216) + 0.5) / 128.0
+    edges = [-9.0, 9.0, np.nextafter(-9.0, -10.0), np.nextafter(9.0, 10.0)]
+    return np.concatenate([draws, grid, midpoints, edges])
+
+
+def test_normal_cdf_matches_arbitrary_precision():
+    x = _phi_points()
+    assert x.size >= 10_000
+    y = normal_cdf(x)
+    with mpmath.workprec(120):
+        worst = max(abs(mpmath.mpf(float(v)) - mpmath.ncdf(float(u)))
+                    for u, v in zip(x, y))
+    assert worst <= PHI_TOL
+    assert np.abs(y + normal_cdf(-x) - 1.0).max() <= PHI_TOL
+
+
+def test_normal_cdf_falls_by_at_most_one_ulp():
+    x = np.sort(np.random.default_rng(7).uniform(-9.5, 9.5, 300_000))
+    y = normal_cdf(x)
+    assert (np.diff(y) >= -np.spacing(y[1:])).all()
+
+
+def test_normal_cdf_keeps_shape():
+    assert np.shape(normal_cdf(0.5)) == ()
+    assert np.shape(normal_cdf(np.asarray(0.5))) == ()
+    assert normal_cdf(np.zeros((4, 3, 7))).shape == (4, 3, 7)
+    assert float(normal_cdf(0.0)) == 0.5
+
+
+def test_normal_cdf_non_finite_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = normal_cdf(np.array([np.nan, np.inf, -np.inf, 0.0]))
+    assert np.isnan(y[0])
+    assert y[1] == 1.0
+    assert 0.0 <= y[2] <= 1e-18
+    assert y[3] == 0.5
+
+
+def test_stationary_cdf_matches_erf():
+    model = dice_model_from_params(
+        {"model": "stationary", "n": 16, "hurst": 0.75})
+    x = _phi_points() / math.sqrt(2.0)
+    assert np.abs(model.cdf(x) - 0.5 * (1.0 + erf(x))).max() <= PHI_TOL

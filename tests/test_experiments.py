@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from intrans.dice import TripleClass, cdf_sum, classify_triple, pair_stats
-from intrans.distributions import get_distribution
+from intrans.distributions import STD_GAUSSIAN, get_distribution
 from intrans.elections import ranking_sign_matrix
 from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
@@ -604,11 +605,19 @@ DICE_BLOCK_PARAMS = (
 
 
 def _cdf_sum_gap(model, x, y):
-    """cdf_sum(x) - cdf_sum(y) under the model's face CDF; for lattice dice
-    the exact gap of the floored face sums, since their CDF is floor / n."""
+    """cdf_sum(x) - cdf_sum(y) under an F built apart from the package:
+    scipy's ndtr for Gaussian faces, 0.5 (1 + erf) for the N(0, 1/2)
+    faces of the stationary model; for lattice dice the exact gap of the
+    floored face sums, since their CDF is floor / n."""
     if isinstance(model, DiscreteConditioned):
         return np.floor(x).sum() - np.floor(y).sum()
-    return cdf_sum(x, model.cdf) - cdf_sum(y, model.cdf)
+    if isinstance(model, StationaryGaussian):
+        def F(v):
+            return 0.5 * (1.0 + scipy.special.erf(v))
+    else:
+        assert model.dist is STD_GAUSSIAN
+        F = scipy.special.ndtr
+    return cdf_sum(x, F) - cdf_sum(y, F)
 
 
 @pytest.mark.parametrize("params", DICE_BLOCK_PARAMS, ids=[
