@@ -214,6 +214,15 @@ def _subset_excluding(raw, k: int, parser) -> Optional[list]:
     return [i for i in range(k * (k - 1) // 2) if i != index]
 
 
+@lru_cache(maxsize=None)
+def _outcome_names(k: int) -> tuple:
+    """The statistic names of the k-candidate outcomes, in category order:
+    outcome_ and one digit per lex pair, 1 when its earlier candidate
+    wins."""
+    return tuple("outcome_" + "".join("1" if v > 0 else "0" for v in signs)
+                 for signs, _, _ in outcome_categories(k))
+
+
 def _cmd_elections(args, parser) -> int:
     k = args.k
     subset = _subset_excluding(args.subset_excl, k, parser)
@@ -225,9 +234,7 @@ def _cmd_elections(args, parser) -> int:
     # and order of CategoryCounts.proportion, so the values are the same.
     share = counts.counts / counts.accepted
     stderr = np.sqrt(share * (1.0 - share) / counts.accepted)
-    measured = [("outcome_" + "".join("1" if v > 0 else "0" for v in signs),
-                 share[idx], stderr[idx])
-                for idx, (signs, _, _) in enumerate(outcome_categories(k))]
+    measured = list(zip(_outcome_names(k), share, stderr))
     for name, fn in (("transitive", transitive_probability),
                      ("condorcet_winner", condorcet_probability)):
         measured.append((name, *fn(counts, k)))
@@ -509,7 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_config(parser, argv: list) -> list:
     """argv with the --config file's keys inserted as --key=value flags
     right after the subcommand, so argparse converts and checks them like
-    any flag and an explicit flag, coming later, wins."""
+    any flag and an explicit flag, coming later, wins. No parser abbreviates
+    a flag, so argv names a file only in a token that is --config or starts
+    with --config=, and without one argv is returned unparsed."""
+    if not any(token == "--config" or token.startswith("--config=")
+               for token in argv[1:]):
+        return argv
     path = _CONFIG.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv

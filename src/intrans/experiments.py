@@ -168,41 +168,31 @@ def _close_upper_counts(draws: int, d: int):
 
 def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
                         check: np.ndarray, d: Optional[int], category):
-    """The block kernel of the election and triplet families. A trial
-    draws the counts of draws independent types of law probs; its tallies
-    are the exact integers counts @ weights. It is accepted when its
-    tallies in the columns check are all at most d in absolute value
-    (every trial when d is None), and category(tallies) gives the
-    category of each accepted trial.
+    """The block kernel of unconditioned elections and of the triplet
+    families. A trial draws the counts of draws independent types of law
+    probs; its tallies are the exact integers counts @ weights. It is
+    accepted when its tallies in the columns check are all at most d in
+    absolute value (every trial when d is None), and category(tallies)
+    gives the category of each accepted trial.
 
     Unconditioned (d None), a block draws its counts as one multinomial
     of draws over probs, size the block's trial count, from the block's
     substream, and reports every trial's category in trial order.
 
-    Conditioned, the block draws in two stages from that substream. A
-    multinomial splits exactly by groups of types, so the law is the same.
-    Types of probability 0 are dropped, and the live types are grouped by
-    their weight in the first checked column, levels ascending: two
-    groups of k!/2 rankings for elections, the four values of w_ab for
-    triplets (over the 44 live cells of impartial culture). Stage 1 gives
-    the group counts of the trials whose first checked tally is at most d,
-    the survivors; the others draw nothing more and are not accepted.
-    Stage 2 draws, group by group in level order, the counts within the
-    group of each survivor, as one multinomial of its group count over the
-    group's normalized probabilities. The kernel reports the categories of
-    the accepted survivors in survivor order.
-
-    For elections (levels -1 and +1, equally likely) the count g of the
-    upper group is Binomial(draws, 1/2), so stage 1 draws the number of
-    survivors at each close g as one multinomial of the block's trial
-    count over the table of _close_upper_counts (the close values of g,
-    then the rest), and orders the survivors by g ascending. For
-    triplets, and for elections with more than BLOCK_SIZE close values of
-    g, stage 1 draws the group counts of every trial as one multinomial
-    of draws over the group probabilities, size the block's trial count,
-    and keeps the trials where the first tally is close, in trial order.
-    Either way a block's survivors, and so its category counts and
-    accepted total, have the law of those of as many independent trials.
+    Conditioned (the triplet families only; conditioned elections split
+    by pair, see _pair_split_kernel), the block draws in two stages from
+    that substream. A multinomial splits exactly by groups of types, so
+    the law is the same. Types of probability 0 are dropped, and the live
+    types are grouped by their weight in the first checked column, levels
+    ascending: the four values of w_ab (over the 44 live cells of
+    impartial culture). Stage 1 draws the group counts of every trial as
+    one multinomial of draws over the group probabilities, size the
+    block's trial count, and keeps the trials whose first checked tally is
+    at most d, the survivors, in trial order; the others draw nothing more
+    and are not accepted. Stage 2 draws, group by group in level order,
+    the counts within the group of each survivor, as one multinomial of
+    its group count over the group's normalized probabilities. The kernel
+    reports the categories of the accepted survivors in trial order.
     """
     if d is None:
         def kernel(rng: np.random.Generator, size: int):
@@ -217,23 +207,104 @@ def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
     members = [np.flatnonzero(group == j) for j in range(levels.size)]
     group_probs = np.array([probs[cells].sum() for cells in members])
     within = [probs[cells] / p for cells, p in zip(members, group_probs)]
-    stage_one = None
-    if levels.tolist() == [-1, 1] and group_probs[0] == group_probs[1]:
-        stage_one = _close_upper_counts(draws, d)
 
     def kernel(rng: np.random.Generator, size: int):
-        if stage_one is not None:
-            close, table = stage_one
-            upper = np.repeat(close, rng.multinomial(size, table)[:-1])
-            groups = np.column_stack([draws - upper, upper])
-        else:
-            groups = rng.multinomial(draws, group_probs, size=size)
-            groups = groups[np.abs(groups @ levels) <= d]
+        groups = rng.multinomial(draws, group_probs, size=size)
+        groups = groups[np.abs(groups @ levels) <= d]
         counts = np.empty((len(groups), probs.size), dtype=np.int64)
         for j, cells in enumerate(members):
             counts[:, cells] = rng.multinomial(groups[:, j], within[j])
         tallies = counts @ weights
         return category(tallies[(np.abs(tallies[:, check]) <= d).all(axis=1)])
+
+    return kernel
+
+
+def _pair_split_kernel(n: int, signs: np.ndarray, d: int, check: tuple):
+    """The block kernel of conditioned elections: n voters, each ranking
+    the candidates by one of the rows of signs (the lex-pair signs of the
+    k! rankings) with equal probability, accepted when the margins of the
+    pairs check are all at most d in absolute value. Each accepted trial
+    reports bit 2^(P-1-p) for every pair p of the P whose margin is
+    positive.
+
+    The kernel never draws a trial's k! ranking counts. It takes the
+    pairs one at a time, the checked pairs ascending and then the others
+    ascending, and tracks the counts of the cells, the sets of rankings
+    that share their signs on the pairs done so far, ordered by those
+    signs lexicographically, - before +.
+
+    Stage 1 is the first checked pair. The count g of the rankings that
+    put its earlier candidate first is Binomial(n, 1/2), so the block
+    draws how many of its trials survive at each close value of g (the
+    margin 2 g - n at most d) as one multinomial of its trial count over
+    the table of _close_upper_counts, and orders the survivors by g
+    ascending; the cells are then (n - g, g). With more close values than
+    BLOCK_SIZE (no table), it draws each trial's g as one
+    rng.binomial(n, 1/2, size) and keeps the close ones in trial order.
+
+    Each further pair splits every mixed cell (one holding rankings of
+    both signs on the pair) into its - and + rankings, by one
+    rng.binomial(cell counts, share of + rankings in the cell) over the
+    (mixed cells, survivors) array: the mixed cells in cell order, and
+    for each the survivors in order. A cell of one sign passes whole. Given
+    its count, a cell's rankings have a uniform multinomial law, so the
+    split is exact, and it leaves uniform multinomials in the new cells.
+    The pair's margin is 2 (+ total) - n, and after a checked pair the
+    survivors whose margin exceeds d are dropped before the next draw.
+    The kernel reports the categories of the accepted survivors in
+    survivor order.
+    """
+    n_pairs = signs.shape[1]
+    order = list(check) + [p for p in range(n_pairs) if p not in check]
+    bit = [1 << (n_pairs - 1 - p) for p in range(n_pairs)]
+    stage_one = _close_upper_counts(n, d)
+    cells = [np.flatnonzero(signs[:, order[0]] < 0),
+             np.flatnonzero(signs[:, order[0]] > 0)]
+    # Per further pair: its bit, the mixed cells and their + shares, a
+    # 0/1 column of the cells that are all +, the rows of the next cells
+    # in the stacked (- counts, + counts) (None after the last pair, so
+    # no trial's k! ranking counts are formed), and whether it is checked.
+    steps = []
+    for p in order[1:]:
+        plus = [signs[cell, p] > 0 for cell in cells]
+        share = np.array([up.mean() for up in plus])
+        mixed = np.flatnonzero((share > 0) & (share < 1))
+        children, split = [], []
+        for j, (cell, up) in enumerate(zip(cells, plus)):
+            if not up.all():
+                children.append(j)
+                split.append(cell[~up])
+            if up.any():
+                children.append(len(cells) + j)
+                split.append(cell[up])
+        steps.append((bit[p], mixed, share[mixed, None],
+                      (share == 1).astype(np.int64)[:, None],
+                      np.array(children) if p != order[-1] else None,
+                      p in check))
+        cells = split
+
+    def kernel(rng: np.random.Generator, size: int):
+        if stage_one is None:
+            upper = rng.binomial(n, 0.5, size)
+            upper = upper[np.abs(2 * upper - n) <= d]
+        else:
+            close, table = stage_one
+            upper = np.repeat(close, rng.multinomial(size, table)[:-1])
+        category = (2 * upper > n) * bit[order[0]]
+        counts = np.stack([n - upper, upper])
+        for p_bit, mixed, share, whole, children, checked in steps:
+            up = counts * whole
+            up[mixed] = rng.binomial(counts[mixed], share)
+            margin = 2 * up.sum(axis=0) - n
+            category += (margin > 0) * p_bit
+            if checked:
+                keep = np.abs(margin) <= d
+                category, counts, up = (category[keep], counts[:, keep],
+                                        up[:, keep])
+            if children is not None:
+                counts = np.concatenate([counts - up, up])[children]
+        return category
 
     return kernel
 
@@ -245,10 +316,11 @@ def _build_election_outcomes(spec: ExperimentSpec):
     d in absolute value.
 
     Category index: lex pair i contributes bit 2^(K-1-i) when the earlier
-    candidate wins that pair, so k=3 has 8 categories. A block draws its
-    ranking counts from its substream by _multinomial_kernel, in two
-    stages when conditioned. The spec is checked on every call; the
-    kernel is built once per (n, k, d, checked pairs) by _election_kernel.
+    candidate wins that pair, so k=3 has 8 categories. Unconditioned, a
+    block draws its ranking counts from its substream by
+    _multinomial_kernel; conditioned, _pair_split_kernel draws it one pair
+    at a time. The spec is checked on every call; the kernel is built once
+    per (n, k, d, checked pairs) by _election_kernel.
     """
     _only(spec.params, spec.family, "param", "n", "k")
     n = _param(spec.params, "n", spec.family, "param")
@@ -270,12 +342,18 @@ def _build_election_outcomes(spec: ExperimentSpec):
     return _election_kernel(n, k, d, check), 1 << n_pairs
 
 
-# The kernels of the most recently used parameter sets, so a spec's
-# kernel is built once however often its builder runs (the spec checks
-# itself when it is made, and each estimate builds its kernel again).
 @lru_cache(maxsize=32)
 def _election_kernel(n: int, k: int, d: Optional[int], check: tuple):
+    """The block kernel of n voters on k candidates: one multinomial of
+    the k! ranking counts a trial (_multinomial_kernel) when d is None,
+    else the split by pair of _pair_split_kernel on the sorted lex pairs
+    check. The kernels of the most recently used parameter sets are kept,
+    so a spec's kernel is built once however often its builder runs (the
+    spec checks itself when it is made, and each estimate builds its
+    kernel again)."""
     signs = ranking_sign_matrix(k)
+    if d is not None:
+        return _pair_split_kernel(n, signs, d, check)
     bit_weights = 1 << np.arange(signs.shape[1] - 1, -1, -1)
     return _multinomial_kernel(
         n, np.full(len(signs), 1.0 / len(signs)), signs,
@@ -303,20 +381,27 @@ def outcome_categories(k: int) -> tuple:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _outcome_indexes(k: int) -> tuple:
+    """The indexes of the transitive outcomes and of the outcomes with a
+    Condorcet winner, as two tuples, built once per k."""
+    meta = outcome_categories(k)
+    return (tuple(i for i, (_, _, trans) in enumerate(meta) if trans),
+            tuple(i for i, (_, winner, _) in enumerate(meta)
+                  if winner is not None))
+
+
 def condorcet_probability(counts: CategoryCounts, k: int):
     """P[some candidate beats all others] from outcome counts, as
     (estimate, stderr)."""
-    est = counts.proportion([i for i, (_, winner, _)
-                             in enumerate(outcome_categories(k))
-                             if winner is not None])
+    est = counts.proportion(_outcome_indexes(k)[1])
     return est.estimate, est.stderr
 
 
 def transitive_probability(counts: CategoryCounts, k: int):
     """P[the tournament is transitive] from outcome counts, as
     (estimate, stderr)."""
-    est = counts.proportion([i for i, (_, _, trans)
-                             in enumerate(outcome_categories(k)) if trans])
+    est = counts.proportion(_outcome_indexes(k)[0])
     return est.estimate, est.stderr
 
 

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,11 +46,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # keyed by its first trial, so seeded results depend on it by design; it
 # also bounds a block's arrays. The largest are the type counts of the
 # multinomial kernel: unconditioned, 4096 x 120 int64 ranking counts for
-# k=5 elections and 4096 x 64 int64 cell counts for triplets; conditioned,
-# 4096 x 4 triplet group counts (elections draw one count per close value
-# of the first margin, when there are at most 4096), then counts over the
-# live types for only the trials whose first margin is close. A phase of
-# one block runs inline, without the thread pool.
+# k=5 elections and 4096 x 64 int64 cell counts for triplets; conditioned
+# triplets, 4096 x 4 group counts, then counts over the live types for
+# only the trials whose first margin is close. A conditioned election
+# block draws one count per close value of the first margin (or 4096
+# counts when more values are close), then holds cells x survivors int64
+# counts, at most k! = 120 cells of rankings for the at most 4096 trials
+# still close on every checked pair so far. A phase of one block runs
+# inline, without the thread pool.
 BLOCK_SIZE = 4096
 
 # A trial kernel maps (rng, size), the block's substream and its number
@@ -298,19 +302,32 @@ def _run_block(kernel: TrialKernel, seed: int, start: int, stop: int,
                        minlength=n_categories)
 
 
+# A phase on the thread pool keeps at most this many blocks per worker
+# submitted and not yet added, so its memory does not grow with trials.
+_BLOCKS_IN_FLIGHT = 4
+
+
 def _run_phase(kernel, seed, start, stop, workers, n_categories):
-    blocks = [(b, min(b + BLOCK_SIZE, stop))
-              for b in range(start, stop, BLOCK_SIZE)]
-    if workers <= 1 or len(blocks) <= 1:
-        partials = [_run_block(kernel, seed, lo, hi, n_categories)
-                    for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, kernel, seed, lo, hi,
-                                   n_categories)
-                       for lo, hi in blocks]
-            partials = [f.result() for f in futures]
-    return sum(partials, np.zeros(n_categories, dtype=np.int64))
+    """The category counts of the blocks of trials start..stop-1, each
+    block's counts added as soon as it is done."""
+    counts = np.zeros(n_categories, dtype=np.int64)
+    starts = range(start, stop, BLOCK_SIZE)
+    if workers <= 1 or len(starts) <= 1:
+        for lo in starts:
+            counts += _run_block(kernel, seed, lo, min(lo + BLOCK_SIZE, stop),
+                                 n_categories)
+        return counts
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for lo in starts:
+            if len(pending) == _BLOCKS_IN_FLIGHT * workers:
+                counts += pending.popleft().result()
+            pending.append(pool.submit(_run_block, kernel, seed, lo,
+                                       min(lo + BLOCK_SIZE, stop),
+                                       n_categories))
+        for future in pending:
+            counts += future.result()
+    return counts
 
 
 def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,

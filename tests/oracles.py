@@ -294,9 +294,10 @@ def close_election_law(n_voters, d):
             math.exp(log_total))
 
 
-def election_margin_law(n_voters, k, d=None):
+def election_margin_law(n_voters, k, d=None, subset=None):
     """Exact tournament outcome law of a k-candidate impartial-culture
-    election, conditioned on every pairwise margin being at most d, by
+    election, conditioned on the margins of the lex pairs in subset
+    (every pair when None) being at most d, by
     dynamic programming over voters: a map from the margin vector over
     the lex pairs to the integer number of ranking sequences reaching
     it, one voter (k! rankings) at a time.
@@ -311,6 +312,7 @@ def election_margin_law(n_voters, k, d=None):
         pos = {c: i for i, c in enumerate(perm)}
         steps.append(tuple(1 if pos[i] < pos[j] else -1
                            for i, j in pair_list))
+    check = range(len(pair_list)) if subset is None else sorted(set(subset))
     ways = {(0,) * len(pair_list): 1}
     for _ in range(n_voters):
         step = {}
@@ -321,7 +323,7 @@ def election_margin_law(n_voters, k, d=None):
         ways = step
     dist = {}
     for margins, count in ways.items():
-        if d is not None and max(abs(m) for m in margins) > d:
+        if d is not None and max(abs(margins[p]) for p in check) > d:
             continue
         idx = sum(1 << (len(pair_list) - 1 - p)
                   for p, m in enumerate(margins) if m > 0)

@@ -245,6 +245,18 @@ def test_config_supplies_missing_flags(tmp_path, capsys):
     assert meta["spec"]["seed"] == 5
 
 
+def test_config_equals_form(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 9, "trials": 400, "seed": 5}))
+    out_path = tmp_path / "t.csv"
+    assert main(["triplet", "--config=%s" % config, "--out",
+                 str(out_path)]) == 0
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["spec"]["params"]["n"] == 9
+    assert meta["spec"]["trials"] == 400
+    assert meta["spec"]["seed"] == 5
+
+
 def test_explicit_flags_beat_config(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"n": 9, "trials": 400, "seed": 5}))

@@ -259,6 +259,35 @@ def test_conditioned_k4_election_matches_exact_law():
     assert pvalue > 0.001
 
 
+@pytest.mark.parametrize("n,k,d,subset,trials,seed", [
+    (5, 4, 1, [1, 5], 200_000, 4151),
+    (3, 5, 1, None, 400_000, 5031),
+], ids=["k4-subset-1-5", "k5"])
+def test_conditioned_election_matches_exact_law_beyond_k3(n, k, d, subset,
+                                                          trials, seed):
+    """The pair split at k = 4 with unchecked pairs and at k = 5, against
+    the margin-vector dynamic program: the acceptance rate within 4
+    stderr and, by chi-square (p > 0.001), the outcome counts, each
+    outcome with an expected count below 5 pooled into one bin."""
+    law, accept = election_margin_law(n, k, d, subset)
+    conditioning = {"d": d} if subset is None else {"d": d, "subset": subset}
+    cc = estimate_categories(_spec("election_outcomes", {"n": n, "k": k},
+                                   trials, seed, conditioning=conditioning))
+    p = float(accept)
+    assert abs(cc.accepted / trials - p) <= 4.0 * math.sqrt(
+        p * (1.0 - p) / trials)
+    probs = np.array([float(law.get(idx, 0)) for idx in range(cc.counts.size)])
+    assert not cc.counts[probs == 0].any()
+    expected = cc.accepted * probs
+    big = expected >= 5
+    observed = np.append(cc.counts[big], cc.counts[~big].sum())
+    expected = np.append(expected[big], expected[~big].sum())
+    if expected[-1] == 0:
+        observed, expected = observed[:-1], expected[:-1]
+    _, pvalue = scipy.stats.chisquare(observed, expected)
+    assert pvalue > 0.001
+
+
 # The block kernels against the per-trial rule they replace, applied row
 # by row to type counts rebuilt from the block's substream in the
 # kernel's documented draw order. A kernel reports the categories of its
@@ -274,9 +303,8 @@ ELECTION_CONDITIONINGS = {
 
 
 def _staged_rows(seed, start, size, draws, probs, weights, column, d):
-    """The type counts of a conditioned block that draws each trial's
-    stage 1 (triplets, and elections with more than BLOCK_SIZE close
-    values of the first margin), rebuilt from substream(seed, start):
+    """The type counts of a conditioned triplet block, rebuilt from
+    substream(seed, start):
     stage 1 draws the counts of the groups of live types that share a
     weight in column, levels ascending; stage 2 splits, group by group,
     the group counts of the trials whose column margin is at most d.
@@ -308,26 +336,69 @@ def _close_law(n, d):
     return close, [Fraction(math.comb(n, g), 2 ** n) for g in close]
 
 
-def _thinned_election_rows(seed, start, size, n, signs, column, d):
-    """A conditioned election block's ranking counts, rebuilt from
-    substream(seed, start): stage 1 draws how many of the size trials
-    survive at each close g, the count of the rankings with weight +1 in
-    column, as one multinomial over the exact law of those g and the
-    rest; stage 2 splits, group by group (weight -1 first), the group
-    counts of the survivors, g ascending. Returns one row of ranking
-    counts per survivor, in survivor order."""
-    close, law = _close_law(n, d)
-    rng = substream(seed, start)
-    hits = rng.multinomial(size, [float(p) for p in law]
-                           + [float(1 - sum(law))])
-    upper = np.repeat(close, hits[:-1])
-    probs = np.full(len(signs), 1.0 / len(signs))
-    rows = np.zeros((upper.size, len(signs)), dtype=np.int64)
-    for level, group in ((-1, n - upper), (1, upper)):
-        cells = np.flatnonzero(signs[:, column] == level)
-        rows[:, cells] = rng.multinomial(group,
-                                         probs[cells] / probs[cells].sum())
-    return rows
+def _split_election_rows(rng, upper, n, signs, check, d):
+    """A conditioned election block after stage 1, rebuilt from rng in
+    the documented split order. upper holds each survivor's count of the
+    rankings with sign +1 on the first checked pair. The pairs are taken
+    in the order check, then the others ascending; a cell is the set of
+    rankings sharing a sign vector on the pairs done so far, and the
+    cells are ordered by those vectors, -1 first. At each further pair,
+    for each mixed cell in cell order, every survivor in order draws one
+    binomial of its cell count and the cell's share of rankings with
+    sign +1 on the pair; after a checked pair the survivors whose margin
+    exceeds d are dropped. Returns one row of ranking counts per survivor
+    of every checked pair, in survivor order, and the number dropped
+    after stage 1."""
+    n_pairs = signs.shape[1]
+    order = list(check) + [p for p in range(n_pairs) if p not in check]
+    rows = [{(-1,): n - int(g), (1,): int(g)} for g in upper]
+    dropped = 0
+    for step, p in enumerate(order[1:], 1):
+        members = {}
+        for r, row_signs in enumerate(signs.tolist()):
+            key = tuple(row_signs[q] for q in order[:step])
+            members.setdefault(key, []).append(row_signs[p])
+        share = {key: float(Fraction(v.count(1), len(v)))
+                 for key, v in members.items()}
+        mixed = [key for key in sorted(members) if 0 < share[key] < 1]
+        draws = {key: [rng.binomial(row[key], share[key]) for row in rows]
+                 for key in mixed}
+        kept = []
+        for i, row in enumerate(rows):
+            split = {}
+            for key in members:
+                count = row.get(key, 0)
+                up = draws[key][i] if key in draws else count * (
+                    share[key] == 1)
+                split[key + (-1,)], split[key + (1,)] = count - up, up
+            margin = 2 * sum(v for key, v in split.items()
+                             if key[-1] == 1) - n
+            if p in check and abs(margin) > d:
+                dropped += 1
+            else:
+                kept.append(split)
+        rows = kept
+    ranking = {tuple(row_signs[q] for q in order): r
+               for r, row_signs in enumerate(signs.tolist())}
+    counts = np.zeros((len(rows), len(signs)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for key, count in row.items():
+            if count:
+                counts[i, ranking[key]] = count
+    return counts, dropped
+
+
+def _close_election_categories(rows, signs, check, d):
+    """The per-trial rule on full ranking counts: every checked margin
+    is at most d, and lex pair p contributes bit 2^(P-1-p) when the
+    earlier candidate wins it."""
+    bit_weights = 1 << np.arange(signs.shape[1] - 1, -1, -1)
+    expected = []
+    for row in rows:
+        margins = row @ signs
+        assert np.max(np.abs(margins[list(check)])) <= d
+        expected.append((margins > 0) @ bit_weights)
+    return expected
 
 
 @pytest.mark.parametrize("k", sorted(ELECTION_CONDITIONINGS))
@@ -335,7 +406,6 @@ def test_election_block_kernel_matches_per_trial_rule(k):
     n, seed, start, size = 7, 5, 2 * BLOCK_SIZE, 600
     signs = ranking_sign_matrix(k)
     n_pairs = signs.shape[1]
-    bit_weights = 1 << np.arange(n_pairs - 1, -1, -1)
     for cond in ELECTION_CONDITIONINGS[k]:
         kernel, n_cat = build_kernel(_spec("election_outcomes",
                                            {"n": n, "k": k}, size, seed,
@@ -343,44 +413,42 @@ def test_election_block_kernel_matches_per_trial_rule(k):
         assert n_cat == 1 << n_pairs
         values = kernel(substream(seed, start), size)
         assert values.dtype.kind == "i"
-        check = np.array(cond.get("subset", range(n_pairs)))
-        rows = _thinned_election_rows(seed, start, size, n, signs, check[0],
-                                      cond["d"])
-        expected = []
-        for row in rows:
-            margins = row @ signs
-            assert row.sum() == n
-            if np.max(np.abs(margins[check])) <= cond["d"]:
-                expected.append((margins > 0) @ bit_weights)
-        assert values.tolist() == expected
-        assert 0 < values.size <= len(rows) < size
+        check = sorted(cond.get("subset", range(n_pairs)))
+        close, law = _close_law(n, cond["d"])
+        rng = substream(seed, start)
+        hits = rng.multinomial(size, [float(p) for p in law]
+                               + [float(1 - sum(law))])
+        upper = np.repeat(close, hits[:-1])
+        rows, dropped = _split_election_rows(rng, upper, n, signs, check,
+                                             cond["d"])
+        assert (rows.sum(axis=1) == n).all()
+        assert values.tolist() == _close_election_categories(
+            rows, signs, check, cond["d"])
+        assert 0 < values.size <= upper.size < size
+        assert dropped == upper.size - values.size
+        assert (dropped > 0) == (len(check) > 1)
 
 
 def test_election_kernel_with_many_close_values_draws_each_trial():
     """With more close values of the first margin than a block has
-    trials, the election kernel draws each trial's stage 1 and reports
-    the accepted trials in trial order."""
+    trials, the election kernel draws each trial's count of the first
+    pair as one binomial of the block size, keeps the close ones in trial
+    order, and splits them as the table route does."""
     n, d, seed, start, size = 10 ** 8 + 1, 9001, 7, BLOCK_SIZE, 300
     assert experiments._close_upper_counts(n, d) is None
     signs = ranking_sign_matrix(3)
-    bit_weights = np.array([4, 2, 1])
     kernel, _ = build_kernel(_spec("election_outcomes", {"n": n}, size,
                                    seed, conditioning={"d": d}))
     values = kernel(substream(seed, start), size)
-    weights, rows = _staged_rows(seed, start, size, n,
-                                 np.full(len(signs), 1 / len(signs)),
-                                 signs, 0, d)
-    expected = []
-    for row in rows:
-        if row is None:
-            continue
-        margins = row @ weights
-        assert row.sum() == n
-        if np.max(np.abs(margins)) <= d:
-            expected.append((margins > 0) @ bit_weights)
-    assert values.tolist() == expected
-    assert 0 < values.size < size
-    assert 0 < sum(row is None for row in rows) < size
+    rng = substream(seed, start)
+    upper = rng.binomial(n, 0.5, size)
+    upper = upper[np.abs(2 * upper - n) <= d]
+    rows, dropped = _split_election_rows(rng, upper, n, signs, [0, 1, 2], d)
+    assert (rows.sum(axis=1) == n).all()
+    assert values.tolist() == _close_election_categories(rows, signs,
+                                                         [0, 1, 2], d)
+    assert 0 < values.size < upper.size < size
+    assert dropped == upper.size - values.size
 
 
 @pytest.mark.parametrize("n", [5, 7, 301, 1024, 1025, 4097])
@@ -469,12 +537,14 @@ def _at_threads(monkeypatch, estimate, spec, *threads):
 
 
 def test_thinned_election_counts_do_not_depend_on_worker_count(monkeypatch):
-    spec = _spec("election_outcomes", {"n": 301}, 3 * BLOCK_SIZE, 21,
-                 conditioning={"d": 3})
-    one, two = _at_threads(monkeypatch, estimate_categories, spec, 1, 2)
-    assert one.trials == two.trials == 3 * BLOCK_SIZE
-    assert one.accepted == two.accepted > 0
-    np.testing.assert_array_equal(one.counts, two.counts)
+    for params, cond in (({"n": 301}, {"d": 3}),
+                         ({"n": 301, "k": 4}, {"d": 5, "subset": [1, 5]})):
+        spec = _spec("election_outcomes", params, 3 * BLOCK_SIZE, 21,
+                     conditioning=cond)
+        one, two = _at_threads(monkeypatch, estimate_categories, spec, 1, 2)
+        assert one.trials == two.trials == 3 * BLOCK_SIZE
+        assert one.accepted == two.accepted > 0
+        np.testing.assert_array_equal(one.counts, two.counts)
 
 
 def test_election_kernels_are_built_once_per_parameter_set():

@@ -87,11 +87,15 @@ def test_close_election_law_at_n301():
 
 
 def test_election_margin_law_matches_enumeration():
-    """k=3 against the composition enumeration, conditioned and not;
-    k=4, n=5, d=1 pinned."""
+    """k=3 against the composition enumeration, conditioned on every
+    pair, on a subset of the pairs and not at all; k=4, n=5, d=1
+    pinned."""
     assert election_margin_law(5, 3, 1) == election_outcome_distribution(
         5, d=1)
     assert election_margin_law(7, 3) == election_outcome_distribution(7)
+    for n, subset in ((5, [0]), (7, [1, 2]), (7, [2, 0])):
+        assert election_margin_law(n, 3, 1, subset) == (
+            election_outcome_distribution(n, d=1, subset=subset))
     law, accept = election_margin_law(5, 4, 1)
     assert float(accept) == pytest.approx(0.1019362, abs=5e-8)
     assert len(law) == 64 and sum(law.values()) == 1
