@@ -2,7 +2,7 @@
 ranking, and the Condorcet winner and transitivity of a tournament
 outcome. The election family draws its margins from ranking counts
 (experiments._multinomial_kernel), or, conditioned, from the counts of
-sets of rankings split one pair at a time (experiments._pair_split_kernel).
+sets of rankings split one pair at a time (experiments._split_kernel).
 
 Margins live on the lexicographic pair order (0,1), (0,2), ..., so for
 three candidates a, b, c the stored vector is (S_ab, S_ac, S_bc). The

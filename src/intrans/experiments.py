@@ -127,14 +127,15 @@ _EXACT_TABLE_DRAWS = 1024
 
 
 def _close_upper_counts(draws: int, d: int):
-    """Stage 1 of a conditioned election block. The first checked margin
-    is 2 g - draws, where g, the count of the rankings that put that
-    pair's earlier candidate first, is Binomial(draws, 1/2). Returns the
-    values of g where the margin is at most d >= 1 in absolute value,
-    ascending, and a table of their probabilities C(draws, g) / 2^draws
-    followed by the rest, 1 - P(close), exactly 0 when d >= draws; or
-    None when more than BLOCK_SIZE values of g are close, where drawing
-    each trial's g is no dearer than the table.
+    """Stage 1 of the split kernel on a first column of levels -1 and 1
+    that one split of share 1/2 resolves (every conditioned election).
+    Its tally is 2 g - draws, where g, the count of the types above -1, is
+    Binomial(draws, 1/2). Returns the values of g where the tally is at
+    most d >= 1 in absolute value, ascending, and a table of their
+    probabilities C(draws, g) / 2^draws followed by the rest, 1 -
+    P(close), exactly 0 when d >= draws; or None when more than
+    BLOCK_SIZE values of g are close, where drawing each trial's g is no
+    dearer than the table.
 
     Below _EXACT_TABLE_DRAWS every entry is an exact integer ratio, so it
     is correctly rounded. From it on the middle term, at m = draws // 2,
@@ -167,144 +168,121 @@ def _close_upper_counts(draws: int, d: int):
 
 
 def _multinomial_kernel(draws: int, probs: np.ndarray, weights: np.ndarray,
-                        check: np.ndarray, d: Optional[int], category):
-    """The block kernel of unconditioned elections and of the triplet
-    families. A trial draws the counts of draws independent types of law
-    probs; its tallies are the exact integers counts @ weights. It is
-    accepted when its tallies in the columns check are all at most d in
-    absolute value (every trial when d is None), and category(tallies)
-    gives the category of each accepted trial.
-
-    Unconditioned (d None), a block draws its counts as one multinomial
-    of draws over probs, size the block's trial count, from the block's
-    substream, and reports every trial's category in trial order.
-
-    Conditioned (the triplet families only; conditioned elections split
-    by pair, see _pair_split_kernel), the block draws in two stages from
-    that substream. A multinomial splits exactly by groups of types, so
-    the law is the same. Types of probability 0 are dropped, and the live
-    types are grouped by their weight in the first checked column, levels
-    ascending: the four values of w_ab (over the 44 live cells of
-    impartial culture). Stage 1 draws the group counts of every trial as
-    one multinomial of draws over the group probabilities, size the
-    block's trial count, and keeps the trials whose first checked tally is
-    at most d, the survivors, in trial order; the others draw nothing more
-    and are not accepted. Stage 2 draws, group by group in level order,
-    the counts within the group of each survivor, as one multinomial of
-    its group count over the group's normalized probabilities. The kernel
-    reports the categories of the accepted survivors in trial order.
-    """
-    if d is None:
-        def kernel(rng: np.random.Generator, size: int):
-            return category(rng.multinomial(draws, probs, size=size)
-                            @ weights)
-
-        return kernel
-
-    live = probs > 0
-    probs, weights = probs[live], weights[live]
-    levels, group = np.unique(weights[:, check[0]], return_inverse=True)
-    members = [np.flatnonzero(group == j) for j in range(levels.size)]
-    group_probs = np.array([probs[cells].sum() for cells in members])
-    within = [probs[cells] / p for cells, p in zip(members, group_probs)]
-
+                        category):
+    """The block kernel of the unconditioned type-count families. A trial
+    draws the counts of draws independent types of law probs, and
+    category(counts @ weights) gives each trial's category from its exact
+    integer tallies. A block draws its counts as one multinomial of draws
+    over probs, size the block's trial count, from the block's substream,
+    and reports every trial's category in trial order."""
     def kernel(rng: np.random.Generator, size: int):
-        groups = rng.multinomial(draws, group_probs, size=size)
-        groups = groups[np.abs(groups @ levels) <= d]
-        counts = np.empty((len(groups), probs.size), dtype=np.int64)
-        for j, cells in enumerate(members):
-            counts[:, cells] = rng.multinomial(groups[:, j], within[j])
-        tallies = counts @ weights
-        return category(tallies[(np.abs(tallies[:, check]) <= d).all(axis=1)])
+        return category(rng.multinomial(draws, probs, size=size) @ weights)
 
     return kernel
 
 
-def _pair_split_kernel(n: int, signs: np.ndarray, d: int, check: tuple):
-    """The block kernel of conditioned elections: n voters, each ranking
-    the candidates by one of the rows of signs (the lex-pair signs of the
-    k! rankings) with equal probability, accepted when the margins of the
-    pairs check are all at most d in absolute value. Each accepted trial
-    reports bit 2^(P-1-p) for every pair p of the P whose margin is
-    positive.
+def _split_kernel(draws: int, masses: np.ndarray, weights: np.ndarray,
+                  check: tuple, d: int, category):
+    """The block kernel of every conditioned family. A trial draws the
+    counts of draws independent types, type t with probability masses[t]
+    / masses.sum(); its tallies are the exact integers counts @ weights.
+    It is accepted when its tallies in the columns check are all at most d
+    in absolute value, and category(tallies) gives the category of each
+    accepted trial.
 
-    The kernel never draws a trial's k! ranking counts. It takes the
-    pairs one at a time, the checked pairs ascending and then the others
-    ascending, and tracks the counts of the cells, the sets of rankings
-    that share their signs on the pairs done so far, ordered by those
-    signs lexicographically, - before +.
+    The kernel never draws a trial's type counts. It resolves the columns
+    one at a time, the columns check in order and then the others
+    ascending, and tracks the counts of the cells: the sets of live types
+    (of mass > 0) that share their levels on the resolved columns, ordered
+    by those levels lexicographically, ascending.
 
-    Stage 1 is the first checked pair. The count g of the rankings that
-    put its earlier candidate first is Binomial(n, 1/2), so the block
-    draws how many of its trials survive at each close value of g (the
-    margin 2 g - n at most d) as one multinomial of its trial count over
-    the table of _close_upper_counts, and orders the survivors by g
-    ascending; the cells are then (n - g, g). With more close values than
-    BLOCK_SIZE (no table), it draws each trial's g as one
-    rng.binomial(n, 1/2, size) and keeps the close ones in trial order.
+    A column is resolved by one split for each of its levels but the
+    highest, ascending. The split at level v splits every mixed cell (one
+    holding types at v and types above v) into those two parts, by one
+    rng.binomial(cell counts, the mass share of the cell's types above v)
+    over the (mixed cells, survivors) array: the mixed cells in cell
+    order, and for each the survivors in order. Other cells pass whole,
+    so a column that the resolved ones determine (the sign columns of the
+    triplet families) draws nothing. Given its count, a cell's types have
+    a multinomial law of their mass shares, so the split is exact and
+    leaves multinomials in the new cells. A column's tally is its lowest
+    level times draws plus, for each split, the gap to the next level
+    times the count above v; after a checked column, the survivors whose
+    tally exceeds d are dropped before the next draw. The kernel reports
+    the categories of the accepted survivors in survivor order.
 
-    Each further pair splits every mixed cell (one holding rankings of
-    both signs on the pair) into its - and + rankings, by one
-    rng.binomial(cell counts, share of + rankings in the cell) over the
-    (mixed cells, survivors) array: the mixed cells in cell order, and
-    for each the survivors in order. A cell of one sign passes whole. Given
-    its count, a cell's rankings have a uniform multinomial law, so the
-    split is exact, and it leaves uniform multinomials in the new cells.
-    The pair's margin is 2 (+ total) - n, and after a checked pair the
-    survivors whose margin exceeds d are dropped before the next draw.
-    The kernel reports the categories of the accepted survivors in
-    survivor order.
+    Stage 1. When one split of share exactly 1/2 resolves a first column
+    of levels -1 and 1 (every election), the block draws how many of its
+    trials survive at each close value of the count g above -1 as one
+    multinomial of its trial count over the table of _close_upper_counts,
+    the survivors ordered by g ascending. With more close values than
+    BLOCK_SIZE (no table), or any other first column, the first split
+    draws each trial like any other split.
     """
-    n_pairs = signs.shape[1]
-    order = list(check) + [p for p in range(n_pairs) if p not in check]
-    bit = [1 << (n_pairs - 1 - p) for p in range(n_pairs)]
-    stage_one = _close_upper_counts(n, d)
-    cells = [np.flatnonzero(signs[:, order[0]] < 0),
-             np.flatnonzero(signs[:, order[0]] > 0)]
-    # Per further pair: its bit, the mixed cells and their + shares, a
-    # 0/1 column of the cells that are all +, the rows of the next cells
-    # in the stacked (- counts, + counts) (None after the last pair, so
-    # no trial's k! ranking counts are formed), and whether it is checked.
+    live = masses > 0
+    masses, weights = masses[live], weights[live]
+    order = list(check) + [c for c in range(weights.shape[1])
+                           if c not in check]
+    base = weights.min(axis=0)[:, None] * draws
+    cells = [np.arange(len(masses))]
+    # Per split: its column and level gap, the mixed cells and their
+    # shares, a 0/1 column of the cells wholly above v, the rows of the
+    # next cells in the stacked (counts at v, counts above v) (None when
+    # no cell splits, and after the last split, so no trial's type counts
+    # are formed), and whether it ends a checked column.
     steps = []
-    for p in order[1:]:
-        plus = [signs[cell, p] > 0 for cell in cells]
-        share = np.array([up.mean() for up in plus])
-        mixed = np.flatnonzero((share > 0) & (share < 1))
-        children, split = [], []
-        for j, (cell, up) in enumerate(zip(cells, plus)):
-            if not up.all():
-                children.append(j)
-                split.append(cell[~up])
-            if up.any():
-                children.append(len(cells) + j)
-                split.append(cell[up])
-        steps.append((bit[p], mixed, share[mixed, None],
-                      (share == 1).astype(np.int64)[:, None],
-                      np.array(children) if p != order[-1] else None,
-                      p in check))
-        cells = split
+    for c in order:
+        levels = sorted(set(weights[:, c].tolist()))
+        for low, high in zip(levels, levels[1:]):
+            above = [weights[cell, c] > low for cell in cells]
+            mixed = [j for j, up in enumerate(above)
+                     if up.any() and not up.all()]
+            children, split = [], []
+            for j, (cell, up) in enumerate(zip(cells, above)):
+                if not up.all():
+                    children.append(j)
+                    split.append(cell[~up])
+                if up.any():
+                    children.append(len(cells) + j)
+                    split.append(cell[up])
+            steps.append([c, high - low, np.array(mixed, dtype=np.intp),
+                          np.array([[masses[cells[j][above[j]]].sum()
+                                     / masses[cells[j]].sum()]
+                                    for j in mixed]),
+                          np.array([[up.all()] for up in above],
+                                   dtype=np.int64),
+                          np.array(children) if mixed else None, False])
+            cells = split
+        steps[-1][-1] = c in check
+    steps[-1][5] = None
+    stage_one = None
+    if (set(weights[:, order[0]].tolist()) == {-1, 1}
+            and steps[0][3].tolist() == [[0.5]]):
+        stage_one = _close_upper_counts(draws, d)
+        steps[0][-1] = stage_one is None  # the table holds only close g
 
     def kernel(rng: np.random.Generator, size: int):
-        if stage_one is None:
-            upper = rng.binomial(n, 0.5, size)
-            upper = upper[np.abs(2 * upper - n) <= d]
-        else:
+        up = None
+        if stage_one is not None:
             close, table = stage_one
-            upper = np.repeat(close, rng.multinomial(size, table)[:-1])
-        category = (2 * upper > n) * bit[order[0]]
-        counts = np.stack([n - upper, upper])
-        for p_bit, mixed, share, whole, children, checked in steps:
-            up = counts * whole
-            up[mixed] = rng.binomial(counts[mixed], share)
-            margin = 2 * up.sum(axis=0) - n
-            category += (margin > 0) * p_bit
+            up = np.repeat(close, rng.multinomial(size, table)[:-1])[None]
+            size = up.shape[1]
+        counts = np.full((1, size), draws)
+        tallies = base.repeat(size, axis=1)
+        for column, gap, mixed, share, whole, children, checked in steps:
+            if up is None:
+                up = counts * whole
+                if mixed.size:
+                    up[mixed] = rng.binomial(counts[mixed], share)
+            tallies[column] += gap * up.sum(axis=0)
             if checked:
-                keep = np.abs(margin) <= d
-                category, counts, up = (category[keep], counts[:, keep],
-                                        up[:, keep])
+                keep = np.abs(tallies[column]) <= d
+                tallies, counts, up = (tallies[:, keep], counts[:, keep],
+                                       up[:, keep])
             if children is not None:
                 counts = np.concatenate([counts - up, up])[children]
-        return category
+            up = None
+        return category(tallies.T)
 
     return kernel
 
@@ -318,9 +296,9 @@ def _build_election_outcomes(spec: ExperimentSpec):
     Category index: lex pair i contributes bit 2^(K-1-i) when the earlier
     candidate wins that pair, so k=3 has 8 categories. Unconditioned, a
     block draws its ranking counts from its substream by
-    _multinomial_kernel; conditioned, _pair_split_kernel draws it one pair
-    at a time. The spec is checked on every call; the kernel is built once
-    per (n, k, d, checked pairs) by _election_kernel.
+    _multinomial_kernel; conditioned, _split_kernel draws it one pair at a
+    time. The spec is checked on every call; the kernel is built once per
+    (n, k, d, checked pairs) by _election_kernel.
     """
     _only(spec.params, spec.family, "param", "n", "k")
     n = _param(spec.params, "n", spec.family, "param")
@@ -346,19 +324,22 @@ def _build_election_outcomes(spec: ExperimentSpec):
 def _election_kernel(n: int, k: int, d: Optional[int], check: tuple):
     """The block kernel of n voters on k candidates: one multinomial of
     the k! ranking counts a trial (_multinomial_kernel) when d is None,
-    else the split by pair of _pair_split_kernel on the sorted lex pairs
+    else _split_kernel, each ranking of mass 1, on the sorted lex pairs
     check. The kernels of the most recently used parameter sets are kept,
     so a spec's kernel is built once however often its builder runs (the
     spec checks itself when it is made, and each estimate builds its
     kernel again)."""
     signs = ranking_sign_matrix(k)
-    if d is not None:
-        return _pair_split_kernel(n, signs, d, check)
     bit_weights = 1 << np.arange(signs.shape[1] - 1, -1, -1)
-    return _multinomial_kernel(
-        n, np.full(len(signs), 1.0 / len(signs)), signs,
-        np.asarray(check, dtype=np.intp), d,
-        lambda margins: (margins > 0) @ bit_weights)
+
+    def category(margins):
+        return (margins > 0) @ bit_weights
+
+    if d is None:
+        return _multinomial_kernel(n, np.full(len(signs), 1.0 / len(signs)),
+                                   signs, category)
+    return _split_kernel(n, np.ones(len(signs), dtype=np.int64), signs,
+                         check, d, category)
 
 
 @lru_cache(maxsize=None)
@@ -412,9 +393,9 @@ def _build_triplet(spec: ExperimentSpec):
     on three candidates, optionally conditioned on all three pairwise
     vote margins being at most d. triplet_paradox votes by impartial
     culture; under triplet_noise each voter's three votes agree with a
-    hidden uniform sign with probability (1+rho)/2. A trial is a hit when
-    its triplet-majority sums counts @ sign(weights) share one sign: the
-    kernel tallies the three margins, then those three sums."""
+    hidden uniform sign with probability (1+rho)/2. The spec is checked on
+    every call; the kernel is built once per (n / 3, rho, d) by
+    _triplet_kernel."""
     noise = spec.family == "triplet_noise"
     _only(spec.params, spec.family, "param", "n", "rho" if noise else "n")
     n = _param(spec.params, "n", spec.family, "param")
@@ -426,16 +407,31 @@ def _build_triplet(spec: ExperimentSpec):
     rho = (_param(spec.params, "rho", spec.family, "param", _real) if noise
            else None)
     d, _ = _conditioning_fields(spec)
+    return _triplet_kernel(m, rho, d), 2
+
+
+@lru_cache(maxsize=32)
+def _triplet_kernel(m: int, rho: Optional[float], d: Optional[int]):
+    """The block kernel of m triplets of triplet_cell_tables(rho) cells,
+    a hit when the triplet-majority sums counts @ sign(weights) share one
+    sign: one multinomial of the 64 cells a trial when d is None, else
+    _split_kernel on the three margins, which resolve those sums. The
+    impartial-culture cell probabilities are multiples of 1/216 (three
+    voters of six rankings), so the split takes them as integer masses.
+    Cached like _election_kernel."""
     probs, weights = triplet_cell_tables(rho)
+    weights = np.hstack([weights, np.sign(weights)])
 
     def cycle(tallies):
         f_signs = tallies[:, 3:]
         hit = (f_signs > 0).all(axis=1) | (f_signs < 0).all(axis=1)
         return hit.astype(np.intp)
 
-    return _multinomial_kernel(m, probs,
-                               np.hstack([weights, np.sign(weights)]),
-                               np.arange(3), d, cycle), 2
+    if d is None:
+        return _multinomial_kernel(m, probs, weights, cycle)
+    masses = probs if rho is not None else np.rint(216 * probs).astype(
+        np.int64)
+    return _split_kernel(m, masses, weights, (0, 1, 2), d, cycle)
 
 
 _DICE_MODEL_PARAMS = {"conditioned": ("dist",), "iid": ("dist",),

@@ -46,14 +46,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # keyed by its first trial, so seeded results depend on it by design; it
 # also bounds a block's arrays. The largest are the type counts of the
 # multinomial kernel: unconditioned, 4096 x 120 int64 ranking counts for
-# k=5 elections and 4096 x 64 int64 cell counts for triplets; conditioned
-# triplets, 4096 x 4 group counts, then counts over the live types for
-# only the trials whose first margin is close. A conditioned election
-# block draws one count per close value of the first margin (or 4096
-# counts when more values are close), then holds cells x survivors int64
-# counts, at most k! = 120 cells of rankings for the at most 4096 trials
-# still close on every checked pair so far. A phase of one block runs
-# inline, without the thread pool.
+# k=5 elections and 4096 x 64 int64 cell counts for triplets. A
+# conditioned block (the split kernel) holds cells x survivors int64
+# counts, at most k! = 120 cells of rankings or 64 triplet cells for the
+# at most 4096 trials still close on every checked column so far; an
+# election draws its first pair as one count per close value of its
+# margin (or 4096 counts when more values are close). A phase of one
+# block runs inline, without the thread pool.
 BLOCK_SIZE = 4096
 
 # A trial kernel maps (rng, size), the block's substream and its number

@@ -8,7 +8,8 @@ aggregator, a block kernel run by mc's engine like every family.
 Pair conventions here are cyclic: for candidates a, b, c the three
 comparisons are (ab), (bc), (ca), each voter contributing +1 to (ca) when
 they rank c above a (patterns read off elections.ranking_sign_matrix(3);
-the close-election families run on experiments._multinomial_kernel).
+the close-election families run on experiments._multinomial_kernel, and
+conditioned on experiments._split_kernel).
 Voters are grouped into consecutive disjoint triplets; w_i in
 {-3, -1, +1, +3} is triplet i's vote sum on one pair.
 """

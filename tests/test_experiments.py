@@ -302,33 +302,6 @@ ELECTION_CONDITIONINGS = {
 }
 
 
-def _staged_rows(seed, start, size, draws, probs, weights, column, d):
-    """The type counts of a conditioned triplet block, rebuilt from
-    substream(seed, start):
-    stage 1 draws the counts of the groups of live types that share a
-    weight in column, levels ascending; stage 2 splits, group by group,
-    the group counts of the trials whose column margin is at most d.
-    Returns the live weights and one row of live-type counts per trial,
-    None for a trial rejected at stage 1."""
-    live = probs > 0
-    probs, weights = probs[live], weights[live]
-    levels = sorted(set(weights[:, column].tolist()))
-    members = [np.flatnonzero(weights[:, column] == v) for v in levels]
-    rng = substream(seed, start)
-    groups = rng.multinomial(
-        draws, [probs[cells].sum() for cells in members], size=size)
-    passed = np.flatnonzero(np.abs(groups @ np.array(levels)) <= d)
-    rows = [None] * size
-    for i in passed:
-        rows[i] = np.zeros(len(probs), dtype=np.int64)
-    for j, cells in enumerate(members):
-        splits = rng.multinomial(groups[passed, j],
-                                 probs[cells] / probs[cells].sum())
-        for i, split in zip(passed, splits):
-            rows[i][cells] = split
-    return weights, rows
-
-
 def _close_law(n, d):
     """The values g of Binomial(n, 1/2) with |2 g - n| <= d, and their
     exact probabilities C(n, g) / 2^n."""
@@ -336,56 +309,62 @@ def _close_law(n, d):
     return close, [Fraction(math.comb(n, g), 2 ** n) for g in close]
 
 
-def _split_election_rows(rng, upper, n, signs, check, d):
-    """A conditioned election block after stage 1, rebuilt from rng in
-    the documented split order. upper holds each survivor's count of the
-    rankings with sign +1 on the first checked pair. The pairs are taken
-    in the order check, then the others ascending; a cell is the set of
-    rankings sharing a sign vector on the pairs done so far, and the
-    cells are ordered by those vectors, -1 first. At each further pair,
-    for each mixed cell in cell order, every survivor in order draws one
-    binomial of its cell count and the cell's share of rankings with
-    sign +1 on the pair; after a checked pair the survivors whose margin
-    exceeds d are dropped. Returns one row of ranking counts per survivor
-    of every checked pair, in survivor order, and the number dropped
-    after stage 1."""
-    n_pairs = signs.shape[1]
-    order = list(check) + [p for p in range(n_pairs) if p not in check]
-    rows = [{(-1,): n - int(g), (1,): int(g)} for g in upper]
-    dropped = 0
-    for step, p in enumerate(order[1:], 1):
-        members = {}
-        for r, row_signs in enumerate(signs.tolist()):
-            key = tuple(row_signs[q] for q in order[:step])
-            members.setdefault(key, []).append(row_signs[p])
-        share = {key: float(Fraction(v.count(1), len(v)))
-                 for key, v in members.items()}
-        mixed = [key for key in sorted(members) if 0 < share[key] < 1]
-        draws = {key: [rng.binomial(row[key], share[key]) for row in rows]
-                 for key in mixed}
-        kept = []
-        for i, row in enumerate(rows):
-            split = {}
-            for key in members:
-                count = row.get(key, 0)
-                up = draws[key][i] if key in draws else count * (
-                    share[key] == 1)
-                split[key + (-1,)], split[key + (1,)] = count - up, up
-            margin = 2 * sum(v for key, v in split.items()
-                             if key[-1] == 1) - n
-            if p in check and abs(margin) > d:
-                dropped += 1
-            else:
-                kept.append(split)
-        rows = kept
-    ranking = {tuple(row_signs[q] for q in order): r
-               for r, row_signs in enumerate(signs.tolist())}
-    counts = np.zeros((len(rows), len(signs)), dtype=np.int64)
+def _split_rows(rng, rows, masses, weights, check, d):
+    """A conditioned block's type counts, rebuilt from rng in the
+    documented split order. rows holds, for each trial still in the
+    block, a dict from cell (a tuple of live type indexes, all of them in
+    the first cell) to the trial's count of its types. The columns are
+    taken in the order check, then the others ascending; each level v of
+    a column but the highest, ascending, splits every cell holding types
+    at v and types above v in place into those two parts, and for each
+    such cell in cell order every trial in order draws one binomial of
+    its cell count and the cell's mass share above v. After a checked
+    column the trials whose tally exceeds d are dropped. Returns one row
+    of type counts per survivor, in order, and the number dropped."""
+    order = list(check) + [c for c in range(weights.shape[1])
+                           if c not in check]
+    cells, dropped = list(rows[0]), 0
+    for c in order:
+        for v in sorted(set(weights[:, c].tolist()))[:-1]:
+            parts = {cell: (tuple(t for t in cell if weights[t, c] <= v),
+                            tuple(t for t in cell if weights[t, c] > v))
+                     for cell in cells}
+            draws = {cell: [rng.binomial(row[cell], masses[list(high)].sum()
+                                         / masses[list(cell)].sum())
+                            for row in rows]
+                     for cell, (low, high) in parts.items() if low and high}
+            split = []
+            for i, row in enumerate(rows):
+                split.append({})
+                for cell, (low, high) in parts.items():
+                    up = draws[cell][i] if cell in draws else row[cell] * (
+                        not low)
+                    if low:
+                        split[-1][low] = row[cell] - up
+                    if high:
+                        split[-1][high] = up
+            rows = split
+            cells = [part for cell in cells for part in parts[cell] if part]
+        if c in check:
+            kept = [row for row in rows if abs(sum(
+                count * weights[cell[0], c] for cell, count in row.items()))
+                <= d]
+            dropped += len(rows) - len(kept)
+            rows = kept
+    counts = np.zeros((len(rows), len(masses)), dtype=np.int64)
     for i, row in enumerate(rows):
-        for key, count in row.items():
-            if count:
-                counts[i, ranking[key]] = count
+        for cell, count in row.items():
+            assert len(cell) == 1
+            counts[i, cell[0]] = count
     return counts, dropped
+
+
+def _election_rows(upper, n, signs, pair):
+    """Trials after an election's stage 1: upper holds each survivor's
+    count of the rankings with sign +1 on the first checked pair."""
+    minus = tuple(np.flatnonzero(signs[:, pair] < 0).tolist())
+    plus = tuple(np.flatnonzero(signs[:, pair] > 0).tolist())
+    return [{minus: n - int(g), plus: int(g)} for g in upper]
 
 
 def _close_election_categories(rows, signs, check, d):
@@ -419,8 +398,9 @@ def test_election_block_kernel_matches_per_trial_rule(k):
         hits = rng.multinomial(size, [float(p) for p in law]
                                + [float(1 - sum(law))])
         upper = np.repeat(close, hits[:-1])
-        rows, dropped = _split_election_rows(rng, upper, n, signs, check,
-                                             cond["d"])
+        rows, dropped = _split_rows(
+            rng, _election_rows(upper, n, signs, check[0]),
+            np.ones(len(signs), dtype=np.int64), signs, check, cond["d"])
         assert (rows.sum(axis=1) == n).all()
         assert values.tolist() == _close_election_categories(
             rows, signs, check, cond["d"])
@@ -443,7 +423,9 @@ def test_election_kernel_with_many_close_values_draws_each_trial():
     rng = substream(seed, start)
     upper = rng.binomial(n, 0.5, size)
     upper = upper[np.abs(2 * upper - n) <= d]
-    rows, dropped = _split_election_rows(rng, upper, n, signs, [0, 1, 2], d)
+    rows, dropped = _split_rows(rng, _election_rows(upper, n, signs, 0),
+                                np.ones(6, dtype=np.int64), signs, [0, 1, 2],
+                                d)
     assert (rows.sum(axis=1) == n).all()
     assert values.tolist() == _close_election_categories(rows, signs,
                                                          [0, 1, 2], d)
@@ -570,26 +552,29 @@ def test_election_kernels_are_built_once_per_parameter_set():
 def test_triplet_block_kernel_matches_per_trial_rule(rho):
     m, seed, start, size = 3, 6, BLOCK_SIZE, 600
     probs, weights = triplet_cell_tables(rho)
+    live = probs > 0
+    assert live.sum() == (44 if rho is None else 64)
+    masses = (np.rint(216 * probs).astype(np.int64) if rho is None
+              else probs)[live]
+    weights = weights[live]
     family, params = (("triplet_paradox", {"n": 3 * m}) if rho is None
                       else ("triplet_noise", {"n": 3 * m, "rho": rho}))
     for d in (1, 3):
         kernel, _ = build_kernel(_spec(family, params, size, seed, {"d": d}))
         values = kernel(substream(seed, start), size)
-        live_weights, rows = _staged_rows(seed, start, size, m, probs,
-                                          weights, 0, d)
-        assert len(live_weights) == (44 if rho is None else 64)
+        rows, dropped = _split_rows(
+            substream(seed, start), [{tuple(range(live.sum())): m}] * size,
+            masses, np.hstack([weights, np.sign(weights)]), [0, 1, 2], d)
         expected = []
         for row in rows:
-            if row is None:
-                continue
             assert row.sum() == m
-            if np.max(np.abs(row @ live_weights)) <= d:
-                f_signs = row @ np.sign(live_weights)
-                hit = (f_signs > 0).all() or (f_signs < 0).all()
-                expected.append(1 if hit else 0)
+            assert np.max(np.abs(row @ weights)) <= d
+            f_signs = row @ np.sign(weights)
+            hit = (f_signs > 0).all() or (f_signs < 0).all()
+            expected.append(1 if hit else 0)
         assert values.tolist() == expected
         assert 0 < np.count_nonzero(values) < values.size < size
-        assert 0 < sum(row is None for row in rows) < size
+        assert 0 < dropped < size
 
 
 @pytest.mark.parametrize("family,params", [
@@ -623,8 +608,8 @@ def test_unconditioned_block_is_one_multinomial(family, params):
 
 
 def test_staged_election_law_on_a_later_first_column():
-    """Conditioned on pairs 1 and 2 only, the first stage groups by pair
-    1's margin; the k=3, n=7, d=1 law still matches exact enumeration:
+    """Conditioned on pairs 1 and 2 only, stage 1 draws pair 1's margin;
+    the k=3, n=7, d=1 law still matches exact enumeration:
     the outcome counts by chi-square (24.32 is the 0.999 quantile with 7
     degrees of freedom) and the acceptance rate within 5 stderr."""
     trials = 400_000
@@ -642,9 +627,10 @@ def test_staged_election_law_on_a_later_first_column():
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
 def test_triplet_noise_endpoints_run_conditioned(rho):
-    """At rho = 1 only 4 of the 64 cells are live and every stage-1 group
-    holds one; at rho = 0 all 64 are. Neither leaves a group of
-    probability 0 to normalize, so no NaN reaches a draw."""
+    """At rho = 1 only 4 of the 64 cells are live, and each level of a
+    margin holds one; at rho = 0 all 64 are. The split drops the dead
+    cells, so no cell of mass 0 leaves a share to divide by 0, and no NaN
+    reaches a draw."""
     with np.errstate(all="raise"):
         est = estimate_probability(_spec("triplet_noise",
                                          {"n": 9, "rho": rho}, 20_000, 12,
@@ -752,6 +738,11 @@ def test_block_families_do_not_depend_on_worker_count(monkeypatch):
                              1, 8)
     assert one.accepted == eight.accepted > 0
     assert one.estimate == eight.estimate
+    noise = replace(triplet, family="triplet_noise",
+                    params={"n": 303, "rho": 0.9})
+    one, eight = _at_threads(monkeypatch, estimate_categories, noise, 1, 8)
+    assert one.accepted == eight.accepted > 0
+    np.testing.assert_array_equal(one.counts, eight.counts)
     trials = 2 * BLOCK_SIZE + 17
     dice = _spec("dice_triples", {"model": "discrete", "n": 5}, trials, 5)
     one, eight = _at_threads(monkeypatch, estimate_categories, dice, 1, 8)
@@ -1039,14 +1030,16 @@ def test_triplet_paradox_conditioned_matches_profile_simulation():
     assert abs(est.estimate - p_ref) < 4.0 * math.hypot(est.stderr, se_ref)
 
 
-@pytest.mark.parametrize("d", [1, 3])
-def test_triplet_paradox_conditioned_matches_exact_law(d):
-    """n=9 (three triplets) against the exact convolution of the triplet
-    law: the acceptance rate and the cycle rate each within 5 stderr."""
+@pytest.mark.parametrize("m,d", [(3, 1), (3, 3), (5, 3)],
+                         ids=["1", "3", "m5-d3"])
+def test_triplet_paradox_conditioned_matches_exact_law(m, d):
+    """n=9 and n=15 (three and five triplets) against the exact
+    convolution of the triplet law: the acceptance rate and the cycle
+    rate each within 5 stderr."""
     trials = 200_000
-    est = estimate_probability(_spec("triplet_paradox", {"n": 9}, trials,
-                                     15, conditioning={"d": d}))
-    hit, accept = (float(v) for v in triplet_paradox_exact(3, d))
+    est = estimate_probability(_spec("triplet_paradox", {"n": 3 * m},
+                                     trials, 15, conditioning={"d": d}))
+    hit, accept = (float(v) for v in triplet_paradox_exact(m, d))
     assert abs(est.accepted / trials - accept) < 5.0 * math.sqrt(
         accept * (1.0 - accept) / trials)
     assert abs(est.estimate - hit) < 5.0 * math.sqrt(
