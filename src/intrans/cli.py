@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .distributions import DISTRIBUTIONS, get_distribution
+from .distributions import DISTRIBUTIONS, get_distribution, normal_cdf
 from .errors import IntransError, InvalidInputError
 from .experiments import (
     condorcet_probability,
@@ -321,8 +321,6 @@ def _suite_covariances() -> list:
 
 
 def _suite_predictors() -> list:
-    from scipy.special import ndtr
-
     checks = []
     beta = beta_constant(CorrelationKernel.fbm(0.5))
     checks.append(_check("beta_iid_sixth", abs(beta - 1.0 / 6.0) <= 1e-12,
@@ -346,7 +344,7 @@ def _suite_predictors() -> list:
     rho = 0.45
     x = nodes[:, None]
     y = rho * x + math.sqrt(1.0 - rho * rho) * nodes[None, :]
-    integrand = ndtr(x) * ndtr(y)
+    integrand = normal_cdf(x) * normal_cdf(y)
     quad = float(weights @ integrand @ weights / (2.0 * math.pi))
     series = phi_product_expectation(rho)
     checks.append(_check("phi_product_rho_045",

@@ -271,10 +271,8 @@ def t_rho_exact(tallies: TripletTallies, rho: float) -> float:
     """The noise operator applied to f at a given vote configuration:
     E[f(noisy copy)] where each vote flips independently with probability
     (1-rho)/2. Computed exactly: the number of noisy triplets with a
-    positive majority is a sum of four independent binomials (one per
-    tally class), convolved in O(m^2)."""
-    from scipy.stats import binom
-
+    positive majority is a sum of m independent Bernoulli trials, one per
+    triplet with its tally class's chance, convolved in O(m^2)."""
     params = noise_params(rho)
     m = tallies.m
     if m % 2 == 0:
@@ -283,8 +281,8 @@ def t_rho_exact(tallies: TripletTallies, rho: float) -> float:
     for count, p in ((tallies.w3, params.p3), (tallies.w1, params.p1),
                      (tallies.wm1, 1.0 - params.p1),
                      (tallies.wm3, 1.0 - params.p3)):
-        if count:
-            pmf = np.convolve(pmf, binom.pmf(np.arange(count + 1), count, p))
+        for _ in range(count):
+            pmf = np.convolve(pmf, (1.0 - p, p))
     positive = float(pmf[m // 2 + 1:].sum())
     return 2.0 * positive - 1.0
 

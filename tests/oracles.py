@@ -294,6 +294,80 @@ def close_election_law(n_voters, d):
             math.exp(log_total))
 
 
+def _centred_binomial_pmf(trials, values):
+    """P(2 Bin(trials, 1/2) - trials = v) at each integer v of values."""
+    values = np.asarray(values)
+    heads2 = values + trials
+    ok = (heads2 % 2 == 0) & (np.abs(values) <= trials)
+    log_pmf = [math.lgamma(trials + 1) - math.lgamma(h + 1)
+               - math.lgamma(trials - h + 1) - trials * math.log(2)
+               for h in (heads2[ok] // 2).tolist()]
+    pmf = np.zeros(values.shape)
+    pmf[ok] = np.exp(log_pmf)
+    return pmf
+
+
+def close_election_law_by_split(n_voters, d, sds=14.0):
+    """The conditional outcome law of close_election_law for odd n, in
+    O(W d) by splitting each voter's ranking of (a, b, c) in two: the
+    fair sign s of a against b, and the place of c (top, middle or
+    bottom, uniform and independent of s).
+
+    With M the middle voters, x the sum of s over them, y the sum of s
+    over the other n - M, and z their bottoms less their tops, the
+    margins are ab = x + y, ac = z + x and bc = z - x. M is Bin(n, 1/3)
+    and, given M, x, y and z are independent centred binomials (x over M
+    fair signs, y and z over n - M). "Every margin within d" is
+    |x + y| <= d and |x| + |z| <= d; for each (M, x) the y and z parts
+    are differences of cumulative sums over |y| <= 2d and |z| <= d. M
+    runs over the W values within sds standard deviations of n/3.
+
+    Returns ({category_index: float}, acceptance float), indexed like
+    election_outcome_distribution.
+    """
+    if n_voters % 2 == 0:
+        raise ValueError("n_voters must be odd: no margin may tie")
+    grid = np.arange(-2 * d - 1, 2 * d + 2)  # the y and z values used
+
+    def between(cum, lo, hi):
+        """P(lo <= v <= hi) from cum[i] = P(v < grid[i]), elementwise."""
+        lo = np.clip(lo - grid[0], 0, grid.size)
+        hi = np.clip(hi - grid[0] + 1, 0, grid.size)
+        return np.where(hi > lo, cum[hi] - cum[np.minimum(lo, hi)], 0.0)
+
+    law = np.zeros(8)
+    mean, sd = n_voters / 3.0, math.sqrt(2.0 * n_voters / 9.0)
+    lo_m = max(0, math.floor(mean - sds * sd))
+    hi_m = min(n_voters, math.ceil(mean + sds * sd))
+    for m in range(lo_m, hi_m + 1):
+        x = np.arange(-d, d + 1)
+        px = _centred_binomial_pmf(m, x)
+        x, px = x[px > 0], px[px > 0]
+        if not x.size:
+            continue
+        log_pm = (math.lgamma(n_voters + 1) - math.lgamma(m + 1)
+                  - math.lgamma(n_voters - m + 1) - m * math.log(3)
+                  - (n_voters - m) * math.log(1.5))
+        weight = math.exp(log_pm) * px
+        cum = np.concatenate(
+            ([0.0], np.cumsum(_centred_binomial_pmf(n_voters - m, grid))))
+        ab = {1: between(cum, 1 - x, d - x), 0: between(cum, -d - x, -1 - x)}
+        ax, room = np.abs(x), d - np.abs(x)
+        inner = np.minimum(ax - 1, room)
+        # c's part: z above |x| sets ac and bc, below -|x| neither, and
+        # |z| < |x| sets ac when x > 0 and bc when x < 0.
+        parts = ((3, between(cum, ax + 1, room)),
+                 (0, between(cum, -room, -ax - 1)),
+                 (np.where(x > 0, 2, 1), between(cum, -inner, inner)))
+        for bit, py in ab.items():
+            for idx, pz in parts:
+                np.add.at(law, 4 * bit + np.broadcast_to(idx, x.shape),
+                          weight * py * pz)
+    total = float(law.sum())
+    return ({k: float(p / total) for k, p in enumerate(law) if p > 0},
+            total)
+
+
 def election_margin_law(n_voters, k, d=None, subset=None):
     """Exact tournament outcome law of a k-candidate impartial-culture
     election, conditioned on the margins of the lex pairs in subset

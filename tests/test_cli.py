@@ -379,15 +379,34 @@ RUN_PATHS = [
 
 
 def test_no_run_subcommand_loads_scipy(tmp_path):
-    """Every run path, continuous CDFs included, needs only numpy, so
-    all of them in one fresh interpreter leave scipy unimported."""
+    """Every run path, continuous CDFs included, and every verify suite
+    need only numpy, so all of them in one fresh interpreter leave scipy
+    unimported."""
     code = ("import json, sys; from intrans.cli import main; "
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
             "print(*codes, 'scipy' in sys.modules)")
     runs = [argv + ["--out", str(tmp_path / ("run%d.csv" % i))]
             for i, argv in enumerate(RUN_PATHS)]
+    runs += [["verify", "--suite", suite] for suite in
+             ("identities", "covariances", "predictors", "samplers")]
+    # The verify suites print their checks first.
+    out = _fresh_python(code, json.dumps(runs)).splitlines()[-1].split()
+    assert out == ["0"] * len(runs) + ["False"]
+
+
+def test_continuous_dice_runs_leave_numpy_ma_unloaded(tmp_path):
+    """The win-count kernel calls np.unique, whose first call imports
+    numpy.ma, only for rows with equal neighbours, which continuous dice
+    hold with probability zero; so the continuous dice runs in one fresh
+    interpreter leave numpy.ma unimported."""
+    code = ("import json, sys; from intrans.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(*codes, 'numpy.ma' in sys.modules)")
+    runs = [argv + ["--out", str(tmp_path / ("run%d.csv" % i))]
+            for i, argv in enumerate(RUN_PATHS)
+            if argv[0] == "dice" and argv[2] != "discrete"]
     out = _fresh_python(code, json.dumps(runs)).split()
-    assert out == ["0"] * len(RUN_PATHS) + ["False"]
+    assert out == ["0"] * len(runs) + ["False"]
 
 
 # ----------------------------------------------------------- exit codes

@@ -58,6 +58,7 @@ from intrans.samplers import (
 from intrans.triplets import orthant3, triplet_cell_tables
 from oracles import (
     close_election_law,
+    close_election_law_by_split,
     election_margin_law,
     election_outcome_distribution,
     enumerate_discrete_dice,
@@ -1044,6 +1045,20 @@ def test_triplet_paradox_conditioned_matches_exact_law(m, d):
         accept * (1.0 - accept) / trials)
     assert abs(est.estimate - hit) < 5.0 * math.sqrt(
         hit * (1.0 - hit) / est.accepted)
+
+
+def test_triplet_paradox_acceptance_at_scale_matches_exact_law():
+    """Criterion 13's size, n=30003 and d=16: impartial-culture triplet
+    votes are the margins of a 30003-voter election, so the acceptance
+    rate is that election's exact P(every margin within d), 5.16751e-4,
+    held within 4 stderr."""
+    trials = 2_000_000
+    est = estimate_probability(_spec("triplet_paradox", {"n": 30003},
+                                     trials, 3016, conditioning={"d": 16}))
+    _, accept = close_election_law_by_split(30003, 16)
+    assert accept == pytest.approx(5.16751e-4, abs=5e-10)
+    assert abs(est.accepted / trials - accept) <= 4.0 * math.sqrt(
+        accept * (1.0 - accept) / trials)
 
 
 def test_triplet_noise_conditioned_matches_exact_law():

@@ -5,11 +5,13 @@ hand comparison of CLI outputs.
 Each case runs estimate_categories on two blocks of trials, the second
 partial, and holds the run's accepted count and the sha256 of its
 per-category counts (little-endian int64) to the values recorded with
-numpy 2.4.6. The counts depend on numpy's Generator algorithms
-(binomial, multinomial), whose streams numpy may change in a feature
-release, so on another numpy major.minor version the cases are skipped
-with a message naming the recorded version; a change that moves draws
-on purpose records the new values here and says why.
+numpy 2.4.6. The dice cases run at one and at two workers
+(INTRANS_THREADS), which must give the same counts. The counts depend on
+numpy's Generator algorithms (binomial, multinomial, normal) and, for
+stationary dice, its FFT, which numpy may change in a feature release,
+so on another numpy major.minor version the cases are skipped with a
+message naming the recorded version; a change that moves draws on
+purpose records the new values here and says why.
 """
 
 import hashlib
@@ -46,16 +48,52 @@ PINS = {
 }
 
 
-@pytest.mark.skipif(
+# dice_triples params and the sha256 of the counts[:16]; every triple is
+# accepted. Each runs at one and at two workers.
+DICE_PINS = {
+    "dice-discrete": ({"model": "discrete", "n": 20}, "1badef2d008c9a9b"),
+    "dice-conditioned-uniform": ({"model": "conditioned", "dist": "uniform",
+                                  "n": 20}, "a82d61bac899993c"),
+    "dice-conditioned-gaussian": ({"model": "conditioned",
+                                   "dist": "gaussian", "n": 20},
+                                  "37b2ba4c91791266"),
+    "dice-conditioned-shifted-exp": ({"model": "conditioned",
+                                      "dist": "shifted-exp", "n": 20},
+                                     "6a4929bd9b34684e"),
+    "dice-iid-gaussian": ({"model": "iid", "dist": "gaussian", "n": 20},
+                          "c6547c7209d1f4dd"),
+    "dice-stationary": ({"model": "stationary", "hurst": 0.75, "n": 32},
+                        "c38fbdb233907f02"),
+}
+
+recorded_numpy = pytest.mark.skipif(
     np.__version__.split(".")[:2] != RECORDED_WITH.split(".")[:2],
     reason="counts recorded with numpy %s" % RECORDED_WITH)
-@pytest.mark.parametrize("case", sorted(PINS))
-def test_seeded_counts_are_pinned(case):
-    family, params, conditioning, accepted, digest = PINS[case]
+
+
+def _fingerprint(family, params, conditioning=None):
+    """The accepted count and the digest prefix of a seeded two-block run."""
     counts = estimate_categories(ExperimentSpec(
         family=family, params=params, trials=BLOCK_SIZE + 100, seed=31,
         conditioning=conditioning))
     got = hashlib.sha256(
         np.asarray(counts.counts, dtype="<i8").tobytes()).hexdigest()
-    assert (counts.accepted, got[:16]) == (accepted, digest), \
-        counts.counts.tolist()
+    return (counts.accepted, got[:16]), counts.counts.tolist()
+
+
+@recorded_numpy
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_seeded_counts_are_pinned(case):
+    family, params, conditioning, accepted, digest = PINS[case]
+    got, counts = _fingerprint(family, params, conditioning)
+    assert got == (accepted, digest), counts
+
+
+@recorded_numpy
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(DICE_PINS))
+def test_seeded_dice_counts_are_pinned(case, threads, monkeypatch):
+    monkeypatch.setenv("INTRANS_THREADS", threads)
+    params, digest = DICE_PINS[case]
+    got, counts = _fingerprint("dice_triples", params)
+    assert got == (BLOCK_SIZE + 100, digest), counts

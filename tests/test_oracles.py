@@ -12,6 +12,7 @@ import pytest
 import oracles
 from oracles import (
     close_election_law,
+    close_election_law_by_split,
     election_margin_law,
     election_outcome_distribution,
     enumerate_discrete_dice,
@@ -84,6 +85,32 @@ def test_close_election_law_at_n301():
         assert law[idx] == pytest.approx(0.1213566, abs=5e-8)
     assert accept == pytest.approx(0.0077745, abs=5e-8)
     assert 1.0 - law[2] - law[5] == pytest.approx(0.7572869, abs=5e-8)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (5, 1), (7, 1), (9, 3),
+                                 (11, 1), (11, 5)])
+def test_split_close_law_matches_margin_dp(n, d):
+    """The split k=3 law against the exact margin dynamic program."""
+    law, accept = close_election_law_by_split(n, d)
+    exact, exact_accept = election_margin_law(n, 3, d)
+    assert set(law) == set(exact)
+    for idx, p in exact.items():
+        assert law[idx] == pytest.approx(float(p), rel=1e-13)
+    assert accept == pytest.approx(float(exact_accept), rel=1e-13)
+
+
+def test_split_close_law_matches_box_sum_at_n301():
+    law, accept = close_election_law_by_split(301, 3)
+    ref, ref_accept = close_election_law(301, 3)
+    assert set(law) == set(ref)
+    for idx, p in ref.items():
+        assert law[idx] == pytest.approx(p, rel=1e-12)
+    assert accept == pytest.approx(ref_accept, rel=1e-12)
+
+
+def test_split_close_law_rejects_even_n():
+    with pytest.raises(ValueError):
+        close_election_law_by_split(6, 2)
 
 
 def test_election_margin_law_matches_enumeration():

@@ -3,7 +3,8 @@ src/intrans, every public method or property of a public class, every
 field of a public dataclass, and every defaulted parameter of a public
 function or method is used by the package itself or by the acceptance
 suite. So a definition, a member, a field or an option that only its
-own unit tests reach does not come back unnoticed. The scans parse the source; they import nothing. One more
+own unit tests reach does not come back unnoticed, and no module imports
+scipy. The scans parse the source; they import nothing. One more
 test imports the package in a fresh interpreter, to check that the
 experiment families are registered by the package import alone."""
 
@@ -227,6 +228,22 @@ def test_allowlist_names_only_unread_names():
     assert sorted(set(ALLOWED) - unread) == []
     assert sorted(set(ALLOWED_DEFAULTS) - set(_unpassed_defaults())) == []
     assert sorted(set(ALLOWED_MEMBERS) - set(_unread_members())) == []
+
+
+def test_no_package_module_imports_scipy():
+    """numpy is the package's one runtime dependency; scipy is for the
+    tests."""
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    assert imported
+    assert sorted(item for item in imported
+                  if item[1].split(".")[0] == "scipy") == []
 
 
 def test_the_package_import_registers_the_families():
