@@ -57,11 +57,10 @@ def pair_counts(a, b):
     keys ^= from_a
     # One flat comparison; a match across the end of row r (its last key
     # against row r + 1's first) only sends row r to the exact search.
-    # np.unique only when some row matched: its first call imports numpy.ma.
+    # A set, not np.unique, whose first call imports numpy.ma.
     flat = merged.ravel()
     ties = np.zeros(a2.shape[0], dtype=np.int64)
-    equal = np.flatnonzero(flat[1:] == flat[:-1])
-    for r in np.unique(equal // (2 * n)) if equal.size else ():
+    for r in set((np.flatnonzero(flat[1:] == flat[:-1]) // (2 * n)).tolist()):
         x, y = np.sort(a2[r]), np.sort(b2[r])
         lo = y.searchsorted(x, side="left").sum()
         wins[r] = lo

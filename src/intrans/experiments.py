@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import _accel, mc
+from . import mc
 from .dice import (
-    _checked_faces,
     cdf_sum,
     classify_margins,
     lattice_margins,
@@ -479,11 +478,11 @@ def _build_dice_triples(spec: ExperimentSpec):
     t = max(1, DICE_CHUNK_FACES // (3 n)): one model.sample of 3 t rows
     per chunk, the dice in triple order (rows 3k, 3k+1 and 3k+2 form
     triple k), and reports every triple's category in draw order. A die's
-    CDF sum, where needed (see below), adds its faces in draw order. A
-    chunk's continuous faces are checked once, and its exact margins come
-    from one _accel.pair_counts call on the dice as drawn (one sort of
-    each pair's merged faces); lattice dice are scored from their face
-    histograms (lattice_margins), with no sort or search.
+    CDF sum, where needed (see below), adds its faces in draw order; the
+    exact margins of a chunk's continuous pairs come from one pair_stats
+    call on the dice as drawn (one sort of each pair's merged faces), and
+    lattice dice are scored from their face histograms (lattice_margins),
+    with no sort or search.
 
     Two models have the same CDF sum for every die, so every CDF-sum gap
     is exactly 0 and a pair agrees exactly when it ties: the lattice model
@@ -508,13 +507,11 @@ def _build_dice_triples(spec: ExperimentSpec):
         for lo in range(0, size, chunk):
             t = min(chunk, size - lo)
             dice = model.sample(rng, size=3 * t).reshape(t, 3, n)
+            sums = None if constant_cdf_sum else cdf_sum(dice, model.cdf)
             if lattice:
                 margins = lattice_margins(dice, follow)
             else:
-                dice = _checked_faces(dice)
-                wins, ties = _accel.pair_counts(dice, dice[:, follow])
-                margins = 2 * wins + ties - n * n
-            sums = None if constant_cdf_sum else model.cdf(dice).sum(axis=-1)
+                margins = pair_stats(dice, dice[:, follow]).margin
             agree = (margins == 0 if sums is None else
                      np.sign(margins) == np.sign(sums - sums[:, follow]))
             category[lo:lo + t] = (4 * classify_margins(margins)

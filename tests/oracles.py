@@ -307,7 +307,7 @@ def _centred_binomial_pmf(trials, values):
     return pmf
 
 
-def close_election_law_by_split(n_voters, d, sds=14.0):
+def close_election_law_by_split(n_voters, d):
     """The conditional outcome law of close_election_law for odd n, in
     O(W d) by splitting each voter's ranking of (a, b, c) in two: the
     fair sign s of a against b, and the place of c (top, middle or
@@ -320,7 +320,7 @@ def close_election_law_by_split(n_voters, d, sds=14.0):
     fair signs, y and z over n - M). "Every margin within d" is
     |x + y| <= d and |x| + |z| <= d; for each (M, x) the y and z parts
     are differences of cumulative sums over |y| <= 2d and |z| <= d. M
-    runs over the W values within sds standard deviations of n/3.
+    runs over the W values within 14 standard deviations of n/3.
 
     Returns ({category_index: float}, acceptance float), indexed like
     election_outcome_distribution.
@@ -336,9 +336,11 @@ def close_election_law_by_split(n_voters, d, sds=14.0):
         return np.where(hi > lo, cum[hi] - cum[np.minimum(lo, hi)], 0.0)
 
     law = np.zeros(8)
+    # M outside 14 sd of n/3 has probability below 2 exp(-2 (14 sd)^2 / n)
+    # = 2 exp(-87) by Hoeffding, far under a double's rounding of the law.
     mean, sd = n_voters / 3.0, math.sqrt(2.0 * n_voters / 9.0)
-    lo_m = max(0, math.floor(mean - sds * sd))
-    hi_m = min(n_voters, math.ceil(mean + sds * sd))
+    lo_m = max(0, math.floor(mean - 14 * sd))
+    hi_m = min(n_voters, math.ceil(mean + 14 * sd))
     for m in range(lo_m, hi_m + 1):
         x = np.arange(-d, d + 1)
         px = _centred_binomial_pmf(m, x)

@@ -17,14 +17,13 @@ COMMON_LAYERS = ("mc.estimate", "mc.block", "mc.substream",
 
 # The spans each workload's tiny run must record at least once: a layer
 # the tracer no longer reaches reads 0 in the benchmark on working code.
-# dice.classify and accel.mcmc read 0 today, and so do dice.pair_stats
-# and dice.cdf_sum, since the dice kernel checks a chunk's faces once and
-# calls _accel.pair_counts and the CDF itself; they are left out until the
+# dice.classify and accel.mcmc read 0 today and are left out until the
 # benchmark's metrics are repaired (ROADMAP item 1).
 LAYERS = {
     "elections-close": COMMON_LAYERS,
     "dice-continuous": COMMON_LAYERS + (
-        "samplers.conditioned", "samplers.stationary", "accel.pair_counts"),
+        "samplers.conditioned", "samplers.stationary", "dice.pair_stats",
+        "dice.cdf_sum", "accel.pair_counts"),
     "dice-lattice": COMMON_LAYERS + ("samplers.discrete",),
 }
 

@@ -395,10 +395,10 @@ def test_no_run_subcommand_loads_scipy(tmp_path):
 
 
 def test_continuous_dice_runs_leave_numpy_ma_unloaded(tmp_path):
-    """The win-count kernel calls np.unique, whose first call imports
-    numpy.ma, only for rows with equal neighbours, which continuous dice
-    hold with probability zero; so the continuous dice runs in one fresh
-    interpreter leave numpy.ma unimported."""
+    """The win-count kernel collects the rows with equal neighbours in a
+    set, not by np.unique, whose first call imports numpy.ma; so the
+    continuous dice runs in one fresh interpreter leave numpy.ma
+    unimported."""
     code = ("import json, sys; from intrans.cli import main; "
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
             "print(*codes, 'numpy.ma' in sys.modules)")
