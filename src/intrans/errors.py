@@ -31,14 +31,7 @@ class SamplerStallError(IntransError, RuntimeError):
 
 
 class NotPositiveDefiniteError(IntransError, RuntimeError):
-    """Covariance factorization failed; carries the offending leading minor."""
-
-    def __init__(self, minor_order):
-        super().__init__(
-            "covariance is not positive definite: "
-            "leading minor of order %d fails" % minor_order
-        )
-        self.minor_order = minor_order
+    """A covariance embedding is not nonnegative definite."""
 
 
 class SingularCovarianceError(IntransError, RuntimeError):

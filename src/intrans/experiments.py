@@ -580,24 +580,23 @@ def orthant3_mc(r: float, draws: int, seed: int) -> MonteCarloEstimate:
 
 
 def lag_products(kernel: CorrelationKernel, n: int, lags, draws: int,
-                 rng: np.random.Generator,
-                 method: str = "auto") -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """faces[0] * faces[lag] for each lag of draws stationary dice, as a
     C-ordered (draws, len(lags)) array. The dice are sampled from rng in
     chunks of max(1, DICE_CHUNK_FACES // n) rows, so memory stays bounded
-    at any n; the chunks give the numbers of one draw of all the rows (to
-    rounding on the Cholesky route)."""
+    at any n; the chunks give, bit for bit, the numbers of one draw of all
+    the rows."""
     prods = np.empty((draws, len(lags)))
     chunk = max(1, DICE_CHUNK_FACES // n)
     for lo in range(0, draws, chunk):
         hi = min(lo + chunk, draws)
-        faces = sample_stationary_gaussian(n, kernel, rng, hi - lo, method)
+        faces = sample_stationary_gaussian(n, kernel, rng, hi - lo)
         prods[lo:hi] = faces[:, :1] * faces[:, lags]
     return prods
 
 
 def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
-                      seed: int, method: str = "auto") -> dict:
+                      seed: int) -> dict:
     """Empirical Cov(X_0, X_lag) of the stationary face sampler with
     per-draw stderr, as {lag: (mean, stderr)}. Uses the product of the
     first face with the lagged face, one sample per draw, so the stderr
@@ -609,7 +608,7 @@ def lag_covariance_mc(kernel: CorrelationKernel, n: int, lags, draws: int,
         raise InvalidInputError("lags must be nonempty and lie in [0, n)")
     if draws < 2:
         raise InvalidInputError("need at least two draws")
-    prods = lag_products(kernel, n, lags, draws, substream(seed, 0), method)
+    prods = lag_products(kernel, n, lags, draws, substream(seed, 0))
     means = prods.mean(axis=0)
     stderrs = prods.std(axis=0, ddof=1) / math.sqrt(draws)
     return {lag: (float(means[i]), float(stderrs[i]))

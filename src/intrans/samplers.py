@@ -12,23 +12,20 @@ Dice models:
 - stationary Gaussian faces with variance 1/2 and a prescribed lag
   correlation (Davies-Harte circulant embedding of size 2 s(n-1), s the
   next 5-smooth integer, synthesized from its half spectrum with the
-  scales computed once per (n, kernel); Toeplitz Cholesky fallback and
-  oracle).
+  scales computed once per (n, kernel)).
 
 All samplers consume a numpy Generator passed by the caller and draw their
 randomness in a fixed documented order, so results are reproducible from
 the generator state alone. Each returns size dice as the rows of a
-(size, n) float64 array, drawn in turn: k calls with size 1 give the rows
-of one call with size k (to rounding on the Cholesky route).
+(size, n) float64 array, drawn in turn: k calls with size 1 give, bit for
+bit, the rows of one call with size k.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -38,12 +35,10 @@ from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
     SamplerStallError,
-    SizeLimitError,
 )
 from .gaussian import CorrelationKernel
 from .mc import _integer
 
-CHOLESKY_LIMIT = 4096
 # One rejection batch of the last-face samplers holds at most this many
 # faces, so memory stays bounded at large n.
 MAX_BATCH_FACES = 1 << 22
@@ -188,21 +183,23 @@ def _smooth5(k: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _circulant_scales(n: int,
-                      kernel: CorrelationKernel) -> Optional[np.ndarray]:
+def _circulant_scales(n: int, kernel: CorrelationKernel) -> np.ndarray:
     """Davies-Harte scales of the half spectrum, k = 0..m/2, for n faces
     embedded in the circulant of size m = 2 s(n-1), s(k) the smallest
     5-smooth integer >= k, so the row FFTs have only small prime factors:
     sqrt(lam_k / m) at k = 0 and m/2, sqrt(lam_k / (2 m)) between, where
-    lam are the circulant's eigenvalues. None when the embedding has
-    meaningfully negative eigenvalues (it is not nonnegative definite).
-    Computed once per (n, kernel); the array is read-only."""
+    lam are the circulant's eigenvalues. NotPositiveDefiniteError when the
+    embedding has meaningfully negative eigenvalues (it is not
+    nonnegative definite). Computed once per (n, kernel); the array is
+    read-only."""
     half = _smooth5(n - 1)
     m = 2 * half
     gamma = kernel.values(np.arange(half + 1))
     lam = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     if lam.min() < -1e-9 * max(lam.max(), 1.0):
-        return None
+        raise NotPositiveDefiniteError(
+            "circulant embedding of %s at n=%d is not nonnegative definite"
+            % (kernel.name, n))
     weights = np.full(half + 1, 2.0 * m)
     weights[[0, half]] = m
     scale = np.sqrt(np.clip(lam, 0.0, None) / weights)
@@ -210,25 +207,32 @@ def _circulant_scales(n: int,
     return scale
 
 
-def _sample_circulant(n: int, kernel: CorrelationKernel,
-                      rng: np.random.Generator,
-                      size: int) -> Optional[np.ndarray]:
-    """size rows of Davies-Harte synthesis on the circulant extension of
-    size m = 2 s(n-1), s(k) the smallest 5-smooth integer >= k, as a
-    (size, n) array. Any even m >= 2(n-1) with a nonnegative embedding
-    gives the exact law (Wood & Chan 1994); padding to 5-smooth sizes
-    keeps the FFTs fast.
+def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
+                               rng: np.random.Generator,
+                               size: int) -> np.ndarray:
+    """size independent stationary Gaussian dice: mean-zero faces with
+    variance 1/2 and lag covariance kernel.rho, as a (size, n) array.
 
-    Returns None when the extension has meaningfully negative eigenvalues
-    (the embedding is not nonnegative definite), letting the caller fall
-    back. Normal draws are consumed as one (size, m) array; within a row
-    they are indexed low k to high k with real before imaginary parts.
-    Only the half spectrum k = 0..m/2 is built: the rest is its conjugate
+    One face (n = 1) is a scaled normal. Otherwise the rows are
+    Davies-Harte synthesis on the circulant extension of size m =
+    2 s(n-1), s(k) the smallest 5-smooth integer >= k. Any even m >=
+    2(n-1) with a nonnegative embedding gives the exact law (Wood & Chan
+    1994); padding to 5-smooth sizes keeps the FFTs fast. The fBm
+    embedding was nonnegative at every Hurst index and size checked; a
+    kernel whose embedding is not raises NotPositiveDefiniteError before
+    any draw.
+
+    Normal draws are consumed as one (size, m) array; within a row they
+    are indexed low k to high k with real before imaginary parts. Only
+    the half spectrum k = 0..m/2 is built: the rest is its conjugate
     mirror, and one real-output FFT (np.fft.hfft) synthesizes the rows.
     """
+    size = _dice_count(size)
+    if n < 1:
+        raise InvalidInputError("n must be positive")
+    if n == 1:
+        return rng.standard_normal((size, 1)) * math.sqrt(0.5)
     scale = _circulant_scales(n, kernel)
-    if scale is None:
-        return None
     half = scale.size - 1
     m = 2 * half
     v = rng.standard_normal((size, m))
@@ -243,82 +247,6 @@ def _sample_circulant(n: int, kernel: CorrelationKernel,
     parts[:, m + 1] = 0.0
     w *= scale
     return np.fft.hfft(w, n=m, axis=1)[:, :n]
-
-
-@lru_cache(maxsize=1)
-def _toeplitz_cholesky(n: int, kernel: CorrelationKernel) -> np.ndarray:
-    """The read-only lower Cholesky factor of the n x n Toeplitz
-    covariance of kernel. Only the last factor is kept (at most
-    CHOLESKY_LIMIT^2 floats), so draws in row chunks at one (n, kernel)
-    factor it once."""
-    lags = np.arange(n)
-    cov = kernel.values(lags)[np.abs(lags[:, None] - lags)]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        order = _first_failing_minor(cov)
-        raise NotPositiveDefiniteError(minor_order=order) from None
-    chol.setflags(write=False)
-    return chol
-
-
-def _sample_cholesky(n: int, kernel: CorrelationKernel,
-                     rng: np.random.Generator, size: int) -> np.ndarray:
-    """size rows of the Toeplitz Cholesky factor times one (size, n)
-    array of standard normals, as a (size, n) array."""
-    if n > CHOLESKY_LIMIT:
-        raise SizeLimitError(
-            "Cholesky path limited to n <= %d" % CHOLESKY_LIMIT
-        )
-    return rng.standard_normal((size, n)) @ _toeplitz_cholesky(n, kernel).T
-
-
-def _first_failing_minor(cov: np.ndarray) -> int:
-    lo, hi = 1, cov.shape[0]
-    # Smallest leading minor whose Cholesky fails, by bisection.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            np.linalg.cholesky(cov[:mid, :mid])
-            lo = mid + 1
-        except np.linalg.LinAlgError:
-            hi = mid
-    return lo
-
-
-def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
-                               rng: np.random.Generator, size: int,
-                               method: str = "auto") -> np.ndarray:
-    """size independent stationary Gaussian dice: mean-zero faces with
-    variance 1/2 and lag covariance kernel.rho, as a (size, n) array.
-
-    method "circulant" uses the Davies-Harte embedding of size 2 s(n-1),
-    s(k) the smallest 5-smooth integer >= k (raises when the embedding is
-    not nonnegative definite), "cholesky" factors the n x n Toeplitz
-    covariance (n <= 4096), and "auto" tries the embedding first and falls
-    back to Cholesky with a warning. One face (n = 1) is a scaled normal
-    on every route. The rows come from one draw of normals and one
-    row-wise FFT or one matrix product.
-    """
-    size = _dice_count(size)
-    if n < 1:
-        raise InvalidInputError("n must be positive")
-    if method not in ("auto", "circulant", "cholesky"):
-        raise InvalidInputError("unknown method %r" % (method,))
-    if n == 1:
-        return rng.standard_normal((size, 1)) * math.sqrt(0.5)
-    if method in ("auto", "circulant"):
-        faces = _sample_circulant(n, kernel, rng, size)
-        if faces is not None:
-            return faces
-        if method == "circulant":
-            raise NotPositiveDefiniteError(minor_order=0)
-        warnings.warn(
-            "circulant extension of %s at n=%d is not nonnegative "
-            "definite; falling back to Cholesky" % (kernel.name, n),
-            RuntimeWarning,
-        )
-    return _sample_cholesky(n, kernel, rng, size)
 
 
 @dataclass(frozen=True)

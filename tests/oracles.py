@@ -35,6 +35,18 @@ def brute_pair_counts(a, b):
     return wins, losses, ties
 
 
+def toeplitz_cholesky_faces(values, rng, size):
+    """size rows of a mean-zero Gaussian vector whose covariance is the
+    Toeplitz matrix of values (values[k] the covariance at lag k): the
+    lower Cholesky factor of that matrix times one (size, n) draw of
+    standard normals. The dense reference for the circulant synthesis of
+    stationary dice."""
+    values = np.asarray(values, dtype=np.float64)
+    lags = np.arange(values.size)
+    chol = np.linalg.cholesky(values[np.abs(lags[:, None] - lags)])
+    return rng.standard_normal((size, values.size)) @ chol.T
+
+
 def enumerate_discrete_dice(n):
     """All ordered face tuples in {1..n}^n with the conditioned sum
     n(n+1)/2. Exponential; intended for n <= 5."""

@@ -24,6 +24,7 @@ from oracles import (
     random_tournament,
     slab_rejection_faces,
     t_rho_noisy_copy_mc,
+    toeplitz_cholesky_faces,
 )
 
 from intrans.distributions import get_distribution
@@ -41,7 +42,8 @@ from intrans.gaussian import (
     variance_W_series,
     variance_diff_series,
 )
-from intrans.mc import ExperimentSpec, estimate_categories, estimate_probability
+from intrans.mc import (ExperimentSpec, estimate_categories,
+                       estimate_probability, substream)
 from intrans.samplers import DiscreteConditioned, sample_continuous_conditioned
 from intrans.tournaments import Tournament, min_reversals_to_transitive
 from intrans.triplets import (
@@ -258,13 +260,21 @@ def test_criterion_08_stationary_dice_and_variance_ratio():
 
 
 def test_criterion_09_fbm_lag_covariances():
-    """Both sampling routes reproduce the fractional-Brownian-increment
-    covariances at lags 0..5 within 3 standard errors, and agree with
-    each other within 3 standard errors."""
+    """The circulant sampler and the dense Toeplitz Cholesky oracle, each
+    drawing from substream(901, 0), both reproduce the
+    fractional-Brownian-increment covariances at lags 0..5 within 3
+    standard errors, and agree with each other within 3 standard
+    errors."""
     kern = CorrelationKernel.fbm(0.75)
-    res = {method: lag_covariance_mc(kern, n=16, lags=list(range(6)),
-                                     draws=100_000, seed=901, method=method)
-           for method in ("circulant", "cholesky")}
+    lags = list(range(6))
+    faces = toeplitz_cholesky_faces(kern.values(np.arange(16)),
+                                    substream(901, 0), 100_000)
+    prods = faces[:, :1] * faces[:, lags]
+    res = {"circulant": lag_covariance_mc(kern, n=16, lags=lags,
+                                          draws=100_000, seed=901),
+           "cholesky": {lag: (float(prods[:, lag].mean()),
+                              float(prods[:, lag].std(ddof=1))
+                              / math.sqrt(100_000)) for lag in lags}}
     worst_fit = 0.0
     worst_cross = 0.0
     for lag in range(6):

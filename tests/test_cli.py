@@ -118,7 +118,8 @@ def test_dice_stationary_path(tmp_path):
                                       "hurst": 0.75}
     rows = _parse_csv(out_path.read_text())
     assert rows[0]["hurst"] == "0.75"
-    # The sampler picks circulant or Cholesky itself; there is no flag.
+    # The circulant embedding is the one stationary route; there is no
+    # flag.
     _usage_error(argv + ["--method", "cholesky"])
 
 

@@ -241,6 +241,29 @@ def test_close_election_family_matches_exact_law_at_n301():
     assert abs(p_cw - (1.0 - law[2] - law[5])) <= 4.0 * se_cw
 
 
+def test_close_election_family_matches_exact_law_at_n10001():
+    """n=10001 and d=11, where the first pair's close table uses the
+    asymptotic middle term (draws >= _EXACT_TABLE_DRAWS), against the
+    split oracle's exact law (P(close) 1.128e-3): the acceptance rate
+    within 4 stderr, the eight outcome counts by chi-square (p > 0.001)
+    and the Condorcet-winner rate within 4 stderr."""
+    n, d, trials = 10001, 11, 20_000_000
+    assert n >= experiments._EXACT_TABLE_DRAWS
+    assert experiments._close_upper_counts(n, d) is not None
+    law, accept = close_election_law_by_split(n, d)
+    assert accept == pytest.approx(1.128e-3, abs=5e-7)
+    assert 1.0 - law[2] - law[5] == pytest.approx(0.7520103, abs=5e-8)
+    cc = estimate_categories(_spec("election_outcomes", {"n": n, "k": 3},
+                                   trials, 10011, conditioning={"d": d}))
+    assert abs(cc.accepted / trials - accept) <= 4.0 * math.sqrt(
+        accept * (1.0 - accept) / trials)
+    _, pvalue = scipy.stats.chisquare(
+        cc.counts, cc.accepted * np.array([law[idx] for idx in range(8)]))
+    assert pvalue > 0.001
+    p_cw, se_cw = condorcet_probability(cc, 3)
+    assert abs(p_cw - (1.0 - law[2] - law[5])) <= 4.0 * se_cw
+
+
 def test_conditioned_k4_election_matches_exact_law():
     """k=4, n=5, d=1 against the margin-vector dynamic program: the
     acceptance rate within 4 stderr and the 64 outcome counts by

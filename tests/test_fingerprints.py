@@ -5,7 +5,7 @@ hand comparison of CLI outputs.
 Each case runs estimate_categories on two blocks of trials, the second
 partial, and holds the run's accepted count and the sha256 of its
 per-category counts (little-endian int64) to the values recorded with
-numpy 2.4.6. The dice cases run at one and at two workers
+numpy 2.4.6. Every case runs at one and at two workers
 (INTRANS_THREADS), which must give the same counts. The counts depend on
 numpy's Generator algorithms (binomial, multinomial, normal) and, for
 stationary dice, its FFT, which numpy may change in a feature release,
@@ -25,6 +25,10 @@ RECORDED_WITH = "2.4.6"
 
 # (family, params, conditioning, accepted, sha256 of the counts[:16])
 PINS = {
+    "election-k2": ("election_outcomes", {"n": 301, "k": 2}, None,
+                    4196, "9a1644e65a4df36c"),
+    "election-k2-close": ("election_outcomes", {"n": 301, "k": 2},
+                          {"d": 3}, 738, "341ddbc68cd9b389"),
     "election-k3-close": ("election_outcomes", {"n": 301}, {"d": 3},
                           27, "49136b3845b96680"),
     "election-k4-subset": ("election_outcomes", {"n": 301, "k": 4},
@@ -49,7 +53,7 @@ PINS = {
 
 
 # dice_triples params and the sha256 of the counts[:16]; every triple is
-# accepted. Each runs at one and at two workers.
+# accepted.
 DICE_PINS = {
     "dice-discrete": ({"model": "discrete", "n": 20}, "1badef2d008c9a9b"),
     "dice-conditioned-uniform": ({"model": "conditioned", "dist": "uniform",
@@ -83,10 +87,12 @@ def _fingerprint(family, params, conditioning=None):
 
 @recorded_numpy
 @pytest.mark.parametrize("case", sorted(PINS))
-def test_seeded_counts_are_pinned(case):
+def test_seeded_counts_are_pinned(case, monkeypatch):
     family, params, conditioning, accepted, digest = PINS[case]
-    got, counts = _fingerprint(family, params, conditioning)
-    assert got == (accepted, digest), counts
+    for threads in ("1", "2"):
+        monkeypatch.setenv("INTRANS_THREADS", threads)
+        got, counts = _fingerprint(family, params, conditioning)
+        assert got == (accepted, digest), (threads, counts)
 
 
 @recorded_numpy

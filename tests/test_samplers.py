@@ -1,9 +1,8 @@
-"""Dice samplers: exactness of the conditioned laws, the two stationary
-synthesis routes, degenerate-covariance handling, and the lex pair
-order."""
+"""Dice samplers: exactness of the conditioned laws, the circulant
+synthesis of stationary dice and its rejection of a negative embedding,
+and the lex pair order."""
 
 import math
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -14,7 +13,6 @@ from intrans.errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
     SamplerStallError,
-    SizeLimitError,
 )
 from intrans import samplers
 from intrans.distributions import get_distribution
@@ -27,7 +25,6 @@ from intrans.samplers import (
     IidContinuous,
     StationaryGaussian,
     _circulant_scales,
-    _sample_circulant,
     lex_pairs,
     sample_continuous_conditioned,
     sample_discrete_conditioned,
@@ -241,14 +238,13 @@ def test_discrete_validation():
 # ------------------------------------------------ stationary gaussian
 
 
-@pytest.mark.parametrize("method", ["circulant", "cholesky"])
-def test_stationary_lag_statistics(method):
-    """Both synthesis routes must reproduce variance 1/2 and the lag-1
-    covariance of the kernel."""
+def test_stationary_lag_statistics():
+    """The sampler reproduces variance 1/2 and the lag-1 covariance of the
+    kernel."""
     H, n, draws = 0.75, 64, 4000
     kernel = CorrelationKernel.fbm(H)
     x = sample_stationary_gaussian(n, kernel, np.random.default_rng(11),
-                                   draws, method)
+                                   draws)
     var0 = np.mean(x * x, axis=1)
     lag1 = np.mean(x[:, :-1] * x[:, 1:], axis=1)
     for series, target in ((var0, 0.5), (lag1, s_kernel(1, H))):
@@ -258,27 +254,23 @@ def test_stationary_lag_statistics(method):
 
 
 def test_stationary_n1_is_a_scaled_normal():
-    """One face is sqrt(1/2) times one standard normal per die on every
-    route, and draws nothing else."""
+    """One face is sqrt(1/2) times one standard normal per die, and draws
+    nothing else."""
     kernel = CorrelationKernel.fbm(0.3)
     ref = np.random.default_rng(12)
     expect = ref.standard_normal((4, 1)) * math.sqrt(0.5)
     after = ref.random()
-    for method in ("auto", "circulant", "cholesky"):
-        rng = np.random.default_rng(12)
-        one = sample_stationary_gaussian(1, kernel, rng, 4, method)
-        np.testing.assert_array_equal(one, expect)
-        assert rng.random() == after
+    rng = np.random.default_rng(12)
+    one = sample_stationary_gaussian(1, kernel, rng, 4)
+    np.testing.assert_array_equal(one, expect)
+    assert rng.random() == after
 
 
 def test_stationary_determinism():
     kernel = CorrelationKernel.fbm(0.25)
-    for method in ("circulant", "cholesky"):
-        a = sample_stationary_gaussian(32, kernel,
-                                       np.random.default_rng(13), 1, method)
-        b = sample_stationary_gaussian(32, kernel,
-                                       np.random.default_rng(13), 1, method)
-        np.testing.assert_array_equal(a, b)
+    a = sample_stationary_gaussian(32, kernel, np.random.default_rng(13), 1)
+    b = sample_stationary_gaussian(32, kernel, np.random.default_rng(13), 1)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_stationary_scales_are_computed_once_per_n_and_hurst():
@@ -299,25 +291,15 @@ def test_stationary_scales_are_computed_once_per_n_and_hurst():
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64])
 def test_stationary_rows_equal_one_row_calls(n):
-    """A batch of rows is the batch of one-row draws on the same
-    generator: bit for bit on the circulant route and at n = 1 (one FFT
-    or one scaled normal per row either way), and to rounding on the
-    Cholesky route, where a matrix product of more rows replaces one of
-    a single row."""
+    """A batch of rows is, bit for bit, the batch of one-row draws on the
+    same generator: one FFT or one scaled normal per row either way."""
     kernel = CorrelationKernel.fbm(0.7)
-    for method in ("circulant", "cholesky"):
-        rows = sample_stationary_gaussian(
-            n, kernel, np.random.default_rng(17), 5, method)
-        assert rows.shape == (5, n)
-        rng = np.random.default_rng(17)
-        one_by_one = np.concatenate([
-            sample_stationary_gaussian(n, kernel, rng, 1, method)
-            for _ in range(5)])
-        if method == "cholesky" and n > 1:
-            np.testing.assert_allclose(rows, one_by_one, rtol=1e-12,
-                                       atol=1e-14)
-        else:
-            np.testing.assert_array_equal(rows, one_by_one)
+    rows = sample_stationary_gaussian(n, kernel, np.random.default_rng(17), 5)
+    assert rows.shape == (5, n)
+    rng = np.random.default_rng(17)
+    one_by_one = np.concatenate([
+        sample_stationary_gaussian(n, kernel, rng, 1) for _ in range(5)])
+    np.testing.assert_array_equal(rows, one_by_one)
 
 
 def _next_smooth(k):
@@ -356,32 +338,36 @@ def test_circulant_covariance_is_exact(n, hurst):
     kernel's values, to 1e-12."""
     kernel = CorrelationKernel.fbm(hurst)
     m = 2 * _next_smooth(n - 1)
-    x = _sample_circulant(n, kernel, _IdentityNormals(m), m)
+    x = sample_stationary_gaussian(n, kernel, _IdentityNormals(m), m)
     assert x.shape == (m, n)
     lags = np.arange(n)
     cov = kernel.values(lags)[np.abs(lags[:, None] - lags)]
     np.testing.assert_allclose(x.T @ x, cov, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", CIRCULANT_SIZES)
+# H = 0.05..0.95 at every size up to 65537, there also the extremes 0.01,
+# 0.99 and 0.999, and at 10^6 + 1 five points of 0.05..0.95.
+EMBEDDING_HURSTS = {n: np.arange(1, 20) / 20 for n in CIRCULANT_SIZES
+                    + [4097]}
+EMBEDDING_HURSTS[65537] = np.append(np.arange(1, 20) / 20,
+                                    [0.01, 0.99, 0.999])
+EMBEDDING_HURSTS[10 ** 6 + 1] = [0.05, 0.25, 0.5, 0.75, 0.95]
+
+
+@pytest.mark.parametrize("n", sorted(EMBEDDING_HURSTS))
 def test_fbm_embedding_never_falls_back(n):
-    """The padded fBm embedding stays nonnegative definite: the route is
-    the circulant, with no Cholesky fallback warning, for
-    H = 0.05..0.95, and "auto" gives the circulant's numbers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for hurst in np.arange(1, 20) / 20:
-            kernel = CorrelationKernel.fbm(float(hurst))
-            auto = sample_stationary_gaussian(
-                n, kernel, np.random.default_rng(18), 2)
-            circulant = sample_stationary_gaussian(
-                n, kernel, np.random.default_rng(18), 2, "circulant")
-            np.testing.assert_array_equal(auto, circulant, err_msg=hurst)
+    """The padded fBm embedding is nonnegative definite, so the circulant
+    is the only route the sampler needs: _circulant_scales raises nothing
+    at the Hurst indices of EMBEDDING_HURSTS, up to n = 10^6 + 1."""
+    for hurst in EMBEDDING_HURSTS[n]:
+        scale = _circulant_scales.__wrapped__(
+            n, CorrelationKernel.fbm(float(hurst)))
+        assert scale.size == _next_smooth(n - 1) + 1
 
 
 def test_stationary_setup_is_computed_once_per_kernel():
-    """Repeated draws at one (n, kernel) evaluate the kernel once per
-    route: the circulant scales and the Cholesky factor are kept."""
+    """Repeated draws at one (n, kernel) evaluate the kernel once: the
+    circulant scales are kept."""
     calls = []
 
     def rho(k):
@@ -391,36 +377,23 @@ def test_stationary_setup_is_computed_once_per_kernel():
     kernel = CorrelationKernel(name="counted", rho=rho)
     calls.clear()
     rng = np.random.default_rng(19)
-    for method in ("circulant", "cholesky"):
-        for _ in range(3):
-            sample_stationary_gaussian(40, kernel, rng, 2, method)
-    assert len(calls) == 2
+    for _ in range(3):
+        sample_stationary_gaussian(40, kernel, rng, 2)
+    assert len(calls) == 1
 
 
-def test_stationary_auto_falls_back_with_warning():
-    """A kernel whose circulant extension has a negative eigenvalue but
-    whose Toeplitz covariance is still positive definite must fall back."""
+@pytest.mark.parametrize("n", [4, 5000])
+def test_stationary_negative_embedding_raises(n):
+    """A kernel whose circulant extension has a negative eigenvalue
+    raises NotPositiveDefiniteError, naming the kernel and n, at any n
+    and before it draws from the generator. At n = 4 its Toeplitz
+    covariance is still positive definite: there is no other route."""
     kernel = _near_kernel(0.26)
-    with pytest.warns(RuntimeWarning):
-        auto = sample_stationary_gaussian(4, kernel,
-                                          np.random.default_rng(14), 3)
-    cholesky = sample_stationary_gaussian(4, kernel,
-                                          np.random.default_rng(14), 3,
-                                          "cholesky")
-    np.testing.assert_array_equal(auto, cholesky)
-    with pytest.raises(NotPositiveDefiniteError):
-        sample_stationary_gaussian(4, kernel, np.random.default_rng(14), 3,
-                                   "circulant")
-
-
-def test_stationary_not_positive_definite_reports_minor():
-    """Lag-1 correlation 0.45 is infeasible at n = 4; the smallest failing
-    leading minor has order 3."""
-    kernel = _near_kernel(0.45)
-    rng = np.random.default_rng(15)
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        sample_stationary_gaussian(4, kernel, rng, 1, "cholesky")
-    assert exc.value.minor_order == 3
+    rng = np.random.default_rng(14)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"near\(0\.26\) at n=%d" % n):
+        sample_stationary_gaussian(n, kernel, rng, 3)
+    assert rng.random() == np.random.default_rng(14).random()
 
 
 def test_stationary_validation():
@@ -428,14 +401,6 @@ def test_stationary_validation():
     rng = np.random.default_rng(16)
     with pytest.raises(InvalidInputError):
         sample_stationary_gaussian(0, kernel, rng, 1)
-    # The method is checked at every n, also where a die is a single
-    # direct draw.
-    for n in (1, 8):
-        for size in (1, 3):
-            with pytest.raises(InvalidInputError):
-                sample_stationary_gaussian(n, kernel, rng, size, "qmc")
-    with pytest.raises(SizeLimitError):
-        sample_stationary_gaussian(5000, kernel, rng, 1, "cholesky")
 
 
 # ------------------------------------------------------ model wrappers
