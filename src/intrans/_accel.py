@@ -15,20 +15,81 @@ face. The label moves a face by at most one ulp, so the merge is exact
 unless two faces share a value once the bit is cleared; only those
 rows (continuous dice almost never hold one) are counted again by
 binary search.
+
+Scratch is the work-array arena of the continuous dice kernel: the
+sampler's normals, spectrum and faces, the normal CDF's temporaries and
+pair_counts' merged keys are views into one reusable byte buffer, so a
+chunk of dice allocates nothing once the buffer has grown. The arena is
+a stack: a function takes its output first, then its temporaries inside
+a ``with scratch:`` frame, which gives them back when it ends. When the
+outermost frame ends, the buffer grows to the most bytes the frame held
+at once, up to the arena's limit; a take that does not fit is a fresh
+array, so demand above the limit allocates as if there were no arena.
+Each thread running the dice kernel keeps one arena of at most
+experiments.DICE_SCRATCH_BYTES (2 MiB, 128 bytes per face of the chunk
+budget), so an arena is never shared between threads. A function given
+no arena makes a throwaway one whose takes are all fresh arrays, and
+runs the same code.
 """
+
+import math
 
 import numpy as np
 
 ACTIVE_IMPL = "python"
 
 _LABEL = np.uint64(1)
+# Takes start on 64-byte boundaries.
+_ALIGN = 64
+_EMPTY = np.empty(0, dtype=np.uint8)
 
 
-def pair_counts(a, b):
+class Scratch:
+    """A stack of work arrays in one reusable buffer of at most limit
+    bytes (module docstring). limit 0 makes a throwaway arena: every take
+    is a fresh array. Not thread-safe: one thread uses an arena."""
+
+    def __init__(self, limit: int = 0):
+        self.limit = limit
+        self._buffer = _EMPTY
+        # Bytes in use, counting takes that did not fit, and the most in
+        # use at once since the outermost frame began.
+        self._top = 0
+        self._peak = 0
+        self._frames = []
+
+    def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialised C-contiguous array of this shape and dtype,
+        valid until the frame that took it ends."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = self._top
+        self._top += -(-nbytes // _ALIGN) * _ALIGN
+        self._peak = max(self._peak, self._top)
+        if self._top > self._buffer.size:
+            return np.empty(shape, dtype)
+        return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
+
+    def __enter__(self):
+        self._frames.append(self._top)
+        return self
+
+    def __exit__(self, *exc):
+        self._top = self._frames.pop()
+        if not self._frames:
+            grow = min(self._peak, self.limit)
+            if grow > self._buffer.size:
+                self._buffer = np.empty(grow, dtype=np.uint8)
+            self._peak = self._top
+        return False
+
+
+def pair_counts(a, b, scratch=None):
     """Win/tie counts for equal-shape float64 face arrays, the dice along
     their last axis in any face order: wins = #{(i,j): a_i > b_j} and
     ties = #{(i,j): a_i == b_j}. Returns (wins, ties): ints for 1-D faces,
-    int64 arrays over the leading axes otherwise.
+    int64 arrays over the leading axes otherwise. The merged keys are
+    taken from scratch, a Scratch (a throwaway one when None).
 
     Each row of a and its row of b are written into one row of 2n keys,
     a's faces with the lowest mantissa bit set and b's with it cleared,
@@ -45,22 +106,29 @@ def pair_counts(a, b):
     sorted faces in b's. The same float comparison makes a -0.0 face
     safe without folding it into +0.0 first.
     """
+    if scratch is None:
+        scratch = Scratch()
     n = a.shape[-1]
     a2, b2 = a.reshape(-1, n), b.reshape(-1, n)
-    keys = np.empty((a2.shape[0], 2 * n), dtype=np.uint64)
-    np.bitwise_or(a2.view(np.uint64), _LABEL, out=keys[:, :n])
-    np.bitwise_and(b2.view(np.uint64), ~_LABEL, out=keys[:, n:])
-    merged = keys.view(np.float64)
-    merged.sort(axis=-1)
-    from_a = keys & _LABEL
-    wins = from_a.view(np.int64) @ np.arange(2 * n) - n * (n - 1) // 2
-    keys ^= from_a
-    # One flat comparison; a match across the end of row r (its last key
-    # against row r + 1's first) only sends row r to the exact search.
-    # A set, not np.unique, whose first call imports numpy.ma.
-    flat = merged.ravel()
+    with scratch:
+        keys = scratch.take((a2.shape[0], 2 * n), np.uint64)
+        np.bitwise_or(a2.view(np.uint64), _LABEL, out=keys[:, :n])
+        np.bitwise_and(b2.view(np.uint64), ~_LABEL, out=keys[:, n:])
+        merged = keys.view(np.float64)
+        merged.sort(axis=-1)
+        from_a = np.bitwise_and(keys, _LABEL, out=scratch.take(keys.shape,
+                                                               np.uint64))
+        wins = from_a.view(np.int64) @ np.arange(2 * n) - n * (n - 1) // 2
+        keys ^= from_a
+        # One flat comparison; a match across the end of row r (its last
+        # key against row r + 1's first) only sends row r to the exact
+        # search. A set, not np.unique, whose first call imports numpy.ma.
+        flat = merged.ravel()
+        equal = np.equal(flat[1:], flat[:-1],
+                         out=scratch.take((flat.size - 1,), np.bool_))
+        tied_rows = set((np.flatnonzero(equal) // (2 * n)).tolist())
     ties = np.zeros(a2.shape[0], dtype=np.int64)
-    for r in set((np.flatnonzero(flat[1:] == flat[:-1]) // (2 * n)).tolist()):
+    for r in tied_rows:
         x, y = np.sort(a2[r]), np.sort(b2[r])
         lo = y.searchsorted(x, side="left").sum()
         wins[r] = lo

@@ -20,18 +20,21 @@ from typing import Callable
 import numpy as np
 
 from . import _accel
+from ._accel import Scratch
 from .errors import InvalidInputError
 
 
-def _checked_faces(values) -> np.ndarray:
+def _checked_faces(values, scratch: Scratch) -> np.ndarray:
     """values as a float64 array of dice along its last axis, with any
     leading axes; InvalidInputError unless it is non-empty with finite
-    faces."""
+    faces. The finiteness mask is taken from scratch."""
     faces = np.atleast_1d(np.asarray(values))
     if faces.size < 1:
         raise InvalidInputError("dice need a non-empty face array")
-    if not np.isfinite(faces).all():
-        raise InvalidInputError("faces must be finite")
+    with scratch:
+        finite = np.isfinite(faces, out=scratch.take(faces.shape, np.bool_))
+        if not finite.all():
+            raise InvalidInputError("faces must be finite")
     return faces.astype(np.float64, copy=False)
 
 
@@ -56,22 +59,25 @@ class TripleClass(enum.Enum):
     HAS_TIE = "has_tie"
 
 
-def pair_stats(a, b) -> PairStats:
+def pair_stats(a, b, scratch=None) -> PairStats:
     """Exact win and loss counts over all n^2 face pairs.
 
     O(n log n), faces in any order: the faces of both dice are merged by
     one sort, and only rows where two faces collide are counted again by
     binary search (_accel.pair_counts). a and b may hold many dice along
     their leading axes, in equal shapes; the counts then hold one entry
-    per pair of dice.
+    per pair of dice. Work arrays come from scratch, an _accel.Scratch
+    (a throwaway one when None).
     """
-    fa = _checked_faces(a)
-    fb = _checked_faces(b)
+    if scratch is None:
+        scratch = Scratch()
+    fa = _checked_faces(a, scratch)
+    fb = _checked_faces(b, scratch)
     if fa.shape != fb.shape:
         raise InvalidInputError(
             "dice must have equal shapes (got %s and %s)" % (fa.shape,
                                                              fb.shape))
-    wins, ties = _accel.pair_counts(fa, fb)
+    wins, ties = _accel.pair_counts(fa, fb, scratch)
     n2 = fa.shape[-1] ** 2
     return PairStats(wins=wins, losses=n2 - wins - ties)
 
@@ -100,7 +106,7 @@ def lattice_margins(dice: np.ndarray, partner) -> np.ndarray:
     return ((2 * np.cumsum(hy, axis=-1) - hy) * h).sum(axis=-1) - n * n
 
 
-def cdf_sum(a, F: Callable) -> float:
+def cdf_sum(a, F: Callable, scratch=None) -> float:
     """Sum of F over the faces, in face order: a float for one die, an
     array over the leading axes for many.
 
@@ -108,13 +114,18 @@ def cdf_sum(a, F: Callable) -> float:
     beats outcome for non-uniform conditioned dice. F must map the face
     array elementwise into [0, 1] and be nondecreasing to within
     rounding: a computed CDF such as distributions.normal_cdf may fall by
-    one ulp between close faces.
+    one ulp between close faces. F's values may be taken from scratch, an
+    _accel.Scratch (a throwaway one when None), inside a frame that ends
+    when the sums are made.
     """
-    faces = _checked_faces(a)
-    values = np.asarray(F(faces), dtype=float)
-    if values.shape != faces.shape:
-        raise InvalidInputError("F must map the face array elementwise")
-    sums = values.sum(axis=-1)
+    if scratch is None:
+        scratch = Scratch()
+    faces = _checked_faces(a, scratch)
+    with scratch:
+        values = np.asarray(F(faces), dtype=float)
+        if values.shape != faces.shape:
+            raise InvalidInputError("F must map the face array elementwise")
+        sums = values.sum(axis=-1)
     return float(sums) if faces.ndim == 1 else sums
 
 

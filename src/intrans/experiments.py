@@ -10,12 +10,14 @@ dicts so an ExperimentSpec round-trips through its serialized form.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import mc
+from ._accel import Scratch
 from .dice import (
     cdf_sum,
     classify_margins,
@@ -48,14 +50,34 @@ N_DICE_CATEGORIES = 12
 
 # The dice kernels draw at most this many faces at a time: a chunk of
 # max(1, DICE_CHUNK_FACES // (3 n)) triples, // (2 n) pairs or // n lag
-# draws, so memory stays bounded at any block size. On the dice-continuous
-# benchmark (one 20 s run each on a 2-core x86-64 host, numpy 2.4.6) 8192
-# sits at the throughput plateau with the peak RSS level: 2048 ran 25.0
-# trials per reference slice at 58.7 MB, 8192 33.1 at 59.6 MB, 32768
-# 30.4 at 62.4 MB, and one draw per block 31.7 at 64.2 MB (its runs are
-# 40 triples; one draw of a full 4096-triple block at n=512 peaks at
-# ~500 MB of allocations).
-DICE_CHUNK_FACES = 8192
+# draws, so memory stays bounded at any block size (one draw of a full
+# 4096-triple block at n=512 would peak at ~500 MB of allocations). With
+# the dice kernel's work arrays in its thread's arena (below), the
+# dice-continuous benchmark read, in three rounds of 20 s runs on a 2-core
+# x86-64 host (numpy 2.4.6), 56.3-58.1 trials per reference slice at
+# 41.2 MB peak RSS for 8192 faces, 64.1-66.2 at 42.0 MB for 16384 and
+# 66.4-68.3 at 42.9 MB for 32768. 16384 takes most of the gain at half
+# the added memory of 32768; a run's two 40-triple dice commands (n=200
+# and n=512) take 6 chunks, not 12.
+DICE_CHUNK_FACES = 16384
+
+# Each thread that runs the dice kernel keeps one _accel.Scratch arena for
+# the chunk's work arrays, between blocks and runs, so a chunk allocates
+# nothing once the arena has grown. The arena keeps at most
+# DICE_SCRATCH_BYTES, 128 bytes per face of the chunk budget (2 MiB); a
+# chunk that needs more, one triple of more than DICE_CHUNK_FACES / 3
+# faces, allocates what does not fit.
+DICE_SCRATCH_BYTES = 128 * DICE_CHUNK_FACES
+_DICE_ARENAS = threading.local()
+
+
+def _dice_scratch() -> Scratch:
+    """The calling thread's dice-kernel arena, made on first use."""
+    try:
+        return _DICE_ARENAS.scratch
+    except AttributeError:
+        _DICE_ARENAS.scratch = Scratch(DICE_SCRATCH_BYTES)
+        return _DICE_ARENAS.scratch
 
 
 _REQUIRED = object()
@@ -503,15 +525,22 @@ def _build_dice_triples(spec: ExperimentSpec):
     follow = [1, 2, 0]
 
     def kernel(rng: np.random.Generator, size: int):
+        scratch = _dice_scratch()
+        cdf = None if constant_cdf_sum else (
+            lambda x: model.cdf(x, scratch))
         category = np.empty(size, dtype=np.intp)
         for lo in range(0, size, chunk):
             t = min(chunk, size - lo)
-            dice = model.sample(rng, size=3 * t).reshape(t, 3, n)
-            sums = None if constant_cdf_sum else cdf_sum(dice, model.cdf)
-            if lattice:
-                margins = lattice_margins(dice, follow)
-            else:
-                margins = pair_stats(dice, dice[:, follow]).margin
+            with scratch:
+                dice = model.sample(rng, size=3 * t,
+                                    scratch=scratch).reshape(t, 3, n)
+                sums = None if cdf is None else cdf_sum(dice, cdf, scratch)
+                if lattice:
+                    margins = lattice_margins(dice, follow)
+                else:
+                    followed = np.take(dice, follow, axis=1, mode="wrap",
+                                       out=scratch.take(dice.shape))
+                    margins = pair_stats(dice, followed, scratch).margin
             agree = (margins == 0 if sums is None else
                      np.sign(margins) == np.sign(sums - sums[:, follow]))
             category[lo:lo + t] = (4 * classify_margins(margins)

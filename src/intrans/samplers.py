@@ -18,7 +18,9 @@ All samplers consume a numpy Generator passed by the caller and draw their
 randomness in a fixed documented order, so results are reproducible from
 the generator state alone. Each returns size dice as the rows of a
 (size, n) float64 array, drawn in turn: k calls with size 1 give, bit for
-bit, the rows of one call with size k.
+bit, the rows of one call with size k. The Gaussian conditioned and
+stationary samplers take their result and work arrays from an optional
+_accel.Scratch arena; without one they allocate, with the same numbers.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._accel import Scratch
 from .distributions import (STD_GAUSSIAN, FaceDistribution, get_distribution,
                             normal_cdf)
 from .errors import (
@@ -95,13 +98,14 @@ def _last_face_rejection(n: int, draw, max_attempts: int,
 
 
 def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
-                                  size: int) -> np.ndarray:
+                                  size: int, scratch=None) -> np.ndarray:
     """size dice of n i.i.d. faces conditioned on their sum being exactly
     zero.
 
     Standard Gaussian faces are the projection z - mean(z) of n i.i.d.
     N(0, 1) faces z: its law N(0, I - J/n) is exactly the zero-sum
-    conditional law, and a batch of dice is one (size, n) draw of z.
+    conditional law, and a batch of dice is one (size, n) draw of z, made
+    in place in an array taken from scratch (a throwaway arena when None).
 
     Other laws draw the first n-1 faces i.i.d., set the last face to
     minus their sum, and accept with probability pdf(last) / sup pdf. The
@@ -109,15 +113,21 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
     hyperplane. The acceptance rate decays like 1/sqrt(n) because the
     candidate last face has standard deviation sqrt(n-1). A batch draws
     its faces, then one uniform per candidate; dice are drawn one after
-    another, each given CONTINUOUS_MAX_ATTEMPTS candidates.
+    another, each given CONTINUOUS_MAX_ATTEMPTS candidates; they allocate
+    and leave scratch unused.
     """
     size = _dice_count(size)
     if n < 2:
         raise InvalidInputError("conditioned dice need n >= 2")
     dist = get_distribution(dist)
     if dist is STD_GAUSSIAN:
-        z = rng.standard_normal((size, n))
-        return z - z.mean(axis=1, keepdims=True)
+        if scratch is None:
+            scratch = Scratch()
+        z = rng.standard_normal((size, n), out=scratch.take((size, n)))
+        with scratch:
+            mean = z.mean(axis=1, keepdims=True,
+                          out=scratch.take((size, 1)))
+            return np.subtract(z, mean, out=z)
 
     def draw(take):
         body = dist.sample(rng, (take, n - 1))
@@ -191,7 +201,11 @@ def _circulant_scales(n: int, kernel: CorrelationKernel) -> np.ndarray:
     lam are the circulant's eigenvalues. NotPositiveDefiniteError when the
     embedding has meaningfully negative eigenvalues (it is not
     nonnegative definite). Computed once per (n, kernel); the array is
-    read-only."""
+    read-only.
+
+    The m scales are laid out as the normals they multiply: s_0, then
+    s_k and -s_k for k = 1..m/2-1 (the real and imaginary parts of the
+    conjugate spectrum), then s_(m/2)."""
     half = _smooth5(n - 1)
     m = 2 * half
     gamma = kernel.values(np.arange(half + 1))
@@ -203,13 +217,17 @@ def _circulant_scales(n: int, kernel: CorrelationKernel) -> np.ndarray:
     weights = np.full(half + 1, 2.0 * m)
     weights[[0, half]] = m
     scale = np.sqrt(np.clip(lam, 0.0, None) / weights)
-    scale.setflags(write=False)
-    return scale
+    signed = np.empty(m)
+    signed[0], signed[m - 1] = scale[0], scale[half]
+    signed[1:m - 1:2] = scale[1:half]
+    signed[2:m - 1:2] = -scale[1:half]
+    signed.setflags(write=False)
+    return signed
 
 
 def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
                                rng: np.random.Generator,
-                               size: int) -> np.ndarray:
+                               size: int, scratch=None) -> np.ndarray:
     """size independent stationary Gaussian dice: mean-zero faces with
     variance 1/2 and lag covariance kernel.rho, as a (size, n) array.
 
@@ -224,29 +242,51 @@ def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
 
     Normal draws are consumed as one (size, m) array; within a row they
     are indexed low k to high k with real before imaginary parts. Only
-    the half spectrum k = 0..m/2 is built: the rest is its conjugate
-    mirror, and one real-output FFT (np.fft.hfft) synthesizes the rows.
+    the half spectrum k = 0..m/2 is built, conjugated by the signs of the
+    scales: the rest is its mirror, and one unnormalized inverse
+    real-output FFT synthesizes the rows, of which the first n faces are
+    kept. The result and the work arrays are taken from scratch, a
+    throwaway arena when None.
     """
     size = _dice_count(size)
     if n < 1:
         raise InvalidInputError("n must be positive")
+    if scratch is None:
+        scratch = Scratch()
     if n == 1:
-        return rng.standard_normal((size, 1)) * math.sqrt(0.5)
-    scale = _circulant_scales(n, kernel)
-    half = scale.size - 1
-    m = 2 * half
-    v = rng.standard_normal((size, m))
-    w = np.empty((size, half + 1), dtype=complex)
-    # Real and imaginary parts in turn: k = 0 takes v[0], k = 1..half-1
-    # take v[2k-1] + i v[2k], and k = half takes v[m-1].
-    parts = w.view(float)
-    parts[:, 0] = v[:, 0]
-    parts[:, 1] = 0.0
-    parts[:, 2:m] = v[:, 1:m - 1]
-    parts[:, m] = v[:, m - 1]
-    parts[:, m + 1] = 0.0
-    w *= scale
-    return np.fft.hfft(w, n=m, axis=1)[:, :n]
+        z = rng.standard_normal((size, 1), out=scratch.take((size, 1)))
+        return np.multiply(z, math.sqrt(0.5), out=z)
+    signed = _circulant_scales(n, kernel)
+    m = signed.size
+    faces = scratch.take((size, n))
+    with scratch:
+        v = rng.standard_normal((size, m), out=scratch.take((size, m)))
+        spectrum = scratch.take((size, m // 2 + 1), np.complex128)
+        # Real and imaginary parts in turn: k = 0 takes v[0], k =
+        # 1..m/2-1 take v[2k-1] + i v[2k], and k = m/2 takes v[m-1]; the
+        # imaginary parts of k = 0 and m/2 are 0. Scaling v in place and
+        # copying it is faster than a multiply into the strided parts.
+        parts = spectrum.view(np.float64)
+        parts[:, 1:m + 1] = np.multiply(v, signed, out=v)
+        parts[:, 0] = parts[:, 1]
+        parts[:, 1] = 0.0
+        parts[:, m + 1] = 0.0
+        np.fft.irfft(spectrum, m, axis=1, norm="forward", out=v)
+        faces[...] = v[:, :n]
+    return faces
+
+
+# The models share one interface: sample(rng, size, scratch=None) and,
+# for continuous faces, cdf(x, scratch=None). scratch is an _accel.Scratch
+# arena for the Gaussian draws and the normal CDF, which may return views
+# into it; the other laws allocate and leave it unused.
+
+
+def _face_cdf(dist: FaceDistribution, x, scratch) -> np.ndarray:
+    """dist's CDF at x, the normal CDF's temporaries taken from scratch."""
+    if dist is STD_GAUSSIAN:
+        return normal_cdf(x, scratch)
+    return dist.cdf(x)
 
 
 @dataclass(frozen=True)
@@ -255,7 +295,8 @@ class DiscreteConditioned:
 
     n: int
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int,
+               scratch=None) -> np.ndarray:
         return sample_discrete_conditioned(self.n, rng, size)
 
 
@@ -266,12 +307,14 @@ class ContinuousConditioned:
     n: int
     dist: FaceDistribution
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_continuous_conditioned(self.n, self.dist, rng, size)
+    def sample(self, rng: np.random.Generator, size: int,
+               scratch=None) -> np.ndarray:
+        return sample_continuous_conditioned(self.n, self.dist, rng, size,
+                                             scratch)
 
-    def cdf(self, x) -> np.ndarray:
+    def cdf(self, x, scratch=None) -> np.ndarray:
         """The face law's CDF, the F of the CDF-sum statistic."""
-        return self.dist.cdf(x)
+        return _face_cdf(self.dist, x, scratch)
 
 
 @dataclass(frozen=True)
@@ -281,14 +324,20 @@ class StationaryGaussian:
     n: int
     kernel: CorrelationKernel
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_stationary_gaussian(self.n, self.kernel, rng, size)
+    def sample(self, rng: np.random.Generator, size: int,
+               scratch=None) -> np.ndarray:
+        return sample_stationary_gaussian(self.n, self.kernel, rng, size,
+                                          scratch)
 
-    def cdf(self, x) -> np.ndarray:
+    def cdf(self, x, scratch=None) -> np.ndarray:
         """Marginal CDF of one face, N(0, 1/2), as Phi(sqrt(2) x): the
         kernel enforces rho(0) = 1/2. Within 1.2e-16 of the exact value,
         as 0.5 (1 + erf(x)) is."""
-        return normal_cdf(math.sqrt(2.0) * np.asarray(x, dtype=np.float64))
+        if scratch is None:
+            scratch = Scratch()
+        x = np.asarray(x, dtype=np.float64)
+        scaled = np.multiply(math.sqrt(2.0), x, out=scratch.take(x.shape))
+        return normal_cdf(scaled, scratch)
 
 
 @dataclass(frozen=True)
@@ -298,12 +347,13 @@ class IidContinuous:
     n: int
     dist: FaceDistribution
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int,
+               scratch=None) -> np.ndarray:
         return sample_iid(self.n, self.dist, rng, size)
 
-    def cdf(self, x) -> np.ndarray:
+    def cdf(self, x, scratch=None) -> np.ndarray:
         """The face law's CDF, the F of the CDF-sum statistic."""
-        return self.dist.cdf(x)
+        return _face_cdf(self.dist, x, scratch)
 
 
 def lex_pairs(k: int) -> list[tuple[int, int]]:

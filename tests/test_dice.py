@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intrans import _accel
+from intrans._accel import Scratch
 from intrans.dice import (
     PairStats,
     TripleClass,
@@ -17,6 +18,20 @@ from intrans.dice import (
 from intrans.errors import InvalidInputError
 
 from oracles import brute_pair_counts
+
+# One arena reused by every call of the arena form, as the dice kernel
+# reuses its thread's arena, so its takes hold what earlier calls left.
+ARENA = Scratch(limit=1 << 20)
+
+
+def _both_forms(a, b):
+    """pair_stats(a, b), checked equal to the form that takes its work
+    arrays from ARENA."""
+    stats = pair_stats(a, b)
+    in_arena = pair_stats(a, b, ARENA)
+    assert np.array_equal(stats.wins, in_arena.wins)
+    assert np.array_equal(stats.losses, in_arena.losses)
+    return stats
 
 faces_strategy = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -62,7 +77,7 @@ def test_pair_stats_small_example():
 
 
 def test_pair_stats_with_ties():
-    stats = pair_stats([1, 2, 2], [2, 3, 1])
+    stats = _both_forms([1, 2, 2], [2, 3, 1])
     wins, losses, ties = brute_pair_counts([1, 2, 2], [2, 3, 1])
     assert (stats.wins, stats.losses) == (wins, losses)
     assert ties > 0
@@ -139,7 +154,7 @@ def ulp_pairs(draw):
 @given(pair=ulp_pairs())
 def test_pair_stats_is_exact_on_faces_one_ulp_apart(pair):
     a, b = pair
-    stats = pair_stats(a, b)
+    stats = _both_forms(a, b)
     assert (stats.wins, stats.losses) == brute_pair_counts(a, b)[:2]
 
 
@@ -153,7 +168,7 @@ def test_pair_stats_is_exact_on_edge_faces_in_a_batch(n):
     near = rng.random(3000) < 0.5
     b[near] = rng.permuted(np.nextafter(
         a[near], rng.choice([-np.inf, np.inf], size=a[near].shape)), axis=1)
-    stats = pair_stats(a, b)
+    stats = _both_forms(a, b)
     for r in range(a.shape[0]):
         assert (stats.wins[r],
                 stats.losses[r]) == brute_pair_counts(a[r], b[r])[:2]
@@ -169,7 +184,7 @@ def test_pair_stats_compares_signed_zero_buckets_as_floats(a, b, counts):
     puts level with +0.0 in either order: the merge must see that clash
     by comparing cleared keys as floats. Compared as integers, -0.0 and
     +0.0 differ, and the last pair read (2, 2, 0)."""
-    stats = pair_stats(a, b)
+    stats = _both_forms(a, b)
     assert (stats.wins, stats.losses) == counts[:2]
     assert brute_pair_counts(a, b) == counts
 
@@ -263,7 +278,7 @@ def test_pair_counts_searches_ties_only_in_rows_that_hold_them():
     one = np.array([[1.0], [2.0], [3.0], [5.0]])
     other = np.array([[1.0], [1.0], [5.0], [5.0]])
     for x, y in ((a, b), (one, other), (a[::-1], b[::-1])):
-        stats = pair_stats(x.reshape(1, *x.shape), y.reshape(1, *y.shape))
+        stats = _both_forms(x.reshape(1, *x.shape), y.reshape(1, *y.shape))
         for r in range(len(x)):
             assert (stats.wins[0, r],
                     stats.losses[0, r]) == brute_pair_counts(x[r], y[r])[:2]
@@ -275,6 +290,38 @@ def test_pair_counts_searches_ties_only_in_rows_that_hold_them():
     assert (wins, ties) == brute_pair_counts(b[1], a[1])[::2]
     stats = pair_stats(a[4], b[4])
     assert type(stats.wins) is int and type(stats.losses) is int
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+def test_scratch_stacks_its_takes_in_one_buffer_within_its_limit():
+    """A take that does not fit is a fresh array; the outermost frame's
+    end grows the buffer to the most the frame held at once, up to the
+    limit; takes then are views of that buffer, and an inner frame's end
+    gives its takes back to the next take. A throwaway arena keeps
+    nothing."""
+    arena = Scratch(limit=4096)
+    with arena:
+        assert arena.take((10,)).base is None
+        assert arena.take((1000,)).base is None
+    assert arena._buffer.size == 4096
+    with arena:
+        a = arena.take((10,))
+        with arena:
+            b = arena.take((3, 4), np.int64)
+        c = arena.take((3, 4), np.int64)
+        big = arena.take((1000,))
+    assert arena._buffer.size == 4096
+    assert np.shares_memory(arena._buffer, a) and a.flags.c_contiguous
+    assert _address(b) == _address(c) == _address(a) + 128
+    assert c.shape == (3, 4) and c.dtype == np.int64
+    assert big.base is None and big.shape == (1000,)
+    throwaway = Scratch()
+    with throwaway:
+        assert throwaway.take((2,)).base is None
+    assert throwaway._buffer.size == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 250])

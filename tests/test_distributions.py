@@ -18,6 +18,7 @@ from intrans.distributions import (
     get_distribution,
     normal_cdf,
 )
+from intrans._accel import Scratch
 from intrans.errors import InvalidInputError
 from intrans.experiments import dice_model_from_params
 
@@ -119,6 +120,23 @@ def test_normal_cdf_keeps_shape():
     assert np.shape(normal_cdf(np.asarray(0.5))) == ()
     assert normal_cdf(np.zeros((4, 3, 7))).shape == (4, 3, 7)
     assert float(normal_cdf(0.0)) == 0.5
+
+
+def test_normal_cdf_arena_form_equals_allocating_form():
+    """Over [-9.5, 9.5], NaN and +-inf, in one array and in rows, the
+    form that takes its result and temporaries from a reused arena gives
+    the allocating form's values bit for bit."""
+    x = np.concatenate([np.linspace(-9.5, 9.5, 20_001),
+                        [np.nan, np.inf, -np.inf, -0.0]])
+    arena = Scratch(limit=1 << 20)
+    for shape in (x.shape, (5, 4001), (), (2, 0)):
+        values = x[:math.prod(shape)].reshape(shape)
+        expected = normal_cdf(values)
+        for _ in range(2):  # the second call reuses the grown arena
+            with arena:
+                got = normal_cdf(values, arena)
+                np.testing.assert_array_equal(got, expected)
+                assert np.shape(got) == shape
 
 
 def test_normal_cdf_non_finite_inputs():

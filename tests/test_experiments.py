@@ -10,6 +10,8 @@ Seeds are fixed, so the checks are deterministic.
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -705,7 +707,9 @@ def _cdf_sum_gap(model, x, y):
     "discrete_n250", "conditioned_n600"])
 def test_dice_block_kernel_matches_per_trial_rule(params):
     seed, start = 8, BLOCK_SIZE
-    size = 300 if params["n"] <= 16 else 40
+    # Lattice chunks at n = 250 hold 21 triples.
+    size = (300 if params["n"] <= 16 else
+            70 if params["model"] == "discrete" else 40)
     assert params["n"] <= 16 or size > 3 * (
         DICE_CHUNK_FACES // (3 * params["n"]))
     kernel, n_cat = build_kernel(_spec("dice_triples", params, size, seed))
@@ -745,6 +749,86 @@ def test_dice_block_memory_is_bounded_by_the_chunk():
     assert values.shape == (BLOCK_SIZE,)
     assert 0 <= values.min() <= values.max() < n_cat
     assert peak < 4 * 2 ** 20
+
+
+# The dice-continuous benchmark's two models.
+ARENA_MODELS = ({"model": "stationary", "n": 512, "hurst": 0.75},
+                {"model": "conditioned", "n": 200, "dist": "gaussian"})
+
+
+def _block_peak(kernel, seed, size):
+    """The kernel's categories of one block and its peak of traced
+    allocations."""
+    tracemalloc.start()
+    try:
+        values = kernel(substream(seed, BLOCK_SIZE), size)
+        return values, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("params", ARENA_MODELS,
+                         ids=["stationary_n512", "gaussian_n200"])
+def test_warm_dice_block_allocates_no_chunk(params):
+    """Once the thread's arena has grown, a 40-triple block takes every
+    chunk-sized array from it and peaks under 160 KB of allocations; a
+    fresh set of arrays per chunk peaked at 605 KB (stationary) and
+    447 KB (Gaussian)."""
+    kernel, _ = build_kernel(_spec("dice_triples", params, 40, 5))
+    kernel(substream(5, 0), 40)
+    _, peak = _block_peak(kernel, 5, 40)
+    assert peak < 160 * 1024
+
+
+def test_dice_arena_stays_within_its_bound():
+    """After a 4096-triple stationary block at n=512 the thread's arena
+    holds at most DICE_SCRATCH_BYTES, and that holds the whole demand of
+    a chunk: the next full block allocates no chunk and leaves the arena
+    as it was."""
+    kernel, _ = build_kernel(_spec("dice_triples", ARENA_MODELS[0],
+                                   BLOCK_SIZE, 3))
+    kernel(substream(3, 0), BLOCK_SIZE)
+    arena = experiments._dice_scratch()
+    kept = arena._buffer.size
+    assert 0 < kept <= experiments.DICE_SCRATCH_BYTES
+    _, peak = _block_peak(kernel, 3, BLOCK_SIZE)
+    assert peak < 160 * 1024
+    assert arena._buffer.size == kept
+
+
+def test_dice_kernel_threads_at_once_give_the_one_thread_categories():
+    """Each thread draws into its own arena: four threads that run the
+    two arena models at once, with a short switch interval, give each
+    block the categories one thread gives it."""
+    kernels = [build_kernel(_spec("dice_triples", params, 60, 9))[0]
+               for params in ARENA_MODELS]
+    jobs = [(kernels[i % 2], i * BLOCK_SIZE) for i in range(4)]
+    expected = [kernel(substream(9, start), 60) for kernel, start in jobs]
+    got = [[] for _ in jobs]
+    barrier = threading.Barrier(len(jobs), timeout=60)
+
+    def run(i):
+        kernel, start = jobs[i]
+        barrier.wait()
+        for _ in range(3):
+            got[i].append(kernel(substream(9, start), 60))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, runs in zip(expected, got):
+        assert len(runs) == 3
+        for values in runs:
+            np.testing.assert_array_equal(values, want)
 
 
 def test_block_families_do_not_depend_on_worker_count(monkeypatch):

@@ -15,8 +15,9 @@ from intrans.errors import (
     SamplerStallError,
 )
 from intrans import samplers
+from intrans._accel import Scratch
 from intrans.distributions import get_distribution
-from intrans.experiments import dice_model_from_params
+from intrans.experiments import DICE_CHUNK_FACES, dice_model_from_params
 from intrans.gaussian import CorrelationKernel, s_kernel
 from intrans.samplers import (
     MAX_BATCH_FACES,
@@ -321,9 +322,10 @@ class _IdentityNormals:
     def __init__(self, m):
         self.m = m
 
-    def standard_normal(self, shape):
-        assert shape == (self.m, self.m)
-        return np.eye(self.m)
+    def standard_normal(self, shape, out):
+        assert shape == out.shape == (self.m, self.m)
+        out[...] = np.eye(self.m)
+        return out
 
 
 CIRCULANT_SIZES = [2, 3, 4, 5, 17, 200, 511, 512, 513]
@@ -362,7 +364,7 @@ def test_fbm_embedding_never_falls_back(n):
     for hurst in EMBEDDING_HURSTS[n]:
         scale = _circulant_scales.__wrapped__(
             n, CorrelationKernel.fbm(float(hurst)))
-        assert scale.size == _next_smooth(n - 1) + 1
+        assert scale.size == 2 * _next_smooth(n - 1)
 
 
 def test_stationary_setup_is_computed_once_per_kernel():
@@ -424,6 +426,42 @@ def test_size_form_equals_one_die_calls(model):
     one_by_one = np.concatenate([model.sample(rng, 1) for _ in range(6)])
     np.testing.assert_array_equal(rows, one_by_one)
     assert model.sample(rng, 0).shape == (0, model.n)
+
+
+# One arena reused by every draw of the arena form, as the dice kernel
+# reuses its thread's arena, so its takes hold what earlier draws left.
+ARENA = Scratch(limit=1 << 22)
+
+
+def _chunk_dice(n):
+    """The dice in one chunk of the dice kernel at n faces."""
+    return 3 * max(1, DICE_CHUNK_FACES // (3 * n))
+
+
+GAUSSIAN_MODELS = [
+    *(StationaryGaussian(n, CorrelationKernel.fbm(0.75))
+      for n in (1, 2, 16, 512)),
+    *(ContinuousConditioned(n, get_distribution("gaussian"))
+      for n in (2, 200))]
+
+
+@pytest.mark.parametrize("model", GAUSSIAN_MODELS, ids=[
+    "stationary_n1", "stationary_n2", "stationary_n16", "stationary_n512",
+    "gaussian_n2", "gaussian_n200"])
+def test_gaussian_arena_form_equals_allocating_form(model):
+    """With an arena, the stationary and the Gaussian conditioned
+    samplers give, bit for bit, the dice and the generator state of the
+    allocating form, at one die and at one die either side of the
+    kernel's chunk; the second draw of each size reuses the grown
+    arena."""
+    for size in (1, _chunk_dice(model.n) - 1, _chunk_dice(model.n) + 1):
+        for _ in range(2):
+            fresh, reused = (np.random.default_rng(size) for _ in range(2))
+            expected = model.sample(fresh, size)
+            with ARENA:
+                np.testing.assert_array_equal(
+                    model.sample(reused, size, ARENA), expected)
+            assert fresh.random() == reused.random()
 
 
 def test_model_wrappers_smoke():
