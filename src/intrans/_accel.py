@@ -27,9 +27,11 @@ at once, up to the arena's limit; a take that does not fit is a fresh
 array, so demand above the limit allocates as if there were no arena.
 Each thread running the dice kernel keeps one arena of at most
 experiments.DICE_SCRATCH_BYTES (2 MiB, 128 bytes per face of the chunk
-budget), so an arena is never shared between threads. A function given
-no arena makes a throwaway one whose takes are all fresh arrays, and
-runs the same code.
+budget), so an arena is never shared between threads. The kernel's
+helper thread, which draws the next chunk's normals of the Gaussian
+models, touches no arena: it writes only into a normals buffer that the
+calling thread keeps beside its arena. A function given no arena makes a
+throwaway one whose takes are all fresh arrays, and runs the same code.
 """
 
 import math

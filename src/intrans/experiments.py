@@ -10,6 +10,8 @@ dicts so an ExperimentSpec round-trips through its serialized form.
 from __future__ import annotations
 
 import math
+import os
+import queue
 import threading
 from functools import lru_cache
 from typing import Optional
@@ -58,7 +60,14 @@ N_DICE_CATEGORIES = 12
 # 41.2 MB peak RSS for 8192 faces, 64.1-66.2 at 42.0 MB for 16384 and
 # 66.4-68.3 at 42.9 MB for 32768. 16384 takes most of the gain at half
 # the added memory of 32768; a run's two 40-triple dice commands (n=200
-# and n=512) take 6 chunks, not 12.
+# and n=512) take 6 chunks, not 12. Those runs drew every chunk's normals
+# inline. With the helper thread drawing the next chunk's (below), 16384
+# read a median 73.7 (69.4-88.3) at 43.1 MB in ten 20 s runs on a busier
+# stretch of the host, against 62.9 (58.5-74.6) at 42.8 MB for the inline
+# draws alternating with them; the two commands' kernel calls took a
+# median 5.65-5.92 ms for 8192 faces (12 chunks), 5.01-5.26 ms for 16384
+# (6) and 5.16-5.45 ms for 32768 (3, of which the n=200 block's one
+# overlaps nothing), in two rounds.
 DICE_CHUNK_FACES = 16384
 
 # Each thread that runs the dice kernel keeps one _accel.Scratch arena for
@@ -70,6 +79,29 @@ DICE_CHUNK_FACES = 16384
 DICE_SCRATCH_BYTES = 128 * DICE_CHUNK_FACES
 _DICE_ARENAS = threading.local()
 
+# Beside its arena, each thread that runs the dice kernel keeps two
+# buffers for the standard normals of the Gaussian models' chunks, used in
+# turn, so the normals of the next chunk can be drawn while this chunk's
+# are still in use. A chunk's normals are at most 2.3 times its faces (the
+# stationary circulant's width m = 2 s(n-1) over n), so a buffer keeps at
+# most DICE_NORMALS_BYTES, 24 bytes per face of the chunk budget (384
+# KiB); larger normals, of one triple of more than DICE_CHUNK_FACES / 3
+# faces, are a fresh array.
+DICE_NORMALS_BYTES = 24 * DICE_CHUNK_FACES
+
+# The helper draws the next chunk's normals only when there are at least
+# this many, half the chunk budget: 0.12 ms of draws at 14.6 ns a normal
+# (Philox). Handing a draw over cost the calling thread ~0.09 ms on a
+# 2-core x86-64 host: the helper woke 34-71 us after the hand-over, and
+# the calling thread scored its chunk ~10% slower beside the draw. So a
+# 40-triple conditioned Gaussian block at n=200, whose second chunk is
+# 7,800 normals, broke even with the hand-over (CLI runs 0.99-1.01 of
+# the inline time) and draws it inline, while 54 triples (a second chunk
+# of 16,200 normals) took 9% less kernel time with it, 4096 triples 27%
+# less, and 40 stationary triples at n=512 (30,720 normals a chunk) 25%
+# less.
+DICE_HELPER_MIN_NORMALS = DICE_CHUNK_FACES // 2
+
 
 def _dice_scratch() -> Scratch:
     """The calling thread's dice-kernel arena, made on first use."""
@@ -78,6 +110,82 @@ def _dice_scratch() -> Scratch:
     except AttributeError:
         _DICE_ARENAS.scratch = Scratch(DICE_SCRATCH_BYTES)
         return _DICE_ARENAS.scratch
+
+
+def _normals_buffer(slot: int, shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of this shape in the calling
+    thread's normals buffer slot, 0 or 1, which grows to fit up to
+    DICE_NORMALS_BYTES; a fresh array above that."""
+    try:
+        buffers = _DICE_ARENAS.normals
+    except AttributeError:
+        buffers = _DICE_ARENAS.normals = [np.empty(0), np.empty(0)]
+    count = math.prod(shape)
+    if buffers[slot].size < count:
+        if 8 * count > DICE_NORMALS_BYTES:
+            return np.empty(shape)
+        buffers[slot] = np.empty(count)
+    return buffers[slot][:count].reshape(shape)
+
+
+class _NormalsHelper:
+    """The process's one helper thread for the dice kernel, made on
+    first use, which draws a chunk's standard normals into a normals
+    buffer of the thread that asks. One draw at a time: a caller that
+    finds it busy draws inline and never waits for it, and a caller whose
+    submit took the helper ends the draw with finish. The helper calls
+    only rng.standard_normal, one long call that releases the interpreter
+    lock. A queue and a lock hand the draw over and back: through an
+    executor's futures a round trip took 59 us against 17 us (2-core
+    x86-64 host, Python 3.11), and that made a prototype lose 4-8% on a
+    two-chunk block."""
+
+    def __init__(self):
+        self._reset()
+
+    def _reset(self):
+        self._busy = threading.Lock()
+        # Held from a submit until its draw has ended.
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._jobs = None
+        self._error = None
+
+    def _serve(self):
+        while True:
+            rng, out = self._jobs.get()
+            try:
+                rng.standard_normal(out.shape, out=out)
+            except Exception as error:  # the caller's finish returns it
+                self._error = error
+            finally:
+                self._done.release()
+
+    def submit(self, rng: np.random.Generator, out: np.ndarray) -> bool:
+        """Start rng.standard_normal(out.shape, out=out) on the helper
+        thread; False, and nothing started, when the helper is busy."""
+        if not self._busy.acquire(blocking=False):
+            return False
+        if self._jobs is None:
+            self._jobs = queue.SimpleQueue()
+            threading.Thread(target=self._serve, name="intrans-normals",
+                             daemon=True).start()
+        self._jobs.put((rng, out))
+        return True
+
+    def finish(self) -> Optional[Exception]:
+        """Wait until the submitted draw has ended, free the helper, and
+        return the draw's error, None when it drew."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        self._busy.release()
+        return error
+
+
+_NORMALS_HELPER = _NormalsHelper()
+# A child made by fork has no helper thread, and may have copied the
+# helper's locks held: it starts afresh.
+os.register_at_fork(after_in_child=_NORMALS_HELPER._reset)
 
 
 _REQUIRED = object()
@@ -506,6 +614,21 @@ def _build_dice_triples(spec: ExperimentSpec):
     lattice dice are scored from their face histograms (lattice_margins),
     with no sort or search.
 
+    The Gaussian models (conditioned Gaussian and stationary) draw a
+    chunk's dice in two stages, the normals (one rng.standard_normal call
+    of 3 t rows of model.normals_width) and their synthesis. With more
+    than one worker (INTRANS_THREADS), the process's one helper thread
+    draws the normals of chunk i+1, when they number at least
+    DICE_HELPER_MIN_NORMALS, into a normals buffer of the calling thread
+    while that thread synthesizes and scores chunk i. Chunk 0, a smaller
+    chunk, and a chunk whose draw found the helper busy with another
+    worker's are drawn on the calling thread. Each draw is
+    made from the block's substream, in chunk order and with the shapes
+    of the inline draws, and only after the previous one has ended, so the
+    categories do not depend on where the draws ran. The kernel waits for
+    a pending draw before it returns or raises. With one worker, or no
+    chunk to hand over, every draw is the sampler's own.
+
     Two models have the same CDF sum for every die, so every CDF-sum gap
     is exactly 0 and a pair agrees exactly when it ties: the lattice model
     (F is floor / n, and every die has the face sum n(n+1)/2) and the
@@ -520,6 +643,7 @@ def _build_dice_triples(spec: ExperimentSpec):
     constant_cdf_sum = lattice or (isinstance(model, ContinuousConditioned)
                                    and model.dist is UNIFORM_SYM)
     chunk = max(1, DICE_CHUNK_FACES // (3 * n))
+    width = model.normals_width
     # Pairs (a, b), (b, c), (c, a): the margins classify_margins takes,
     # and the CDF-sum gaps with the same orientation.
     follow = [1, 2, 0]
@@ -529,22 +653,54 @@ def _build_dice_triples(spec: ExperimentSpec):
         cdf = None if constant_cdf_sum else (
             lambda x: model.cdf(x, scratch))
         category = np.empty(size, dtype=np.intp)
-        for lo in range(0, size, chunk):
-            t = min(chunk, size - lo)
-            with scratch:
-                dice = model.sample(rng, size=3 * t,
-                                    scratch=scratch).reshape(t, 3, n)
-                sums = None if cdf is None else cdf_sum(dice, cdf, scratch)
-                if lattice:
-                    margins = lattice_margins(dice, follow)
+        # Chunk 1 has the most normals of the chunks after the first.
+        helper = (_NORMALS_HELPER if width is not None
+                  and 3 * min(chunk, size - chunk) * width
+                  >= DICE_HELPER_MIN_NORMALS
+                  and mc.resolve_workers(None) > 1 else None)
+        pending = None
+        try:
+            for i, lo in enumerate(range(0, size, chunk)):
+                t = min(chunk, size - lo)
+                # The next chunk's dice; none after the last chunk.
+                rows = 3 * min(chunk, size - lo - chunk)
+                prefetch = (helper is not None
+                            and rows * width >= DICE_HELPER_MIN_NORMALS)
+                if pending is not None:
+                    error = helper.finish()
+                    normals, pending = pending, None
+                    if error is not None:
+                        raise error
+                elif prefetch:
+                    # Drawn before the next chunk's draw starts.
+                    normals = rng.standard_normal(
+                        (3 * t, width),
+                        out=_normals_buffer(i % 2, (3 * t, width)))
                 else:
-                    followed = np.take(dice, follow, axis=1, mode="wrap",
-                                       out=scratch.take(dice.shape))
-                    margins = pair_stats(dice, followed, scratch).margin
-            agree = (margins == 0 if sums is None else
-                     np.sign(margins) == np.sign(sums - sums[:, follow]))
-            category[lo:lo + t] = (4 * classify_margins(margins)
-                                   + agree.sum(axis=1))
+                    normals = None
+                if prefetch:
+                    out = _normals_buffer(1 - i % 2, (rows, width))
+                    if helper.submit(rng, out):
+                        pending = out
+                with scratch:
+                    dice = model.sample(rng, size=3 * t, scratch=scratch,
+                                        normals=normals).reshape(t, 3, n)
+                    sums = (None if cdf is None else
+                            cdf_sum(dice, cdf, scratch))
+                    if lattice:
+                        margins = lattice_margins(dice, follow)
+                    else:
+                        followed = np.take(dice, follow, axis=1,
+                                           mode="wrap",
+                                           out=scratch.take(dice.shape))
+                        margins = pair_stats(dice, followed, scratch).margin
+                agree = (margins == 0 if sums is None else
+                         np.sign(margins) == np.sign(sums - sums[:, follow]))
+                category[lo:lo + t] = (4 * classify_margins(margins)
+                                       + agree.sum(axis=1))
+        finally:
+            if pending is not None:
+                helper.finish()
         return category
 
     return kernel, N_DICE_CATEGORIES

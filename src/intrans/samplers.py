@@ -21,6 +21,13 @@ the generator state alone. Each returns size dice as the rows of a
 bit, the rows of one call with size k. The Gaussian conditioned and
 stationary samplers take their result and work arrays from an optional
 _accel.Scratch arena; without one they allocate, with the same numbers.
+
+Each Gaussian sampler has two stages. The draw stage is one
+rng.standard_normal((size, width), out=...) call, width normals a die
+(the model's normals_width); the synthesis stage turns those normals
+into the dice, in place where it can. A caller that has drawn the
+normals itself, in that one call on the same generator, passes them as
+normals and gets the same dice; the sampler then draws nothing.
 """
 
 from __future__ import annotations
@@ -97,15 +104,32 @@ def _last_face_rejection(n: int, draw, max_attempts: int,
         attempts=max_attempts, accepted=0)
 
 
+def _gaussian_normals(rng: np.random.Generator, size: int, width: int,
+                      scratch: Scratch, normals) -> np.ndarray:
+    """The draw stage of a Gaussian sampler: normals, a (size, width)
+    float64 array the caller drew, when given; else one (size, width)
+    standard normal draw from rng into an array taken from scratch."""
+    if normals is None:
+        return rng.standard_normal((size, width),
+                                   out=scratch.take((size, width)))
+    if normals.shape != (size, width) or normals.dtype != np.float64:
+        raise InvalidInputError(
+            "normals must be a (%d, %d) float64 array, got %s %s"
+            % (size, width, normals.dtype, normals.shape))
+    return normals
+
+
 def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
-                                  size: int, scratch=None) -> np.ndarray:
+                                  size: int, scratch=None,
+                                  normals=None) -> np.ndarray:
     """size dice of n i.i.d. faces conditioned on their sum being exactly
     zero.
 
     Standard Gaussian faces are the projection z - mean(z) of n i.i.d.
     N(0, 1) faces z: its law N(0, I - J/n) is exactly the zero-sum
     conditional law, and a batch of dice is one (size, n) draw of z, made
-    in place in an array taken from scratch (a throwaway arena when None).
+    in place in an array taken from scratch (a throwaway arena when None),
+    or in normals, the (size, n) draw when the caller made it.
 
     Other laws draw the first n-1 faces i.i.d., set the last face to
     minus their sum, and accept with probability pdf(last) / sup pdf. The
@@ -123,7 +147,7 @@ def sample_continuous_conditioned(n: int, dist, rng: np.random.Generator,
     if dist is STD_GAUSSIAN:
         if scratch is None:
             scratch = Scratch()
-        z = rng.standard_normal((size, n), out=scratch.take((size, n)))
+        z = _gaussian_normals(rng, size, n, scratch, normals)
         with scratch:
             mean = z.mean(axis=1, keepdims=True,
                           out=scratch.take((size, 1)))
@@ -227,7 +251,8 @@ def _circulant_scales(n: int, kernel: CorrelationKernel) -> np.ndarray:
 
 def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
                                rng: np.random.Generator,
-                               size: int, scratch=None) -> np.ndarray:
+                               size: int, scratch=None,
+                               normals=None) -> np.ndarray:
     """size independent stationary Gaussian dice: mean-zero faces with
     variance 1/2 and lag covariance kernel.rho, as a (size, n) array.
 
@@ -246,7 +271,8 @@ def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
     scales: the rest is its mirror, and one unnormalized inverse
     real-output FFT synthesizes the rows, of which the first n faces are
     kept. The result and the work arrays are taken from scratch, a
-    throwaway arena when None.
+    throwaway arena when None. normals, when given, is the (size, m)
+    draw (size, 1 at n = 1), which the synthesis overwrites.
     """
     size = _dice_count(size)
     if n < 1:
@@ -254,13 +280,13 @@ def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
     if scratch is None:
         scratch = Scratch()
     if n == 1:
-        z = rng.standard_normal((size, 1), out=scratch.take((size, 1)))
+        z = _gaussian_normals(rng, size, 1, scratch, normals)
         return np.multiply(z, math.sqrt(0.5), out=z)
     signed = _circulant_scales(n, kernel)
     m = signed.size
     faces = scratch.take((size, n))
     with scratch:
-        v = rng.standard_normal((size, m), out=scratch.take((size, m)))
+        v = _gaussian_normals(rng, size, m, scratch, normals)
         spectrum = scratch.take((size, m // 2 + 1), np.complex128)
         # Real and imaginary parts in turn: k = 0 takes v[0], k =
         # 1..m/2-1 take v[2k-1] + i v[2k], and k = m/2 takes v[m-1]; the
@@ -276,10 +302,13 @@ def sample_stationary_gaussian(n: int, kernel: CorrelationKernel,
     return faces
 
 
-# The models share one interface: sample(rng, size, scratch=None) and,
-# for continuous faces, cdf(x, scratch=None). scratch is an _accel.Scratch
-# arena for the Gaussian draws and the normal CDF, which may return views
-# into it; the other laws allocate and leave it unused.
+# The models share one interface: sample(rng, size, scratch=None,
+# normals=None), normals_width and, for continuous faces, cdf(x,
+# scratch=None). scratch is an _accel.Scratch arena for the Gaussian draws
+# and the normal CDF, which may return views into it; the other laws
+# allocate and leave it unused. normals_width is the number of standard
+# normals a die of the Gaussian models' draw stage takes, and None for the
+# other laws, which take no normals.
 
 
 def _face_cdf(dist: FaceDistribution, x, scratch) -> np.ndarray:
@@ -294,9 +323,10 @@ class DiscreteConditioned:
     """Integer faces 1..n, uniform given face-sum n(n+1)/2."""
 
     n: int
+    normals_width = None
 
     def sample(self, rng: np.random.Generator, size: int,
-               scratch=None) -> np.ndarray:
+               scratch=None, normals=None) -> np.ndarray:
         return sample_discrete_conditioned(self.n, rng, size)
 
 
@@ -307,10 +337,14 @@ class ContinuousConditioned:
     n: int
     dist: FaceDistribution
 
+    @property
+    def normals_width(self):
+        return self.n if self.dist is STD_GAUSSIAN else None
+
     def sample(self, rng: np.random.Generator, size: int,
-               scratch=None) -> np.ndarray:
+               scratch=None, normals=None) -> np.ndarray:
         return sample_continuous_conditioned(self.n, self.dist, rng, size,
-                                             scratch)
+                                             scratch, normals)
 
     def cdf(self, x, scratch=None) -> np.ndarray:
         """The face law's CDF, the F of the CDF-sum statistic."""
@@ -324,10 +358,18 @@ class StationaryGaussian:
     n: int
     kernel: CorrelationKernel
 
+    @property
+    def normals_width(self):
+        """1 at n = 1, else the circulant's size: NotPositiveDefiniteError
+        when its embedding is not nonnegative definite."""
+        if self.n == 1:
+            return 1
+        return _circulant_scales(self.n, self.kernel).size
+
     def sample(self, rng: np.random.Generator, size: int,
-               scratch=None) -> np.ndarray:
+               scratch=None, normals=None) -> np.ndarray:
         return sample_stationary_gaussian(self.n, self.kernel, rng, size,
-                                          scratch)
+                                          scratch, normals)
 
     def cdf(self, x, scratch=None) -> np.ndarray:
         """Marginal CDF of one face, N(0, 1/2), as Phi(sqrt(2) x): the
@@ -346,9 +388,10 @@ class IidContinuous:
 
     n: int
     dist: FaceDistribution
+    normals_width = None
 
     def sample(self, rng: np.random.Generator, size: int,
-               scratch=None) -> np.ndarray:
+               scratch=None, normals=None) -> np.ndarray:
         return sample_iid(self.n, self.dist, rng, size)
 
     def cdf(self, x, scratch=None) -> np.ndarray:

@@ -4,6 +4,7 @@ from passing the test suite and breaking only the benchmark."""
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,23 @@ def test_tracer_sees_every_layer_of_a_tiny_run(workload, tmp_path):
         tracer.uninstall()
     calls = tracer.layer_totals()[0]
     assert [name for name in LAYERS[workload] if calls[name] < 1] == []
+
+
+def test_traced_prefetching_run_records_every_span_on_the_calling_thread(
+        tmp_path, monkeypatch):
+    """A 40-triple stationary run at n=512 has four chunks, and with two
+    workers the dice kernel's helper thread draws the normals of the last
+    three. Its one block runs inline, so the tracer's per-thread stacks
+    hold only if every span, each chunk's sampler span among them, is on
+    the calling thread."""
+    monkeypatch.setenv("INTRANS_THREADS", "2")
+    tracer = _load("spans").Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["dice", "--model", "stationary", "--hurst", "0.75",
+                         "--n", "512", "--triples", "40", "--seed", "7",
+                         "--out", str(tmp_path / "run.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert {span[4] for span in tracer.spans} == {threading.get_ident()}
+    assert tracer.layer_totals()[0]["samplers.stationary"] == 4

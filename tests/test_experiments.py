@@ -10,9 +10,13 @@ Seeds are fixed, so the checks are deterministic.
 
 import json
 import math
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -796,14 +800,18 @@ def test_dice_arena_stays_within_its_bound():
     assert arena._buffer.size == kept
 
 
-def test_dice_kernel_threads_at_once_give_the_one_thread_categories():
-    """Each thread draws into its own arena: four threads that run the
-    two arena models at once, with a short switch interval, give each
-    block the categories one thread gives it."""
+def test_dice_kernel_threads_at_once_give_the_one_thread_categories(
+        monkeypatch):
+    """Each thread draws into its own arena and normals buffers: four
+    threads that run the two arena models at once, with a short switch
+    interval and two workers, so that they share the helper thread, give
+    each block the categories one thread with one worker gives it."""
     kernels = [build_kernel(_spec("dice_triples", params, 60, 9))[0]
                for params in ARENA_MODELS]
     jobs = [(kernels[i % 2], i * BLOCK_SIZE) for i in range(4)]
+    monkeypatch.setenv("INTRANS_THREADS", "1")
     expected = [kernel(substream(9, start), 60) for kernel, start in jobs]
+    monkeypatch.setenv("INTRANS_THREADS", "2")
     got = [[] for _ in jobs]
     barrier = threading.Barrier(len(jobs), timeout=60)
 
@@ -829,6 +837,141 @@ def test_dice_kernel_threads_at_once_give_the_one_thread_categories():
         assert len(runs) == 3
         for values in runs:
             np.testing.assert_array_equal(values, want)
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that records the thread of each standard_normal call."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.threads = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        return super().standard_normal(*args, **kwargs)
+
+
+def _helper_draws(monkeypatch):
+    """The arrays handed to the dice kernel's helper thread, in order; the
+    helper still draws them."""
+    helper = experiments._NORMALS_HELPER
+    submitted = []
+
+    def submit(rng, out):
+        started = type(helper).submit(helper, rng, out)
+        if started:
+            submitted.append(out.shape)
+        return started
+
+    monkeypatch.setattr(helper, "submit", submit)
+    return submitted
+
+
+@pytest.mark.parametrize("params, size, on_helper", [
+    (ARENA_MODELS[0], 40, [False, True, True, True]),
+    (ARENA_MODELS[0], 41, [False, True, True, True, False]),
+    (ARENA_MODELS[1], 81, [False, True, True])],
+    ids=["stationary_n512", "stationary_n512_tail", "gaussian_n200"])
+def test_helper_draws_each_later_chunk_of_enough_normals(
+        params, size, on_helper, monkeypatch):
+    """With two workers, chunk 0's normals are drawn on the calling
+    thread, and each later chunk's on the helper when they number at
+    least DICE_HELPER_MIN_NORMALS (a 1-triple tail at n=512 has 3,072),
+    one standard_normal call a chunk, with the categories and the
+    generator state of one worker."""
+    kernel, _ = build_kernel(_spec("dice_triples", params, size, 5))
+    monkeypatch.setenv("INTRANS_THREADS", "1")
+    inline = _RecordingGenerator(substream(5, 0).bit_generator)
+    expected = kernel(inline, size)
+    assert inline.threads == [threading.get_ident()] * len(on_helper)
+    monkeypatch.setenv("INTRANS_THREADS", "2")
+    submitted = _helper_draws(monkeypatch)
+    rng = _RecordingGenerator(substream(5, 0).bit_generator)
+    np.testing.assert_array_equal(kernel(rng, size), expected)
+    assert [thread != threading.get_ident()
+            for thread in rng.threads] == on_helper
+    assert len(submitted) == sum(on_helper)
+    assert rng.random() == inline.random()
+
+
+def test_no_helper_where_nothing_overlaps(monkeypatch):
+    """The helper draws nothing at INTRANS_THREADS=1, for a block of one
+    chunk, for a later chunk of fewer than DICE_HELPER_MIN_NORMALS normals
+    (the 7,800 of a 40-triple Gaussian block's second chunk at n=200), and
+    for election, triplet, lattice and non-Gaussian dice runs."""
+    submitted = _helper_draws(monkeypatch)
+    stationary, gaussian = ARENA_MODELS
+    monkeypatch.setenv("INTRANS_THREADS", "1")
+    estimate_categories(_spec("dice_triples", stationary, 40, 3))
+    monkeypatch.setenv("INTRANS_THREADS", "2")
+    for params, trials in ((stationary, 10), (gaussian, 27), (gaussian, 40),
+                           ({"model": "discrete", "n": 250}, 70),
+                           ({"model": "conditioned", "n": 200,
+                             "dist": "uniform"}, 40)):
+        estimate_categories(_spec("dice_triples", params, trials, 3))
+    estimate_categories(_spec("election_outcomes", {"n": 301}, 2 * BLOCK_SIZE,
+                              3, conditioning={"d": 3}))
+    estimate_categories(_spec("triplet_paradox", {"n": 303}, BLOCK_SIZE, 3))
+    assert submitted == []
+
+
+def test_error_while_scoring_leaves_no_draw_in_flight(monkeypatch):
+    """An error raised while a chunk is scored reaches the caller as
+    itself, after the helper's pending draw has ended; the next run at the
+    same seed gives the pinned counts."""
+    monkeypatch.setenv("INTRANS_THREADS", "2")
+    submitted = _helper_draws(monkeypatch)
+    helper = experiments._NORMALS_HELPER
+    spec = _spec("dice_triples", ARENA_MODELS[0], 40, 31)
+    expected = estimate_categories(spec).counts
+    error = RuntimeError("scoring failed")
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return pair_stats(*args)
+
+    monkeypatch.setattr(experiments, "pair_stats", failing)
+    submitted.clear()
+    with pytest.raises(RuntimeError) as raised:
+        estimate_categories(spec)
+    assert raised.value is error
+    assert len(calls) == 2 and len(submitted) == 2
+    assert not helper._busy.locked() and helper._done.locked()
+    monkeypatch.setattr(experiments, "pair_stats", pair_stats)
+    np.testing.assert_array_equal(estimate_categories(spec).counts, expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_with_its_own_helper(monkeypatch):
+    """A child forked after the helper thread has run makes its own: a
+    4-chunk block in it gives the parent's categories, where it would
+    wait for ever on the parent's thread."""
+    monkeypatch.setenv("INTRANS_THREADS", "2")
+    kernel, _ = build_kernel(_spec("dice_triples", ARENA_MODELS[0], 40, 5))
+    expected = kernel(substream(5, 0), 40)
+    with warnings.catch_warnings():
+        # Python 3.12 warns on a fork of a process that runs threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        same = False
+        try:
+            same = np.array_equal(kernel(substream(5, 0), 40), expected)
+        finally:
+            os._exit(0 if same else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's dice block did not end in 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_block_families_do_not_depend_on_worker_count(monkeypatch):

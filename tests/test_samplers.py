@@ -464,6 +464,37 @@ def test_gaussian_arena_form_equals_allocating_form(model):
             assert fresh.random() == reused.random()
 
 
+@pytest.mark.parametrize("model", GAUSSIAN_MODELS, ids=[
+    "stationary_n1", "stationary_n2", "stationary_n16", "stationary_n512",
+    "gaussian_n2", "gaussian_n200"])
+def test_gaussian_draw_stage_given_equals_drawn(model):
+    """normals drawn by the caller, one (size, normals_width)
+    standard_normal call on the generator, give the dice of the sampler's
+    own draw, and leave the generator where it does; the sampler then
+    draws nothing. normals of another shape or dtype are an
+    InvalidInputError."""
+    width = model.normals_width
+    for size in (1, 7):
+        own, given = (np.random.default_rng(size) for _ in range(2))
+        expected = model.sample(own, size)
+        normals = given.standard_normal((size, width))
+        np.testing.assert_array_equal(
+            model.sample(given, size, normals=normals), expected)
+        assert own.random() == given.random()
+    rng = np.random.default_rng(0)
+    for bad in (np.zeros((3, width + 1)), np.zeros((2, width)),
+                np.zeros((3, width), dtype=np.float32)):
+        with pytest.raises(InvalidInputError, match="normals"):
+            model.sample(rng, 3, normals=bad)
+
+
+def test_rejection_models_take_no_normals():
+    uni = get_distribution("uniform")
+    for model in (DiscreteConditioned(5), ContinuousConditioned(6, uni),
+                  IidContinuous(8, get_distribution("gaussian"))):
+        assert model.normals_width is None
+
+
 def test_model_wrappers_smoke():
     rng = np.random.default_rng(17)
     kernel = CorrelationKernel.fbm(0.4)
