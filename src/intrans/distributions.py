@@ -6,6 +6,11 @@ exponential laws, and normal_cdf, a tabulated Taylor expansion, for the
 Gaussian, so a dice run needs no special-function library. Each
 instance exposes enough structure for exact hyperplane conditioning
 (density, its supremum, support endpoints).
+
+One Taylor evaluator serves two depths of the same expansion: normal_cdf
+takes all six terms, and coarse_normal_cdf, for the dice kernel's cheap
+first pass over a CDF sum, the first two, within COARSE_CDF_ERROR of
+normal_cdf at every input.
 """
 
 from __future__ import annotations
@@ -69,6 +74,23 @@ _NODES_PER_UNIT = 128
 _NODE_RANGE = 9
 # The table position of the node x0 = 0.
 _NODE_OFFSET = _NODE_RANGE * _NODES_PER_UNIT
+_DEGREE = 5
+# coarse_normal_cdf stops at the degree-1 term. The terms it leaves out,
+# c_k t^k for k = 2..5 with c_k = phi(x0) (-1)^(k-1) He_(k-1)(x0) / k! as
+# stored, sum to at most
+#   phi(1)/2 / 256^2 + phi(0)/6 / 256^3 + 0.5506/24 / 256^4
+#     + 3 phi(0)/120 / 256^5 < 1.8501e-6,
+# as max |phi He_1| = phi(1) (at 1), max |phi He_2| = phi(0) (at 0),
+# max |phi He_3| < 0.5506 (at x^2 = 3 - sqrt(6)) and max |phi He_4| =
+# 3 phi(0) (at 0). Each Horner evaluation rounds by at most a few ulps of
+# its value in [0, 1], below 1e-15, so |coarse_normal_cdf(x) -
+# normal_cdf(x)| <= COARSE_CDF_ERROR at every x, NaN aside. The CDF sum
+# of 16,200 faces took 0.110 ms at degree 1, 0.133 ms at degree 2 (3.97e-9
+# a face) and 0.20-0.29 ms with normal_cdf (2-core x86-64 host), and in
+# the dice kernel about 1 triple in 1000 of the benchmark's Gaussian
+# models falls back to normal_cdf at degree 1, none in 20,000 at degree 2.
+_COARSE_DEGREE = 1
+COARSE_CDF_ERROR = 1.851e-6
 
 
 @lru_cache(maxsize=None)
@@ -78,18 +100,49 @@ def _normal_cdf_table() -> np.ndarray:
     phi(x0) (-1)^(k-1) He_(k-1)(x0) / k!, with He the probabilists'
     Hermite polynomials. Built on first use (~2 ms), read-only."""
     x0 = np.arange(-_NODE_OFFSET, _NODE_OFFSET + 1) / _NODES_PER_UNIT
-    table = np.empty((6, x0.size))
+    table = np.empty((_DEGREE + 1, x0.size))
     # Phi(x0) from the lower tail Phi(-|x0|), so a value near 1 is
     # rounded once, in its subtraction from 1.
     tail = np.array([0.5 * math.erfc(abs(x) / math.sqrt(2.0)) for x in x0])
     table[0] = np.where(x0 > 0.0, 1.0 - tail, tail)
     phi = _INV_SQRT_2PI * np.exp(-0.5 * x0 * x0)
     he_prev, he = np.zeros_like(x0), np.ones_like(x0)
-    for k in range(1, 6):
+    for k in range(1, _DEGREE + 1):
         table[k] = (-1) ** (k - 1) * phi * he / math.factorial(k)
         he_prev, he = he, x0 * he - (k - 1) * he_prev
     table.setflags(write=False)
     return table
+
+
+def _taylor_cdf(x, scratch, degree: int):
+    """Phi's Taylor expansion about the nearest node, to degree, by
+    Horner's rule from row degree of the table down; the result and the
+    temporaries from scratch (a throwaway arena when None)."""
+    if scratch is None:
+        scratch = Scratch()
+    x = np.asarray(x, dtype=np.float64)
+    value = scratch.take(x.shape)
+    with scratch:
+        nodes, t = scratch.take(x.shape), scratch.take(x.shape)
+        index = scratch.take(x.shape, np.intp)
+        clipped = np.clip(x, -_NODE_RANGE, _NODE_RANGE, out=value)
+        np.rint(np.multiply(clipped, _NODES_PER_UNIT, out=nodes), out=nodes)
+        # Exact: the node times a power of 2, then (Sterbenz) x within a
+        # factor 2 of its node, or the node 0.
+        np.subtract(clipped, np.multiply(nodes, 1.0 / _NODES_PER_UNIT,
+                                         out=t), out=t)
+        # A NaN's node casts to a junk index, which mode="clip" keeps in
+        # the table; its t carries the NaN through.
+        with np.errstate(invalid="ignore"):
+            np.copyto(index, nodes, casting="unsafe")
+        index += _NODE_OFFSET
+        table = _normal_cdf_table()
+        table[degree].take(index, mode="clip", out=value)
+        for row in table[degree - 1::-1]:
+            value *= t
+            value += row.take(index, mode="clip", out=nodes)
+    # A scalar for a 0-d x, as numpy's ufuncs give.
+    return value[()]
 
 
 def normal_cdf(x, scratch=None):
@@ -100,32 +153,18 @@ def normal_cdf(x, scratch=None):
     as for a double-precision ndtr. Consecutive values on sorted inputs
     may fall by one ulp. NaN maps to NaN, -inf to Phi(-9) = 1.13e-19 and
     +inf to 1. The result and the temporaries are taken from scratch, an
-    _accel.Scratch (a throwaway one when None).
+    _accel.Scratch (a throwaway one when None). The full degree-5 depth of
+    the Taylor evaluator that coarse_normal_cdf stops early.
     """
-    if scratch is None:
-        scratch = Scratch()
-    x = np.asarray(x, dtype=np.float64)
-    value = scratch.take(x.shape)
-    with scratch:
-        nodes, t = scratch.take(x.shape), scratch.take(x.shape)
-        index = scratch.take(x.shape, np.intp)
-        clipped = np.clip(x, -_NODE_RANGE, _NODE_RANGE, out=value)
-        np.rint(np.multiply(clipped, _NODES_PER_UNIT, out=nodes), out=nodes)
-        # Exact (Sterbenz): x is within a factor 2 of its node, or the
-        # node is 0.
-        np.subtract(clipped, np.divide(nodes, _NODES_PER_UNIT, out=t), out=t)
-        # A NaN's node casts to a junk index, which mode="clip" keeps in
-        # the table; its t carries the NaN through.
-        with np.errstate(invalid="ignore"):
-            np.copyto(index, nodes, casting="unsafe")
-        index += _NODE_OFFSET
-        table = _normal_cdf_table()
-        table[5].take(index, mode="clip", out=value)
-        for row in table[4::-1]:
-            value *= t
-            value += row.take(index, mode="clip", out=nodes)
-    # A scalar for a 0-d x, as numpy's ufuncs give.
-    return value[()]
+    return _taylor_cdf(x, scratch, _DEGREE)
+
+
+def coarse_normal_cdf(x, scratch=None):
+    """normal_cdf's expansion stopped at degree 1: within
+    COARSE_CDF_ERROR (1.851e-6) of normal_cdf at every x, in x's shape,
+    from the same table, nodes and Horner loop, at about half the cost.
+    scratch as for normal_cdf."""
+    return _taylor_cdf(x, scratch, _COARSE_DEGREE)
 
 
 def _shifted_exp_pdf(x):

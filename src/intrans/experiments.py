@@ -26,7 +26,13 @@ from .dice import (
     lattice_margins,
     pair_stats,
 )
-from .distributions import UNIFORM_SYM, get_distribution
+from .distributions import (
+    COARSE_CDF_ERROR,
+    STD_GAUSSIAN,
+    UNIFORM_SYM,
+    coarse_normal_cdf,
+    get_distribution,
+)
 from .elections import ranking_sign_matrix
 from .errors import DomainError, InvalidInputError, ParityError
 from .gaussian import CorrelationKernel
@@ -186,6 +192,19 @@ _NORMALS_HELPER = _NormalsHelper()
 # A child made by fork has no helper thread, and may have copied the
 # helper's locks held: it starts afresh.
 os.register_at_fork(after_in_child=_NORMALS_HELPER._reset)
+
+
+def _cdf_gap_bound(n: int) -> float:
+    """The most by which a coarse CDF-sum gap of two dice of n faces, from
+    coarse_normal_cdf, can differ from the exact one, from normal_cdf,
+    both summed and subtracted in float64. Per die: n faces of at most
+    COARSE_CDF_ERROR each, and the rounding of the two sums, each at
+    most 1.01 (n - 1) u n (1 + 2e-6) < 2 n^2 u in any order for n values
+    in [0, 1 + COARSE_CDF_ERROR], with u = 2^-53. Per gap: twice that,
+    and one ulp of a gap of at most n. A coarse gap larger in absolute
+    value has the sign of the exact gap, which is then not 0."""
+    die = n * COARSE_CDF_ERROR + 2 * (2 * n * n * 2.0 ** -53)
+    return 2 * die + n * 2.0 ** -52
 
 
 _REQUIRED = object()
@@ -629,6 +648,18 @@ def _build_dice_triples(spec: ExperimentSpec):
     a pending draw before it returns or raises. With one worker, or no
     chunk to hand over, every draw is the sampler's own.
 
+    A pair's agreement bit needs only the sign of its CDF-sum gap. The
+    models whose F is Phi(scale x) (conditioned and i.i.d. Gaussian,
+    scale 1, and stationary, scale sqrt(2), the product
+    StationaryGaussian.cdf takes) take it from coarse sums first, of
+    distributions.coarse_normal_cdf, which is within COARSE_CDF_ERROR of
+    normal_cdf at every face. A triple whose three coarse gaps all exceed
+    _cdf_gap_bound(n) in absolute value has the signs of its exact gaps;
+    a triple with a gap at most that far from 0 (about 1 in 1000 of the
+    benchmark's) takes its sums from model.cdf again, with the face order
+    and summation of the exact path. So every agreement bit is the one
+    the exact CDF sums give. Both passes go through cdf_sum.
+
     Two models have the same CDF sum for every die, so every CDF-sum gap
     is exactly 0 and a pair agrees exactly when it ties: the lattice model
     (F is floor / n, and every die has the face sum n(n+1)/2) and the
@@ -644,6 +675,15 @@ def _build_dice_triples(spec: ExperimentSpec):
                                    and model.dist is UNIFORM_SYM)
     chunk = max(1, DICE_CHUNK_FACES // (3 * n))
     width = model.normals_width
+    # The models whose face CDF is Phi(scale x) take their CDF-sum gaps'
+    # signs from coarse_normal_cdf first.
+    if isinstance(model, StationaryGaussian):
+        scale = math.sqrt(2.0)
+    elif getattr(model, "dist", None) is STD_GAUSSIAN:
+        scale = 1.0
+    else:
+        scale = None
+    bound = None if scale is None else _cdf_gap_bound(n)
     # Pairs (a, b), (b, c), (c, a): the margins classify_margins takes,
     # and the CDF-sum gaps with the same orientation.
     follow = [1, 2, 0]
@@ -652,6 +692,13 @@ def _build_dice_triples(spec: ExperimentSpec):
         scratch = _dice_scratch()
         cdf = None if constant_cdf_sum else (
             lambda x: model.cdf(x, scratch))
+
+        def coarse_cdf(x):
+            if scale != 1.0:
+                # The product StationaryGaussian.cdf takes.
+                x = np.multiply(scale, x, out=scratch.take(x.shape))
+            return coarse_normal_cdf(x, scratch)
+
         category = np.empty(size, dtype=np.intp)
         # Chunk 1 has the most normals of the chunks after the first.
         helper = (_NORMALS_HELPER if width is not None
@@ -685,8 +732,18 @@ def _build_dice_triples(spec: ExperimentSpec):
                 with scratch:
                     dice = model.sample(rng, size=3 * t, scratch=scratch,
                                         normals=normals).reshape(t, 3, n)
-                    sums = (None if cdf is None else
-                            cdf_sum(dice, cdf, scratch))
+                    gaps = None
+                    if cdf is not None:
+                        sums = cdf_sum(dice, cdf if bound is None
+                                       else coarse_cdf, scratch)
+                        gaps = sums - sums[:, follow]
+                    if bound is not None:
+                        # The triples with a gap too close to 0 to take
+                        # its sign from the coarse sums.
+                        near = (np.abs(gaps) <= bound).any(axis=1)
+                        if near.any():
+                            sums = cdf_sum(dice[near], cdf, scratch)
+                            gaps[near] = sums - sums[:, follow]
                     if lattice:
                         margins = lattice_margins(dice, follow)
                     else:
@@ -694,8 +751,8 @@ def _build_dice_triples(spec: ExperimentSpec):
                                            mode="wrap",
                                            out=scratch.take(dice.shape))
                         margins = pair_stats(dice, followed, scratch).margin
-                agree = (margins == 0 if sums is None else
-                         np.sign(margins) == np.sign(sums - sums[:, follow]))
+                agree = (margins == 0 if gaps is None else
+                         np.sign(margins) == np.sign(gaps))
                 category[lo:lo + t] = (4 * classify_margins(margins)
                                        + agree.sum(axis=1))
         finally:

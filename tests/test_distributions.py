@@ -10,11 +10,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from intrans import distributions
 from intrans.distributions import (
+    COARSE_CDF_ERROR,
     DISTRIBUTIONS,
     SHIFTED_EXPONENTIAL,
     STD_GAUSSIAN,
     UNIFORM_SYM,
+    coarse_normal_cdf,
     get_distribution,
     normal_cdf,
 )
@@ -154,3 +157,32 @@ def test_stationary_cdf_matches_erf():
         {"model": "stationary", "n": 16, "hurst": 0.75})
     x = _phi_points() / math.sqrt(2.0)
     assert np.abs(model.cdf(x) - 0.5 * (1.0 + erf(x))).max() <= PHI_TOL
+
+
+def test_coarse_normal_cdf_is_within_its_bound_of_normal_cdf():
+    """On a dense grid of [-9.5, 9.5], every node midpoint (j + 1/2)/128,
+    the clip edges, both tails and the same points times sqrt(2) (the
+    stationary model's CDF argument), the degree-1 expansion is within
+    COARSE_CDF_ERROR of normal_cdf, and the largest gap comes within 1% of
+    the bound; at a node it is normal_cdf's value, from the same table."""
+    base = np.concatenate([_phi_points(), np.linspace(-9.5, 9.5, 400_001),
+                           [-40.0, -12.0, 12.0, 40.0, -np.inf, np.inf]])
+    x = np.concatenate([base, math.sqrt(2.0) * base])
+    gap = np.abs(coarse_normal_cdf(x) - normal_cdf(x))
+    assert gap.max() <= COARSE_CDF_ERROR
+    assert gap.max() >= 0.99 * COARSE_CDF_ERROR
+    nodes = np.arange(-1152, 1153) / 128.0
+    np.testing.assert_array_equal(coarse_normal_cdf(nodes), normal_cdf(nodes))
+    arena = Scratch(limit=1 << 20)
+    with arena:
+        np.testing.assert_array_equal(coarse_normal_cdf(base, arena),
+                                      coarse_normal_cdf(base))
+
+
+def test_coarse_cdf_error_covers_the_terms_left_out():
+    """The stated bound holds the terms of degree 2 to 5 that the coarse
+    evaluation leaves out, as the table stores them, at |t| = 1/256, with
+    1e-15 to spare for the rounding of both evaluations."""
+    table = distributions._normal_cdf_table()
+    left_out = sum(np.abs(table[k]) / 256.0 ** k for k in range(2, 6))
+    assert left_out.max() + 1e-15 <= COARSE_CDF_ERROR

@@ -25,8 +25,19 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from intrans.dice import TripleClass, cdf_sum, classify_triple, pair_stats
-from intrans.distributions import STD_GAUSSIAN, get_distribution
+from intrans.dice import (
+    TripleClass,
+    cdf_sum,
+    classify_margins,
+    classify_triple,
+    pair_stats,
+)
+from intrans.distributions import (
+    STD_GAUSSIAN,
+    coarse_normal_cdf,
+    get_distribution,
+    normal_cdf,
+)
 from intrans.elections import ranking_sign_matrix
 from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
@@ -1488,6 +1499,77 @@ def test_dice_triples_discrete_matches_the_exact_lattice_law(n, seed):
     assert cc.accepted == trials
     assert np.delete(counts, live).sum() == 0
     assert scipy.stats.chisquare(counts[live], expected).pvalue > 0.001
+
+
+# The models whose face CDF is Phi(scale x), whose CDF-sum gaps the kernel
+# signs from coarse sums first; 3 chunks each.
+PHI_MODELS = ({"model": "conditioned", "n": 200, "dist": "gaussian"},
+              {"model": "iid", "n": 100, "dist": "gaussian"},
+              {"model": "stationary", "n": 64, "hurst": 0.25})
+
+
+def _cdf_sum_rows(monkeypatch):
+    """The dice count of every experiments.cdf_sum call, in order."""
+    rows = []
+
+    def counting(a, F, scratch=None):
+        rows.append(a.shape[0])
+        return cdf_sum(a, F, scratch)
+
+    monkeypatch.setattr(experiments, "cdf_sum", counting)
+    return rows
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("params", PHI_MODELS,
+                         ids=["gaussian_n200", "iid_n100", "stationary_n64"])
+def test_dice_gap_signs_equal_the_exact_sums_signs(params, threads,
+                                                   monkeypatch):
+    """With the coarse gaps' bound forced to +inf, every triple takes its
+    CDF sums from normal_cdf, and the categories are those of the
+    filtered kernel, for several seeds at 1 and 2 workers."""
+    monkeypatch.setenv("INTRANS_THREADS", threads)
+    trials = 3 * max(1, DICE_CHUNK_FACES // (3 * params["n"]))
+    for seed in (1, 2, 3):
+        spec = _spec("dice_triples", params, trials, seed)
+        filtered = estimate_categories(spec).counts
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_cdf_gap_bound", lambda n: math.inf)
+            rows = _cdf_sum_rows(m)
+            exact = estimate_categories(spec).counts
+        # Each chunk's coarse sums, then the exact sums of all its dice.
+        assert rows == [trials // 3] * 6
+        np.testing.assert_array_equal(exact, filtered)
+
+
+def test_near_tie_gap_takes_the_exact_sums(monkeypatch):
+    """Dice a and b differ in one face, 2 + 1/256 -+ 1e-10, the two sides
+    of a node cell edge: the coarse CDF sum, linear in each cell, puts a
+    above b by ~6e-9, while the exact one puts it below by ~1e-11, the
+    side of the margin (b wins). The kernel recomputes that triple's sums
+    with normal_cdf and scores the pair as agreeing."""
+    n = 8
+    a = np.linspace(-1.5, 1.2, n)
+    a[0] = 2.0 + 1.0 / 256 - 1e-10
+    b = a.copy()
+    b[0] = 2.0 + 1.0 / 256 + 1e-10
+    dice = np.stack([a, b, a[::-1] - 3.0])
+    coarse = cdf_sum(dice, coarse_normal_cdf)
+    exact = cdf_sum(dice, normal_cdf)
+    assert coarse[0] > coarse[1] and exact[0] < exact[1]
+    assert abs(coarse[0] - coarse[1]) <= experiments._cdf_gap_bound(n)
+    margins = [pair_stats(x, y).margin for x, y in zip(dice, dice[[1, 2, 0]])]
+    assert margins[0] < 0
+    agree = np.sign(margins) == np.sign(exact - exact[[1, 2, 0]])
+    assert agree.all()
+    monkeypatch.setattr("intrans.samplers.sample_iid",
+                        lambda n, dist, rng, size: dice.copy())
+    rows = _cdf_sum_rows(monkeypatch)
+    kernel, _ = build_kernel(_spec("dice_triples", {"model": "iid", "n": n,
+                                                    "dist": "gaussian"}, 1, 1))
+    assert kernel(substream(1, 0), 1).tolist() == [
+        4 * int(classify_margins(margins)) + 3]
+    assert rows == [1, 1]
 
 
 def test_summarize_dice_categories_arithmetic():

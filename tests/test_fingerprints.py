@@ -5,20 +5,23 @@ hand comparison of CLI outputs.
 Each case runs estimate_categories on two blocks of trials, the second
 partial, and holds the run's accepted count and the sha256 of its
 per-category counts (little-endian int64) to the values recorded with
-numpy 2.4.6. Every case runs at one and at two workers
-(INTRANS_THREADS), which must give the same counts. The counts depend on
-numpy's Generator algorithms (binomial, multinomial, normal) and, for
-stationary dice, its FFT, which numpy may change in a feature release,
-so on another numpy major.minor version the cases are skipped with a
-message naming the recorded version; a change that moves draws on
-purpose records the new values here and says why.
+numpy 2.4.6. Every such case runs at one and at two workers
+(INTRANS_THREADS), which must give the same counts. The CLI cases hold
+the digests of the two files a seeded run writes, at the default worker
+count. The counts depend on numpy's Generator algorithms (binomial,
+multinomial, normal) and, for stationary dice, its FFT, which numpy may
+change in a feature release, so on another numpy major.minor version the
+cases are skipped with a message naming the recorded version; a change
+that moves draws on purpose records the new values here and says why.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from intrans.cli import main
 from intrans.mc import BLOCK_SIZE, ExperimentSpec, estimate_categories
 
 RECORDED_WITH = "2.4.6"
@@ -82,6 +85,35 @@ CHUNKED_DICE_PINS = {
                               "n": 512}, "e1d5642938433b97"),
 }
 
+# Stationary dice at H=0.25, n=512: 200 triples in 20 chunks, whose counts
+# are [0, 0, 22, 178, 0, ...]. 22 triples have one pair whose win
+# direction disagrees with its CDF-sum direction, so a wrong agreement bit
+# of a stationary pair moves them; the H=0.75 pin above puts all its 40
+# triples in one category.
+AGREEMENT_DICE_PINS = {
+    "dice-stationary-n512-h025": ({"model": "stationary", "hurst": 0.25,
+                                   "n": 512}, 200, "41cf4e71da74e2ea"),
+}
+
+# The CLI's two files at seed 31 for the dice-continuous and
+# elections-close benchmark commands and a conditioned triplet run: the
+# sha256 of the CSV with its wall_time_ms column blanked, and of the
+# sidecar without wall_time_ms, workers (the host's thread setting) and
+# numpy_version (whose patch level the version skip ignores), re-dumped
+# as the CLI dumps it.
+CLI_PINS = {
+    "dice-gaussian-n200": (("dice", "--model", "conditioned", "--dist",
+                            "gaussian", "--n", "200", "--triples", "40"),
+                           "1e04bfbf9c9d6504", "dc1b462b8911ef33"),
+    "dice-stationary-n512": (("dice", "--model", "stationary", "--hurst",
+                              "0.75", "--n", "512", "--triples", "40"),
+                             "9147080a70227300", "d764534c918435d5"),
+    "elections-close": (("elections", "--n", "301", "--d", "3", "--trials",
+                         "4096"), "2f5cbad2185c30e5", "c656c7d835cf5678"),
+    "triplet-close": (("triplet", "--n", "303", "--d", "9", "--trials",
+                       "4096"), "ef89876e9f0a0d23", "9a09ce7d4f198901"),
+}
+
 recorded_numpy = pytest.mark.skipif(
     np.__version__.split(".")[:2] != RECORDED_WITH.split(".")[:2],
     reason="counts recorded with numpy %s" % RECORDED_WITH)
@@ -126,3 +158,35 @@ def test_seeded_chunked_dice_counts_are_pinned(case, threads, monkeypatch):
     params, digest = CHUNKED_DICE_PINS[case]
     got, counts = _fingerprint("dice_triples", params, trials=40)
     assert got == (40, digest), counts
+
+
+@recorded_numpy
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(AGREEMENT_DICE_PINS))
+def test_seeded_dice_agreement_counts_are_pinned(case, threads, monkeypatch):
+    monkeypatch.setenv("INTRANS_THREADS", threads)
+    params, trials, digest = AGREEMENT_DICE_PINS[case]
+    got, counts = _fingerprint("dice_triples", params, trials=trials)
+    assert got == (trials, digest), counts
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@recorded_numpy
+@pytest.mark.parametrize("case", sorted(CLI_PINS))
+def test_cli_output_files_are_pinned(case, tmp_path):
+    argv, csv_digest, meta_digest = CLI_PINS[case]
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--seed", "31", "--out", str(out)]) == 0
+    lines = out.read_bytes().decode().split("\r\n")
+    csv_text = "\r\n".join(line.rpartition(",")[0] + "," if line else line
+                            for line in lines)
+    meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+    for key in ("wall_time_ms", "workers", "numpy_version"):
+        del meta[key]
+    meta_text = json.dumps(meta, indent=2, sort_keys=True)
+    assert (_digest(csv_text), _digest(meta_text)) == (csv_digest,
+                                                       meta_digest), (
+        csv_text, meta_text)
