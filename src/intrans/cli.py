@@ -26,7 +26,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -42,11 +44,10 @@ from . import __version__
 from .distributions import DISTRIBUTIONS, get_distribution, normal_cdf
 from .errors import IntransError, InvalidInputError
 from .experiments import (
-    condorcet_probability,
+    _outcome_indexes,
     lag_products,
     outcome_categories,
     summarize_dice_categories,
-    transitive_probability,
 )
 from .gaussian import (
     CorrelationKernel,
@@ -92,22 +93,25 @@ CSV_COLUMNS = ("experiment_id", "subcommand", *_FIXED_COLUMNS, "trials",
 
 @contextlib.contextmanager
 def _overwritten(path):
-    """path open for text writing from its first byte, without truncating
-    it first (on ext4 the truncate to zero costs ~0.1 ms, most of a small
-    write). On exit, by an exception too, a regular file is cut where the
-    writing stopped, so no old byte trails the new ones; a FIFO or a
-    terminal is not cut."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              newline="") as fh:
+    """A text buffer written over path from its first byte on exit, by an
+    exception too, in one open and write, not truncating path first (on
+    ext4 that costs ~0.1 ms, most of a small write); then a regular file
+    is cut at the written length, so no old byte trails the new ones. A
+    FIFO or a terminal is not cut."""
+    buffer = io.StringIO(newline="")
+    try:
+        yield buffer
+    finally:
+        data = memoryview(buffer.getvalue().encode())
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            yield fh
+            rest = data
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
         finally:
-            try:
-                fh.flush()
-            finally:
-                fd = fh.fileno()
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            os.close(fd)
 
 
 def _report(args, spec, result, fixed, measured, exact=()) -> int:
@@ -139,7 +143,8 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
         meta = {
             "experiment_id": exp_id,
             "subcommand": args.command,
-            "spec": json.loads(spec_json),
+            "spec": {field.name: getattr(spec, field.name)
+                     for field in dataclasses.fields(spec)},
             "accepted": result.accepted,
             "wall_time_ms": result.wall_time_ms,
             "workers": resolve_workers(None),
@@ -215,12 +220,13 @@ def _subset_excluding(raw, k: int, parser) -> Optional[list]:
 
 
 @lru_cache(maxsize=None)
-def _outcome_names(k: int) -> tuple:
-    """The statistic names of the k-candidate outcomes, in category order:
-    outcome_ and one digit per lex pair, 1 when its earlier candidate
-    wins."""
-    return tuple("outcome_" + "".join("1" if v > 0 else "0" for v in signs)
-                 for signs, _, _ in outcome_categories(k))
+def _row_names(k: int) -> tuple:
+    """The statistic names of a k-candidate election's rows: for each
+    outcome in category order, outcome_ and one digit per lex pair, 1 when
+    its earlier candidate wins; then transitive and condorcet_winner."""
+    return (*("outcome_" + "".join("1" if v > 0 else "0" for v in signs)
+              for signs, _, _ in outcome_categories(k)),
+            "transitive", "condorcet_winner")
 
 
 def _cmd_elections(args, parser) -> int:
@@ -230,17 +236,16 @@ def _cmd_elections(args, parser) -> int:
                       args.trials, args.seed,
                       _closeness(d=args.d, subset=subset))
     counts = estimate_categories(spec)
-    # Every outcome's share and Wald stderr at once, in the operations
-    # and order of CategoryCounts.proportion, so the values are the same.
-    share = counts.counts / counts.accepted
+    # The counts of each outcome, of the transitive outcomes and of those
+    # with a Condorcet winner; then every share and Wald stderr at once, in
+    # the operations of CategoryCounts.proportion, so the values are equal.
+    tally = counts.counts.tolist()
+    tally += [sum(tally[i] for i in picked) for picked in _outcome_indexes(k)]
+    share = np.array(tally) / counts.accepted
     stderr = np.sqrt(share * (1.0 - share) / counts.accepted)
-    measured = list(zip(_outcome_names(k), share, stderr))
-    for name, fn in (("transitive", transitive_probability),
-                     ("condorcet_winner", condorcet_probability)):
-        measured.append((name, *fn(counts, k)))
     return _report(args, spec, counts,
                    dict(model="impartial", n=args.n, k=k, d=args.d),
-                   measured)
+                   list(zip(_row_names(k), share, stderr)))
 
 
 # ------------------------------------------------------------- triplet

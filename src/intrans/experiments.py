@@ -521,20 +521,6 @@ def _outcome_indexes(k: int) -> tuple:
                   if winner is not None))
 
 
-def condorcet_probability(counts: CategoryCounts, k: int):
-    """P[some candidate beats all others] from outcome counts, as
-    (estimate, stderr)."""
-    est = counts.proportion(_outcome_indexes(k)[1])
-    return est.estimate, est.stderr
-
-
-def transitive_probability(counts: CategoryCounts, k: int):
-    """P[the tournament is transitive] from outcome counts, as
-    (estimate, stderr)."""
-    est = counts.proportion(_outcome_indexes(k)[0])
-    return est.estimate, est.stderr
-
-
 @register_family("triplet_paradox")
 @register_family("triplet_noise")
 def _build_triplet(spec: ExperimentSpec):

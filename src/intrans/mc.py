@@ -33,6 +33,7 @@ from collections import deque
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -203,14 +204,16 @@ class ExperimentSpec:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
-        try:
-            self.to_json()
+        try:  # encoded once, here: to_json returns this text
+            object.__setattr__(self, "_json", json.dumps(
+                vars(self), sort_keys=True, default=_json_scalar))
         except (TypeError, ValueError) as e:
             raise InvalidInputError("spec is not JSON: %s" % e) from None
         build_kernel(self)
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, default=_json_scalar)
+        """The spec's JSON text as made (not a dict changed since)."""
+        return self._json
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -271,6 +274,12 @@ def build_kernel(spec: ExperimentSpec):
     return builder(spec)
 
 
+@cache
+def _cpu_count() -> int:
+    """The CPU count, read once per process."""
+    return os.cpu_count() or 1
+
+
 def resolve_workers(requested: Optional[int]) -> int:
     """The worker count: INTRANS_THREADS when set, else the CPU count
     (the engine asks with None); a requested count is capped by
@@ -285,7 +294,7 @@ def resolve_workers(requested: Optional[int]) -> int:
             "INTRANS_THREADS must be an integer of at least 1, got %r"
             % cap) from None
     if requested is None:
-        workers = cap_n if cap_n is not None else (os.cpu_count() or 1)
+        workers = cap_n if cap_n is not None else _cpu_count()
     else:
         workers = max(1, int(requested))
         if cap_n is not None:

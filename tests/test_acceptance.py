@@ -29,7 +29,7 @@ from oracles import (
 
 from intrans.distributions import get_distribution
 from intrans.experiments import (
-    condorcet_probability,
+    _outcome_indexes,
     lag_covariance_mc,
     orthant3_mc,
     summarize_dice_categories,
@@ -149,7 +149,8 @@ def test_criterion_04_unconditioned_condorcet_rate():
     spec = ExperimentSpec(family="election_outcomes",
                           params={"n": 1001, "k": 3},
                           trials=100_000, seed=1001)
-    p_cw, _ = condorcet_probability(estimate_categories(spec), 3)
+    p_cw = estimate_categories(spec).proportion(
+        _outcome_indexes(3)[1]).estimate
     elapsed = time.perf_counter() - t0
     ok = abs(p_cw - 0.912256) <= 0.005 and elapsed <= 60.0
     _finish(4, ok, "condorcet winner %.5f vs 0.912256 (tol 0.005), "
@@ -168,7 +169,7 @@ def test_criterion_05_close_election_uniformity():
     cc = estimate_categories(spec)
     emp = np.asarray(cc.counts, float) / cc.accepted
     dev_out = np.abs(emp - 0.125).max()
-    p_cw, _ = condorcet_probability(cc, 3)
+    p_cw = cc.proportion(_outcome_indexes(3)[1]).estimate
 
     spec2 = ExperimentSpec(family="election_outcomes",
                            params={"n": 301, "k": 3},
@@ -177,7 +178,7 @@ def test_criterion_05_close_election_uniformity():
     cc2 = estimate_categories(spec2)
     emp2 = np.asarray(cc2.counts, float) / cc2.accepted
     dev_out2 = np.abs(emp2 - 0.125).max()
-    p_cw2, _ = condorcet_probability(cc2, 3)
+    p_cw2 = cc2.proportion(_outcome_indexes(3)[1]).estimate
     elapsed = time.perf_counter() - t0
 
     ok = (cc.accepted >= 20_000 and cc2.accepted >= 20_000

@@ -20,9 +20,9 @@ from types import SimpleNamespace
 import pytest
 
 import intrans
-from intrans import cli
+from intrans import cli, experiments
 from intrans.cli import CSV_COLUMNS, build_parser, main
-from intrans.mc import BLOCK_SIZE
+from intrans.mc import BLOCK_SIZE, estimate_categories
 
 
 def _run(capsys, argv):
@@ -166,6 +166,46 @@ def test_election_outcome_rows_are_exact_shares_with_wald_stderrs(capsys):
         counts.append(count)
     assert sum(counts) == accepted
     assert min(counts) > 0
+
+
+@pytest.mark.parametrize("k, flags", [
+    (2, ["--n", "301", "--trials", "4096"]),
+    (3, ["--n", "301", "--d", "3", "--trials", "8192"]),
+    (4, ["--n", "301", "--d", "15", "--trials", "4096"]),
+    (4, ["--n", "301", "--d", "11", "--subset-excl", "2", "--trials",
+         "4096"]),
+    (5, ["--n", "301", "--d", "21", "--trials", "4096"]),
+])
+def test_election_rows_equal_the_library_proportions(k, flags, capsys,
+                                                     monkeypatch):
+    """Every row's estimate and stderr are those of
+    CategoryCounts.proportion over the same categories, bit for bit: one
+    category per outcome row, the transitive outcomes and the outcomes
+    with a Condorcet winner."""
+    runs = []
+
+    def recording(spec):
+        runs.append(estimate_categories(spec))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "estimate_categories", recording)
+    code, out, _ = _run(capsys, ["elections", "--k", str(k), *flags,
+                                 "--seed", "3"])
+    assert code == 0
+    [counts] = runs
+    pairs = k * (k - 1) // 2
+    expected = {"outcome_" + format(i, "0%db" % pairs): counts.proportion(i)
+                for i in range(1 << pairs)}
+    transitive, winner = experiments._outcome_indexes(k)
+    expected["transitive"] = counts.proportion(transitive)
+    expected["condorcet_winner"] = counts.proportion(winner)
+    rows = _parse_csv(out)
+    assert [r["statistic"] for r in rows] == list(expected)
+    for r in rows:
+        est = expected[r["statistic"]]
+        assert int(r["accepted"]) == counts.accepted
+        assert float(r["estimate"]) == est.estimate
+        assert float(r["stderr"]) == est.stderr
 
 
 def test_elections_conditioning_and_subset_excl(tmp_path):

@@ -43,14 +43,12 @@ from intrans.errors import DomainError, InvalidInputError, ParityError
 from intrans.experiments import (
     DICE_CHUNK_FACES,
     N_DICE_CATEGORIES,
-    condorcet_probability,
     dice_model_from_params,
     lag_covariance_mc,
     lag_products,
     orthant3_mc,
     outcome_categories,
     summarize_dice_categories,
-    transitive_probability,
     w_minus_nv_variance,
 )
 from intrans import experiments, mc
@@ -121,19 +119,23 @@ def test_outcome_categories_k4():
 def test_condorcet_probability_synthetic_counts():
     counts = CategoryCounts(
         counts=np.array([10, 5, 7, 3, 2, 8, 6, 9]), trials=60, accepted=50)
-    p, se = condorcet_probability(counts, 3)
+    transitive, winner = experiments._outcome_indexes(3)
+    est = counts.proportion(winner)
+    p, se = est.estimate, est.stderr
     assert p == pytest.approx((50 - 7 - 8) / 50)
     assert se == pytest.approx(math.sqrt(0.7 * 0.3 / 50))
     # for three candidates a Condorcet winner forces transitivity
-    assert transitive_probability(counts, 3) == (p, se)
+    est = counts.proportion(transitive)
+    assert (est.estimate, est.stderr) == (p, se)
 
 
 def test_probability_helpers_k4():
     counts = np.zeros(64, dtype=np.int64)
     counts[61] = 40
     cc = CategoryCounts(counts=counts, trials=40, accepted=40)
-    p_cw, _ = condorcet_probability(cc, 4)
-    p_tr, _ = transitive_probability(cc, 4)
+    transitive, winner = experiments._outcome_indexes(4)
+    p_cw = cc.proportion(winner).estimate
+    p_tr = cc.proportion(transitive).estimate
     assert p_cw == 1.0
     assert p_tr == 0.0
 
@@ -142,7 +144,7 @@ def test_probability_helpers_require_accepted_trials():
     empty = CategoryCounts(counts=np.zeros(8, dtype=np.int64), trials=5,
                            accepted=0)
     with pytest.raises(InvalidInputError):
-        condorcet_probability(empty, 3)
+        empty.proportion(experiments._outcome_indexes(3)[1])
     with pytest.raises(InvalidInputError):
         summarize_dice_categories(
             CategoryCounts(counts=np.zeros(12, dtype=np.int64), trials=5,
@@ -207,7 +209,7 @@ def test_election_family_matches_enumeration():
         emp = cc.counts[idx] / cc.accepted
         tol = 5.0 * math.sqrt(p * (1.0 - p) / cc.accepted)
         assert abs(emp - p) < tol, (idx, emp, p)
-    p_cw, _ = condorcet_probability(cc, 3)
+    p_cw = cc.proportion(experiments._outcome_indexes(3)[1]).estimate
     assert p_cw == pytest.approx(
         1.0 - (cc.counts[2] + cc.counts[5]) / cc.accepted)
 
@@ -254,7 +256,8 @@ def test_close_election_family_matches_exact_law_at_n301():
     assert cc.accepted >= 20_000
     expected = cc.accepted * np.array([law[idx] for idx in range(8)])
     assert float(((cc.counts - expected) ** 2 / expected).sum()) < 24.32
-    p_cw, se_cw = condorcet_probability(cc, 3)
+    est = cc.proportion(experiments._outcome_indexes(3)[1])
+    p_cw, se_cw = est.estimate, est.stderr
     assert abs(p_cw - (1.0 - law[2] - law[5])) <= 4.0 * se_cw
 
 
@@ -277,7 +280,8 @@ def test_close_election_family_matches_exact_law_at_n10001():
     _, pvalue = scipy.stats.chisquare(
         cc.counts, cc.accepted * np.array([law[idx] for idx in range(8)]))
     assert pvalue > 0.001
-    p_cw, se_cw = condorcet_probability(cc, 3)
+    est = cc.proportion(experiments._outcome_indexes(3)[1])
+    p_cw, se_cw = est.estimate, est.stderr
     assert abs(p_cw - (1.0 - law[2] - law[5])) <= 4.0 * se_cw
 
 

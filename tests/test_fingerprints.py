@@ -17,6 +17,7 @@ that moves draws on purpose records the new values here and says why.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,12 +96,13 @@ AGREEMENT_DICE_PINS = {
                                    "n": 512}, 200, "41cf4e71da74e2ea"),
 }
 
-# The CLI's two files at seed 31 for the dice-continuous and
-# elections-close benchmark commands and a conditioned triplet run: the
-# sha256 of the CSV with its wall_time_ms column blanked, and of the
-# sidecar without wall_time_ms, workers (the host's thread setting) and
-# numpy_version (whose patch level the version skip ignores), re-dumped
-# as the CLI dumps it.
+# The CLI's two files at seed 31 for the three benchmark workloads'
+# commands (dice-lattice with one triple), a conditioned triplet run and
+# conditioned elections at k = 2, 4 (one pair left out by --subset-excl)
+# and 5: the sha256 of the CSV with its wall_time_ms column blanked, and
+# of the sidecar without wall_time_ms, workers (the host's thread
+# setting) and numpy_version (whose patch level the version skip
+# ignores), re-dumped as the CLI dumps it.
 CLI_PINS = {
     "dice-gaussian-n200": (("dice", "--model", "conditioned", "--dist",
                             "gaussian", "--n", "200", "--triples", "40"),
@@ -112,6 +114,34 @@ CLI_PINS = {
                          "4096"), "2f5cbad2185c30e5", "c656c7d835cf5678"),
     "triplet-close": (("triplet", "--n", "303", "--d", "9", "--trials",
                        "4096"), "ef89876e9f0a0d23", "9a09ce7d4f198901"),
+    "dice-lattice-n250": (("dice", "--model", "discrete", "--n", "250",
+                           "--triples", "1"),
+                          "1f8d406170fd2a80", "34fdbffc231bd2ae"),
+    "elections-k2-close": (("elections", "--k", "2", "--n", "301", "--d",
+                            "3", "--trials", "4096"),
+                           "05edcd7408231837", "e5563b7d1c043871"),
+    "elections-k4-subset": (("elections", "--k", "4", "--n", "301", "--d",
+                             "11", "--subset-excl", "2", "--trials",
+                             "4096"),
+                            "2912a393c6bb79fd", "eac4ceca53592a83"),
+    "elections-k5-close": (("elections", "--k", "5", "--n", "301", "--d",
+                            "21", "--trials", "4096"),
+                           "66b1c421ce8f3c26", "3db89250b80d98bb"),
+}
+
+# The sidecar of each CLI_PINS run as written, byte for byte: the sha256
+# of its text with the values of wall_time_ms, workers and numpy_version
+# replaced by 0, so its indent, key order, float text and final newline
+# are held too.
+CLI_SIDECAR_PINS = {
+    "dice-gaussian-n200": "244521973e3feeca",
+    "dice-lattice-n250": "510641e40035846c",
+    "dice-stationary-n512": "52e0f60efa22bc3d",
+    "elections-close": "b099938da15200e4",
+    "elections-k2-close": "75bd27f2abef7033",
+    "elections-k4-subset": "ff3aa3acee3f0b52",
+    "elections-k5-close": "0e67cc39e54552ee",
+    "triplet-close": "01360f47c57171d3",
 }
 
 recorded_numpy = pytest.mark.skipif(
@@ -183,10 +213,14 @@ def test_cli_output_files_are_pinned(case, tmp_path):
     lines = out.read_bytes().decode().split("\r\n")
     csv_text = "\r\n".join(line.rpartition(",")[0] + "," if line else line
                             for line in lines)
-    meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+    raw_meta = (tmp_path / "run.csv.meta.json").read_bytes().decode()
+    meta = json.loads(raw_meta)
     for key in ("wall_time_ms", "workers", "numpy_version"):
         del meta[key]
     meta_text = json.dumps(meta, indent=2, sort_keys=True)
     assert (_digest(csv_text), _digest(meta_text)) == (csv_digest,
                                                        meta_digest), (
         csv_text, meta_text)
+    masked = re.sub(r'^(  "(?:wall_time_ms|workers|numpy_version)": )'
+                    r'[^,\n]*', r"\g<1>0", raw_meta, flags=re.MULTILINE)
+    assert _digest(masked) == CLI_SIDECAR_PINS[case], masked

@@ -3,6 +3,7 @@ invariance, estimators on deterministic kernels, and the acceptance
 floor."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,30 @@ def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.delenv("INTRANS_THREADS")
     assert resolve_workers(3) == 3
     assert resolve_workers(None) >= 1
+
+
+def test_resolve_workers_reads_the_cpu_count_once(monkeypatch):
+    """The CPU count is read once per process; INTRANS_THREADS is read on
+    every call."""
+    reads = []
+
+    def counting_cpu_count():
+        reads.append(None)
+        return 6
+
+    monkeypatch.setattr(os, "cpu_count", counting_cpu_count)
+    monkeypatch.delenv("INTRANS_THREADS", raising=False)
+    mc._cpu_count.cache_clear()
+    try:
+        assert [resolve_workers(None) for _ in range(3)] == [6, 6, 6]
+        assert len(reads) == 1
+        monkeypatch.setenv("INTRANS_THREADS", "2")
+        assert resolve_workers(None) == 2
+        monkeypatch.delenv("INTRANS_THREADS")
+        assert resolve_workers(None) == 6
+        assert len(reads) == 1
+    finally:
+        mc._cpu_count.cache_clear()
 
 
 # ------------------------------------------------------------- streams
