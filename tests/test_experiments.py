@@ -689,9 +689,11 @@ def test_triplet_noise_endpoints_run_conditioned(rho):
 
 
 # The dice kernel against the rule it replaces: each triple drawn in order
-# from the block's substream, one die at a time, classified by
-# classify_triple and scored by pair_stats and the CDF-sum gap one pair at
-# a time.
+# from the block's substream, classified by classify_triple and scored by
+# pair_stats and the CDF-sum gap one pair at a time. The Gaussian models
+# draw their dice in turn, so their triples are drawn one at a time; the
+# lattice sampler keeps every accepted candidate of a rejection batch, so
+# its triples are the kernel's own chunk draws (_kernel_triples).
 # A block of the first three cases spans one or two chunks of
 # DICE_CHUNK_FACES faces, one of the last three more than three.
 
@@ -703,6 +705,16 @@ DICE_BLOCK_PARAMS = (
     {"model": "discrete", "n": 250},
     {"model": "conditioned", "n": 600, "dist": "gaussian"},
 )
+
+
+def _kernel_triples(model, rng, trials):
+    """The triples of a dice block in draw order, drawn as the dice kernel
+    draws them: one model.sample of 3 t dice per chunk of t = max(1,
+    DICE_CHUNK_FACES // (3 n)) triples."""
+    chunk = max(1, DICE_CHUNK_FACES // (3 * model.n))
+    for lo in range(0, trials, chunk):
+        t = min(chunk, trials - lo)
+        yield from model.sample(rng, 3 * t).reshape(t, 3, model.n)
 
 
 def _cdf_sum_gap(model, x, y):
@@ -737,9 +749,12 @@ def test_dice_block_kernel_matches_per_trial_rule(params):
     assert values.shape == (size,)
     model = dice_model_from_params(params)
     rng = substream(seed, start)
+    if isinstance(model, DiscreteConditioned):
+        triples = _kernel_triples(model, rng, size)
+    else:
+        triples = (model.sample(rng, 3) for _ in range(size))
     classes = set()
-    for value in values:
-        a, b, c = model.sample(rng, 3)
+    for value, (a, b, c) in zip(values, triples, strict=True):
         cls = classify_triple(a, b, c)
         agree = sum(
             np.sign(pair_stats(x, y).margin)
@@ -1467,17 +1482,16 @@ def test_conditioned_uniform_agreement_is_the_tied_pair_share(n, seed):
     """A sum-conditioned uniform die has the CDF sum n/2 (F is affine on
     the support and the faces sum to 0), so a pair agrees exactly when it
     ties: the reported agreement rate is the share of tied pairs among
-    the same triples, drawn here triple by triple and counted by pair_stats.
-    Summed in floats, the CDF sums gave n=50 an agreement of ~0.29."""
+    the same triples, the kernel's own chunk draws scored here triple by
+    triple and counted by pair_stats. Summed in floats, the CDF sums gave
+    n=50 an agreement of ~0.29."""
     trials = 600
     params = {"model": "conditioned", "n": n, "dist": "uniform"}
     summary = summarize_dice_categories(estimate_categories(
         _spec("dice_triples", params, trials, seed)))
     model = dice_model_from_params(params)
-    rng = substream(seed, 0)
     tied = 0
-    for _ in range(trials):
-        a, b, c = model.sample(rng, 3)
+    for a, b, c in _kernel_triples(model, substream(seed, 0), trials):
         tied += sum(pair_stats(x, y).margin == 0
                     for x, y in ((a, b), (b, c), (c, a)))
     assert 0 < tied < 3 * trials
@@ -1727,14 +1741,21 @@ def test_w_minus_nv_variance_ratio_decreases():
     ids=["gaussian_chunks", "uniform", "gaussian_pair_per_chunk"])
 def test_w_minus_nv_variance_equals_a_per_pair_loop(dist, n, pairs):
     """The chunked estimator is, bit for bit, a loop over pairs that
-    draws dice a and b in turn and scores them one pair at a time."""
+    scores them one pair at a time. Gaussian dice are drawn in turn, so
+    the loop draws dice a and b of each pair; the uniform sampler keeps
+    every accepted candidate of a rejection batch, so the loop takes the
+    pairs of the estimator's own chunk draws, max(1, DICE_CHUNK_FACES //
+    (2 n)) pairs each."""
     law = get_distribution(dist)
     rng = substream(4, 0)
+    chunk = 1 if law is STD_GAUSSIAN else max(1, DICE_CHUNK_FACES // (2 * n))
     vals = []
-    for _ in range(pairs):
-        a, b = sample_continuous_conditioned(n, law, rng, 2)
-        vals.append(pair_stats(a, b).wins
-                    - n * (cdf_sum(a, law.cdf) - cdf_sum(b, law.cdf)))
+    for lo in range(0, pairs, chunk):
+        t = min(chunk, pairs - lo)
+        dice = sample_continuous_conditioned(n, law, rng, 2 * t)
+        for a, b in dice.reshape(t, 2, n):
+            vals.append(pair_stats(a, b).wins
+                        - n * (cdf_sum(a, law.cdf) - cdf_sum(b, law.cdf)))
     expected = float(np.var(vals, ddof=1)) / float(n) ** 3
     assert w_minus_nv_variance(dist, n, pairs=pairs, seed=4) == expected
 

@@ -57,17 +57,19 @@ PINS = {
 
 
 # dice_triples params and the sha256 of the counts[:16]; every triple is
-# accepted.
+# accepted. The lattice and the conditioned uniform and shifted-exp pins
+# were recorded again when the last-face samplers began to keep every
+# accepted candidate of a rejection batch, which moved all their draws.
 DICE_PINS = {
-    "dice-discrete": ({"model": "discrete", "n": 20}, "1badef2d008c9a9b"),
+    "dice-discrete": ({"model": "discrete", "n": 20}, "9823b82e2765088b"),
     "dice-conditioned-uniform": ({"model": "conditioned", "dist": "uniform",
-                                  "n": 20}, "a82d61bac899993c"),
+                                  "n": 20}, "a61b3c07bd251ff2"),
     "dice-conditioned-gaussian": ({"model": "conditioned",
                                    "dist": "gaussian", "n": 20},
                                   "37b2ba4c91791266"),
     "dice-conditioned-shifted-exp": ({"model": "conditioned",
                                       "dist": "shifted-exp", "n": 20},
-                                     "6a4929bd9b34684e"),
+                                     "e570c8e9b3e8fe4b"),
     "dice-iid-gaussian": ({"model": "iid", "dist": "gaussian", "n": 20},
                           "c6547c7209d1f4dd"),
     "dice-stationary": ({"model": "stationary", "hurst": 0.75, "n": 32},
@@ -94,6 +96,15 @@ CHUNKED_DICE_PINS = {
 AGREEMENT_DICE_PINS = {
     "dice-stationary-n512-h025": ({"model": "stationary", "hurst": 0.25,
                                    "n": 512}, 200, "41cf4e71da74e2ea"),
+}
+
+# Lattice dice at n=250, the dice-lattice benchmark's size: 200 triples
+# in 10 chunks of at most 21, whose counts are [151, 0, 0, 0, 47, 0, 0, 0,
+# 0, 2, 0, 0]. The CLI pin below scores one triple, and its files did not
+# move when every lattice draw did.
+LATTICE_DICE_PINS = {
+    "dice-discrete-n250": ({"model": "discrete", "n": 250}, 200,
+                           "1b1c502bcd02882a"),
 }
 
 # The CLI's two files at seed 31 for the three benchmark workloads'
@@ -196,6 +207,16 @@ def test_seeded_chunked_dice_counts_are_pinned(case, threads, monkeypatch):
 def test_seeded_dice_agreement_counts_are_pinned(case, threads, monkeypatch):
     monkeypatch.setenv("INTRANS_THREADS", threads)
     params, trials, digest = AGREEMENT_DICE_PINS[case]
+    got, counts = _fingerprint("dice_triples", params, trials=trials)
+    assert got == (trials, digest), counts
+
+
+@recorded_numpy
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(LATTICE_DICE_PINS))
+def test_seeded_lattice_dice_counts_are_pinned(case, threads, monkeypatch):
+    monkeypatch.setenv("INTRANS_THREADS", threads)
+    params, trials, digest = LATTICE_DICE_PINS[case]
     got, counts = _fingerprint("dice_triples", params, trials=trials)
     assert got == (trials, digest), counts
 

@@ -408,6 +408,29 @@ def test_stationary_validation():
 # ------------------------------------------------------ model wrappers
 
 
+def _replayed_rows(model, rng, k):
+    """The first k accepted candidates, in draw order, of last-face
+    batches replayed from rng as the sampler documents them: a batch of
+    _batch_rows(n) candidates draws its first n-1 faces (lattice: int16
+    integers on 1..n; else i.i.d. faces, then one uniform a candidate),
+    sets the last face to the target sum minus theirs and keeps those that
+    pass the rejection rule."""
+    n, batch, rows = model.n, samplers._batch_rows(model.n), []
+    while len(rows) < k:
+        if isinstance(model, DiscreteConditioned):
+            body = rng.integers(1, n + 1, size=(batch, n - 1),
+                                dtype=np.int16).astype(np.int64)
+            tail = n * (n + 1) // 2 - body.sum(axis=1)
+            ok = (tail >= 1) & (tail <= n)
+        else:
+            body = model.dist.sample(rng, (batch, n - 1))
+            tail = -body.sum(axis=1)
+            u = rng.random(batch)
+            ok = u * model.dist.sup_pdf <= model.dist.pdf(tail)
+        rows += [np.append(b, t) for b, t, o in zip(body, tail, ok) if o]
+    return np.array(rows[:k], dtype=np.float64)
+
+
 @pytest.mark.parametrize("model", [
     DiscreteConditioned(7),
     ContinuousConditioned(9, get_distribution("gaussian")),
@@ -418,14 +441,108 @@ def test_stationary_validation():
 ], ids=["discrete", "gaussian", "uniform", "shifted-exp", "stationary",
         "iid"])
 def test_size_form_equals_one_die_calls(model):
-    """sample(rng, k) is a (k, n) array whose rows are, bit for bit, k
-    calls with size 1 on the same generator."""
+    """sample(rng, k) is a (k, n) array. The samplers that draw dice in
+    turn give, bit for bit, the rows of k calls with size 1 on the same
+    generator; the last-face samplers (lattice, uniform, shifted-exp)
+    give the first k accepted candidates of the replayed batches, in
+    order, since they keep every accepted candidate of a batch."""
     rows = model.sample(np.random.default_rng(23), 6)
     assert rows.shape == (6, model.n) and rows.dtype == np.float64
     rng = np.random.default_rng(23)
-    one_by_one = np.concatenate([model.sample(rng, 1) for _ in range(6)])
-    np.testing.assert_array_equal(rows, one_by_one)
+    last_face = (isinstance(model, (DiscreteConditioned,
+                                    ContinuousConditioned))
+                 and model.normals_width is None)
+    if last_face:
+        expected = _replayed_rows(model, rng, 6)
+    else:
+        expected = np.concatenate([model.sample(rng, 1) for _ in range(6)])
+    np.testing.assert_array_equal(rows, expected)
     assert model.sample(rng, 0).shape == (0, model.n)
+
+
+def _stub_draw(n, accept):
+    """A last-face draw whose candidate j (counted over all batches) has
+    the faces j, ..., j and is accepted iff j is in accept; it records
+    the candidates drawn in drawn[0]."""
+    drawn = [0]
+
+    def draw(take):
+        ids = np.arange(drawn[0], drawn[0] + take)
+        drawn[0] += take
+        return (np.repeat(ids[:, None], n - 1, axis=1), ids,
+                np.isin(ids, accept))
+    return draw, drawn
+
+
+def test_last_face_rejection_keeps_every_hit_in_draw_order():
+    """Every accepted candidate of a batch is kept, in draw order, and
+    the rest of the last batch is dropped: row i is the i-th hit."""
+    n = 16
+    assert samplers._batch_rows(n) == 8
+    draw, drawn = _stub_draw(n, [1, 2, 6, 11, 17])
+    faces = samplers._last_face_rejection(n, 4, draw, 100, "stub")
+    np.testing.assert_array_equal(
+        faces, np.repeat(np.array([[1.0], [2.0], [6.0], [11.0]]), n, axis=1))
+    assert drawn[0] == 16
+    assert samplers._last_face_rejection(n, 0, draw, 0, "stub").shape == (
+        0, n)
+    assert drawn[0] == 16
+
+
+@pytest.mark.parametrize("max_attempts", [10, 8, 1])
+def test_last_face_rejection_stalls_after_max_attempts_since_a_hit(
+        max_attempts):
+    """SamplerStallError comes once max_attempts candidates in a row after
+    the last hit are rejected, having drawn exactly that many, and reports
+    the dice filled. Each of the k hits follows max_attempts - 1
+    rejections, k (max_attempts - 1) in all, so only a budget that each
+    hit resets lets them through."""
+    n, k = 16, 3
+    accept = [(i + 1) * max_attempts - 1 for i in range(k)]
+    draw, drawn = _stub_draw(n, accept)
+    with pytest.raises(SamplerStallError) as stall:
+        samplers._last_face_rejection(n, k + 1, draw, max_attempts, "stub")
+    assert stall.value.accepted == k
+    assert stall.value.attempts == max_attempts
+    assert drawn[0] == (k + 1) * max_attempts
+    draw, drawn = _stub_draw(n, [])
+    with pytest.raises(SamplerStallError) as stall:
+        samplers._last_face_rejection(n, 2, draw, max_attempts, "stub")
+    assert stall.value.accepted == 0 and drawn[0] == max_attempts
+
+
+def test_lattice_stall_reports_the_dice_filled(monkeypatch):
+    """At a budget of one candidate the lattice sampler draws one
+    candidate a batch and stalls at its first rejection, reporting the
+    dice accepted before it: the leading accepted candidates of the same
+    draws, replayed."""
+    n, seed = 4, 2
+    monkeypatch.setattr(samplers, "DISCRETE_MAX_ATTEMPTS", 1)
+    with pytest.raises(SamplerStallError) as stall:
+        sample_discrete_conditioned(n, np.random.default_rng(seed), 50)
+    rng, leading = np.random.default_rng(seed), 0
+
+    def accepted():
+        body = rng.integers(1, n + 1, size=(1, n - 1), dtype=np.int16)
+        return 1 <= n * (n + 1) // 2 - body.sum() <= n
+
+    while accepted():
+        leading += 1
+    assert stall.value.accepted == leading > 1
+
+
+@pytest.mark.parametrize("n", [samplers.LATTICE_INT16_MAX_N,
+                               samplers.LATTICE_INT16_MAX_N + 1])
+def test_lattice_dice_either_side_of_the_int16_switch(n):
+    """The lattice sampler draws int16 bodies up to LATTICE_INT16_MAX_N
+    and int64 beyond: a die on each side has integer faces in 1..n and
+    the exact sum n(n+1)/2."""
+    dice = sample_discrete_conditioned(n, np.random.default_rng(n), 2)
+    assert dice.shape == (2, n) and dice.dtype == np.float64
+    assert dice.min() >= 1 and dice.max() <= n
+    faces = dice.astype(np.int64)
+    assert np.array_equal(faces, dice)
+    assert (faces.sum(axis=1) == n * (n + 1) // 2).all()
 
 
 # One arena reused by every draw of the arena form, as the dice kernel
