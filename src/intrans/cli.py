@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import io
@@ -96,8 +95,8 @@ def _overwritten(path):
     """A text buffer written over path from its first byte on exit, by an
     exception too, in one open and write, not truncating path first (on
     ext4 that costs ~0.1 ms, most of a small write); then a regular file
-    is cut at the written length, so no old byte trails the new ones. A
-    FIFO or a terminal is not cut."""
+    longer than the bytes written is cut at their length, so no old byte
+    trails the new ones. A FIFO or a terminal is not cut."""
     buffer = io.StringIO(newline="")
     try:
         yield buffer
@@ -108,10 +107,18 @@ def _overwritten(path):
             rest = data
             while rest:
                 rest = rest[os.write(fd, rest):]
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
+
+
+def _csv_line(fields) -> str:
+    """One CSV record as csv.writer writes it for fields that hold no ',',
+    '"', '\r' or '\n', as no field of the CLI's does: None as an empty
+    field, anything else as its str, each line ended by "\r\n"."""
+    return ",".join(["" if v is None else str(v) for v in fields]) + "\r\n"
 
 
 def _report(args, spec, result, fixed, measured, exact=()) -> int:
@@ -136,9 +143,7 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
     to_file = args.out not in (None, "-")
     with (_overwritten(args.out) if to_file
           else contextlib.nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        fh.writelines(map(_csv_line, [CSV_COLUMNS, *rows]))
     if to_file:
         meta = {
             "experiment_id": exp_id,
@@ -461,8 +466,15 @@ _RUN.add_argument("--seed", type=int, default=0)
 _RUN.add_argument("--out", help="CSV path (stdout when omitted or -)")
 
 
+# Each subcommand's parser by name, as build_parser made it.
+_COMMANDS = {}
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process. Each subcommand's
+    parser, kept in _COMMANDS, sets command, func and parser itself, so a
+    run parsed by it alone reads as one parsed from the top."""
     parser = argparse.ArgumentParser(
         prog="intrans",
         description="Intransitive dice and close-election experiments.")
@@ -471,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary, parents=(_RUN,)):
         p = sub.add_parser(name, help=summary, parents=list(parents),
                            allow_abbrev=False)
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(command=name, func=func, parser=p)
+        _COMMANDS[name] = p
         return p
 
     p_dice = command("dice", _cmd_dice, "sample dice triples")
@@ -554,10 +567,25 @@ def _with_config(parser, argv: list) -> list:
     return argv[:1] + flags + argv[1:]
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """argv, with its --config flags, parsed once: by the parser of the
+    subcommand its first token names, the parser the top-level one would
+    hand the rest of argv to, else (no command, -h, a typo or an
+    abbreviation) by the top-level parser."""
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_with_config(parser, argv))
+    argv = _with_config(parser, argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        # The error the top-level parser gives for them.
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args, args.parser)
     except (IntransError, FloatingPointError, np.linalg.LinAlgError,

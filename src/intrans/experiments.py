@@ -9,6 +9,7 @@ dicts so an ExperimentSpec round-trips through its serialized form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import queue
@@ -55,6 +56,18 @@ from .samplers import (
 from .triplets import triplet_cell_tables
 
 N_DICE_CATEGORIES = 12
+
+# A dice triple's category by one lookup: with a and b the sign codes
+# (sign + 1) @ _GAP_CODE of its margins (a, b), (b, c), (c, a) and of its
+# CDF-sum gaps in the same orientation, entry 27 a + b is 4 times
+# classify_margins of the margins plus the number of pairs whose margin
+# and gap have one sign. Gaps that are all 0 (code 13) agree exactly on
+# the tied pairs.
+_SIGNS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+_DICE_CATEGORY = (4 * classify_margins(_SIGNS[:, None])
+                  + (_SIGNS[:, None] == _SIGNS).sum(axis=-1)).ravel()
+_GAP_CODE = np.array([9, 3, 1])
+_MARGIN_CODE = 27 * _GAP_CODE
 
 # The dice kernels draw at most this many faces at a time: a chunk of
 # max(1, DICE_CHUNK_FACES // (3 n)) triples, // (2 n) pairs or // n lag
@@ -650,9 +663,12 @@ def _build_dice_triples(spec: ExperimentSpec):
     is exactly 0 and a pair agrees exactly when it ties: the lattice model
     (F is floor / n, and every die has the face sum n(n+1)/2) and the
     sum-conditioned uniform law (F is affine on the support, and the faces
-    sum to 0, so the CDF sum is n/2). For them the kernel counts the tied
-    pairs and computes no CDF sum, whose float additions would otherwise
-    leave gaps of rounding noise."""
+    sum to 0, so the CDF sum is n/2). For them the kernel takes every gap
+    as exactly 0 and computes no CDF sum, whose float additions would
+    otherwise leave gaps of rounding noise.
+
+    A chunk's categories come from one lookup in _DICE_CATEGORY, indexed
+    by the sign codes of each triple's margins and gaps."""
     _only(spec.conditioning or {}, spec.family, "conditioning key")
     model = dice_model_from_params(spec.params)
     n = model.n
@@ -737,10 +753,10 @@ def _build_dice_triples(spec: ExperimentSpec):
                                            mode="wrap",
                                            out=scratch.take(dice.shape))
                         margins = pair_stats(dice, followed, scratch).margin
-                agree = (margins == 0 if gaps is None else
-                         np.sign(margins) == np.sign(gaps))
-                category[lo:lo + t] = (4 * classify_margins(margins)
-                                       + agree.sum(axis=1))
+                code = (np.sign(margins) + 1) @ _MARGIN_CODE
+                code += 13 if gaps is None else (
+                    (np.sign(gaps) + 1) @ _GAP_CODE).astype(np.intp)
+                category[lo:lo + t] = _DICE_CATEGORY[code]
         finally:
             if pending is not None:
                 helper.finish()

@@ -317,10 +317,13 @@ _BLOCKS_IN_FLIGHT = 4
 
 def _run_phase(kernel, seed, start, stop, workers, n_categories):
     """The category counts of the blocks of trials start..stop-1, each
-    block's counts added as soon as it is done."""
-    counts = np.zeros(n_categories, dtype=np.int64)
+    block's counts added as soon as it is done; a phase of one block
+    returns that block's counts."""
     starts = range(start, stop, BLOCK_SIZE)
-    if workers <= 1 or len(starts) <= 1:
+    if len(starts) == 1:
+        return _run_block(kernel, seed, start, stop, n_categories)
+    counts = np.zeros(n_categories, dtype=np.int64)
+    if workers <= 1:
         for lo in starts:
             counts += _run_block(kernel, seed, lo, min(lo + BLOCK_SIZE, stop),
                                  n_categories)

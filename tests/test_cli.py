@@ -15,9 +15,10 @@ import re
 import subprocess
 import sys
 import threading
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import intrans
 from intrans import cli, experiments
@@ -568,6 +569,55 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+# -------------------------------------------------------------- parsing
+
+
+@pytest.mark.parametrize("argv", [
+    ["dice", "--model", "discrete", "--n", "250", "--triples", "1",
+     "--seed", "3", "--out", "x.csv"],
+    ["dice", "--model", "stationary", "--hurst", "0.75", "--n", "512",
+     "--triples", "40"],
+    ["elections", "--n", "301", "--d", "3", "--trials", "4096"],
+    ["elections", "--k", "4", "--n", "5", "--d", "1", "--subset-excl",
+     "0,2", "--trials", "10", "--seed=-4"],
+    ["triplet", "--mode", "noise", "--n", "9", "--rho", "0.5",
+     "--trials", "10"],
+    ["verify", "--suite", "samplers"],
+], ids=["dice", "dice-stationary", "elections", "elections-subset",
+        "triplet", "verify"])
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+def test_a_run_parses_as_the_top_level_parser_parses_it(argv, config,
+                                                         tmp_path):
+    """main parses a run with its subcommand's parser alone; the namespace
+    is the one the top-level parser gives, flags from --config too."""
+    if config and argv[0] != "verify":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 9, "out": "-"}))
+        argv = argv + ["--config", str(path)]
+    expected = build_parser().parse_args(
+        cli._with_config(build_parser(), argv))
+    assert cli._parse(argv) == expected
+    assert expected.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nonsense"], ["dic", "--n", "5", "--triples", "1"],
+    ["dice", "--n", "5"], ["dice", "--n", "5", "--triples", "1", "--bogus"],
+    ["verify", "--suite", "samplers", "--seed", "1"], ["elections", "-h"],
+], ids=["no-command", "help", "unknown", "abbreviated", "missing-flag",
+        "unknown-flag", "foreign-flag", "subcommand-help"])
+def test_usage_output_is_the_top_level_parsers(argv, capsys):
+    """Exit codes and output of argv that is not a run are those of a
+    parse from the top: 0 for help, else 2."""
+    with pytest.raises(SystemExit) as top:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as run:
+        main(argv)
+    assert run.value.code == top.value.code == (0 if "-h" in argv else 2)
+    assert capsys.readouterr() == expected
+
+
 # ---------------------------------------------------- in-place output
 
 
@@ -596,6 +646,111 @@ def test_rerun_over_longer_files_leaves_a_fresh_runs_bytes(tmp_path):
         assert strip(new) == strip(old)
 
 
+def test_a_file_is_cut_only_when_it_was_longer(tmp_path, monkeypatch):
+    cuts, ftruncate = [], os.ftruncate
+
+    def counted_ftruncate(fd, length):
+        cuts.append(length)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", counted_ftruncate)
+    path = tmp_path / "f.txt"
+    for old, calls in ((None, []), ("", []), ("abc", []), ("ab", []),
+                       ("stale\r\n" * 400, [3])):
+        if old is not None:
+            path.write_text(old)
+        cuts.clear()
+        with cli._overwritten(path) as fh:
+            fh.write("xyz")
+        assert path.read_bytes() == b"xyz"
+        assert cuts == calls
+        path.unlink()
+    # A run over a longer CSV and sidecar cuts each once; a run into new
+    # files cuts none.
+    out = tmp_path / "el.csv"
+    argv = ["elections", "--n", "5", "--trials", "300", "--out", str(out)]
+    for name in ("el.csv", "el.csv.meta.json"):
+        (tmp_path / name).write_text("stale,row\r\n" * 400)
+    cuts.clear()
+    assert main(argv) == 0
+    assert cuts == [len(out.read_bytes()),
+                    len((tmp_path / "el.csv.meta.json").read_bytes())]
+    assert all(b"stale" not in (tmp_path / name).read_bytes()
+               for name in ("el.csv", "el.csv.meta.json"))
+    fresh = tmp_path / "fresh.csv"
+    cuts.clear()
+    assert main(argv[:-1] + [str(fresh)]) == 0
+    assert cuts == []
+
+
+# Any double, and the edge values: signed zeros, nan, infinities,
+# subnormals, 17-digit reprs and the largest finite double.
+_FLOATS = st.one_of(st.floats(), st.sampled_from((
+    -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+    2.2250738585072014e-308, 0.30000000000000004, 1.7976931348623157e308,
+    123456789.12345679)))
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+# Rows of the CLI's shape, in CSV_COLUMNS order.
+_CLI_ROWS = st.tuples(
+    st.text("0123456789abcdef", min_size=12, max_size=12),
+    st.sampled_from(("dice", "elections", "triplet")),
+    _maybe(st.sampled_from(("discrete", "conditioned", "stationary", "iid",
+                            "impartial", "sum", "noise"))),
+    st.integers(1, 10 ** 12), _maybe(st.integers(2, 5)),
+    _maybe(st.integers(0, 10 ** 12)), _maybe(_FLOATS), _maybe(_FLOATS),
+    _maybe(st.integers(1, 2 ** 64)), _maybe(st.integers(0, 2 ** 64)),
+    st.sampled_from(("outcome_101", "transitive", "paradox_rate",
+                     "agreement_rate")),
+    _FLOATS, _FLOATS, st.integers(-2 ** 80, 2 ** 80), _maybe(_FLOATS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_CLI_ROWS)
+@example(row=CSV_COLUMNS)
+@example(row=("0" * 12, "dice", None, 5, None, None, -0.0, math.nan, None,
+              None, "has_tie", 5e-324, math.inf, 2 ** 70, None))
+def test_csv_line_is_what_csv_writer_writes(row):
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerow(row)
+    assert cli._csv_line(row) == expected.getvalue()
+
+
+def test_every_string_the_cli_writes_needs_no_csv_quoting(tmp_path):
+    """The fields _csv_line writes as they are: no string the CLI can put
+    in a CSV holds ',', '"', '\\r' or '\\n'. They are the subcommand
+    names, every choice of their flags (--model and --mode among them),
+    "impartial", every statistic name and the 12-hex experiment id."""
+    build_parser()
+    words = set(cli._COMMANDS) | {"impartial"}
+    words |= {choice for parser in cli._COMMANDS.values()
+              for action in parser._actions
+              for choice in action.choices or ()}
+    for k in range(2, 6):
+        words |= set(cli._row_names(k))
+    runs = [["elections", "--k", str(k), "--n", "5", "--trials", "20"]
+            for k in range(2, 6)]
+    runs += [["dice", "--model", "iid", "--n", "3", "--triples", "4"],
+             ["triplet", "--n", "9", "--trials", "20"],
+             ["triplet", "--mode", "noise", "--n", "9", "--rho", "0.5",
+              "--trials", "20"]]
+    for j, argv in enumerate(runs):
+        out = tmp_path / ("run-%d.csv" % j)
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = _parse_csv(out.read_text())
+        for row in rows:
+            assert re.fullmatch("[0-9a-f]{12}", row["experiment_id"])
+            words |= {row["subcommand"], row["model"], row["statistic"]}
+    assert {"intransitive_fraction", "agreement_rate", "paradox_rate",
+            "alpha_star", "alpha_rho", "outcome_111", "transitive",
+            "condorcet_winner", "discrete", "noise"} <= words
+    assert [word for word in words if set(word) & set(',"\r\n')] == []
+
+
 def test_out_fifo_receives_the_whole_csv(tmp_path, capsys):
     fifo = tmp_path / "pipe.csv"
     os.mkfifo(fifo)
@@ -618,16 +773,16 @@ def test_writer_failing_partway_leaves_no_old_tail(tmp_path, monkeypatch):
     out_path = tmp_path / "el.csv"
     out_path.write_text("stale,row\r\n" * 400)
 
-    class FailingWriter:
-        def __init__(self, fh):
-            self.writer = csv.writer(fh)
-            self.writerow = self.writer.writerow
+    render, rendered = cli._csv_line, []
 
-        def writerows(self, rows):
-            self.writer.writerow(next(iter(rows)))
+    def failing_after_the_first_row(fields):
+        # The header and the first row render; the next row raises.
+        if len(rendered) == 2:
             raise RuntimeError("disk gone")
+        rendered.append(fields)
+        return render(fields)
 
-    monkeypatch.setattr(cli, "csv", SimpleNamespace(writer=FailingWriter))
+    monkeypatch.setattr(cli, "_csv_line", failing_after_the_first_row)
     with pytest.raises(RuntimeError, match="disk gone"):
         main(["elections", "--n", "5", "--trials", "300", "--seed", "2",
               "--out", str(out_path)])

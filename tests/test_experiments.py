@@ -8,6 +8,7 @@ counts for iid dice classes, and closed-form orthant/covariance values.
 Seeds are fixed, so the checks are deterministic.
 """
 
+import itertools
 import json
 import math
 import os
@@ -1588,6 +1589,25 @@ def test_near_tie_gap_takes_the_exact_sums(monkeypatch):
     assert kernel(substream(1, 0), 1).tolist() == [
         4 * int(classify_margins(margins)) + 3]
     assert rows == [1, 1]
+
+
+def test_dice_category_table_is_the_class_and_agreement_rule():
+    """Entry 27 a + b of the kernel's lookup table, a and b the sign codes
+    (sign + 1) @ (9, 3, 1) of a triple's margins and gaps, is 4 times the
+    margins' class plus the pairs whose margin and gap share a sign, on
+    every one of the 27 x 27 sign patterns."""
+    signs = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    table = experiments._DICE_CATEGORY
+    assert table.shape == (729,)
+    for m in signs:
+        for g in signs:
+            code = 27 * ((m + 1) @ [9, 3, 1]) + (g + 1) @ [9, 3, 1]
+            assert table[code] == (4 * int(classify_margins(m))
+                                   + int((np.sign(m) == np.sign(g)).sum()))
+    # Gap code 13 (all gaps 0): a pair agrees exactly when it ties.
+    for m in signs:
+        assert table[27 * ((m + 1) @ [9, 3, 1]) + 13] == (
+            4 * int(classify_margins(m)) + int((m == 0).sum()))
 
 
 def test_summarize_dice_categories_arithmetic():
