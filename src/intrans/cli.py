@@ -121,6 +121,17 @@ def _csv_line(fields) -> str:
     return ",".join(["" if v is None else str(v) for v in fields]) + "\r\n"
 
 
+def _csv_prefix(fields) -> str:
+    """The text that starts every record whose first fields are fields:
+    their _csv_line up to its line end, then the separator, so the
+    prefix followed by the _csv_line of a record's other fields is the
+    _csv_line of the whole record."""
+    return _csv_line(fields)[:-2] + ","
+
+
+_CSV_HEADER = _csv_line(CSV_COLUMNS)
+
+
 def _report(args, spec, result, fixed, measured, exact=()) -> int:
     """Write a run's CSV: one row per measured (statistic, estimate,
     stderr) of result, then one per exact (statistic, value), whose
@@ -133,17 +144,20 @@ def _report(args, spec, result, fixed, measured, exact=()) -> int:
     first."""
     spec_json = spec.to_json()
     exp_id = hashlib.sha256(spec_json.encode()).hexdigest()[:12]
-    ident = (exp_id, args.command, *map(fixed.get, _FIXED_COLUMNS))
     wall_time_ms = round(result.wall_time_ms, 3)
-    rows = [(*ident, result.trials, result.accepted, name, float(estimate),
+    rows = [(result.trials, result.accepted, name, float(estimate),
              float(stderr), spec.seed, wall_time_ms)
             for name, estimate, stderr in measured]
-    rows += [(*ident, None, None, name, float(value), 0.0, spec.seed, None)
+    rows += [(None, None, name, float(value), 0.0, spec.seed, None)
              for name, value in exact]
     to_file = args.out not in (None, "-")
     with (_overwritten(args.out) if to_file
           else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.writelines(map(_csv_line, [CSV_COLUMNS, *rows]))
+        fh.write(_CSV_HEADER)
+        # The run's identity columns are rendered once, for every row.
+        ident = _csv_prefix(
+            (exp_id, args.command, *map(fixed.get, _FIXED_COLUMNS)))
+        fh.writelines(ident + _csv_line(row) for row in rows)
     if to_file:
         meta = {
             "experiment_id": exp_id,

@@ -388,10 +388,11 @@ def _split_kernel(draws: int, masses: np.ndarray, weights: np.ndarray,
     base = weights.min(axis=0)[:, None] * draws
     cells = [np.arange(len(masses))]
     # Per split: its column and level gap, the mixed cells and their
-    # shares, a 0/1 column of the cells wholly above v, the rows of the
-    # next cells in the stacked (counts at v, counts above v) (None when
-    # no cell splits, and after the last split, so no trial's type counts
-    # are formed), and whether it ends a checked column.
+    # shares, a 0/1 column of the cells wholly above v (None when every
+    # cell is mixed, so the split draws from all the counts), the rows of
+    # the next cells in the stacked (counts at v, counts above v) (None
+    # when no cell splits, and after the last split, so no trial's type
+    # counts are formed), and whether it ends a checked column.
     steps = []
     for c in order:
         levels = sorted(set(weights[:, c].tolist()))
@@ -411,6 +412,7 @@ def _split_kernel(draws: int, masses: np.ndarray, weights: np.ndarray,
                           np.array([[masses[cells[j][above[j]]].sum()
                                      / masses[cells[j]].sum()]
                                     for j in mixed]),
+                          None if len(mixed) == len(cells) else
                           np.array([[up.all()] for up in above],
                                    dtype=np.int64),
                           np.array(children) if mixed else None, False])
@@ -433,14 +435,18 @@ def _split_kernel(draws: int, masses: np.ndarray, weights: np.ndarray,
         tallies = base.repeat(size, axis=1)
         for column, gap, mixed, share, whole, children, checked in steps:
             if up is None:
-                up = counts * whole
-                if mixed.size:
-                    up[mixed] = rng.binomial(counts[mixed], share)
+                if whole is None:
+                    up = rng.binomial(counts, share)
+                else:
+                    up = counts * whole
+                    if mixed.size:
+                        up[mixed] = rng.binomial(counts[mixed], share)
             tallies[column] += gap * up.sum(axis=0)
             if checked:
-                keep = np.abs(tallies[column]) <= d
-                tallies, counts, up = (tallies[:, keep], counts[:, keep],
-                                       up[:, keep])
+                keep = np.flatnonzero(np.abs(tallies[column]) <= d)
+                tallies, counts, up = (tallies.take(keep, axis=1),
+                                       counts.take(keep, axis=1),
+                                       up.take(keep, axis=1))
             if children is not None:
                 counts = np.concatenate([counts - up, up])[children]
             up = None

@@ -37,6 +37,7 @@ from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import AcceptanceFloorError, InvalidInputError
 
@@ -81,13 +82,29 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+class _PhiloxKey(ISeedSequence):
+    """Philox's seed when its key is known: generate_state returns the
+    two key words. Philox(key=...) instead builds a SeedSequence from OS
+    entropy and then overrides the key it drew (~5 us a stream); this
+    seeds the same state without the read. It cannot spawn, like a keyed
+    Philox."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def substream(seed: int, trial: int) -> np.random.Generator:
     """The independent generator owned by one trial of a seeded run."""
     k0 = splitmix64(seed & _MASK64)
     k1 = splitmix64(k0)
-    bitgen = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64),
-                              counter=np.array([0, trial, 0, 0],
-                                               dtype=np.uint64))
+    bitgen = np.random.Philox(
+        _PhiloxKey(np.array([k0, k1], dtype=np.uint64)),
+        counter=np.array([0, trial, 0, 0], dtype=np.uint64))
     return np.random.Generator(bitgen)
 
 
@@ -372,7 +389,11 @@ def _run_trials(kernel: TrialKernel, n_categories: int, trials: int,
 
 
 def estimate_categories(spec: ExperimentSpec) -> CategoryCounts:
-    """Category counts over accepted trials."""
+    """Category counts over accepted trials. The kernel is built again
+    here, not kept from the spec's own check: the build is the re-check
+    of params and conditioning as they are now, since a spec's dicts can
+    change after it is made, and it picks up the family's module state
+    as it is at the run."""
     kernel, n_categories = build_kernel(spec)
     return _run_trials(kernel, n_categories, spec.trials, spec.seed)
 

@@ -720,6 +720,22 @@ def test_csv_line_is_what_csv_writer_writes(row):
     assert cli._csv_line(row) == expected.getvalue()
 
 
+@settings(max_examples=300, deadline=None)
+@given(row=_CLI_ROWS)
+@example(row=CSV_COLUMNS)
+@example(row=("0" * 12, "dice", None, 5, None, None, -0.0, math.nan, None,
+              None, "has_tie", 5e-324, math.inf, 2 ** 70, None))
+def test_identity_prefix_and_own_fields_are_the_whole_record(row):
+    """A row is written as the run's identity prefix (the first 8
+    columns, rendered once a run) then the row's own fields."""
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerow(row)
+    n_ident = CSV_COLUMNS.index("trials")
+    assert n_ident == 8
+    assert (cli._csv_prefix(row[:n_ident]) + cli._csv_line(row[n_ident:])
+            == expected.getvalue())
+
+
 def test_every_string_the_cli_writes_needs_no_csv_quoting(tmp_path):
     """The fields _csv_line writes as they are: no string the CLI can put
     in a CSV holds ',', '"', '\\r' or '\\n'. They are the subcommand
@@ -776,7 +792,8 @@ def test_writer_failing_partway_leaves_no_old_tail(tmp_path, monkeypatch):
     render, rendered = cli._csv_line, []
 
     def failing_after_the_first_row(fields):
-        # The header and the first row render; the next row raises.
+        # The header is rendered at import. The run's identity prefix and
+        # its first row render; the next row raises.
         if len(rendered) == 2:
             raise RuntimeError("disk gone")
         rendered.append(fields)
@@ -786,6 +803,8 @@ def test_writer_failing_partway_leaves_no_old_tail(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="disk gone"):
         main(["elections", "--n", "5", "--trials", "300", "--seed", "2",
               "--out", str(out_path)])
+    # What rendered: the 8 identity columns, then the first row's own 7.
+    assert [len(fields) for fields in rendered] == [8, 7]
     lines = out_path.read_bytes().decode().split("\r\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1].split(",")[10] == "outcome_000"

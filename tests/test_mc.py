@@ -98,6 +98,61 @@ def test_substream_reproducible_and_disjoint():
     assert not np.array_equal(a, d)
 
 
+def _keyed_philox(seed, trial):
+    """The reference stream: numpy's own keyed Philox. The key and the
+    counter are uint64 arrays, since a list holding a word above 2**53
+    is read through float64 and loses its low bits."""
+    k0 = splitmix64(seed & ((1 << 64) - 1))
+    return np.random.Generator(np.random.Philox(
+        key=np.array([k0, splitmix64(k0)], dtype=np.uint64),
+        counter=np.array([0, trial, 0, 0], dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("trial", [0, 4096, 2 ** 40])
+@pytest.mark.parametrize("seed", [0, 1, -1, 2 ** 63, 2 ** 64 - 1,
+                                  2 ** 64 + 5])
+def test_substream_is_numpys_keyed_philox(seed, trial):
+    """substream(seed, trial) is Philox keyed by the two splitmix64 words
+    of the seed with the counter [0, trial, 0, 0]: the same state, the
+    same first 64 raw words and the same normals."""
+    ours, ref = substream(seed, trial), _keyed_philox(seed, trial)
+    state, ref_state = ours.bit_generator.state, ref.bit_generator.state
+    assert state.keys() == ref_state.keys()
+    for name in ("key", "counter"):
+        np.testing.assert_array_equal(state["state"][name],
+                                      ref_state["state"][name])
+    for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+        assert state[name] == ref_state[name]
+    np.testing.assert_array_equal(ours.bit_generator.random_raw(64),
+                                  ref.bit_generator.random_raw(64))
+    np.testing.assert_array_equal(ours.standard_normal(64),
+                                  ref.standard_normal(64))
+
+
+def test_substream_reads_no_entropy(monkeypatch):
+    """A keyed substream never asks the OS for entropy: with the entropy
+    source of numpy's SeedSequence raising, a substream and a one-block
+    run still work."""
+    from numpy.random import bit_generator
+
+    def no_entropy(*args):
+        raise RuntimeError("entropy read")
+
+    expected = _keyed_philox(5, 0).random(4)  # this one reads entropy
+    spec = ExperimentSpec("test_coin", {}, 100, 3)
+    monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+    with pytest.raises(RuntimeError, match="entropy read"):
+        np.random.SeedSequence()  # the patch reaches SeedSequence
+    np.testing.assert_array_equal(substream(5, 0).random(4), expected)
+    result = estimate_categories(spec)
+    assert result.trials == 100 and result.counts.sum() == 100
+
+
+def test_substream_cannot_spawn():
+    with pytest.raises(TypeError):
+        substream(1, 0).spawn(1)
+
+
 def test_estimate_validation():
     with pytest.raises(InvalidInputError):
         MonteCarloEstimate(estimate=0.5, stderr=0.1, trials=5, accepted=6)

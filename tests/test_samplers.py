@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from intrans.errors import (
@@ -16,6 +17,7 @@ from intrans.errors import (
 )
 from intrans import samplers
 from intrans._accel import Scratch
+from intrans.dice import classify_margins, pair_stats
 from intrans.distributions import get_distribution
 from intrans.experiments import DICE_CHUNK_FACES, dice_model_from_params
 from intrans.gaussian import CorrelationKernel, s_kernel
@@ -37,6 +39,7 @@ from oracles import (
     conditioned_gaussian_cov,
     discrete_face_marginal,
     enumerate_discrete_dice,
+    toeplitz_cholesky_faces,
 )
 
 
@@ -252,6 +255,56 @@ def test_stationary_lag_statistics():
         est = float(series.mean())
         se = float(series.std(ddof=1)) / math.sqrt(draws)
         assert abs(est - target) <= 4.0 * se + 1e-12
+
+
+def _triple_statistics(dice):
+    """Per triple of (triples, 3, n) stationary dice: whether it is
+    intransitive, how many of its pairs (a, b), (b, c), (c, a) have the
+    win direction of their CDF-sum gap (F = Phi(sqrt(2) x), scipy's), and
+    the three signed margins."""
+    follow = [1, 2, 0]
+    margins = pair_stats(dice, dice[:, follow]).margin
+    sums = scipy.special.ndtr(math.sqrt(2.0) * dice).sum(axis=-1)
+    agree = (np.sign(margins) == np.sign(sums - sums[:, follow])).sum(axis=1)
+    return classify_margins(margins) == 1, agree, margins.ravel()
+
+
+def _two_sample_z(x, y):
+    """|mean(x) - mean(y)| over the standard error of the difference,
+    each mean's variance taken from both samples pooled (so a statistic
+    that is 0 in one sample still has a spread); 0 when both are one
+    constant."""
+    pooled = np.concatenate([x, y]).astype(float)
+    se = math.sqrt(pooled.var() * (1 / len(x) + 1 / len(y)))
+    diff = abs(float(np.mean(x)) - float(np.mean(y)))
+    return 0.0 if diff == 0.0 else diff / se
+
+
+@pytest.mark.parametrize("j, hurst", enumerate([0.1, 0.5, 0.9]))
+def test_stationary_dice_match_the_cholesky_oracle_at_n512(j, hurst):
+    """Circulant dice and dense Toeplitz-Cholesky dice (the oracle), 1000
+    triples each at n = 512, the size the CLI and the benchmark use, agree
+    within 4 two-sample standard errors on the intransitive fraction, the
+    CDF-sum agreement rate and each decile bin of the pair margins (bin
+    edges at the pooled deciles). Seeds 1210 + j and 1220 + j."""
+    n, triples = 512, 1000
+    kernel = CorrelationKernel.fbm(hurst)
+    circulant = sample_stationary_gaussian(
+        n, kernel, np.random.default_rng(1210 + j), 3 * triples)
+    oracle = toeplitz_cholesky_faces(
+        kernel.values(np.arange(n)), np.random.default_rng(1220 + j),
+        3 * triples)
+    ours, theirs = (_triple_statistics(d.reshape(triples, 3, n))
+                    for d in (circulant, oracle))
+    zs = {"intransitive": _two_sample_z(ours[0], theirs[0]),
+          "agreement": _two_sample_z(ours[1], theirs[1])}
+    edges = np.quantile(np.concatenate([ours[2], theirs[2]]),
+                        np.linspace(0.1, 0.9, 9))
+    for b in range(10):
+        zs["margin bin %d" % b] = _two_sample_z(
+            *(np.searchsorted(edges, m, side="right") == b
+              for m in (ours[2], theirs[2])))
+    assert max(zs.values()) <= 4.0, zs
 
 
 def test_stationary_n1_is_a_scaled_normal():
